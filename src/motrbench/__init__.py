@@ -11,10 +11,10 @@ from .lds import (
     CostWeights,
     LinearSystem,
     StabilityReport,
-    TrajectoryLog,
     analyze_stability,
     complexity_measure,
     random_system,
+    spectral_radius,
     stabilize,
     stage_cost,
     step,
@@ -29,9 +29,9 @@ from .trust_region import (
 )
 from .online import (
     CollapsedQuadratic,
-    FplLearner,
     MemoryQuadratic,
     OtrState,
+    RegretAccumulator,
     collapse,
     default_perturbation_rate,
     play_sequence,
@@ -40,15 +40,12 @@ from .online import (
 )
 from .cdg import (
     CdgPolicy,
+    PlantPowers,
     RolloutQuadratic,
-    TransferStack,
-    approx_cost,
-    approx_state,
-    hessian_gradient_at_zero,
+    affine_state_map,
+    plant_powers,
     project_frobenius,
     rollout_cost_quadratic,
-    transfer_stack,
-    unrolled_state,
 )
 from .controllers import (
     GpcController,
@@ -63,13 +60,11 @@ from .controllers import (
 )
 from .generators import (
     AdaptiveCdgGenerator,
+    GaussianGenerator,
+    HinfGenerator,
     MotrConfig,
-    gaussian_generator,
-    hinf_generator,
-    motr_generator,
-    normalize_budget,
-    oga_generator,
-    random_direction_generator,
+    RandomDirectionGenerator,
+    SinusoidGenerator,
     scale_to_budget,
     sinusoid_generator,
     transform_residual,

@@ -25,15 +25,14 @@ from .controllers import (
     solve_dare,
 )
 from .generators import (
+    AdaptiveCdgGenerator,
+    GaussianGenerator,
+    HinfGenerator,
     MotrConfig,
-    gaussian_generator,
-    hinf_generator,
-    motr_generator,
-    oga_generator,
-    random_direction_generator,
+    RandomDirectionGenerator,
     sinusoid_generator,
 )
-from .lds import CostWeights, LinearSystem, TrajectoryLog, random_system, stage_cost, step
+from .lds import CostWeights, LinearSystem, random_system, stage_cost, step
 
 __all__ = [
     "ConfigError",
@@ -261,7 +260,7 @@ def build_bundle(config: ExperimentConfig, index: int) -> SystemBundle:
     return SystemBundle(index=index, system=sys, cw=cw, lqr_P=P, lqr_K=K, hinf=hinf)
 
 
-def _build_controller(spec: dict, bundle: SystemBundle, T: int):
+def _build_controller(spec: dict, bundle: SystemBundle):
     name = spec["name"]
     if name not in CONTROLLER_DEFAULTS:
         raise ConfigError(f"unknown controller {name!r}")
@@ -276,7 +275,6 @@ def _build_controller(spec: dict, bundle: SystemBundle, T: int):
         bundle.lqr_K,
         h=spec["h"],
         lr=spec["lr"],
-        T=T,
         ball_radius=spec["ball_radius"],
     )
 
@@ -297,11 +295,11 @@ def _build_generator(spec: dict, bundle: SystemBundle, config: ExperimentConfig,
             residual_bias=spec["residual_bias"],
             seed=seed,
         )
-        if name == "motr":
-            return motr_generator(bundle.system, bundle.cw, bundle.hinf, cfg)
-        return oga_generator(bundle.system, bundle.cw, bundle.hinf, cfg, lr=spec["lr"])
+        return AdaptiveCdgGenerator(
+            bundle.system, bundle.cw, bundle.hinf, cfg, update=name, lr=spec.get("lr")
+        )
     if name == "hinf":
-        return hinf_generator(bundle.hinf, config.W_max)
+        return HinfGenerator(bundle.hinf, config.W_max)
     if name == "sine":
         return sinusoid_generator(
             bundle.system,
@@ -312,8 +310,8 @@ def _build_generator(spec: dict, bundle: SystemBundle, config: ExperimentConfig,
             n_random_directions=spec["n_random_directions"],
         )
     if name == "gaussian":
-        return gaussian_generator(config.d_w, config.W_max, seed)
-    return random_direction_generator(config.d_w, config.W_max, seed)
+        return GaussianGenerator(config.d_w, config.W_max, seed)
+    return RandomDirectionGenerator(config.d_w, config.W_max, seed)
 
 
 def run_episode(
@@ -336,8 +334,7 @@ def run_episode(
     """
     t0 = time.perf_counter()
     x = np.array(x0, dtype=float)
-    states = [x.copy()]
-    controls, disturbances, costs = [], [], []
+    costs = []
     max_u = 0.0
     max_x = float(np.linalg.norm(x))
     diverged = False
@@ -345,19 +342,13 @@ def run_episode(
         u = np.asarray(controller.act(x), dtype=float)
         w = np.asarray(generator.emit(x), dtype=float)
         costs.append(stage_cost(cw, x, u))
-        controls.append(u)
-        disturbances.append(w)
         max_u = max(max_u, float(np.linalg.norm(u)))
         x = step(sys, x, u, w)
         generator.observe(u)
-        states.append(x.copy())
         max_x = max(max_x, float(np.linalg.norm(x)) if np.all(np.isfinite(x)) else np.inf)
         if not np.all(np.isfinite(x)) or np.linalg.norm(x) > DIVERGENCE_LIMIT:
             diverged = True
             break
-    log = TrajectoryLog(np.array(states), np.array(controls), np.array(disturbances), np.array(costs))
-    if not log.check_costs(cw):
-        raise AssertionError("trajectory log failed its stage-cost identity")
     pair = generator.regret_pair() if hasattr(generator, "regret_pair") else None
     return RunRecord(
         system_index=system_index,
@@ -384,7 +375,7 @@ def _episode_task(args):
     )
     x0_rng = np.random.default_rng(stable_seed(config.base_seed, "x0", bundle.index, seed_index))
     x0 = x0_rng.standard_normal(config.d_x)
-    controller = _build_controller(ctrl_spec, bundle, config.T)
+    controller = _build_controller(ctrl_spec, bundle)
     generator = _build_generator(gen_spec, bundle, config, episode_seed)
     return run_episode(
         bundle.system,
@@ -620,8 +611,8 @@ def regret_curve(bundle: SystemBundle, controller_spec: dict, cfg: MotrConfig, T
         regs = []
         for s in range(n_seeds):
             cfg_T = replace(cfg, T=T, seed=stable_seed(cfg.seed, "regret", T, s))
-            gen = motr_generator(bundle.system, bundle.cw, bundle.hinf, cfg_T)
-            controller = _build_controller(controller_spec, bundle, T)
+            gen = AdaptiveCdgGenerator(bundle.system, bundle.cw, bundle.hinf, cfg_T, update="motr")
+            controller = _build_controller(controller_spec, bundle)
             x0 = np.random.default_rng(stable_seed(cfg.seed, "regret-x0", s)).standard_normal(
                 bundle.system.d_x
             )

@@ -2,51 +2,49 @@
 truncated-rollout cost.
 
 A policy with history H maps the last H controls to a disturbance,
-w_t = sum_i M[i] u_{t-i} + bias.  Unrolling the plant H+1 steps expresses
-a state as a linear function of the last 2H+1 controls through a stack of
-transfer matrices; with a single repeated policy the truncated-rollout
-cost becomes an explicit quadratic in the flattened policy, which is what
-the online learner consumes.
+w_t = sum_i M[i] u_{t-i}.  Unrolling the plant H+1 steps from a zero
+state under one repeated policy expresses the truncated-rollout state as
+an affine function of the flattened policy, y = T vec(M) + b
+(affine_state_map, the one unroll), so the truncated-rollout cost is an
+explicit quadratic in vec(M), which is what the online learner consumes.
 
-Index conventions (fixed by the requirement that unrolled_state reproduce
-direct simulation exactly, and pinned by the calibration tests):
+Conventions (pinned by the calibration tests against direct simulation):
 
-* A control window is ordered most recent first.  For a target state x_tau
-  the window is (u_{tau-1}, ..., u_{tau-2H-1}) and the unroll starts H+1
-  steps back at x_{tau-H-2+1} = x_{tau-H-1}:
+* A control window is ordered most recent first.  For a target state y
+  the window is (u_{tau-1}, ..., u_{tau-2H-1}); the unroll starts from
+  zero H+1 steps back, and step j (0-based) applies control window[H-j]
+  plus the disturbance M evaluated on the H controls preceding it:
 
-      x_tau = A^{H+1} x_{tau-H-1} + sum_{i=0}^{2H} psi[i] u_{tau-1-i}
+      y = sum_{i=0}^{H} A^i B window[i]
+          + sum_{k=0}^{H} sum_{m=1}^{H} A^k C M[m-1] window[k+m]
 
-* The unroll spans H+1 plant steps, so H+1 per-step policies are required,
-  passed oldest first.  psi[i] = A^i B [i <= H]
-  + sum_{m=1}^{H} A^{i-m} C M_(s)[m] [0 <= i-m <= H], where M_(s) is the
-  policy of the step whose control is u_{tau-1-(i-m)}.
+* The powers A^k B and A^k C (k = 0..H) depend only on the plant and H;
+  plant_powers computes them once, after checking that the plant is
+  strictly stable.
 
-* Policies are flattened column-major over the vertically stacked
-  (H d_w, d_u) block matrix: vec index = col*(H*d_w) + (block-1)*d_w + row.
+* A policy is stored as one (H, d_w, d_u) array and flattened column-major
+  over the vertically stacked (H d_w, d_u) matrix:
+  vec index = col*(H*d_w) + (block-1)*d_w + row.  CdgPolicy.vec and
+  CdgPolicy.from_vec are the only conversions to these coordinates.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .lds import CostWeights, LinearSystem, stage_cost
+from .lds import CostWeights, LinearSystem, spectral_radius
 
 __all__ = [
     "CdgPolicy",
-    "TransferStack",
+    "PlantPowers",
     "RolloutQuadratic",
     "InstabilityError",
     "project_frobenius",
-    "transfer_stack",
-    "unrolled_state",
-    "approx_state",
-    "approx_cost",
+    "plant_powers",
     "affine_state_map",
     "rollout_cost_quadratic",
-    "hessian_gradient_at_zero",
 ]
 
 
@@ -58,212 +56,124 @@ class InstabilityError(RuntimeError):
 class CdgPolicy:
     """Disturbance policy: blocks[i-1] multiplies the control i steps back.
 
-    The stacked Frobenius norm of the blocks must stay within
-    frobenius_bound; the bias is not counted against the bound.
+    blocks is one read-only (H, d_w, d_u) array whose Frobenius norm must
+    stay within frobenius_bound.  The constructor checks its input;
+    from_vec and project_frobenius build from the program's own arrays
+    without checking again.
     """
 
-    blocks: tuple
-    bias: np.ndarray
+    blocks: np.ndarray
     frobenius_bound: float
 
     def __post_init__(self):
-        blocks = tuple(np.array(b, dtype=float) for b in self.blocks)
-        if not blocks:
-            raise ValueError("policy needs at least one block")
-        shape = blocks[0].shape
-        if len(shape) != 2:
-            raise ValueError("blocks must be matrices")
-        for b in blocks:
-            if b.shape != shape:
-                raise ValueError("all blocks must share one shape")
-            if not np.all(np.isfinite(b)):
-                raise ValueError("blocks must be finite")
-            b.setflags(write=False)
-        bias = np.array(self.bias, dtype=float)
-        if bias.shape != (shape[0],):
-            raise ValueError(f"bias must have shape ({shape[0]},), got {bias.shape}")
-        bias.setflags(write=False)
+        blocks = np.array(self.blocks, dtype=float)
+        if blocks.ndim != 3 or blocks.shape[0] < 1:
+            raise ValueError(f"blocks must have shape (H, d_w, d_u) with H >= 1, got {blocks.shape}")
+        if not np.all(np.isfinite(blocks)):
+            raise ValueError("blocks must be finite")
         if not (self.frobenius_bound > 0.0):
             raise ValueError("frobenius_bound must be positive")
-        norm = math.sqrt(sum(float(np.sum(b * b)) for b in blocks))
+        blocks.setflags(write=False)
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "frobenius_bound", float(self.frobenius_bound))
+        norm = self.frobenius_norm()
         if norm > self.frobenius_bound * (1.0 + 1e-9):
             raise ValueError(
                 f"stacked Frobenius norm {norm:.6g} exceeds bound {self.frobenius_bound:.6g}"
             )
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "bias", bias)
-        object.__setattr__(self, "frobenius_bound", float(self.frobenius_bound))
+
+    @classmethod
+    def _unchecked(cls, blocks: np.ndarray, frobenius_bound: float) -> "CdgPolicy":
+        policy = object.__new__(cls)
+        blocks.setflags(write=False)
+        object.__setattr__(policy, "blocks", blocks)
+        object.__setattr__(policy, "frobenius_bound", float(frobenius_bound))
+        return policy
 
     @property
     def H(self) -> int:
-        return len(self.blocks)
+        return self.blocks.shape[0]
 
     @property
     def d_w(self) -> int:
-        return self.blocks[0].shape[0]
+        return self.blocks.shape[1]
 
     @property
     def d_u(self) -> int:
-        return self.blocks[0].shape[1]
+        return self.blocks.shape[2]
 
     def frobenius_norm(self) -> float:
         return math.sqrt(sum(float(np.sum(b * b)) for b in self.blocks))
 
-    def stacked(self) -> np.ndarray:
-        return np.vstack(self.blocks)
-
     def vec(self) -> np.ndarray:
-        return self.stacked().ravel(order="F")
+        return self.blocks.reshape(-1, self.d_u).ravel(order="F")
 
     @classmethod
     def zeros(cls, H: int, d_w: int, d_u: int, frobenius_bound: float) -> "CdgPolicy":
-        return cls(
-            tuple(np.zeros((d_w, d_u)) for _ in range(H)),
-            np.zeros(d_w),
-            frobenius_bound,
-        )
+        return cls(np.zeros((H, d_w, d_u)), frobenius_bound)
 
     @classmethod
     def from_vec(
-        cls,
-        v: np.ndarray,
-        H: int,
-        d_w: int,
-        d_u: int,
-        frobenius_bound: float,
-        bias: Optional[np.ndarray] = None,
+        cls, v: np.ndarray, H: int, d_w: int, d_u: int, frobenius_bound: float
     ) -> "CdgPolicy":
         v = np.asarray(v, dtype=float)
         if v.shape != (H * d_w * d_u,):
             raise ValueError(f"vector must have length {H * d_w * d_u}")
         stacked = v.reshape((H * d_w, d_u), order="F")
-        blocks = tuple(stacked[i * d_w : (i + 1) * d_w].copy() for i in range(H))
-        if bias is None:
-            bias = np.zeros(d_w)
-        return cls(blocks, bias, frobenius_bound)
+        return cls._unchecked(np.array(stacked.reshape(H, d_w, d_u), order="C"), frobenius_bound)
 
-    def disturbance(
-        self,
-        past_controls: Sequence[np.ndarray],
-        x: Optional[np.ndarray] = None,
-        bias_gain: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """sum_i blocks[i-1] @ past_controls[i-1] + bias, with past controls
-        most recent first.  When bias_gain is given the constant bias is
-        replaced by the state-dependent term bias_gain @ x."""
-        if len(past_controls) != self.H:
-            raise ValueError(f"need exactly {self.H} past controls, got {len(past_controls)}")
+    def disturbance(self, past_controls) -> np.ndarray:
+        """sum_i blocks[i-1] @ past_controls[i-1], past controls most recent
+        first; a history shorter than H sums the controls it has."""
+        if len(past_controls) > self.H:
+            raise ValueError(f"at most {self.H} past controls, got {len(past_controls)}")
         w = np.zeros(self.d_w)
         for b, u in zip(self.blocks, past_controls):
-            u = np.asarray(u, dtype=float)
-            if u.shape != (self.d_u,):
-                raise ValueError(f"controls must have shape ({self.d_u},)")
             w += b @ u
-        if bias_gain is not None:
-            if x is None:
-                raise ValueError("state x required for a state-dependent bias")
-            w += np.asarray(bias_gain, dtype=float) @ np.asarray(x, dtype=float)
-        else:
-            w += self.bias
         return w
 
 
 def project_frobenius(policy: CdgPolicy, bound: float) -> CdgPolicy:
-    """Radially project the blocks onto the Frobenius ball; bias untouched."""
+    """Radially project the blocks onto the Frobenius ball of radius bound."""
     if not (bound > 0.0):
         raise ValueError("bound must be positive")
     norm = policy.frobenius_norm()
     if norm <= bound * (1.0 + 1e-12):
-        return CdgPolicy(policy.blocks, policy.bias, bound)
-    scale = bound / norm
-    return CdgPolicy(tuple(b * scale for b in policy.blocks), policy.bias, bound)
+        return CdgPolicy._unchecked(policy.blocks, bound)
+    return CdgPolicy._unchecked(policy.blocks * (bound / norm), bound)
 
 
 @dataclass(frozen=True)
-class TransferStack:
-    """psi[i] maps the control i steps before the target state (see module
-    docstring for the exact convention)."""
+class PlantPowers:
+    """A^k B and A^k C for k = 0..H of a strictly stable plant: all that
+    the truncated unroll of horizon H needs from the plant."""
 
-    psi: tuple
     H: int
-
-    def __post_init__(self):
-        psi = tuple(np.asarray(m, dtype=float) for m in self.psi)
-        if len(psi) != 2 * self.H + 1:
-            raise ValueError(f"expected {2 * self.H + 1} transfer matrices")
-        object.__setattr__(self, "psi", psi)
+    AkB: np.ndarray  # (H+1, d_x, d_u), AkB[k] = A^k B
+    AkC: np.ndarray  # (H+1, d_x, d_w), AkC[k] = A^k C
 
 
-def transfer_stack(sys: LinearSystem, policies: Sequence[CdgPolicy]) -> TransferStack:
-    """Transfer matrices of an H+1-step unroll under per-step policies.
-
-    policies holds the H+1 policies in play at the unrolled steps, oldest
-    first.  All must share (H, d_w, d_u) matching the plant.
-    """
-    if not policies:
-        raise ValueError("need policies")
-    H = policies[0].H
-    if len(policies) != H + 1:
-        raise ValueError(f"need H+1 = {H + 1} per-step policies, got {len(policies)}")
-    for pol in policies:
-        if pol.H != H or pol.d_w != sys.d_w or pol.d_u != sys.d_u:
-            raise ValueError("policy dimensions must match the plant and each other")
-    A, B, C = sys.A, sys.B, sys.C
-    coeffs = [np.zeros((sys.d_x, sys.d_u)) for _ in range(2 * H + 1)]
-    for j, pol in enumerate(policies):
-        age = H - j  # window index of this step's own control
-        coeffs = [A @ c for c in coeffs]
-        coeffs[age] = coeffs[age] + B
-        for m in range(1, H + 1):
-            coeffs[age + m] = coeffs[age + m] + C @ pol.blocks[m - 1]
-    return TransferStack(tuple(coeffs), H)
-
-
-def unrolled_state(
-    sys: LinearSystem,
-    x_past: np.ndarray,
-    stack: TransferStack,
-    controls: Sequence[np.ndarray],
-) -> np.ndarray:
-    """A^{H+1} x_past + sum_i psi[i] controls[i] with controls most recent
-    first (length 2H+1)."""
-    H = stack.H
-    if len(controls) != 2 * H + 1:
-        raise ValueError(f"need 2H+1 = {2 * H + 1} controls, got {len(controls)}")
-    x_past = np.asarray(x_past, dtype=float)
-    if x_past.shape != (sys.d_x,):
-        raise ValueError(f"x_past must have shape ({sys.d_x},)")
-    out = np.linalg.matrix_power(sys.A, H + 1) @ x_past
-    for psi_i, u in zip(stack.psi, controls):
-        out = out + psi_i @ np.asarray(u, dtype=float)
-    return out
-
-
-def approx_state(
-    sys: LinearSystem,
-    policies: Sequence[CdgPolicy],
-    controls: Sequence[np.ndarray],
-) -> np.ndarray:
-    """Truncated-rollout state: the unroll started from zero instead of the
-    true state H+1 steps back."""
-    stack = transfer_stack(sys, policies)
-    return unrolled_state(sys, np.zeros(sys.d_x), stack, controls)
-
-
-def approx_cost(cw: CostWeights, y: np.ndarray, u: np.ndarray) -> float:
-    """Stage cost evaluated on the truncated-rollout state."""
-    return stage_cost(cw, y, u)
-
-
-def _stable_spectral_radius(sys: LinearSystem) -> float:
-    return float(np.max(np.abs(np.linalg.eigvals(sys.A))))
+def plant_powers(sys: LinearSystem, H: int) -> PlantPowers:
+    """Powers of the plant for horizon H; raises InstabilityError unless
+    the state map is strictly stable."""
+    if H < 1:
+        raise ValueError("H must be >= 1")
+    rho = spectral_radius(sys.A)
+    if rho >= 1.0:
+        raise InstabilityError(f"state map has spectral radius {rho:.6g} >= 1")
+    A = sys.A
+    AkB = np.empty((H + 1, sys.d_x, sys.d_u))
+    AkC = np.empty((H + 1, sys.d_x, sys.d_w))
+    AkB[0] = sys.B
+    AkC[0] = sys.C
+    for k in range(1, H + 1):
+        AkB[k] = A @ AkB[k - 1]
+        AkC[k] = A @ AkC[k - 1]
+    return PlantPowers(H, AkB, AkC)
 
 
 def affine_state_map(
-    sys: LinearSystem,
-    window: np.ndarray,
-    H: int,
-    bias_vec: Optional[np.ndarray] = None,
+    powers: PlantPowers, window: np.ndarray, bias_vec: Optional[np.ndarray] = None
 ):
     """(T, b) with truncated-rollout state y = T vec(M) + b for a stationary
     policy M, given the 2H+1 most-recent-first window of controls.
@@ -271,33 +181,23 @@ def affine_state_map(
     bias_vec is any fixed state contribution (e.g. from per-step bias
     disturbances already aggregated by the caller); it is simply added to b.
     """
+    H, AkB, AkC = powers.H, powers.AkB, powers.AkC
+    _, d_x, d_u = AkB.shape
+    d_w = AkC.shape[2]
     window = np.asarray(window, dtype=float)
-    if window.shape != (2 * H + 1, sys.d_u):
-        raise ValueError(f"window must have shape ({2 * H + 1}, {sys.d_u}), got {window.shape}")
-    d_x, d_u, d_w = sys.d_x, sys.d_u, sys.d_w
-    A = sys.A
-
-    a_pow_c = np.empty((H + 1, d_x, d_w))
-    a_pow_b = np.empty((H + 1, d_x, d_u))
-    a_pow_c[0] = sys.C
-    a_pow_b[0] = sys.B
-    for k in range(1, H + 1):
-        a_pow_c[k] = A @ a_pow_c[k - 1]
-        a_pow_b[k] = A @ a_pow_b[k - 1]
+    if window.shape != (2 * H + 1, d_u):
+        raise ValueError(f"window must have shape ({2 * H + 1}, {d_u}), got {window.shape}")
 
     # Block m of the map collects sum_k A^k C weighted by window[m+k].
     idx = np.arange(1, H + 1)[None, :] + np.arange(H + 1)[:, None]  # (H+1, H)
     w_slices = window[idx]  # (H+1, H, d_u)
-    Tb = np.einsum("kxw,kml->xmwl", a_pow_c, w_slices)  # (d_x, H, d_w, d_u)
+    Tb = np.einsum("kxw,kml->xmwl", AkC, w_slices)  # (d_x, H, d_w, d_u)
     T = Tb.transpose(0, 3, 1, 2).reshape(d_x, d_u * H * d_w)
 
-    b = np.einsum("kxu,ku->x", a_pow_b, window[: H + 1])
+    b = np.einsum("kxu,ku->x", AkB, window[: H + 1])
     if bias_vec is not None:
-        bias_vec = np.asarray(bias_vec, dtype=float)
-        if bias_vec.shape != (d_x,):
-            raise ValueError(f"bias_vec must have shape ({d_x},)")
         b = b + bias_vec
-    return T, b, a_pow_c, a_pow_b
+    return T, b
 
 
 @dataclass(frozen=True)
@@ -308,37 +208,10 @@ class RolloutQuadratic:
     P: np.ndarray
     p: np.ndarray
     const: float
-    H: int
-    d_x: int
-    d_w: int
-    d_u: int
-    window: np.ndarray
-    a_pow_c: np.ndarray
-    a_pow_b: np.ndarray
 
     @property
     def n(self) -> int:
-        return self.H * self.d_w * self.d_u
-
-    def C_block(self, i: int) -> np.ndarray:
-        """Block row [A^{i-1}C ... ] selecting policy blocks: block m holds
-        A^{i-m} C when 0 <= i-m <= H, else zero."""
-        out = np.zeros((self.d_x, self.H * self.d_w))
-        for m in range(1, self.H + 1):
-            k = i - m
-            if 0 <= k <= self.H:
-                out[:, (m - 1) * self.d_w : m * self.d_w] = self.a_pow_c[k]
-        return out
-
-    def D_block(self, i: int) -> np.ndarray:
-        """A^i B for i <= H, zero beyond."""
-        if 0 <= i <= self.H:
-            return self.a_pow_b[i]
-        return np.zeros((self.d_x, self.d_u))
-
-    def U(self, i: int, j: int) -> np.ndarray:
-        """Outer product window[j] window[i]' of the paired controls."""
-        return np.outer(self.window[j], self.window[i])
+        return self.p.shape[0]
 
     def evaluate(self, v: np.ndarray) -> float:
         v = np.asarray(v, dtype=float)
@@ -351,11 +224,10 @@ class RolloutQuadratic:
 
 
 def rollout_cost_quadratic(
-    sys: LinearSystem,
+    powers: PlantPowers,
     cw: CostWeights,
     window: np.ndarray,
     u_now: np.ndarray,
-    H: int,
     bias_vec: Optional[np.ndarray] = None,
 ) -> RolloutQuadratic:
     """Quadratic coefficients of the truncated-rollout cost.
@@ -366,39 +238,10 @@ def rollout_cost_quadratic(
     disturbance contribution to the rollout state, folded into the affine
     and constant parts so the result stays a pure quadratic in the policy.
     """
-    if H < 1:
-        raise ValueError("H must be >= 1")
-    if cw.d_x != sys.d_x or cw.d_u != sys.d_u:
-        raise ValueError("cost weights do not match the plant dimensions")
-    rho = _stable_spectral_radius(sys)
-    if rho >= 1.0:
-        raise InstabilityError(f"state map has spectral radius {rho:.6g} >= 1")
+    T, b = affine_state_map(powers, window, bias_vec)
     u_now = np.asarray(u_now, dtype=float)
-    if u_now.shape != (sys.d_u,):
-        raise ValueError(f"u_now must have shape ({sys.d_u},)")
-
-    T, b, a_pow_c, a_pow_b = affine_state_map(sys, window, H, bias_vec)
     Qb = cw.Q @ b
     P = T.T @ cw.Q @ T
     p = 2.0 * (T.T @ Qb)
     const = float(b @ Qb + u_now @ cw.R @ u_now)
-    window = np.array(window, dtype=float)
-    window.setflags(write=False)
-    return RolloutQuadratic(
-        P=P,
-        p=p,
-        const=const,
-        H=H,
-        d_x=sys.d_x,
-        d_w=sys.d_w,
-        d_u=sys.d_u,
-        window=window,
-        a_pow_c=a_pow_c,
-        a_pow_b=a_pow_b,
-    )
-
-
-def hessian_gradient_at_zero(rq: RolloutQuadratic):
-    """Hessian P + P' and gradient p of the rollout cost at the zero policy;
-    the quantities accumulated by the online learner."""
-    return rq.P + rq.P.T, rq.p.copy()
+    return RolloutQuadratic(P=P, p=p, const=const)

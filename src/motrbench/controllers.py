@@ -21,8 +21,8 @@ from typing import Optional
 
 import numpy as np
 
-from .cdg import CdgPolicy, affine_state_map, project_frobenius
-from .lds import CostWeights, LinearSystem
+from .cdg import CdgPolicy, InstabilityError, affine_state_map, plant_powers, project_frobenius
+from .lds import CostWeights, LinearSystem, spectral_radius
 
 __all__ = [
     "SynthesisError",
@@ -45,10 +45,6 @@ class SynthesisError(RuntimeError):
 
 class BracketingError(SynthesisError):
     """The bisection bracket does not contain the feasibility boundary."""
-
-
-def _spectral_radius(M: np.ndarray) -> float:
-    return float(np.max(np.abs(np.linalg.eigvals(M))))
 
 
 def _check_stabilizable(A: np.ndarray, B: np.ndarray) -> None:
@@ -84,7 +80,7 @@ def solve_dare(sys: LinearSystem, cw: CostWeights, tol: float = 1e-12, max_iter:
     else:
         raise SynthesisError(f"Riccati iteration did not converge in {max_iter} steps")
     K = np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)
-    if _spectral_radius(A - B @ K) >= 1.0:
+    if spectral_radius(A - B @ K) >= 1.0:
         raise SynthesisError("LQR closed loop is not stable")
     return P, K
 
@@ -175,7 +171,7 @@ def solve_hinf_game(
         raise SynthesisError(f"saddle system is singular: {exc}") from exc
     K = sol[:d_u]
     W = -sol[d_u:]
-    if _spectral_radius(A - B @ K + C @ W) >= 1.0:
+    if spectral_radius(A - B @ K + C @ W) >= 1.0:
         raise SynthesisError("game closed loop is not stable at the computed gains")
     return HinfSolution(P=P, K=K, W=W, gamma_star=float(gamma))
 
@@ -255,12 +251,14 @@ class GpcController:
         lr: float = 0.01,
         ball_radius: Optional[float] = None,
     ):
-        if h < 1:
-            raise ValueError("h must be >= 1")
         K_base = np.array(K_base, dtype=float)
-        Abar = sys.A - sys.B @ K_base
-        if _spectral_radius(Abar) >= 1.0:
-            raise ValueError("K_base must stabilize the plant")
+        # Counterfactual plant: recovered disturbances drive the state
+        # directly, the policy output enters through B.
+        mirror = LinearSystem(sys.A - sys.B @ K_base, np.eye(sys.d_x), sys.B)
+        try:
+            self._powers = plant_powers(mirror, h)
+        except InstabilityError as exc:
+            raise ValueError(f"K_base must stabilize the plant: {exc}") from exc
         self.name = "gpc"
         self.sys = sys
         self.cw = cw
@@ -270,9 +268,6 @@ class GpcController:
         self.ball = float(ball_radius) if ball_radius is not None else 10.0 * float(
             np.linalg.norm(K_base)
         )
-        # Counterfactual plant: recovered disturbances drive the state
-        # directly, the policy output enters through B.
-        self._mirror = LinearSystem(Abar, np.eye(sys.d_x), sys.B)
         self.N = CdgPolicy.zeros(h, sys.d_u, sys.d_x, self.ball)
         self._whist = []  # recovered disturbances, most recent first
         self._prev = None
@@ -284,22 +279,28 @@ class GpcController:
             win[i] = w
         return win
 
-    def _policy_sum_map(self, window: np.ndarray) -> np.ndarray:
-        # Row r of sum_i N[i] w_hat_{t-i} as a linear map on vec(N).
-        d_u, d_x, h = self.sys.d_u, self.sys.d_x, self.h
-        eye = np.eye(d_u)
-        return np.hstack([np.kron(window[:h, col][None, :], eye) for col in range(d_x)])
-
-    def _update(self) -> None:
-        window = self._window()
-        Ty, by, _, _ = affine_state_map(self._mirror, window, self.h)
-        GL = self._policy_sum_map(window)
-        Tv = GL - self.K @ Ty
-        bv = -self.K @ by
+    def _gradient(self, window: np.ndarray) -> np.ndarray:
+        """Gradient in vec(N) of the counterfactual cost y'Qy + v'Rv, where
+        y = Ty vec(N) + by is the truncated-rollout state and
+        v = sum_i N[i] w_hat_{t-i} - K y = Tv vec(N) - K by the control."""
+        h, d_u, d_x = self.h, self.sys.d_u, self.sys.d_x
+        Ty, by = affine_state_map(self._powers, window)
+        # The policy sum puts w_hat_{t-i}[col] at row r, column
+        # col*h*d_u + i*d_u + r of Tv (the vec order of CdgPolicy).  Tv is
+        # kept dense, not split into outer products of w_hat with R v:
+        # GPC episodes amplify any last-bit change in this gradient to
+        # percent-level cost changes, so its evaluation order stays fixed.
+        Tv = -(self.K @ Ty)
+        r = np.arange(d_u)
+        Tv.reshape(d_u, d_x, h, d_u)[r, :, :, r] += window[:h].T
         m = self.N.vec()
         y = Ty @ m + by
-        v = Tv @ m + bv
-        grad = 2.0 * (Ty.T @ (self.cw.Q @ y)) + 2.0 * (Tv.T @ (self.cw.R @ v))
+        v = Tv @ m - self.K @ by
+        return 2.0 * (Ty.T @ (self.cw.Q @ y)) + 2.0 * (Tv.T @ (self.cw.R @ v))
+
+    def _update(self) -> None:
+        m = self.N.vec()
+        grad = self._gradient(self._window())
         gnorm = float(np.linalg.norm(grad))
         if gnorm > 0.0:
             # Rate lr, but capped so one step never moves farther than
@@ -321,8 +322,8 @@ class GpcController:
             del self._whist[2 * self.h + 1 :]
             self._update()
         u = -self.K @ x
-        for i in range(min(self.h, len(self._whist))):
-            u = u + self.N.blocks[i] @ self._whist[i]
+        for block, w in zip(self.N.blocks, self._whist):
+            u = u + block @ w
         self._prev = (x, u)
         self._t += 1
         return u
@@ -334,7 +335,6 @@ def gpc_controller(
     K_base: np.ndarray,
     h: int = 5,
     lr: Optional[float] = None,
-    T: Optional[int] = None,
     ball_radius: Optional[float] = None,
 ) -> GpcController:
     """GPC handle.  lr scales the normalized step length lr/sqrt(t), so by

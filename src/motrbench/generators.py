@@ -20,16 +20,10 @@ from typing import Optional
 
 import numpy as np
 
-from .cdg import (
-    CdgPolicy,
-    hessian_gradient_at_zero,
-    project_frobenius,
-    rollout_cost_quadratic,
-)
+from .cdg import CdgPolicy, InstabilityError, plant_powers, project_frobenius, rollout_cost_quadratic
 from .controllers import HinfSolution
-from .lds import CostWeights, LinearSystem
-from .online import CollapsedQuadratic, OtrState, default_perturbation_rate
-from .trust_region import TrustRegionProblem, solve as tr_solve
+from .lds import CostWeights, LinearSystem, spectral_radius
+from .online import CollapsedQuadratic, OtrState, RegretAccumulator, default_perturbation_rate
 
 __all__ = [
     "GeneratorError",
@@ -37,16 +31,13 @@ __all__ = [
     "DisturbanceGenerator",
     "MotrConfig",
     "AdaptiveCdgGenerator",
-    "normalize_budget",
+    "HinfGenerator",
+    "GaussianGenerator",
+    "RandomDirectionGenerator",
+    "SinusoidGenerator",
     "scale_to_budget",
     "transform_residual",
-    "motr_generator",
-    "oga_generator",
-    "hinf_generator",
     "sinusoid_generator",
-    "gaussian_generator",
-    "random_direction_generator",
-    "SinusoidGenerator",
 ]
 
 GAUSSIAN_BUDGET_FACTOR = 1.05
@@ -58,18 +49,6 @@ class GeneratorError(RuntimeError):
 
 class TransformError(RuntimeError):
     """The residual-coordinate state map is not stable."""
-
-
-def normalize_budget(w: np.ndarray, W_max: float) -> np.ndarray:
-    """Clip w onto the norm budget: unchanged if ||w|| <= W_max, else
-    rescaled to norm W_max."""
-    if not (W_max > 0.0):
-        raise ValueError("W_max must be positive")
-    w = np.asarray(w, dtype=float)
-    norm = float(np.linalg.norm(w))
-    if norm <= W_max:
-        return w
-    return w * (W_max / norm)
 
 
 def scale_to_budget(w: np.ndarray, W_max: float) -> np.ndarray:
@@ -246,7 +225,7 @@ def transform_residual(sys: LinearSystem, hinf: HinfSolution) -> LinearSystem:
     """Residual-coordinate plant (A - B K, B, C); raises TransformError if
     the transformed state map is not strictly stable."""
     Abar = sys.A - sys.B @ hinf.K
-    rho = float(np.max(np.abs(np.linalg.eigvals(Abar))))
+    rho = spectral_radius(Abar)
     if rho >= 1.0:
         raise TransformError(f"residual state map has spectral radius {rho:.6g} >= 1")
     return LinearSystem(Abar, sys.B, sys.C)
@@ -282,14 +261,14 @@ class MotrConfig:
 
 
 class AdaptiveCdgGenerator(DisturbanceGenerator):
-    """Shared machinery of the MOTR and OGA generators.
+    """The MOTR and OGA generators.
 
-    Both emit the budget-scaled w_t along bias(x_t) + sum_i M_t[i] r_{t-i}
+    Both emit the budget-scaled w_t along sum_i M_t[i] r_{t-i} + bias(x_t)
     and rebuild the rollout-cost quadratic after observing each control;
-    they differ only in how the policy is updated from it.  update is one
-    of "motr" (perturbed-leader trust-region step on the accumulated
-    Hessians and gradients at zero), "oga" (one projected gradient-ascent
-    step at the current policy), or "none" (frozen policy).
+    they differ only in how the policy is updated from it.  update is
+    "motr" (perturbed-leader trust-region step on the accumulated Hessians
+    and gradients at zero) or "oga" (one projected gradient-ascent step at
+    the current policy).
     """
 
     def __init__(
@@ -302,26 +281,24 @@ class AdaptiveCdgGenerator(DisturbanceGenerator):
         lr: Optional[float] = None,
     ):
         super().__init__()
-        if update not in ("motr", "oga", "none"):
+        if update not in ("motr", "oga"):
             raise ValueError(f"unknown update rule {update!r}")
-        self.name = {"motr": "motr", "oga": "oga", "none": "frozen"}[update]
+        self.name = update
         self.cfg = cfg
-        self.update_rule = update
         self.cw = cw
         H = cfg.H
         if cfg.residual_bias:
             self.base = transform_residual(sys, hinf)
-            self.K = hinf.K
-            self.Wb = hinf.W
+            self.K, self.Wb = hinf.K, hinf.W
         else:
-            rho = float(np.max(np.abs(np.linalg.eigvals(sys.A))))
-            if rho >= 1.0:
-                raise TransformError(
-                    "without the residual transformation the plant must be open-loop stable"
-                )
             self.base = sys
-            self.K = np.zeros((sys.d_u, sys.d_x))
-            self.Wb = None
+            self.K, self.Wb = np.zeros((sys.d_u, sys.d_x)), None
+        try:
+            self._powers = plant_powers(self.base, H)
+        except InstabilityError as exc:
+            raise TransformError(
+                f"without the residual transformation the plant must be open-loop stable: {exc}"
+            ) from exc
         self.d_x, self.d_u, self.d_w = sys.d_x, sys.d_u, sys.d_w
         self.n = H * self.d_w * self.d_u
         self.eps = cfg.eps if cfg.eps is not None else 1.0 / cfg.T
@@ -329,16 +306,16 @@ class AdaptiveCdgGenerator(DisturbanceGenerator):
         self._learner: Optional[OtrState] = None
         if cfg.eta is not None:
             self._make_learner(cfg.eta)
-        # Bias contribution of each unrolled step to the rollout state.
+        # Bias contribution (A^a C) W x_{t-a} of each unrolled step to the
+        # rollout state.  The product is formed from A^a, not from the
+        # plant's A^a C: that reassociation changes last bits, which GPC
+        # episodes amplify to percent-level cost changes.
+        self._bias_mats = None
         if self.Wb is not None:
-            mats = []
-            Ak = np.eye(self.d_x)
+            Ak, self._bias_mats = np.eye(self.d_x), []
             for _ in range(H + 1):
-                mats.append(Ak @ self.base.C @ self.Wb)
+                self._bias_mats.append(Ak @ self.base.C @ self.Wb)
                 Ak = self.base.A @ Ak
-            self._bias_mats = mats
-        else:
-            self._bias_mats = None
         self.lr = lr
         self.M = self._initial_policy()
         self._r_hist: list = []  # residual controls, most recent first
@@ -349,12 +326,7 @@ class AdaptiveCdgGenerator(DisturbanceGenerator):
         self._pending_quads: list = []
         self._coeff_max = 0.0
         self._warmup_rounds = min(2 * H + 1, max(1, cfg.T - 1))
-        # Surrogate-reward audit accumulators.
-        self._SP = np.zeros((self.n, self.n))
-        self._sp = np.zeros(self.n)
-        self._c_sum = 0.0
-        self._achieved = 0.0
-        self._audited_rounds = 0
+        self._audit = RegretAccumulator(self.n)
 
     def _make_learner(self, eta: float) -> None:
         self._learner = OtrState(self.n, self.cfg.D_M, eta, self.eps, self.cfg.seed + 1)
@@ -367,10 +339,7 @@ class AdaptiveCdgGenerator(DisturbanceGenerator):
         return CdgPolicy.from_vec(v, self.cfg.H, self.d_w, self.d_u, self.cfg.D_M)
 
     def _emit(self, x):
-        H = self.cfg.H
-        w = np.zeros(self.d_w)
-        for i in range(min(H, len(self._r_hist))):
-            w += self.M.blocks[i] @ self._r_hist[i]
+        w = self.M.disturbance(self._r_hist[: self.cfg.H])
         if self.Wb is not None:
             w += self.Wb @ x
         self._pending_x = x
@@ -380,9 +349,8 @@ class AdaptiveCdgGenerator(DisturbanceGenerator):
         if self._bias_mats is None:
             return None
         v = np.zeros(self.d_x)
-        for a, mat in enumerate(self._bias_mats):
-            if a < len(self._x_hist):
-                v += mat @ self._x_hist[a]
+        for mat, x in zip(self._bias_mats, self._x_hist):
+            v += mat @ x
         return v
 
     def _observe(self, u):
@@ -393,46 +361,21 @@ class AdaptiveCdgGenerator(DisturbanceGenerator):
         for i, past in enumerate(self._r_hist[: 2 * H + 1]):
             window[i] = past
         try:
-            rq = rollout_cost_quadratic(
-                self.base, self.cw, window, u_now=r, H=H, bias_vec=self._bias_vec()
-            )
-            hess, grad = hessian_gradient_at_zero(rq)
-            self._SP += rq.P
-            self._sp += rq.p
-            self._c_sum += rq.const
-            self._achieved += rq.evaluate(self.M.vec())
-            self._audited_rounds += 1
-            if self.update_rule == "motr":
-                self._coeff_max = max(
-                    self._coeff_max, float(np.max(np.abs(rq.P))), float(np.max(np.abs(rq.p)))
+            rq = rollout_cost_quadratic(self._powers, self.cw, window, r, self._bias_vec())
+            hess = rq.P + rq.P.T
+            self._audit.add(rq.P, rq.p, rq.const, rq.evaluate(self.M.vec()))
+            if self.name == "motr":
+                v = self._motr_step(rq, hess)
+            else:
+                step = (self.lr if self.lr is not None else 0.1 * self.cfg.D_M) / math.sqrt(
+                    self._round + 1.0
                 )
-                g = CollapsedQuadratic(hess, grad, rq.const)
-                if self._learner is None and self.cfg.eta is None:
-                    if self._round < self._warmup_rounds:
-                        self._pending_quads.append(g)
-                    else:
-                        self._make_learner(
-                            default_perturbation_rate(
-                                max(self._coeff_max, 1e-9), self.n, self.cfg.D_M, H, self.cfg.T
-                            )
-                        )
-                if self._learner is not None:
-                    for buffered in self._pending_quads:
-                        self._learner.observe(buffered)
-                    self._pending_quads.clear()
-                    self._learner.observe(g)
-                    z = self._learner.update()
-                    self.M = project_frobenius(
-                        CdgPolicy.from_vec(z, H, self.d_w, self.d_u, np.inf), self.cfg.D_M
-                    )
-            elif self.update_rule == "oga":
-                lr0 = self.lr if self.lr is not None else 0.1 * self.cfg.D_M
-                step = lr0 / math.sqrt(self._round + 1.0)
                 v = self.M.vec()
-                g = hess @ v + grad
+                g = hess @ v + rq.p
                 gnorm = float(np.linalg.norm(g))
                 if gnorm > 0.0:
                     v = v + step * g / gnorm
+            if v is not None:
                 self.M = project_frobenius(
                     CdgPolicy.from_vec(v, H, self.d_w, self.d_u, np.inf), self.cfg.D_M
                 )
@@ -441,40 +384,38 @@ class AdaptiveCdgGenerator(DisturbanceGenerator):
                 raise
             raise GeneratorError(f"round {self._round}: {exc}") from exc
         self._r_hist.insert(0, r)
-        del self._r_hist[2 * self.cfg.H + 1 :]
+        del self._r_hist[2 * H + 1 :]
         self._x_hist.insert(0, x)
-        del self._x_hist[self.cfg.H + 2 :]
+        del self._x_hist[H + 2 :]
+
+    def _motr_step(self, rq, hess) -> Optional[np.ndarray]:
+        """Feed the learner this round's quadratic; its next play, or None
+        while the perturbation rate is still being calibrated."""
+        self._coeff_max = max(
+            self._coeff_max, float(np.max(np.abs(rq.P))), float(np.max(np.abs(rq.p)))
+        )
+        g = CollapsedQuadratic(hess, rq.p, rq.const)
+        if self._learner is None:
+            if self._round < self._warmup_rounds:
+                self._pending_quads.append(g)
+                return None
+            self._make_learner(
+                default_perturbation_rate(
+                    max(self._coeff_max, 1e-9), self.n, self.cfg.D_M, self.cfg.H, self.cfg.T
+                )
+            )
+        for buffered in self._pending_quads:
+            self._learner.observe(buffered)
+        self._pending_quads.clear()
+        self._learner.observe(g)
+        return self._learner.update()
 
     def regret_pair(self):
         """(hindsight-best fixed policy value, achieved value) on the
         surrogate rewards; None before any round completed."""
-        if self._audited_rounds == 0:
+        if self._audit.rounds == 0:
             return None
-        sol = tr_solve(TrustRegionProblem(self._SP, self._sp, self.cfg.D_M), self.eps)
-        return float(sol.value + self._c_sum), float(self._achieved)
-
-
-def motr_generator(
-    sys: LinearSystem, cw: CostWeights, hinf: HinfSolution, cfg: MotrConfig
-) -> AdaptiveCdgGenerator:
-    """Perturbed-leader trust-region generator."""
-    return AdaptiveCdgGenerator(sys, cw, hinf, cfg, update="motr")
-
-
-def oga_generator(
-    sys: LinearSystem,
-    cw: CostWeights,
-    hinf: HinfSolution,
-    cfg: MotrConfig,
-    lr: Optional[float] = None,
-) -> AdaptiveCdgGenerator:
-    """Online gradient-ascent generator (same structure as MOTR, first-order
-    update on the instantaneous surrogate)."""
-    return AdaptiveCdgGenerator(sys, cw, hinf, cfg, update="oga", lr=lr)
-
-
-def hinf_generator(hinf: HinfSolution, W_max: float) -> HinfGenerator:
-    return HinfGenerator(hinf, W_max)
+        return self._audit.result(self.cfg.D_M, self.eps)
 
 
 def sinusoid_generator(
@@ -486,11 +427,3 @@ def sinusoid_generator(
     **grid,
 ) -> SinusoidGenerator:
     return SinusoidGenerator(sys, cw, W_max, T, seed=seed, **grid)
-
-
-def gaussian_generator(d_w: int, W_max: float, seed: int) -> GaussianGenerator:
-    return GaussianGenerator(d_w, W_max, seed)
-
-
-def random_direction_generator(d_w: int, W_max: float, seed: int) -> RandomDirectionGenerator:
-    return RandomDirectionGenerator(d_w, W_max, seed)

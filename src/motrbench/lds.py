@@ -17,10 +17,10 @@ __all__ = [
     "LinearSystem",
     "CostWeights",
     "StabilityReport",
-    "TrajectoryLog",
     "StabilityError",
     "GenerationError",
     "step",
+    "spectral_radius",
     "stage_cost",
     "analyze_stability",
     "stabilize",
@@ -193,45 +193,9 @@ class StabilityReport:
     is_strongly_stable: bool
 
 
-@dataclass(frozen=True)
-class TrajectoryLog:
-    """One simulated episode: T+1 states, T controls/disturbances/costs."""
-
-    states: np.ndarray
-    controls: np.ndarray
-    disturbances: np.ndarray
-    stage_costs: np.ndarray
-
-    def __post_init__(self):
-        states = np.array(self.states, dtype=float)
-        controls = np.array(self.controls, dtype=float)
-        disturbances = np.array(self.disturbances, dtype=float)
-        costs = np.array(self.stage_costs, dtype=float)
-        T = len(controls)
-        if T < 1:
-            raise ValueError("horizon must be positive")
-        if len(states) != T + 1:
-            raise ValueError(f"expected {T + 1} states for {T} controls, got {len(states)}")
-        if len(disturbances) != T or len(costs) != T:
-            raise ValueError("controls, disturbances and stage_costs must have equal length")
-        for arr in (states, controls, disturbances, costs):
-            arr.setflags(write=False)
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "controls", controls)
-        object.__setattr__(self, "disturbances", disturbances)
-        object.__setattr__(self, "stage_costs", costs)
-
-    @property
-    def horizon(self) -> int:
-        return len(self.controls)
-
-    def check_costs(self, cw: CostWeights, rtol: float = 1e-12) -> bool:
-        """True when every logged stage cost matches x'Qx + u'Ru to rtol."""
-        for t in range(self.horizon):
-            expected = stage_cost(cw, self.states[t], self.controls[t])
-            if abs(expected - self.stage_costs[t]) > rtol * max(1.0, abs(expected)):
-                return False
-        return True
+def spectral_radius(A: np.ndarray) -> float:
+    """Largest eigenvalue modulus of the square matrix A."""
+    return float(np.max(np.abs(np.linalg.eigvals(A))))
 
 
 def _spectral_norm(M: np.ndarray) -> float:
@@ -354,7 +318,7 @@ def random_system(
     rng = np.random.default_rng(seed)
     for _ in range(max_attempts):
         A = rng.standard_normal((d_x, d_x))
-        rho = float(np.max(np.abs(np.linalg.eigvals(A)))) if d_x else 0.0
+        rho = spectral_radius(A)
         if rho < 1e-12:
             continue
         A *= target_radius / rho

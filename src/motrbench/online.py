@@ -10,7 +10,7 @@ trust-region solver.
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -19,8 +19,8 @@ from .trust_region import TrustRegionProblem, solve as tr_solve
 __all__ = [
     "MemoryQuadratic",
     "CollapsedQuadratic",
-    "FplLearner",
     "OtrState",
+    "RegretAccumulator",
     "collapse",
     "sample_perturbation",
     "default_perturbation_rate",
@@ -123,30 +123,29 @@ def _ball_point(rng: np.random.Generator, d: int, D: float) -> np.ndarray:
     return D * rng.random() ** (1.0 / d) * v / norm
 
 
-class FplLearner:
-    """Perturbed-leader maximization against a pluggable optimization oracle.
+class OtrState:
+    """Perturbed-leader maximization of the accumulated quadratic over the
+    Euclidean ball of radius D, each play an exact trust-region solve."""
 
-    The oracle receives the accumulated quadratic (S, s) with the
-    perturbation already subtracted from the linear term and must return an
-    eps-approximate maximizer over its decision set.
-    """
-
-    def __init__(self, d: int, eta: float, seed: int,
-                 oracle: Callable[[np.ndarray, np.ndarray], np.ndarray]):
+    def __init__(self, d: int, D: float, eta: float, eps: float, seed: int):
         if d < 1:
             raise ValueError("d must be positive")
         if not (eta > 0.0):
             raise ValueError("eta must be positive")
+        if not (D > 0.0):
+            raise ValueError("D must be positive")
+        if not (eps > 0.0):
+            raise ValueError("eps must be positive")
         self.d = d
+        self.D = float(D)
         self.eta = float(eta)
-        self.rng_seed = seed
+        self.eps = float(eps)
         self.rng = np.random.default_rng(seed)
-        self.oracle = oracle
         self.S = np.zeros((d, d))
         self.s = np.zeros(d)
         self.const_sum = 0.0
         self.round = 0
-        self.current_z = np.zeros(d)
+        self.current_z = _ball_point(self.rng, d, self.D)
 
     def observe(self, g: CollapsedQuadratic) -> None:
         if g.Cmat.shape != (self.d, self.d):
@@ -165,32 +164,39 @@ class FplLearner:
             sigma = np.asarray(sigma, dtype=float)
             if sigma.shape != (self.d,):
                 raise ValueError(f"sigma must have shape ({self.d},)")
-        self.current_z = np.asarray(self.oracle(self.S, self.s - sigma), dtype=float)
+        self.current_z = tr_solve(TrustRegionProblem(self.S, self.s - sigma, self.D), self.eps).z
         return self.current_z
-
-
-class OtrState(FplLearner):
-    """FPL learner whose oracle is the exact trust-region solver over the
-    Euclidean ball of radius D."""
-
-    def __init__(self, d: int, D: float, eta: float, eps: float, seed: int):
-        if not (D > 0.0):
-            raise ValueError("D must be positive")
-        if not (eps > 0.0):
-            raise ValueError("eps must be positive")
-        self.D = float(D)
-        self.eps = float(eps)
-
-        def oracle(S, s):
-            return tr_solve(TrustRegionProblem(S, s, self.D), self.eps).z
-
-        super().__init__(d, eta, seed, oracle)
-        self.current_z = _ball_point(self.rng, d, self.D)
 
     def randomize_play(self) -> np.ndarray:
         """Fresh uniform draw from the ball; used for the warmup plays."""
         self.current_z = _ball_point(self.rng, self.d, self.D)
         return self.current_z
+
+
+class RegretAccumulator:
+    """Running sums of per-round quadratic rewards z'Pz + p'z + const and of
+    the reward the plays achieved; the hindsight term maximizes the summed
+    quadratic over the ball, itself a trust-region instance, so the audit
+    is exact up to the solver tolerance."""
+
+    def __init__(self, d: int):
+        self.P = np.zeros((d, d))
+        self.p = np.zeros(d)
+        self.const = 0.0
+        self.achieved = 0.0
+        self.rounds = 0
+
+    def add(self, P: np.ndarray, p: np.ndarray, const: float, achieved: float) -> None:
+        self.P += P
+        self.p += p
+        self.const += const
+        self.achieved += achieved
+        self.rounds += 1
+
+    def result(self, D: float, eps: float):
+        """(best fixed play in hindsight, value achieved by the plays)."""
+        hindsight = tr_solve(TrustRegionProblem(self.P, self.p, D), eps).value + self.const
+        return float(hindsight), float(self.achieved)
 
 
 def play_sequence(history, D: float, eta: float, eps: float, seed: int):
@@ -222,27 +228,18 @@ def regret_audit(history, plays, D: float, eps: float = 1e-9):
     """(best fixed play in hindsight, value achieved by the plays).
 
     Both sums run over the rounds with a complete window (t >= H-1,
-    0-indexed).  The hindsight term maximizes the summed collapsed
-    quadratics over the ball, itself a trust-region instance, so the audit
-    is exact up to the solver tolerance.
+    0-indexed); see RegretAccumulator.
     """
     if len(history) != len(plays):
         raise ValueError("history and plays must have equal length")
     if not history:
         return 0.0, 0.0
     d, H = history[0].d, history[0].H
-    S = np.zeros((d, d))
-    s = np.zeros(d)
-    const = 0.0
-    achieved = 0.0
+    audit = RegretAccumulator(d)
     for t in range(H - 1, len(history)):
         mq = history[t]
         if mq.d != d or mq.H != H:
             raise ValueError("history entries must share (d, H)")
         g = collapse(mq)
-        S += g.Cmat
-        s += g.dvec
-        const += g.const
-        achieved += mq.value(plays[t - H + 1 : t + 1])
-    hindsight = tr_solve(TrustRegionProblem(S, s, D), eps).value + const
-    return float(hindsight), float(achieved)
+        audit.add(g.Cmat, g.dvec, g.const, mq.value(plays[t - H + 1 : t + 1]))
+    return audit.result(D, eps)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from motrbench.bench import ExperimentConfig, normalize_scores, run_grid, write_outputs
-from motrbench.cdg import CdgPolicy, project_frobenius, rollout_cost_quadratic, transfer_stack, unrolled_state
+from motrbench.cdg import CdgPolicy, affine_state_map, plant_powers, project_frobenius, rollout_cost_quadratic
 from motrbench.controllers import hinf_bisection, solve_dare, solve_hinf_game
 from motrbench.generators import transform_residual
 from motrbench.lds import (
@@ -75,11 +75,8 @@ def crit3_runs():
         H = int(rng.integers(1, 6))
         window = rng.standard_normal((2 * H + 1, 2))
         u_now = rng.standard_normal(2)
-        rq = rollout_cost_quadratic(sys, cw, window, u_now, H)
-        pol = project_frobenius(
-            CdgPolicy(tuple(rng.standard_normal((4, 2)) for _ in range(H)), np.zeros(4), 1e9),
-            1.0,
-        )
+        rq = rollout_cost_quadratic(plant_powers(sys, H), cw, window, u_now)
+        pol = project_frobenius(CdgPolicy([rng.standard_normal((4, 2)) for _ in range(H)], 1e9), 1.0)
         runs.append((sys, cw, window, u_now, H, rq, pol))
     return runs
 
@@ -136,6 +133,8 @@ def test_criterion_1_trust_region_solver():
 
 
 def test_criterion_2_transfer_calibration():
+    # Truncated-unroll calibration: affine_state_map's y = T vec(M) + b for
+    # one policy repeated over the H+1 steps from a zero start.
     t0 = time.perf_counter()
     rng = np.random.default_rng(7)
     worst = 0.0
@@ -143,26 +142,18 @@ def test_criterion_2_transfer_calibration():
         d_x, d_u, d_w = int(rng.integers(1, 5)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
         H = int(rng.integers(1, 5))
         sys = random_system(d_x, d_u, d_w, seed=5000 + case, target_radius=0.85)
-        policies = []
-        for _ in range(H + 1):
-            pol = CdgPolicy(
-                tuple(0.5 * rng.standard_normal((d_w, d_u)) for _ in range(H)),
-                np.zeros(d_w),
-                1e9,
-            )
-            policies.append(pol)
-        window = [rng.standard_normal(d_u) for _ in range(2 * H + 1)]
-        x_past = rng.standard_normal(d_x)
-        stack = transfer_stack(sys, policies)
-        got = unrolled_state(sys, x_past, stack, window)
-        ref = oracle_unroll(sys, x_past, [p.blocks for p in policies], window)
+        pol = CdgPolicy([0.5 * rng.standard_normal((d_w, d_u)) for _ in range(H)], 1e9)
+        window = rng.standard_normal((2 * H + 1, d_u))
+        T, b = affine_state_map(plant_powers(sys, H), window)
+        got = T @ pol.vec() + b
+        ref = oracle_unroll(sys, np.zeros(d_x), [pol.blocks] * (H + 1), window)
         worst = max(worst, float(np.linalg.norm(got - ref) / max(1.0, np.linalg.norm(ref))))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-9 and elapsed < 10.0
     report(
         2,
         ok,
-        f"unrolled state vs direct simulation on 100 cases: worst relative "
+        f"truncated unroll vs direct simulation on 100 cases: worst relative "
         f"error {worst:.2e} (tol 1e-9), {elapsed:.2f}s (< 10s)",
     )
 
@@ -224,10 +215,7 @@ def test_criterion_4_approximation_bound():
         assert rep.is_strongly_stable
         cw = CostWeights(np.eye(4), np.eye(2))
         H = truncation_horizon(rep.kappa, rep.gamma, cw.xi, T)
-        pol = project_frobenius(
-            CdgPolicy(tuple(rng.standard_normal((2, 2)) for _ in range(H)), np.zeros(2), 1e9),
-            D,
-        )
+        pol = project_frobenius(CdgPolicy([rng.standard_normal((2, 2)) for _ in range(H)], 1e9), D)
         controls = []
         for _ in range(T):
             u = rng.standard_normal(2)
@@ -238,13 +226,13 @@ def test_criterion_4_approximation_bound():
             past = [controls[t - i] if t - i >= 0 else np.zeros(2) for i in range(1, H + 1)]
             x = step(sys, x, controls[t], pol.disturbance(past))
             xs.append(x)
-        stack = transfer_stack(sys, [pol] * (H + 1))
+        powers = plant_powers(sys, H)
         C_x = 2.0 * rep.beta * H * D * C_u / rep.gamma
         bound = C_x / T
-        zero = np.zeros(4)
         for t in range(H + 2, T):
             window = [controls[t - 1 - i] if t - 1 - i >= 0 else np.zeros(2) for i in range(2 * H + 1)]
-            y = unrolled_state(sys, zero, stack, window)
+            T_y, b_y = affine_state_map(powers, np.array(window))
+            y = T_y @ pol.vec() + b_y
             gap = abs(stage_cost(cw, xs[t], controls[t]) - stage_cost(cw, y, controls[t]))
             worst_ratio = max(worst_ratio, gap / bound)
     elapsed = time.perf_counter() - t0

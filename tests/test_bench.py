@@ -16,7 +16,7 @@ from motrbench.bench import (
     write_outputs,
 )
 from motrbench.controllers import lqr_controller
-from motrbench.generators import MotrConfig, random_direction_generator
+from motrbench.generators import MotrConfig, RandomDirectionGenerator
 from motrbench.lds import CostWeights, random_system
 
 
@@ -64,7 +64,7 @@ def test_run_episode_deterministic_and_recomputable():
     x0 = np.random.default_rng(3).standard_normal(4)
 
     def once():
-        gen = random_direction_generator(2, 1.0, seed=5)
+        gen = RandomDirectionGenerator(2, 1.0, seed=5)
         return run_episode(sys, cw, lqr_controller(sys, cw), gen, 40, x0)
 
     a, b = once(), once()
@@ -73,10 +73,33 @@ def test_run_episode_deterministic_and_recomputable():
     assert a.max_control_norm > 0.0 and a.max_state_norm > 0.0
 
 
+def test_run_episode_stage_costs_match_resimulation():
+    # Re-simulate the episode with plain numpy: the controller and the
+    # generator are deterministic, so replaying them yields the same
+    # trajectory, and every recorded stage cost is x'Qx + u'Ru on it.
+    sys = random_system(4, 2, 2, seed=4)
+    cw = CostWeights(np.diag([1.0, 2.0, 0.5, 3.0]), np.diag([2.0, 0.5]))
+    x0 = np.random.default_rng(8).standard_normal(4)
+    T = 40
+    rec = run_episode(
+        sys, cw, lqr_controller(sys, cw), RandomDirectionGenerator(2, 1.0, seed=6), T, x0
+    )
+    ctrl, gen = lqr_controller(sys, cw), RandomDirectionGenerator(2, 1.0, seed=6)
+    x, expected = x0.copy(), []
+    for _ in range(T):
+        u = ctrl.act(x)
+        w = gen.emit(x)
+        expected.append(x @ cw.Q @ x + u @ cw.R @ u)
+        x = sys.A @ x + sys.B @ u + sys.C @ w
+        gen.observe(u)
+    assert len(rec.stage_costs) == T
+    np.testing.assert_allclose(rec.stage_costs, expected, rtol=1e-12, atol=0.0)
+
+
 def test_run_episode_divergence_flagged_not_raised():
     sys = random_system(2, 2, 2, seed=2, target_radius=1.5)
     cw = CostWeights(np.eye(2), np.eye(2))
-    gen = random_direction_generator(2, 1.0, seed=0)
+    gen = RandomDirectionGenerator(2, 1.0, seed=0)
     rec = run_episode(sys, cw, BlowupController(), gen, 50, np.ones(2))
     assert rec.diverged
     assert len(rec.stage_costs) < 50
@@ -85,7 +108,7 @@ def test_run_episode_divergence_flagged_not_raised():
 def test_run_record_json_round_trip_excludes_wall_time():
     sys = random_system(4, 2, 2, seed=1)
     cw = CostWeights(np.eye(4), np.eye(2))
-    gen = random_direction_generator(2, 1.0, seed=5)
+    gen = RandomDirectionGenerator(2, 1.0, seed=5)
     rec = run_episode(sys, cw, lqr_controller(sys, cw), gen, 10, np.zeros(4))
     line = rec.to_json_line()
     assert "wall_time" not in line

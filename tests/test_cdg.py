@@ -4,78 +4,74 @@ import pytest
 from motrbench.cdg import (
     CdgPolicy,
     InstabilityError,
-    approx_cost,
-    approx_state,
-    hessian_gradient_at_zero,
+    affine_state_map,
+    plant_powers,
     project_frobenius,
     rollout_cost_quadratic,
-    transfer_stack,
-    unrolled_state,
 )
 from motrbench.lds import CostWeights, LinearSystem, analyze_stability, random_system, stage_cost
 
 
 def random_policy(rng, H, d_w, d_u, bound=10.0, scale=0.5):
-    blocks = tuple(scale * rng.standard_normal((d_w, d_u)) for _ in range(H))
-    pol = CdgPolicy(blocks, np.zeros(d_w), 1e9)
-    return project_frobenius(pol, bound)
+    blocks = [scale * rng.standard_normal((d_w, d_u)) for _ in range(H)]
+    return project_frobenius(CdgPolicy(blocks, 1e9), bound)
 
 
-def simulate_unroll(sys, x_past, policies, window):
-    """Direct step-by-step simulation of the H+1-step unroll.
+def simulate_unroll(sys, x_past, policy, window):
+    """Direct step-by-step simulation of the H+1-step unroll under one
+    repeated policy.
 
-    window holds the 2H+1 controls most recent first; policies are per-step,
-    oldest first.  Step j (0-based) applies control window[H-j] and the
-    disturbance policies[j] evaluated on the H controls preceding it.
+    window holds the 2H+1 controls most recent first.  Step j (0-based)
+    applies control window[H-j] and the disturbance of the policy evaluated
+    on the H controls preceding it.
     """
-    H = policies[0].H
+    H = policy.H
     x = np.array(x_past, dtype=float)
-    for j, pol in enumerate(policies):
+    for j in range(H + 1):
         a = H - j
         w = np.zeros(sys.d_w)
         for m in range(1, H + 1):
-            w += pol.blocks[m - 1] @ window[a + m]
+            w += policy.blocks[m - 1] @ window[a + m]
         x = sys.A @ x + sys.B @ window[a] + sys.C @ w
     return x
 
 
+def unrolled_state(sys, policy, window):
+    """Truncated-rollout state y = T vec(M) + b from affine_state_map."""
+    T, b = affine_state_map(plant_powers(sys, policy.H), np.asarray(window, dtype=float))
+    return T @ policy.vec() + b
+
+
 def test_transfer_stack_pure_control_ladder():
+    # Zero policy: the map's constant part is the control ladder A^i B.
     sys = LinearSystem(np.array([[0.5]]), np.array([[1.0]]), np.array([[1.0]]))
     H = 2
     zero = CdgPolicy.zeros(H, 1, 1, 1.0)
-    stack = transfer_stack(sys, [zero] * (H + 1))
-    flat = [float(m[0, 0]) for m in stack.psi]
-    assert flat == pytest.approx([1.0, 0.5, 0.25, 0.0, 0.0])
+    ladder = [float(unrolled_state(sys, zero, np.eye(2 * H + 1)[i][:, None])[0]) for i in range(2 * H + 1)]
+    assert ladder == pytest.approx([1.0, 0.5, 0.25, 0.0, 0.0])
 
 
 def test_transfer_stack_single_block_position():
     sys = LinearSystem(np.array([[0.0]]), np.array([[1.0]]), np.array([[1.0]]))
     m = 0.7
-    pol = CdgPolicy((np.array([[m]]),), np.zeros(1), 1.0)
-    stack = transfer_stack(sys, [pol, pol])
-    flat = [float(mat[0, 0]) for mat in stack.psi]
-    assert flat == pytest.approx([1.0, m, 0.0])
+    pol = CdgPolicy([[[m]]], 1.0)
+    response = [float(unrolled_state(sys, pol, np.eye(3)[i][:, None])[0]) for i in range(3)]
+    assert response == pytest.approx([1.0, m, 0.0])
 
 
 def test_transfer_stack_affine_in_blocks():
     rng = np.random.default_rng(0)
     sys = random_system(3, 2, 2, seed=1, target_radius=0.8)
     H = 2
+    window = rng.standard_normal((2 * H + 1, 2))
     zero = CdgPolicy.zeros(H, 2, 2, 10.0)
-    p1 = [random_policy(rng, H, 2, 2) for _ in range(H + 1)]
-    p2 = [random_policy(rng, H, 2, 2) for _ in range(H + 1)]
-    p_sum = [
-        CdgPolicy(tuple(a + b for a, b in zip(x.blocks, y.blocks)), np.zeros(2), 100.0)
-        for x, y in zip(p1, p2)
-    ]
-    s0 = transfer_stack(sys, [zero] * (H + 1))
-    s1 = transfer_stack(sys, p1)
-    s2 = transfer_stack(sys, p2)
-    s12 = transfer_stack(sys, p_sum)
-    for i in range(2 * H + 1):
-        lhs = s12.psi[i] - s0.psi[i]
-        rhs = (s1.psi[i] - s0.psi[i]) + (s2.psi[i] - s0.psi[i])
-        assert np.max(np.abs(lhs - rhs)) < 1e-12
+    p1 = random_policy(rng, H, 2, 2)
+    p2 = random_policy(rng, H, 2, 2)
+    p_sum = CdgPolicy(p1.blocks + p2.blocks, 100.0)
+    y0 = unrolled_state(sys, zero, window)
+    lhs = unrolled_state(sys, p_sum, window) - y0
+    rhs = (unrolled_state(sys, p1, window) - y0) + (unrolled_state(sys, p2, window) - y0)
+    assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
 def test_unrolled_state_calibration_against_simulation():
@@ -86,22 +82,18 @@ def test_unrolled_state_calibration_against_simulation():
         d_x, d_u, d_w = rng.integers(1, 5), rng.integers(1, 4), rng.integers(1, 4)
         H = int(rng.integers(1, 5))
         sys = random_system(int(d_x), int(d_u), int(d_w), seed=int(case), target_radius=0.85)
-        policies = [random_policy(rng, H, sys.d_w, sys.d_u) for _ in range(H + 1)]
-        window = [rng.standard_normal(sys.d_u) for _ in range(2 * H + 1)]
-        x_past = rng.standard_normal(sys.d_x)
-        stack = transfer_stack(sys, policies)
-        got = unrolled_state(sys, x_past, stack, window)
-        ref = simulate_unroll(sys, x_past, policies, window)
+        policy = random_policy(rng, H, sys.d_w, sys.d_u)
+        window = rng.standard_normal((2 * H + 1, sys.d_u))
+        got = unrolled_state(sys, policy, window)
+        ref = simulate_unroll(sys, np.zeros(sys.d_x), policy, window)
         denom = max(1.0, np.linalg.norm(ref))
         assert np.linalg.norm(got - ref) / denom < 1e-9
 
 
 def test_unrolled_state_zero_inputs():
     sys = random_system(3, 2, 2, seed=5)
-    H = 2
-    zero = CdgPolicy.zeros(H, 2, 2, 1.0)
-    stack = transfer_stack(sys, [zero] * (H + 1))
-    out = unrolled_state(sys, np.zeros(3), stack, [np.zeros(2)] * 5)
+    rng = np.random.default_rng(1)
+    out = unrolled_state(sys, random_policy(rng, 2, 2, 2), np.zeros((5, 2)))
     assert np.allclose(out, 0.0)
 
 
@@ -110,11 +102,9 @@ def test_unrolled_state_zero_policies_reduce_to_control_convolution():
     sys = random_system(3, 2, 2, seed=6, target_radius=0.7)
     H = 2
     zero = CdgPolicy.zeros(H, 2, 2, 1.0)
-    stack = transfer_stack(sys, [zero] * (H + 1))
-    window = [rng.standard_normal(2) for _ in range(2 * H + 1)]
-    x_past = rng.standard_normal(3)
-    got = unrolled_state(sys, x_past, stack, window)
-    ref = np.linalg.matrix_power(sys.A, H + 1) @ x_past
+    window = rng.standard_normal((2 * H + 1, 2))
+    got = unrolled_state(sys, zero, window)
+    ref = np.zeros(3)
     for i in range(H + 1):
         ref = ref + np.linalg.matrix_power(sys.A, i) @ sys.B @ window[i]
     assert np.allclose(got, ref, atol=1e-10)
@@ -122,39 +112,41 @@ def test_unrolled_state_zero_policies_reduce_to_control_convolution():
 
 def test_window_length_validated():
     sys = random_system(2, 1, 1, seed=7)
-    zero = CdgPolicy.zeros(1, 1, 1, 1.0)
-    stack = transfer_stack(sys, [zero, zero])
+    powers = plant_powers(sys, 1)
     with pytest.raises(ValueError):
-        unrolled_state(sys, np.zeros(2), stack, [np.zeros(1)] * 4)
+        affine_state_map(powers, np.zeros((4, 1)))
     with pytest.raises(ValueError):
-        transfer_stack(sys, [zero])
+        affine_state_map(powers, np.zeros((3, 2)))
+    with pytest.raises(ValueError):
+        plant_powers(sys, 0)
 
 
 def test_approx_state_equals_unrolled_with_zero_start():
     rng = np.random.default_rng(3)
     sys = random_system(3, 2, 2, seed=8, target_radius=0.8)
     H = 2
-    policies = [random_policy(rng, H, 2, 2) for _ in range(H + 1)]
-    window = [rng.standard_normal(2) for _ in range(2 * H + 1)]
-    y = approx_state(sys, policies, window)
-    ref = simulate_unroll(sys, np.zeros(3), policies, window)
-    assert np.allclose(y, ref, atol=1e-10)
+    policy = random_policy(rng, H, 2, 2)
+    window = rng.standard_normal((2 * H + 1, 2))
+    bias_vec = rng.standard_normal(3)
+    T, b = affine_state_map(plant_powers(sys, H), window, bias_vec)
+    ref = simulate_unroll(sys, np.zeros(3), policy, window)
+    assert np.allclose(T @ policy.vec() + b, ref + bias_vec, atol=1e-10)
 
 
 def test_approx_state_linear_in_each_control():
     rng = np.random.default_rng(4)
     sys = random_system(3, 2, 2, seed=9, target_radius=0.8)
     H = 1
-    policies = [random_policy(rng, H, 2, 2) for _ in range(H + 1)]
-    base = [rng.standard_normal(2) for _ in range(3)]
+    policy = random_policy(rng, H, 2, 2)
+    base = rng.standard_normal((3, 2))
     for k in range(3):
         delta = rng.standard_normal(2)
-        plus = list(base)
-        plus[k] = base[k] + delta
-        minus = list(base)
-        minus[k] = base[k] - delta
-        lhs = approx_state(sys, policies, plus) + approx_state(sys, policies, minus)
-        rhs = 2.0 * approx_state(sys, policies, base)
+        plus = base.copy()
+        plus[k] += delta
+        minus = base.copy()
+        minus[k] -= delta
+        lhs = unrolled_state(sys, policy, plus) + unrolled_state(sys, policy, minus)
+        rhs = 2.0 * unrolled_state(sys, policy, base)
         assert np.allclose(lhs, rhs, atol=1e-10)
 
 
@@ -184,19 +176,27 @@ def test_approx_state_truncation_error_bound():
         bound = rep.kappa * C_x * np.exp(-rep.gamma * H)
         t = T  # compare at the last state
         window = [controls[t - 1 - i] if t - 1 - i >= 0 else np.zeros(2) for i in range(2 * H + 1)]
-        y = approx_state(sys, [pol] * (H + 1), window)
+        y = unrolled_state(sys, pol, window)
         assert np.linalg.norm(xs[t] - y) <= bound * (1.0 + 1e-9)
 
 
 def test_approx_cost_delegates_to_stage_cost():
-    cw = CostWeights(np.diag([2.0, 1.0]), np.diag([1.0]))
-    y, u = np.array([1.0, 1.0]), np.array([2.0])
-    assert approx_cost(cw, y, u) == stage_cost(cw, y, u) == pytest.approx(7.0)
+    # The rollout quadratic is the stage cost at the truncated-rollout state.
+    rng = np.random.default_rng(12)
+    sys = random_system(3, 2, 2, seed=17, target_radius=0.8)
+    cw = CostWeights(np.diag([2.0, 1.0, 0.5]), np.diag([1.0, 3.0]))
+    H = 2
+    window = rng.standard_normal((2 * H + 1, 2))
+    u_now = rng.standard_normal(2)
+    pol = random_policy(rng, H, 2, 2)
+    rq = rollout_cost_quadratic(plant_powers(sys, H), cw, window, u_now)
+    y = unrolled_state(sys, pol, window)
+    assert rq.evaluate_policy(pol) == pytest.approx(stage_cost(cw, y, u_now), rel=1e-12)
 
 
 def rollout_cost(sys, cw, window, u_now, H, policy, bias_vec=None):
     """Independent oracle: cost of the H+1-step truncated rollout."""
-    z = simulate_unroll(sys, np.zeros(sys.d_x), [policy] * (H + 1), window)
+    z = simulate_unroll(sys, np.zeros(sys.d_x), policy, window)
     if bias_vec is not None:
         z = z + bias_vec
     return float(z @ cw.Q @ z + u_now @ cw.R @ u_now)
@@ -207,7 +207,7 @@ def test_rollout_quadratic_zero_window():
     cw = CostWeights(np.eye(3), np.diag([2.0, 1.0]))
     H = 2
     u_now = np.array([1.0, 2.0])
-    rq = rollout_cost_quadratic(sys, cw, np.zeros((2 * H + 1, 2)), u_now, H)
+    rq = rollout_cost_quadratic(plant_powers(sys, H), cw, np.zeros((2 * H + 1, 2)), u_now)
     assert np.max(np.abs(rq.P)) == 0.0
     assert np.max(np.abs(rq.p)) == 0.0
     assert rq.const == pytest.approx(2.0 * 1.0 + 1.0 * 4.0)
@@ -224,7 +224,7 @@ def test_rollout_quadratic_master_oracle():
         cw = CostWeights(Qroot @ Qroot.T, np.eye(d_u))
         window = rng.standard_normal((2 * H + 1, d_u))
         u_now = rng.standard_normal(d_u)
-        rq = rollout_cost_quadratic(sys, cw, window, u_now, H)
+        rq = rollout_cost_quadratic(plant_powers(sys, H), cw, window, u_now)
         pol = random_policy(rng, H, d_w, d_u)
         got = rq.evaluate_policy(pol)
         ref = rollout_cost(sys, cw, window, u_now, H, pol)
@@ -239,7 +239,7 @@ def test_rollout_quadratic_bias_folding():
     window = rng.standard_normal((2 * H + 1, 2))
     u_now = rng.standard_normal(2)
     bias_vec = rng.standard_normal(3)
-    rq = rollout_cost_quadratic(sys, cw, window, u_now, H, bias_vec=bias_vec)
+    rq = rollout_cost_quadratic(plant_powers(sys, H), cw, window, u_now, bias_vec=bias_vec)
     for _ in range(5):
         pol = random_policy(rng, H, 2, 2)
         got = rq.evaluate_policy(pol)
@@ -248,10 +248,10 @@ def test_rollout_quadratic_bias_folding():
 
 
 def test_rollout_quadratic_rejects_unstable_plant():
+    # The stability check runs once, where the plant's powers are built.
     sys = LinearSystem(1.1 * np.eye(2), np.eye(2), np.eye(2))
-    cw = CostWeights(np.eye(2), np.eye(2))
     with pytest.raises(InstabilityError):
-        rollout_cost_quadratic(sys, cw, np.zeros((3, 2)), np.zeros(2), 1)
+        plant_powers(sys, 1)
 
 
 def test_hessian_gradient_match_finite_differences():
@@ -261,8 +261,10 @@ def test_hessian_gradient_match_finite_differences():
     H = 2
     window = rng.standard_normal((2 * H + 1, 2))
     u_now = rng.standard_normal(2)
-    rq = rollout_cost_quadratic(sys, cw, window, u_now, H)
-    hess, grad = hessian_gradient_at_zero(rq)
+    rq = rollout_cost_quadratic(plant_powers(sys, H), cw, window, u_now)
+    # Hessian P + P' and gradient p at the zero policy, as the learner
+    # accumulates them.
+    hess, grad = rq.P + rq.P.T, rq.p
     assert np.allclose(hess, hess.T, atol=1e-12)
     n = rq.n
     h = 1e-4
@@ -291,52 +293,67 @@ def test_symmetric_p_hessian_is_twice_p():
     cw = CostWeights(np.eye(2), np.eye(1))
     H = 1
     window = rng.standard_normal((3, 1))
-    rq = rollout_cost_quadratic(sys, cw, window, np.zeros(1), H)
+    rq = rollout_cost_quadratic(plant_powers(sys, H), cw, window, np.zeros(1))
     assert np.allclose(rq.P, rq.P.T, atol=1e-12)
-    hess, _ = hessian_gradient_at_zero(rq)
-    assert np.allclose(hess, 2.0 * rq.P, atol=1e-12)
+    assert np.allclose(rq.P + rq.P.T, 2.0 * rq.P, atol=1e-12)
 
 
 def test_policy_disturbance_examples():
     null = CdgPolicy.zeros(2, 2, 2, 1.0)
     assert np.allclose(null.disturbance([np.ones(2), np.ones(2)]), 0.0)
 
-    ident = CdgPolicy((np.eye(2),), np.zeros(2), 2.0)
+    ident = CdgPolicy([np.eye(2)], 2.0)
     v = np.array([0.3, -0.4])
     assert np.allclose(ident.disturbance([v]), v)
-
-    W = np.array([[1.0, 0.0], [0.0, 2.0]])
-    x = np.array([0.5, 0.5])
-    zero = CdgPolicy.zeros(1, 2, 2, 1.0)
-    out = zero.disturbance([np.zeros(2)], x=x, bias_gain=W)
-    assert np.allclose(out, W @ x)
+    # A history shorter than H sums the controls it has.
+    two = CdgPolicy([np.eye(2), 2.0 * np.eye(2)], 4.0)
+    assert np.allclose(two.disturbance([v]), v)
+    assert np.allclose(two.disturbance([]), 0.0)
     with pytest.raises(ValueError):
         ident.disturbance([v, v])
 
 
 def test_project_frobenius():
     rng = np.random.default_rng(10)
-    pol = CdgPolicy(tuple(rng.standard_normal((2, 2)) for _ in range(3)), np.ones(2), 1e9)
+    pol = CdgPolicy(rng.standard_normal((3, 2, 2)), 1e9)
     same = project_frobenius(pol, pol.frobenius_norm() + 1.0)
-    assert all(np.array_equal(a, b) for a, b in zip(same.blocks, pol.blocks))
+    assert np.array_equal(same.blocks, pol.blocks)
 
     norm = pol.frobenius_norm()
     half = project_frobenius(pol, norm / 2.0)
     assert half.frobenius_norm() == pytest.approx(norm / 2.0)
     assert np.allclose(half.blocks[0], pol.blocks[0] / 2.0)
-    assert np.array_equal(half.bias, pol.bias)
 
     for seed in range(50):
         r = np.random.default_rng(seed)
-        big = CdgPolicy(tuple(5.0 * r.standard_normal((2, 3)) for _ in range(2)), np.zeros(2), 1e9)
+        big = CdgPolicy(5.0 * r.standard_normal((2, 2, 3)), 1e9)
         proj = project_frobenius(big, 1.0)
         assert proj.frobenius_norm() == pytest.approx(1.0, abs=1e-10)
         again = project_frobenius(proj, 1.0)
-        assert all(np.array_equal(a, b) for a, b in zip(proj.blocks, again.blocks))
+        assert np.array_equal(proj.blocks, again.blocks)
 
 
 def test_policy_vec_round_trip():
     rng = np.random.default_rng(11)
     pol = random_policy(rng, 3, 2, 2)
     back = CdgPolicy.from_vec(pol.vec(), 3, 2, 2, pol.frobenius_bound)
-    assert all(np.allclose(a, b) for a, b in zip(back.blocks, pol.blocks))
+    assert np.array_equal(back.blocks, pol.blocks)
+    # Column-major over the stacked (H d_w, d_u) matrix.
+    v = pol.vec()
+    for col in range(2):
+        for block in range(3):
+            for row in range(2):
+                assert v[col * 6 + block * 2 + row] == pol.blocks[block, row, col]
+
+
+def test_policy_constructor_checks_input():
+    with pytest.raises(ValueError):
+        CdgPolicy(np.zeros((2, 2)), 1.0)
+    with pytest.raises(ValueError):
+        CdgPolicy(np.full((1, 2, 2), np.nan), 1.0)
+    with pytest.raises(ValueError):
+        CdgPolicy(np.ones((1, 2, 2)), 1.0)
+    with pytest.raises(ValueError):
+        CdgPolicy(np.zeros((1, 2, 2)), 0.0)
+    pol = CdgPolicy(np.zeros((1, 2, 2)), 1.0)
+    assert not pol.blocks.flags.writeable

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from motrbench.cdg import CdgPolicy
 from motrbench.controllers import (
     BracketingError,
     GpcController,
@@ -233,6 +234,39 @@ def test_gpc_policy_norm_bounded_and_deterministic():
 
     a, b = run(), run()
     assert np.array_equal(a, b)
+
+
+def test_gpc_gradient_matches_finite_differences():
+    # The gradient _update steps along is that of the truncated
+    # counterfactual cost y'Qy + v'Rv: y is the H+1-step rollout of the
+    # plant closed by K, driven from zero by the recent w_hat with the policy
+    # output entering through B, and v = sum_i N[i] w_hat_{t-i} - K y.
+    sys = random_system(3, 2, 2, seed=21, target_radius=0.9)
+    cw = CostWeights(np.diag([1.0, 2.0, 0.5]), np.diag([0.7, 1.5]))
+    _, K = solve_dare(sys, cw)
+    h = 3
+    gpc = GpcController(sys, cw, K, h=h, ball_radius=100.0)
+    rng = np.random.default_rng(5)
+    window = rng.standard_normal((2 * h + 1, 3))
+    Abar = sys.A - sys.B @ K
+
+    def cost(v):
+        N = CdgPolicy.from_vec(v, h, 2, 3, np.inf)
+        y = np.zeros(3)
+        for j in range(h + 1):
+            a = h - j
+            y = Abar @ y + window[a] + sys.B @ N.disturbance(window[a + 1 : a + 1 + h])
+        ctrl = N.disturbance(window[:h]) - K @ y
+        return y @ cw.Q @ y + ctrl @ cw.R @ ctrl
+
+    m = rng.standard_normal(h * 2 * 3)
+    gpc.N = CdgPolicy.from_vec(m, h, 2, 3, 100.0)
+    grad = gpc._gradient(window)
+    step = 1e-5
+    fd = np.array([
+        (cost(m + step * e) - cost(m - step * e)) / (2.0 * step) for e in np.eye(m.size)
+    ])
+    np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-8)
 
 
 def test_gpc_requires_stabilizing_base():

@@ -6,15 +6,12 @@ import pytest
 from motrbench.controllers import hinf_bisection, lqr_controller
 from motrbench.generators import (
     AdaptiveCdgGenerator,
+    GaussianGenerator,
     GeneratorError,
+    HinfGenerator,
     MotrConfig,
+    RandomDirectionGenerator,
     TransformError,
-    gaussian_generator,
-    hinf_generator,
-    motr_generator,
-    normalize_budget,
-    oga_generator,
-    random_direction_generator,
     scale_to_budget,
     sinusoid_generator,
     transform_residual,
@@ -39,18 +36,6 @@ def drive(sys, generator, controller_act, T, x0):
         x = step(sys, x, u, w)
         generator.observe(u)
     return np.array(ws)
-
-
-def test_normalize_budget():
-    assert np.allclose(normalize_budget(np.zeros(3), 1.0), 0.0)
-    w = np.array([0.3, 0.4])
-    assert np.array_equal(normalize_budget(w, 1.0), w)
-    big = np.array([6.0, 8.0])
-    clipped = normalize_budget(big, 5.0)
-    assert np.linalg.norm(clipped) == pytest.approx(5.0)
-    assert np.allclose(normalize_budget(clipped, 5.0), clipped)
-    with pytest.raises(ValueError):
-        normalize_budget(w, 0.0)
 
 
 def test_scale_to_budget():
@@ -89,7 +74,7 @@ def test_transform_residual():
 
 def test_hinf_generator_direction_and_budget():
     sys, cw, hinf = make_setup()
-    gen = hinf_generator(hinf, W_max=0.7)
+    gen = HinfGenerator(hinf, W_max=0.7)
     assert np.allclose(gen.emit(np.zeros(4)), 0.0)
     gen.observe(np.zeros(2))
     x = np.array([1.0, -0.5, 2.0, 0.3])
@@ -101,26 +86,26 @@ def test_hinf_generator_direction_and_budget():
 
 
 def test_gaussian_generator_norm_statistics():
-    gen = gaussian_generator(d_w=3, W_max=2.0, seed=0)
+    gen = GaussianGenerator(d_w=3, W_max=2.0, seed=0)
     norms = []
     for _ in range(100000):
         norms.append(np.linalg.norm(gen.emit(np.zeros(4))))
         gen.observe(np.zeros(2))
     assert np.mean(norms) == pytest.approx(1.05 * 2.0, rel=0.01)
 
-    a = gaussian_generator(3, 1.0, seed=5).emit(np.zeros(1))
-    b = gaussian_generator(3, 1.0, seed=5).emit(np.zeros(1))
+    a = GaussianGenerator(3, 1.0, seed=5).emit(np.zeros(1))
+    b = GaussianGenerator(3, 1.0, seed=5).emit(np.zeros(1))
     assert np.array_equal(a, b)
 
 
 def test_random_direction_generator():
-    gen = random_direction_generator(d_w=3, W_max=1.5, seed=2)
+    gen = RandomDirectionGenerator(d_w=3, W_max=1.5, seed=2)
     for _ in range(50):
         w = gen.emit(np.zeros(2))
         gen.observe(np.zeros(2))
         assert np.linalg.norm(w) == pytest.approx(1.5)
-    a = random_direction_generator(3, 1.0, seed=9).emit(np.zeros(1))
-    b = random_direction_generator(3, 1.0, seed=9).emit(np.zeros(1))
+    a = RandomDirectionGenerator(3, 1.0, seed=9).emit(np.zeros(1))
+    b = RandomDirectionGenerator(3, 1.0, seed=9).emit(np.zeros(1))
     assert np.array_equal(a, b)
 
 
@@ -162,7 +147,7 @@ def test_sinusoid_finds_resonance():
 
 
 def test_generator_call_order_enforced():
-    gen = random_direction_generator(2, 1.0, seed=0)
+    gen = RandomDirectionGenerator(2, 1.0, seed=0)
     gen.emit(np.zeros(2))
     with pytest.raises(GeneratorError):
         gen.emit(np.zeros(2))
@@ -174,8 +159,8 @@ def test_generator_call_order_enforced():
 def test_motr_zero_residual_path_recovers_equilibrium():
     sys, cw, hinf = make_setup(seed=4)
     cfg = MotrConfig(T=40, H=3, D_M=0.3, W_max=1.0, seed=7)
-    motr = motr_generator(sys, cw, hinf, cfg)
-    ref = hinf_generator(hinf, 1.0)
+    motr = AdaptiveCdgGenerator(sys, cw, hinf, cfg, update="motr")
+    ref = HinfGenerator(hinf, 1.0)
     x = np.random.default_rng(0).standard_normal(4)
     for _ in range(40):
         u = -hinf.K @ x  # equilibrium controller: residuals vanish
@@ -190,8 +175,8 @@ def test_motr_zero_residual_path_recovers_equilibrium():
 def test_motr_small_ball_limit_matches_equilibrium_generator():
     sys, cw, hinf = make_setup(seed=5)
     cfg = MotrConfig(T=40, H=2, D_M=1e-8, W_max=1.0, seed=3)
-    motr = motr_generator(sys, cw, hinf, cfg)
-    ref = hinf_generator(hinf, 1.0)
+    motr = AdaptiveCdgGenerator(sys, cw, hinf, cfg, update="motr")
+    ref = HinfGenerator(hinf, 1.0)
     ctrl = lqr_controller(sys, cw)
     x = np.random.default_rng(1).standard_normal(4)
     for _ in range(40):
@@ -211,7 +196,7 @@ def test_motr_deterministic_and_budgeted():
 
     def run():
         cfg = MotrConfig(T=60, H=3, D_M=0.3, W_max=1.0, seed=11)
-        gen = motr_generator(sys, cw, hinf, cfg)
+        gen = AdaptiveCdgGenerator(sys, cw, hinf, cfg, update="motr")
         ws = drive(sys, gen, ctrl.act, 60, x0)
         return ws, gen
 
@@ -225,7 +210,7 @@ def test_motr_deterministic_and_budgeted():
 def test_oga_generator_budgeted_and_in_ball():
     sys, cw, hinf = make_setup(seed=7)
     cfg = MotrConfig(T=60, H=3, D_M=0.3, W_max=1.0, seed=13)
-    gen = oga_generator(sys, cw, hinf, cfg)
+    gen = AdaptiveCdgGenerator(sys, cw, hinf, cfg, update="oga")
     ctrl = lqr_controller(sys, cw)
     x0 = np.random.default_rng(3).standard_normal(4)
     ws = drive(sys, gen, ctrl.act, 60, x0)
@@ -234,22 +219,29 @@ def test_oga_generator_budgeted_and_in_ball():
 
 
 def test_motr_oga_share_paths_when_frozen():
+    # MOTR and OGA share everything but the update: with equal seeds they
+    # start from the same policy, and against the equilibrium controller the
+    # residuals vanish, so the learned part is frozen out and both emit the
+    # equilibrium disturbances bit for bit.
     sys, cw, hinf = make_setup(seed=8)
-    ctrl = lqr_controller(sys, cw)
     x0 = np.random.default_rng(4).standard_normal(4)
-    outs = []
+    outs, policies = [], []
     for update in ("motr", "oga"):
         cfg = MotrConfig(T=50, H=3, D_M=0.3, W_max=1.0, seed=17)
-        gen = AdaptiveCdgGenerator(sys, cw, hinf, cfg, update="none")
-        assert gen.name == "frozen"
-        outs.append(drive(sys, gen, ctrl.act, 50, x0))
+        gen = AdaptiveCdgGenerator(sys, cw, hinf, cfg, update=update)
+        assert gen.name == update
+        policies.append(gen.M.blocks)
+        outs.append(drive(sys, gen, lambda x: -hinf.K @ x, 50, x0))
+    assert np.array_equal(policies[0], policies[1])
     assert np.array_equal(outs[0], outs[1])
+    with pytest.raises(ValueError):
+        AdaptiveCdgGenerator(sys, cw, hinf, MotrConfig(T=5), update="none")
 
 
 def test_motr_regret_pair_hindsight_dominates():
     sys, cw, hinf = make_setup(seed=9)
     cfg = MotrConfig(T=80, H=3, D_M=0.3, W_max=1.0, seed=19)
-    gen = motr_generator(sys, cw, hinf, cfg)
+    gen = AdaptiveCdgGenerator(sys, cw, hinf, cfg, update="motr")
     ctrl = lqr_controller(sys, cw)
     x0 = np.random.default_rng(5).standard_normal(4)
     drive(sys, gen, ctrl.act, 80, x0)
@@ -264,7 +256,7 @@ def test_pure_mode_requires_stability_and_runs():
     cw = CostWeights(np.eye(3), np.eye(2))
     hinf = hinf_bisection(sys, cw)
     cfg = MotrConfig(T=30, H=2, D_M=0.2, W_max=1.0, residual_bias=False, seed=1)
-    gen = motr_generator(sys, cw, hinf, cfg)
+    gen = AdaptiveCdgGenerator(sys, cw, hinf, cfg, update="motr")
     ctrl = lqr_controller(sys, cw)
     ws = drive(sys, gen, ctrl.act, 30, np.random.default_rng(6).standard_normal(3))
     assert np.all(np.linalg.norm(ws, axis=1) <= 1.0 + 1e-9)
@@ -273,4 +265,4 @@ def test_pure_mode_requires_stability_and_runs():
     cw2 = CostWeights(np.eye(2), np.eye(2))
     hinf2 = hinf_bisection(unstable, cw2)
     with pytest.raises(TransformError):
-        motr_generator(unstable, cw2, hinf2, MotrConfig(T=10, H=1, residual_bias=False, seed=0))
+        AdaptiveCdgGenerator(unstable, cw2, hinf2, MotrConfig(T=10, H=1, residual_bias=False, seed=0))

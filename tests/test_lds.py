@@ -6,7 +6,6 @@ import pytest
 from motrbench.lds import (
     CostWeights,
     LinearSystem,
-    TrajectoryLog,
     analyze_stability,
     complexity_measure,
     random_system,
@@ -190,31 +189,6 @@ def test_complexity_measure_values():
     rep0 = StabilityReport(1.0, 0.0, 1.0, 1.0, False)
     with pytest.raises(ValueError):
         complexity_measure(rep0, 4, 2, 2, 1.0, 1.0, 1.0)
-
-
-def test_trajectory_log_lengths_and_costs():
-    rng = np.random.default_rng(2)
-    sys = random_system(3, 2, 2, seed=9, target_radius=0.7)
-    cw = CostWeights(np.eye(3), np.eye(2))
-    x = rng.standard_normal(3)
-    states, controls, dists, costs = [x.copy()], [], [], []
-    for _ in range(10):
-        u = rng.standard_normal(2)
-        w = rng.standard_normal(2)
-        costs.append(stage_cost(cw, x, u))
-        controls.append(u)
-        dists.append(w)
-        x = step(sys, x, u, w)
-        states.append(x.copy())
-    log = TrajectoryLog(np.array(states), np.array(controls), np.array(dists), np.array(costs))
-    assert log.horizon == 10
-    assert log.check_costs(cw)
-    bad = np.array(costs)
-    bad[3] += 1e-6
-    log2 = TrajectoryLog(np.array(states), np.array(controls), np.array(dists), bad)
-    assert not log2.check_costs(cw)
-    with pytest.raises(ValueError):
-        TrajectoryLog(np.array(states[:-1]), np.array(controls), np.array(dists), np.array(costs))
 
 
 def test_system_json_round_trip():

@@ -131,22 +131,6 @@ def test_update_with_forced_perturbation_matches_direct_solve():
     assert np.allclose(z, ref.z, atol=1e-9)
 
 
-def test_fpl_learner_with_custom_oracle():
-    # The oracle is pluggable: over the hypercube with linear payoffs, the
-    # exact maximizer is coordinate-wise sign selection, and with a dominant
-    # observed payoff the learner follows the leader.
-    from motrbench.online import FplLearner
-
-    def box_oracle(S, s):
-        assert np.max(np.abs(S)) == 0.0
-        return np.where(s >= 0.0, 1.0, -1.0)
-
-    learner = FplLearner(d=3, eta=50.0, seed=0, oracle=box_oracle)
-    learner.observe(CollapsedQuadratic(np.zeros((3, 3)), np.array([10.0, -10.0, 10.0]), 0.0))
-    z = learner.update()
-    assert np.array_equal(z, [1.0, -1.0, 1.0])
-
-
 def test_plays_bounded_and_deterministic():
     rng = np.random.default_rng(4)
     hist = [random_memory_quadratic(rng, 3, 2) for _ in range(40)]
