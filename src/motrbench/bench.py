@@ -9,6 +9,7 @@ seed_index), and aggregation is a pure function of the run records.
 
 import hashlib
 import json
+import math
 import os
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -329,11 +330,18 @@ def run_episode(
     generator (never shown u_t beforehand) commits w_t, the state steps, and
     both sides observe the realized quantities.
 
-    State blowup past DIVERGENCE_LIMIT ends the episode early with the
-    diverged flag set instead of raising.
+    The controller's u and the generator's w are the values this harness
+    takes from pluggable code, so their shapes are checked here, once per
+    round; a wrong shape raises ValueError.  The plant step and the stage
+    cost below it are plain arithmetic.  State blowup past
+    DIVERGENCE_LIMIT, or a non-finite state, ends the episode early with
+    the diverged flag set instead of raising.
     """
     t0 = time.perf_counter()
     x = np.array(x0, dtype=float)
+    if x.shape != (sys.d_x,):
+        raise ValueError(f"x0 must have shape ({sys.d_x},), got {x.shape}")
+    u_shape, w_shape = (sys.d_u,), (sys.d_w,)
     costs = []
     max_u = 0.0
     max_x = float(np.linalg.norm(x))
@@ -341,12 +349,22 @@ def run_episode(
     for _ in range(T):
         u = np.asarray(controller.act(x), dtype=float)
         w = np.asarray(generator.emit(x), dtype=float)
+        if u.shape != u_shape:
+            raise ValueError(f"controller {controller.name!r} returned u of shape {u.shape}, expected {u_shape}")
+        if w.shape != w_shape:
+            raise ValueError(f"generator {generator.name!r} returned w of shape {w.shape}, expected {w_shape}")
         costs.append(stage_cost(cw, x, u))
-        max_u = max(max_u, float(np.linalg.norm(u)))
+        max_u = max(max_u, math.sqrt(u @ u))
         x = step(sys, x, u, w)
         generator.observe(u)
-        max_x = max(max_x, float(np.linalg.norm(x)) if np.all(np.isfinite(x)) else np.inf)
-        if not np.all(np.isfinite(x)) or np.linalg.norm(x) > DIVERGENCE_LIMIT:
+        # ||x||, as np.linalg.norm computes it; NaN or inf once x is not finite.
+        x_norm = math.sqrt(x @ x)
+        if not math.isfinite(x_norm):
+            max_x = math.inf
+            diverged = True
+            break
+        max_x = max(max_x, x_norm)
+        if x_norm > DIVERGENCE_LIMIT:
             diverged = True
             break
     pair = generator.regret_pair() if hasattr(generator, "regret_pair") else None

@@ -103,7 +103,8 @@ class CdgPolicy:
         return self.blocks.shape[2]
 
     def frobenius_norm(self) -> float:
-        return math.sqrt(sum(float(np.sum(b * b)) for b in self.blocks))
+        flat = self.blocks.ravel()
+        return math.sqrt(flat @ flat)
 
     def vec(self) -> np.ndarray:
         return self.blocks.reshape(-1, self.d_u).ravel(order="F")
@@ -151,6 +152,9 @@ class PlantPowers:
     H: int
     AkB: np.ndarray  # (H+1, d_x, d_u), AkB[k] = A^k B
     AkC: np.ndarray  # (H+1, d_x, d_w), AkC[k] = A^k C
+    # (H+1, H), window_index[k, m-1] = k + m: the window entry that
+    # A^k C M[m-1] multiplies.
+    window_index: np.ndarray
 
 
 def plant_powers(sys: LinearSystem, H: int) -> PlantPowers:
@@ -169,7 +173,8 @@ def plant_powers(sys: LinearSystem, H: int) -> PlantPowers:
     for k in range(1, H + 1):
         AkB[k] = A @ AkB[k - 1]
         AkC[k] = A @ AkC[k - 1]
-    return PlantPowers(H, AkB, AkC)
+    window_index = np.arange(1, H + 1)[None, :] + np.arange(H + 1)[:, None]
+    return PlantPowers(H, AkB, AkC, window_index)
 
 
 def affine_state_map(
@@ -189,8 +194,7 @@ def affine_state_map(
         raise ValueError(f"window must have shape ({2 * H + 1}, {d_u}), got {window.shape}")
 
     # Block m of the map collects sum_k A^k C weighted by window[m+k].
-    idx = np.arange(1, H + 1)[None, :] + np.arange(H + 1)[:, None]  # (H+1, H)
-    w_slices = window[idx]  # (H+1, H, d_u)
+    w_slices = window[powers.window_index]  # (H+1, H, d_u)
     Tb = np.einsum("kxw,kml->xmwl", AkC, w_slices)  # (d_x, H, d_w, d_u)
     T = Tb.transpose(0, 3, 1, 2).reshape(d_x, d_u * H * d_w)
 

@@ -16,6 +16,7 @@ deterministically.  Provided here:
   truncated counterfactual cost.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -239,7 +240,9 @@ class GpcController:
     presumes knowledge of A and B).  After each recovered disturbance, N
     takes one projected gradient step on the counterfactual cost of a
     truncated rollout driven by the recent disturbances, evaluated at the
-    state and control the current N would have produced.
+    state and control the current N would have produced; the gradient's
+    policy-sum part is a stack of outer products of R v with the recent
+    w_hat (see _gradient).
     """
 
     def __init__(
@@ -282,26 +285,26 @@ class GpcController:
     def _gradient(self, window: np.ndarray) -> np.ndarray:
         """Gradient in vec(N) of the counterfactual cost y'Qy + v'Rv, where
         y = Ty vec(N) + by is the truncated-rollout state and
-        v = sum_i N[i] w_hat_{t-i} - K y = Tv vec(N) - K by the control."""
-        h, d_u, d_x = self.h, self.sys.d_u, self.sys.d_x
+        v = sum_i N[i] w_hat_{t-i} - K y the control.
+
+        The policy sum contributes the outer products (R v) w_hat_{t-i}'
+        block by block, so the gradient is
+        2 Ty'(Q y - K'R v) + 2 vec((R v) w_hat_{t-i}'), in CdgPolicy's vec
+        order, and no matrix of the policy sum is formed.
+        """
         Ty, by = affine_state_map(self._powers, window)
-        # The policy sum puts w_hat_{t-i}[col] at row r, column
-        # col*h*d_u + i*d_u + r of Tv (the vec order of CdgPolicy).  Tv is
-        # kept dense, not split into outer products of w_hat with R v:
-        # GPC episodes amplify any last-bit change in this gradient to
-        # percent-level cost changes, so its evaluation order stays fixed.
-        Tv = -(self.K @ Ty)
-        r = np.arange(d_u)
-        Tv.reshape(d_u, d_x, h, d_u)[r, :, :, r] += window[:h].T
-        m = self.N.vec()
-        y = Ty @ m + by
-        v = Tv @ m - self.K @ by
-        return 2.0 * (Ty.T @ (self.cw.Q @ y)) + 2.0 * (Tv.T @ (self.cw.R @ v))
+        y = Ty @ self.N.vec() + by
+        w_hat = window[: self.h]
+        v = np.einsum("irc,ic->r", self.N.blocks, w_hat) - self.K @ y
+        Rv = self.cw.R @ v
+        outer = Rv[None, :, None] * w_hat[:, None, :]  # (h, d_u, d_x)
+        policy_part = CdgPolicy._unchecked(outer, np.inf).vec()
+        return 2.0 * (Ty.T @ (self.cw.Q @ y - self.K.T @ Rv)) + 2.0 * policy_part
 
     def _update(self) -> None:
         m = self.N.vec()
         grad = self._gradient(self._window())
-        gnorm = float(np.linalg.norm(grad))
+        gnorm = math.sqrt(grad @ grad)
         if gnorm > 0.0:
             # Rate lr, but capped so one step never moves farther than
             # lr/sqrt(t): vanishing gradients get a plain gradient step while

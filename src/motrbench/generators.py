@@ -12,6 +12,9 @@ policy reads residual controls r_t = K x_t + u_t, and the disturbance
 bias is the game's equilibrium gain W x_t.  Against a controller playing
 exactly u = -K x the residuals vanish and the equilibrium generator is
 recovered; MOTR's learned component only spends its budget on deviations.
+
+The sinusoid generator picks its one sinusoid offline, before the episode,
+by open-loop cost; the search is linear in the phase (_sinusoid_scores).
 """
 
 import math
@@ -41,6 +44,9 @@ __all__ = [
 ]
 
 GAUSSIAN_BUDGET_FACTOR = 1.05
+# Sinusoid candidates scoring within this relative distance of the best
+# are tied (see SinusoidGenerator).
+TIE_REL_TOL = 1e-12
 
 
 class GeneratorError(RuntimeError):
@@ -63,7 +69,7 @@ def scale_to_budget(w: np.ndarray, W_max: float) -> np.ndarray:
     if not (W_max > 0.0):
         raise ValueError("W_max must be positive")
     w = np.asarray(w, dtype=float)
-    norm = float(np.linalg.norm(w))
+    norm = math.sqrt(w @ w)
     if norm == 0.0:
         return np.zeros_like(w)
     return w * (W_max / norm)
@@ -154,11 +160,50 @@ class RandomDirectionGenerator(DisturbanceGenerator):
         return self.W_max * v / norm
 
 
+def _sinusoid_scores(sys, cw, W_max, T, directions, freqs, phases) -> np.ndarray:
+    """Open-loop (u = 0, x_0 = 0) cost sum_{t<T} x_t'Q x_t of every sinusoid
+    candidate w_t = W_max sin(omega t + phase) v, as an array indexed
+    (direction, frequency, phase).
+
+    The state is linear in the drive and sin(omega t + phase) v =
+    cos(phase) sin(omega t) v + sin(phase) cos(omega t) v, so
+    x_t = W_max X_t(omega) z with z = [cos(phase) v; sin(phase) v], where
+    X_t(omega) is the state response to the sine and cosine drives through
+    each disturbance channel.  The cost is W_max^2 z'G(omega)z with
+    G(omega) = sum_t X_t' Q X_t, accumulated step by step: one simulation
+    of 2 d_w columns per frequency scores every direction and phase.
+    """
+    d_x, d_w = sys.d_x, sys.d_w
+    A, Q, C2 = sys.A, cw.Q, np.hstack([sys.C, sys.C])
+    drive = np.outer(freqs, np.arange(T))  # omega t, as the emitted sine has it
+    # (frequency, t, column): sin(omega t) for the first d_w columns of X,
+    # cos(omega t) for the last d_w.
+    gains = np.repeat(np.stack([np.sin(drive), np.cos(drive)], axis=2), d_w, axis=2)
+    X = np.zeros((len(freqs), d_x, 2 * d_w))
+    G = np.zeros((len(freqs), 2 * d_w, 2 * d_w))
+    for t in range(T - 1):
+        X = A @ X + C2 * gains[:, t, None, :]
+        G += X.transpose(0, 2, 1) @ (Q @ X)
+    Z = np.concatenate(
+        [np.cos(phases)[None, :, None] * directions[:, None, :],
+         np.sin(phases)[None, :, None] * directions[:, None, :]],
+        axis=2,
+    )  # (direction, phase, 2 d_w)
+    return W_max**2 * np.einsum("dpa,fab,dpb->dfp", Z, G, Z)
+
+
 class SinusoidGenerator(DisturbanceGenerator):
     """Sinusoid w_t = W_max sin(omega t + phase) v, with (omega, phase, v)
     chosen offline as the candidate maximizing open-loop (u = 0) cumulative
-    cost over the horizon.  Ties break to the first candidate in direction,
-    then frequency, then phase order."""
+    cost over the horizon (_sinusoid_scores: one simulation per frequency
+    scores the 1280 default candidates).
+
+    Candidates are ordered direction-major, then frequency, then phase.
+    Scores within a relative TIE_REL_TOL of the best count as tied, and
+    ties break to the first candidate in that order: phase and phase + pi
+    give the same cost in exact arithmetic, and rounding must not decide
+    between them.
+    """
 
     name = "sine"
 
@@ -182,37 +227,22 @@ class SinusoidGenerator(DisturbanceGenerator):
             phases = 2.0 * np.pi * np.arange(8) / 8.0
         freqs = np.asarray(freqs, dtype=float)
         phases = np.asarray(phases, dtype=float)
-        if freqs.size == 0 or phases.size == 0:
-            raise ValueError("frequency and phase grids must be non-empty")
+        if freqs.ndim != 1 or phases.ndim != 1 or freqs.size == 0 or phases.size == 0:
+            raise ValueError("frequency and phase grids must be non-empty 1-D arrays")
         d_w = sys.d_w
         rng = np.random.default_rng(seed)
         dirs = [np.eye(d_w)[i] for i in range(d_w)]
         for _ in range(n_random_directions):
             v = rng.standard_normal(d_w)
             dirs.append(v / np.linalg.norm(v))
-        # Candidate order: direction-major, then frequency, then phase.
-        omega, phase, vdir = [], [], []
-        for v in dirs:
-            for om in freqs:
-                for ph in phases:
-                    omega.append(om)
-                    phase.append(ph)
-                    vdir.append(v)
-        omega = np.array(omega)
-        phase = np.array(phase)
-        vdir = np.array(vdir)
-
-        X = np.zeros((len(omega), sys.d_x))
-        J = np.zeros(len(omega))
-        for t in range(T):
-            J += np.einsum("ni,ij,nj->n", X, cw.Q, X)
-            Wt = (W_max * np.sin(omega * t + phase))[:, None] * vdir
-            X = X @ sys.A.T + Wt @ sys.C.T
-        best = int(np.argmax(J))
+        dirs = np.array(dirs)
+        J = _sinusoid_scores(sys, cw, W_max, T, dirs, freqs, phases).ravel()
+        best = int(np.flatnonzero(J >= J.max() - TIE_REL_TOL * abs(J.max()))[0])
+        d, f, p = np.unravel_index(best, (len(dirs), freqs.size, phases.size))
         self.W_max = float(W_max)
-        self.omega = float(omega[best])
-        self.phase = float(phase[best])
-        self.direction = vdir[best]
+        self.omega = float(freqs[f])
+        self.phase = float(phases[p])
+        self.direction = dirs[d]
         self._t = 0
 
     def _emit(self, x):
@@ -372,7 +402,7 @@ class AdaptiveCdgGenerator(DisturbanceGenerator):
                 )
                 v = self.M.vec()
                 g = hess @ v + rq.p
-                gnorm = float(np.linalg.norm(g))
+                gnorm = math.sqrt(g @ g)
                 if gnorm > 0.0:
                     v = v + step * g / gnorm
             if v is not None:
@@ -394,7 +424,7 @@ class AdaptiveCdgGenerator(DisturbanceGenerator):
         self._coeff_max = max(
             self._coeff_max, float(np.max(np.abs(rq.P))), float(np.max(np.abs(rq.p)))
         )
-        g = CollapsedQuadratic(hess, rq.p, rq.const)
+        g = CollapsedQuadratic._unchecked(hess, rq.p, rq.const)
         if self._learner is None:
             if self._round < self._warmup_rounds:
                 self._pending_quads.append(g)

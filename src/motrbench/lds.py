@@ -205,27 +205,16 @@ def _spectral_norm(M: np.ndarray) -> float:
 
 
 def step(sys: LinearSystem, x: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """One plant transition A x + B u + C w."""
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if x.shape != (sys.d_x,):
-        raise ValueError(f"x must have shape ({sys.d_x},), got {x.shape}")
-    if u.shape != (sys.d_u,):
-        raise ValueError(f"u must have shape ({sys.d_u},), got {u.shape}")
-    if w.shape != (sys.d_w,):
-        raise ValueError(f"w must have shape ({sys.d_w},), got {w.shape}")
+    """One plant transition A x + B u + C w.
+
+    Plain arithmetic on float vectors of shapes (d_x,), (d_u,), (d_w,); the
+    episode harness checks the shapes of u and w where they enter.
+    """
     return sys.A @ x + sys.B @ u + sys.C @ w
 
 
 def stage_cost(cw: CostWeights, x: np.ndarray, u: np.ndarray) -> float:
-    """Quadratic stage cost x'Qx + u'Ru."""
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if x.shape != (cw.d_x,):
-        raise ValueError(f"x must have shape ({cw.d_x},), got {x.shape}")
-    if u.shape != (cw.d_u,):
-        raise ValueError(f"u must have shape ({cw.d_u},), got {u.shape}")
+    """Quadratic stage cost x'Qx + u'Ru of float vectors x (d_x,), u (d_u,)."""
     return float(x @ cw.Q @ x + u @ cw.R @ u)
 
 

@@ -73,7 +73,11 @@ class MemoryQuadratic:
 
 @dataclass(frozen=True)
 class CollapsedQuadratic:
-    """Single-play restriction of a memory quadratic: z'Cz + d'z + const."""
+    """Single-play restriction of a memory quadratic: z'Cz + d'z + const.
+
+    The constructor copies and checks its input; _unchecked wraps arrays
+    the program built itself and does not modify afterwards.
+    """
 
     Cmat: np.ndarray
     dvec: np.ndarray
@@ -88,6 +92,14 @@ class CollapsedQuadratic:
         dvec.setflags(write=False)
         object.__setattr__(self, "Cmat", Cmat)
         object.__setattr__(self, "dvec", dvec)
+
+    @classmethod
+    def _unchecked(cls, Cmat: np.ndarray, dvec: np.ndarray, const: float) -> "CollapsedQuadratic":
+        g = object.__new__(cls)
+        object.__setattr__(g, "Cmat", Cmat)
+        object.__setattr__(g, "dvec", dvec)
+        object.__setattr__(g, "const", const)
+        return g
 
     def value(self, z: np.ndarray) -> float:
         z = np.asarray(z, dtype=float)
@@ -164,7 +176,8 @@ class OtrState:
             sigma = np.asarray(sigma, dtype=float)
             if sigma.shape != (self.d,):
                 raise ValueError(f"sigma must have shape ({self.d},)")
-        self.current_z = tr_solve(TrustRegionProblem(self.S, self.s - sigma, self.D), self.eps).z
+        prob = TrustRegionProblem._unchecked(self.S, self.s - sigma, self.D)
+        self.current_z = tr_solve(prob, self.eps).z
         return self.current_z
 
     def randomize_play(self) -> np.ndarray:

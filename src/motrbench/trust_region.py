@@ -10,6 +10,7 @@ iteration, applying an explicit eigenvector correction in the hard case
 direction-sampling oracle is provided for testing.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,7 @@ __all__ = [
 
 HARD_CASE_REL_TOL = 1e-10
 _SECULAR_MAX_ITER = 200
+_EPS = float(np.finfo(float).eps)
 
 
 class TrustRegionError(RuntimeError):
@@ -39,7 +41,11 @@ class TrustRegionError(RuntimeError):
 @dataclass(frozen=True)
 class TrustRegionProblem:
     """Quadratic coefficient P (not necessarily symmetric), linear term p,
-    ball radius D > 0."""
+    ball radius D > 0.
+
+    The constructor copies and checks its input; _unchecked wraps arrays
+    the program built itself (the learner's accumulators) as they are.
+    """
 
     P: np.ndarray
     p: np.ndarray
@@ -61,6 +67,14 @@ class TrustRegionProblem:
         object.__setattr__(self, "P", P)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "D", float(self.D))
+
+    @classmethod
+    def _unchecked(cls, P: np.ndarray, p: np.ndarray, D: float) -> "TrustRegionProblem":
+        prob = object.__new__(cls)
+        object.__setattr__(prob, "P", P)
+        object.__setattr__(prob, "p", p)
+        object.__setattr__(prob, "D", D)
+        return prob
 
     @property
     def dim(self) -> int:
@@ -93,7 +107,11 @@ def condition_number(prob: TrustRegionProblem) -> float:
 
 
 def _make_solution(prob, z, multiplier, hard_case):
-    norm = float(np.linalg.norm(z))
+    norm = math.sqrt(z @ z)
+    if not math.isfinite(norm):
+        # Only a non-finite P or p gets here; the learner's per-round
+        # problems are not checked on construction.
+        raise TrustRegionError("non-finite solution: P or p is not finite")
     D = prob.D
     # Snap near-boundary iterates exactly onto the sphere; keeps ||z|| <= D.
     if norm > D or abs(norm - D) <= 1e-9 * D:
@@ -141,7 +159,7 @@ def solve(prob: TrustRegionProblem, eps: float = 1e-9) -> TrustRegionSolution:
         nu_lo = max(lam_max, 0.0)
         singular_at_lo = True
 
-    p_norm = float(np.linalg.norm(prob.p))
+    p_norm = math.sqrt(prob.p @ prob.p)
     top = lam >= lam_max - 1e-12 * scale
 
     if singular_at_lo:
@@ -166,14 +184,14 @@ def solve(prob: TrustRegionProblem, eps: float = 1e-9) -> TrustRegionSolution:
     near_hard = False
     for _ in range(_SECULAR_MAX_ITER):
         w = q / (2.0 * (nu - lam))
-        norm = float(np.linalg.norm(w))
-        if abs(norm - D) <= max(tol, 4.0 * np.finfo(float).eps * D):
+        norm = math.sqrt(w @ w)
+        if abs(norm - D) <= max(tol, 4.0 * _EPS * D):
             break
         if norm > D:
             lo = nu
         else:
             hi = nu
-        if hi - lo <= 64.0 * np.finfo(float).eps * max(1.0, abs(hi)):
+        if hi - lo <= 64.0 * _EPS * max(1.0, abs(hi)):
             # Bracket exhausted without meeting the norm tolerance: a
             # near-hard instance.  Finish with the eigenvector correction.
             near_hard = True
@@ -188,7 +206,7 @@ def solve(prob: TrustRegionProblem, eps: float = 1e-9) -> TrustRegionSolution:
         if not (lo < nu_next < hi):
             nu_next = 0.5 * (lo + hi)
         if nu_next == nu:
-            near_hard = abs(norm - D) > max(tol, 4.0 * np.finfo(float).eps * D)
+            near_hard = abs(norm - D) > max(tol, 4.0 * _EPS * D)
             break
         nu = nu_next
     else:

@@ -37,6 +37,29 @@ class BlowupController:
         return np.full(2, 1e8)
 
 
+class ColumnController:
+    """Returns u as a (d_u, 1) column instead of a (d_u,) vector."""
+
+    name = "column"
+
+    def act(self, x):
+        return np.zeros((2, 1))
+
+
+class ShortGenerator(ZeroGenerator):
+    name = "short"
+
+    def emit(self, x):
+        return np.zeros(3)
+
+
+class NanController:
+    name = "nan"
+
+    def act(self, x):
+        return np.full(2, np.nan)
+
+
 def small_config(**kw):
     base = dict(
         n_systems=2,
@@ -103,6 +126,27 @@ def test_run_episode_divergence_flagged_not_raised():
     rec = run_episode(sys, cw, BlowupController(), gen, 50, np.ones(2))
     assert rec.diverged
     assert len(rec.stage_costs) < 50
+
+
+def test_run_episode_rejects_wrong_shapes_at_the_boundary():
+    # step would broadcast a (d_u, 1) control into a (d_x, d_x) "state"
+    # without complaint, so the harness checks what the pluggable
+    # controller and generator return.
+    sys = random_system(4, 2, 2, seed=0)
+    cw = CostWeights(np.eye(4), np.eye(2))
+    with pytest.raises(ValueError, match=r"controller 'column' returned u of shape \(2, 1\)"):
+        run_episode(sys, cw, ColumnController(), ZeroGenerator(), 5, np.ones(4))
+    with pytest.raises(ValueError, match=r"generator 'short' returned w of shape \(3,\)"):
+        run_episode(sys, cw, lqr_controller(sys, cw), ShortGenerator(), 5, np.ones(4))
+
+
+def test_run_episode_non_finite_control_diverges():
+    sys = random_system(4, 2, 2, seed=0)
+    cw = CostWeights(np.eye(4), np.eye(2))
+    rec = run_episode(sys, cw, NanController(), ZeroGenerator(), 10, np.ones(4))
+    assert rec.diverged
+    assert rec.max_state_norm == np.inf
+    assert len(rec.stage_costs) == 1
 
 
 def test_run_record_json_round_trip_excludes_wall_time():

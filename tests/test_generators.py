@@ -12,6 +12,7 @@ from motrbench.generators import (
     MotrConfig,
     RandomDirectionGenerator,
     TransformError,
+    _sinusoid_scores,
     scale_to_budget,
     sinusoid_generator,
     transform_residual,
@@ -116,6 +117,55 @@ def test_sinusoid_tie_break_takes_first_candidate():
     assert gen.omega == pytest.approx(0.0)
     assert gen.phase == pytest.approx(0.0)
     assert np.allclose(gen.direction, [1.0, 0.0])
+
+
+def open_loop_scores(sys, cw, W_max, T, directions, freqs, phases):
+    """Reference for the sine search: simulate every candidate
+    w_t = W_max sin(omega t + phase) v open loop from zero and sum x'Qx over
+    t < T, candidate by candidate."""
+    cands = [(v, om, ph) for v in directions for om in freqs for ph in phases]
+    vdir = np.array([c[0] for c in cands])
+    omega = np.array([c[1] for c in cands])
+    phase = np.array([c[2] for c in cands])
+    X = np.zeros((len(cands), sys.d_x))
+    J = np.zeros(len(cands))
+    for t in range(T):
+        J += np.einsum("ni,ij,nj->n", X, cw.Q, X)
+        Wt = (W_max * np.sin(omega * t + phase))[:, None] * vdir
+        X = X @ sys.A.T + Wt @ sys.C.T
+    return J.reshape(len(directions), len(freqs), len(phases))
+
+
+def test_sinusoid_scores_match_open_loop_simulation():
+    freqs = np.linspace(0.0, np.pi, 16)
+    phases = 2.0 * np.pi * np.arange(8) / 8.0
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        sys = random_system(4, 2, 3, seed=40 + seed)
+        L = rng.standard_normal((4, 4))
+        cw = CostWeights(L @ L.T, np.eye(2))
+        dirs = np.vstack([np.eye(3), rng.standard_normal((5, 3))])
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        J = _sinusoid_scores(sys, cw, 0.7, 200, dirs, freqs, phases)
+        ref = open_loop_scores(sys, cw, 0.7, 200, dirs, freqs, phases)
+        # Every candidate to rtol 1e-12.  The atol covers only omega = phase
+        # = pi, whose drive sin(pi t + pi) is rounding noise of size 1e-16 t
+        # in both computations (scores near 1e-25 of the largest).
+        np.testing.assert_allclose(J, ref, rtol=1e-12, atol=1e-12 * ref.max())
+
+
+def test_sinusoid_tie_between_phase_and_phase_plus_pi_takes_first():
+    # phase and phase + pi negate the whole open-loop trajectory, so their
+    # scores tie in exact arithmetic.  On this plant the best pair is
+    # (pi / 2, 3 pi / 2) at omega = 0.6 pi, and the tie must go to pi / 2.
+    sys = random_system(4, 2, 2, seed=0)
+    cw = CostWeights(np.eye(4), np.eye(2))
+    gen = sinusoid_generator(sys, cw, W_max=1.0, T=200, seed=0)
+    assert gen.omega == pytest.approx(0.6 * np.pi)
+    assert gen.phase == pytest.approx(0.5 * np.pi)
+    dirs = gen.direction[None, :]
+    J = _sinusoid_scores(sys, cw, 1.0, 200, dirs, np.array([gen.omega]), np.array([0.5, 1.5]) * np.pi)
+    assert J[0, 0, 1] == pytest.approx(J[0, 0, 0], rel=1e-13)
 
 
 def test_sinusoid_amplitude_bound():

@@ -173,3 +173,65 @@ def test_problem_validation():
         TrustRegionProblem(np.eye(2), np.zeros(2), 0.0)
     with pytest.raises(ValueError):
         TrustRegionProblem(np.full((2, 2), np.nan), np.zeros(2), 1.0)
+
+
+def certification_instances(n, seed):
+    """Seeded (name, problem) pairs of the kinds the pipeline can produce at
+    dimension n: near-hard, rank-deficient and badly scaled."""
+    rng = np.random.default_rng(seed)
+    V, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    lam = np.sort(rng.uniform(-1.0, 1.0, n))
+    lam[-1] = 1.5
+    # p almost orthogonal to the top eigenvector, radius past the
+    # hard-case threshold.
+    p = V[:, :-1] @ (0.1 * rng.standard_normal(n - 1)) + 1e-11 * V[:, -1]
+    yield "near-hard", TrustRegionProblem(V @ np.diag(lam) @ V.T, p, 5.0)
+    G = rng.standard_normal((n, n // 3))
+    skew = rng.standard_normal((n, n))
+    yield "rank-deficient PSD", TrustRegionProblem(G @ G.T + skew - skew.T, rng.standard_normal(n), 1.0)
+    yield "rank-deficient NSD", TrustRegionProblem(-G @ G.T, 1e-3 * (G @ rng.standard_normal(n // 3)), 2.0)
+    s = np.logspace(-3.0, 3.0, n)  # entries from 1e-6 to 1e6
+    R = rng.uniform(-1.0, 1.0, (n, n))
+    yield "badly scaled", TrustRegionProblem(s[:, None] * R * s[None, :], s * rng.standard_normal(n), 1.0)
+    yield "badly scaled, small radius", TrustRegionProblem(
+        -(s[:, None] * np.eye(n) * s[None, :]), s * rng.standard_normal(n), 1e-3
+    )
+
+
+@pytest.mark.parametrize("n", [12, 64])
+def test_solver_certified_at_pipeline_sizes(perfbench, n):
+    # The certificate the benchmark applies to every solve of a traced run:
+    # ||z|| <= D, nu >= max(0, lambda_max(S)), and a KKT residual of
+    # 2 S z + p = 2 nu z at most 1e-9 (||S|| D + ||p||).
+    import checks
+
+    for seed in range(5):
+        for name, prob in certification_instances(n, seed):
+            sol = solve(prob)
+            problem, residual = checks.certificate(prob.P, prob.p, prob.D, sol.z, sol.multiplier)
+            assert problem is None, f"n={n} seed={seed} {name}: {problem}"
+            assert residual <= 1e-9
+
+
+def test_secular_failure_raises_with_best_iterate(monkeypatch):
+    import motrbench.trust_region as tr
+
+    prob = TrustRegionProblem(np.diag([1.0, -2.0, 0.5]), np.array([1.0, 0.3, -0.7]), 1.0)
+    monkeypatch.setattr(tr, "_SECULAR_MAX_ITER", 1)
+    with pytest.raises(tr.TrustRegionError, match="did not converge") as info:
+        solve(prob)
+    assert info.value.best is not None
+    assert np.linalg.norm(info.value.best.z) <= prob.D * (1.0 + 1e-12)
+
+
+def test_non_finite_coefficients_raise_instead_of_returning_nan():
+    # The learner builds its per-round problems without the constructor's
+    # finiteness check; a NaN that eigh passes through must not become a
+    # silent NaN play.
+    import motrbench.trust_region as tr
+
+    for bad in (np.nan, np.inf):
+        P = np.eye(3)
+        P[0, 1] = bad
+        with pytest.raises(tr.TrustRegionError):
+            solve(TrustRegionProblem._unchecked(P, np.ones(3), 1.0))
