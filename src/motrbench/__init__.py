@@ -12,10 +12,8 @@ from .lds import (
     LinearSystem,
     StabilityReport,
     analyze_stability,
-    complexity_measure,
     random_system,
     spectral_radius,
-    stabilize,
     stage_cost,
     step,
     truncation_horizon,
@@ -24,14 +22,11 @@ from .trust_region import (
     TrustRegionProblem,
     TrustRegionSolution,
     brute_force,
-    condition_number,
     solve,
 )
 from .online import (
-    CollapsedQuadratic,
     MemoryQuadratic,
     OtrState,
-    RegretAccumulator,
     collapse,
     default_perturbation_rate,
     play_sequence,

@@ -7,6 +7,7 @@ generator), initial states depend only on (base_seed, system_index,
 seed_index), and aggregation is a pure function of the run records.
 """
 
+import functools
 import hashlib
 import json
 import math
@@ -78,6 +79,26 @@ class AggregationError(RuntimeError):
     """Aggregation over an incomplete or inconsistent record grid."""
 
 
+def _materialize(spec, defaults, kind):
+    """A controller or generator spec (a name, or an object with a 'name'
+    field) merged over the defaults for that name; an unknown name or field
+    raises ConfigError."""
+    if isinstance(spec, str):
+        spec = {"name": spec}
+    if not isinstance(spec, dict) or "name" not in spec:
+        raise ConfigError(f"{kind} spec must be a name or an object with a 'name' field: {spec!r}")
+    name = spec["name"]
+    if name not in defaults:
+        raise ConfigError(f"unknown {kind} {name!r}; expected one of {sorted(defaults)}")
+    out = dict(defaults[name])
+    for key, value in spec.items():
+        if key != "name" and key not in out:
+            raise ConfigError(f"unknown field {key!r} in {kind} spec {name!r}")
+        out[key] = value
+    out["name"] = name
+    return out
+
+
 def stable_seed(*parts) -> int:
     """Deterministic 63-bit seed from the string forms of the parts."""
     digest = hashlib.sha256("|".join(str(p) for p in parts).encode()).digest()
@@ -135,35 +156,20 @@ class ExperimentConfig:
             raise ConfigError("target_radius must be positive")
         if not (self.W_max > 0.0 and self.D_M > 0.0 and self.H >= 1):
             raise ConfigError("W_max, D_M must be positive and H >= 1")
-        self.controllers = [self._materialize(s, CONTROLLER_DEFAULTS, "controller") for s in self.controllers]
-        self.generators = [self._materialize(s, GENERATOR_DEFAULTS, "generator") for s in self.generators]
+        self.controllers = [_materialize(s, CONTROLLER_DEFAULTS, "controller") for s in self.controllers]
+        self.generators = [_materialize(s, GENERATOR_DEFAULTS, "generator") for s in self.generators]
+        # Top-level values fill per-spec nulls for the adaptive generators.
+        for spec in self.generators:
+            if spec["name"] in ("motr", "oga"):
+                for key in ("H", "D_M", "eta", "eps"):
+                    if spec[key] is None:
+                        spec[key] = getattr(self, key)
         names = [s["name"] for s in self.controllers]
         if len(set(names)) != len(names):
             raise ConfigError("duplicate controller names")
         names = [s["name"] for s in self.generators]
         if len(set(names)) != len(names):
             raise ConfigError("duplicate generator names")
-
-    def _materialize(self, spec, defaults, kind):
-        if isinstance(spec, str):
-            spec = {"name": spec}
-        if not isinstance(spec, dict) or "name" not in spec:
-            raise ConfigError(f"{kind} spec must be a name or an object with a 'name' field: {spec!r}")
-        name = spec["name"]
-        if name not in defaults:
-            raise ConfigError(f"unknown {kind} {name!r}; expected one of {sorted(defaults)}")
-        out = dict(defaults[name])
-        for key, value in spec.items():
-            if key != "name" and key not in out:
-                raise ConfigError(f"unknown field {key!r} in {kind} spec {name!r}")
-            out[key] = value
-        out["name"] = name
-        # Top-level values fill per-spec nulls for the adaptive generators.
-        if kind == "generator" and name in ("motr", "oga"):
-            for key, top in (("H", self.H), ("D_M", self.D_M), ("eta", self.eta), ("eps", self.eps)):
-                if out.get(key) is None:
-                    out[key] = top
-        return out
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -262,10 +268,8 @@ def build_bundle(config: ExperimentConfig, index: int) -> SystemBundle:
 
 
 def _build_controller(spec: dict, bundle: SystemBundle):
+    """The controller of a spec already checked and merged over its defaults."""
     name = spec["name"]
-    if name not in CONTROLLER_DEFAULTS:
-        raise ConfigError(f"unknown controller {name!r}")
-    spec = {**CONTROLLER_DEFAULTS[name], **spec}
     if name == "lqr":
         return LinearFeedback(bundle.lqr_K, "lqr")
     if name == "hinf":
@@ -281,10 +285,8 @@ def _build_controller(spec: dict, bundle: SystemBundle):
 
 
 def _build_generator(spec: dict, bundle: SystemBundle, config: ExperimentConfig, seed: int):
+    """The generator of a spec of config.generators (checked and merged)."""
     name = spec["name"]
-    if name not in GENERATOR_DEFAULTS:
-        raise ConfigError(f"unknown generator {name!r}")
-    spec = config._materialize(spec, GENERATOR_DEFAULTS, "generator")
     if name in ("motr", "oga"):
         cfg = MotrConfig(
             T=config.T,
@@ -425,28 +427,28 @@ def run_grid(config: ExperimentConfig, jobs: int = 1, log=None):
                     tasks.append((config, bundle, ctrl_spec, gen_spec, seed_index))
     records, failures = [], []
 
-    def describe(task):
-        _, bundle, ctrl_spec, gen_spec, seed_index = task
-        return f"system={bundle.index} seed={seed_index} controller={ctrl_spec['name']} generator={gen_spec['name']}"
+    def collect(results):
+        # One zero-argument call per task, in task order, giving its record.
+        for task, result in zip(tasks, results):
+            _, bundle, ctrl_spec, gen_spec, seed_index = task
+            describe = (
+                f"system={bundle.index} seed={seed_index} "
+                f"controller={ctrl_spec['name']} generator={gen_spec['name']}"
+            )
+            try:
+                records.append(result())
+            except Exception as exc:  # noqa: BLE001 - harness must keep going
+                failures.append((describe, f"{type(exc).__name__}: {exc}"))
+            if log:
+                log(f"{describe}: done ({len(records)}/{len(tasks)})")
 
     if jobs <= 1:
-        for task in tasks:
-            try:
-                records.append(_episode_task(task))
-            except Exception as exc:  # noqa: BLE001 - harness must keep going
-                failures.append((describe(task), f"{type(exc).__name__}: {exc}"))
-            if log:
-                log(f"{describe(task)}: done ({len(records)}/{len(tasks)})")
+        collect(functools.partial(_episode_task, task) for task in tasks)
     else:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_episode_task, task) for task in tasks]
-            for task, fut in zip(tasks, futures):
-                try:
-                    records.append(fut.result())
-                except Exception as exc:  # noqa: BLE001
-                    failures.append((describe(task), f"{type(exc).__name__}: {exc}"))
+            collect([pool.submit(_episode_task, task).result for task in tasks])
     return records, failures
 
 
@@ -624,6 +626,7 @@ def regret_curve(bundle: SystemBundle, controller_spec: dict, cfg: MotrConfig, T
     T_grid = list(T_grid)
     if any(b <= a for a, b in zip(T_grid, T_grid[1:])):
         raise ValueError("T_grid must be strictly increasing")
+    controller_spec = _materialize(controller_spec, CONTROLLER_DEFAULTS, "controller")
     rows = []
     for T in T_grid:
         regs = []

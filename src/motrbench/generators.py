@@ -26,7 +26,7 @@ import numpy as np
 from .cdg import CdgPolicy, InstabilityError, plant_powers, project_frobenius, rollout_cost_quadratic
 from .controllers import HinfSolution
 from .lds import CostWeights, LinearSystem, spectral_radius
-from .online import CollapsedQuadratic, OtrState, RegretAccumulator, default_perturbation_rate
+from .online import OtrState, default_perturbation_rate
 
 __all__ = [
     "GeneratorError",
@@ -196,13 +196,15 @@ class SinusoidGenerator(DisturbanceGenerator):
     """Sinusoid w_t = W_max sin(omega t + phase) v, with (omega, phase, v)
     chosen offline as the candidate maximizing open-loop (u = 0) cumulative
     cost over the horizon (_sinusoid_scores: one simulation per frequency
-    scores the 1280 default candidates).
+    scores the 640 default candidates).
 
-    Candidates are ordered direction-major, then frequency, then phase.
-    Scores within a relative TIE_REL_TOL of the best count as tied, and
-    ties break to the first candidate in that order: phase and phase + pi
-    give the same cost in exact arithmetic, and rounding must not decide
-    between them.
+    Phase and phase + pi negate the whole open-loop trajectory and so give
+    the same cost in exact arithmetic; the default phase grid 2 pi k / 8,
+    k = 0..3, therefore covers [0, pi) only.  Candidates are ordered
+    direction-major, then frequency, then phase.  Scores within a relative
+    TIE_REL_TOL of the best count as tied, and ties break to the first
+    candidate in that order, so rounding does not decide between twins on
+    a grid that holds both.
     """
 
     name = "sine"
@@ -224,7 +226,7 @@ class SinusoidGenerator(DisturbanceGenerator):
         if freqs is None:
             freqs = np.linspace(0.0, np.pi, 16)
         if phases is None:
-            phases = 2.0 * np.pi * np.arange(8) / 8.0
+            phases = 2.0 * np.pi * np.arange(4) / 8.0
         freqs = np.asarray(freqs, dtype=float)
         phases = np.asarray(phases, dtype=float)
         if freqs.ndim != 1 or phases.ndim != 1 or freqs.size == 0 or phases.size == 0:
@@ -266,8 +268,8 @@ class MotrConfig:
     """Adaptive-generator configuration.
 
     eta and eps default at runtime: eps to 1/T, eta to the nominal
-    perturbation rate computed from the first observed quadratic's
-    coefficient magnitude.
+    perturbation rate computed from the largest coefficient of the
+    quadratics observed during the warm-up rounds.
     """
 
     T: int
@@ -296,8 +298,8 @@ class AdaptiveCdgGenerator(DisturbanceGenerator):
     Both emit the budget-scaled w_t along sum_i M_t[i] r_{t-i} + bias(x_t)
     and rebuild the rollout-cost quadratic after observing each control;
     they differ only in how the policy is updated from it.  update is
-    "motr" (perturbed-leader trust-region step on the accumulated Hessians
-    and gradients at zero) or "oga" (one projected gradient-ascent step at
+    "motr" (perturbed-leader trust-region step on the running sum of the
+    quadratics, OtrState) or "oga" (one projected gradient-ascent step at
     the current policy).
     """
 
@@ -333,9 +335,13 @@ class AdaptiveCdgGenerator(DisturbanceGenerator):
         self.n = H * self.d_w * self.d_u
         self.eps = cfg.eps if cfg.eps is not None else 1.0 / cfg.T
         self.rng = np.random.default_rng(cfg.seed)
-        self._learner: Optional[OtrState] = None
-        if cfg.eta is not None:
-            self._make_learner(cfg.eta)
+        # The episode's one running sum of the round quadratics: MOTR's
+        # leader and the regret audit of both update rules.  Without a given
+        # eta, MOTR calibrates it on the coefficient scale of the first
+        # _warmup_rounds + 1 quadratics and only then starts to play.
+        self._state = OtrState(self.n, cfg.D_M, self.eps, cfg.seed + 1, cfg.eta)
+        self._coeff_max = 0.0
+        self._warmup_rounds = min(2 * H + 1, max(1, cfg.T - 1))
         # Bias contribution (A^a C) W x_{t-a} of each unrolled step to the
         # rollout state.  The product is formed from A^a, not from the
         # plant's A^a C: that reassociation changes last bits, which GPC
@@ -351,15 +357,6 @@ class AdaptiveCdgGenerator(DisturbanceGenerator):
         self._r_hist: list = []  # residual controls, most recent first
         self._x_hist: list = []  # states, most recent first
         self._pending_x: Optional[np.ndarray] = None
-        # Quadratics buffered until the control window is fully populated;
-        # the perturbation rate is calibrated on their coefficient scale.
-        self._pending_quads: list = []
-        self._coeff_max = 0.0
-        self._warmup_rounds = min(2 * H + 1, max(1, cfg.T - 1))
-        self._audit = RegretAccumulator(self.n)
-
-    def _make_learner(self, eta: float) -> None:
-        self._learner = OtrState(self.n, self.cfg.D_M, eta, self.eps, self.cfg.seed + 1)
 
     def _initial_policy(self) -> CdgPolicy:
         v = self.rng.standard_normal(self.n)
@@ -392,16 +389,15 @@ class AdaptiveCdgGenerator(DisturbanceGenerator):
             window[i] = past
         try:
             rq = rollout_cost_quadratic(self._powers, self.cw, window, r, self._bias_vec())
-            hess = rq.P + rq.P.T
-            self._audit.add(rq.P, rq.p, rq.const, rq.evaluate(self.M.vec()))
+            self._state.observe(rq.P, rq.p, rq.const, rq.evaluate(self.M.vec()))
             if self.name == "motr":
-                v = self._motr_step(rq, hess)
+                v = self._motr_step(rq)
             else:
                 step = (self.lr if self.lr is not None else 0.1 * self.cfg.D_M) / math.sqrt(
                     self._round + 1.0
                 )
                 v = self.M.vec()
-                g = hess @ v + rq.p
+                g = (rq.P + rq.P.T) @ v + rq.p
                 gnorm = math.sqrt(g @ g)
                 if gnorm > 0.0:
                     v = v + step * g / gnorm
@@ -418,34 +414,26 @@ class AdaptiveCdgGenerator(DisturbanceGenerator):
         self._x_hist.insert(0, x)
         del self._x_hist[H + 2 :]
 
-    def _motr_step(self, rq, hess) -> Optional[np.ndarray]:
-        """Feed the learner this round's quadratic; its next play, or None
-        while the perturbation rate is still being calibrated."""
-        self._coeff_max = max(
-            self._coeff_max, float(np.max(np.abs(rq.P))), float(np.max(np.abs(rq.p)))
-        )
-        g = CollapsedQuadratic._unchecked(hess, rq.p, rq.const)
-        if self._learner is None:
-            if self._round < self._warmup_rounds:
-                self._pending_quads.append(g)
-                return None
-            self._make_learner(
-                default_perturbation_rate(
-                    max(self._coeff_max, 1e-9), self.n, self.cfg.D_M, self.cfg.H, self.cfg.T
-                )
+    def _motr_step(self, rq) -> Optional[np.ndarray]:
+        """The learner's next play, or None while eta is being calibrated."""
+        state = self._state
+        if state.eta is None:
+            self._coeff_max = max(
+                self._coeff_max, float(np.max(np.abs(rq.P))), float(np.max(np.abs(rq.p)))
             )
-        for buffered in self._pending_quads:
-            self._learner.observe(buffered)
-        self._pending_quads.clear()
-        self._learner.observe(g)
-        return self._learner.update()
+            if self._round < self._warmup_rounds:
+                return None
+            state.eta = default_perturbation_rate(
+                max(self._coeff_max, 1e-9), self.n, self.cfg.D_M, self.cfg.H, self.cfg.T
+            )
+        return state.update()
 
     def regret_pair(self):
         """(hindsight-best fixed policy value, achieved value) on the
         surrogate rewards; None before any round completed."""
-        if self._audit.rounds == 0:
+        if self._state.rounds == 0:
             return None
-        return self._audit.result(self.cfg.D_M, self.eps)
+        return self._state.hindsight()
 
 
 def sinusoid_generator(

@@ -23,10 +23,8 @@ __all__ = [
     "spectral_radius",
     "stage_cost",
     "analyze_stability",
-    "stabilize",
     "random_system",
     "truncation_horizon",
-    "complexity_measure",
 ]
 
 # Eigenvector condition numbers above this are treated as "not diagonalizable
@@ -36,15 +34,7 @@ _LYAPUNOV_POWERS = 200
 
 
 class StabilityError(RuntimeError):
-    """Eigensolver failure during stability analysis.
-
-    Carries whatever part of the report could still be computed in
-    ``partial`` (may be None).
-    """
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    """Eigensolver failure during stability analysis."""
 
 
 class GenerationError(RuntimeError):
@@ -231,7 +221,7 @@ def analyze_stability(sys: LinearSystem) -> StabilityReport:
     try:
         eigvals, V = np.linalg.eig(A)
     except np.linalg.LinAlgError as exc:
-        raise StabilityError(f"eigendecomposition failed: {exc}", partial=None) from exc
+        raise StabilityError(f"eigendecomposition failed: {exc}") from exc
     rho = float(np.max(np.abs(eigvals))) if eigvals.size else 0.0
     gamma = min(1.0, max(0.0, 1.0 - rho))
 
@@ -262,14 +252,6 @@ def analyze_stability(sys: LinearSystem) -> StabilityReport:
         beta=float(beta),
         is_strongly_stable=bool(diagonalizable and rho < 1.0),
     )
-
-
-def stabilize(sys: LinearSystem, K: np.ndarray) -> LinearSystem:
-    """Closed-loop plant (A - B K, B, C) under the feedback u -> u - K x."""
-    K = np.asarray(K, dtype=float)
-    if K.shape != (sys.d_u, sys.d_x):
-        raise ValueError(f"K must have shape ({sys.d_u}, {sys.d_x}), got {K.shape}")
-    return LinearSystem(sys.A - sys.B @ K, sys.B, sys.C)
 
 
 def controllability_rank(A: np.ndarray, B: np.ndarray, rel_tol: float = 1e-8) -> int:
@@ -332,21 +314,3 @@ def truncation_horizon(kappa: float, gamma: float, xi: float, T: int) -> int:
         raise ValueError("T must be >= 1")
     H = math.ceil(math.log(kappa * xi * T) / gamma)
     return max(1, H)
-
-
-def complexity_measure(
-    report: StabilityReport,
-    d_x: int,
-    d_u: int,
-    d_w: int,
-    D: float,
-    C_u: float,
-    xi: float,
-) -> float:
-    """Scalar problem-size summary: d_x + d_u + d_w + D + C_u + beta + kappa
-    + xi + 1/gamma."""
-    if report.gamma <= 0.0:
-        raise ValueError("gamma must be positive for the complexity measure")
-    return float(
-        d_x + d_u + d_w + D + C_u + report.beta + report.kappa + xi + 1.0 / report.gamma
-    )

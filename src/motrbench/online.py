@@ -2,10 +2,11 @@
 
 Each round t reveals a quadratic reward of the last H plays.  Collapsing
 the reward onto a single repeated play gives a per-round quadratic g_t(z),
-whose coefficients are accumulated; the next play maximizes the
-accumulated quadratic minus a random linear perturbation with Exp(eta)
-coordinates, a ball-constrained problem handled exactly by the
-trust-region solver.
+whose coefficients are accumulated in one running sum (OtrState); the
+next play maximizes the sum, its quadratic part doubled, minus a random
+linear perturbation with Exp(eta) coordinates, and the regret audit
+maximizes the sum itself.  Both are ball-constrained problems handled
+exactly by the trust-region solver.
 """
 
 import math
@@ -18,9 +19,7 @@ from .trust_region import TrustRegionProblem, solve as tr_solve
 
 __all__ = [
     "MemoryQuadratic",
-    "CollapsedQuadratic",
     "OtrState",
-    "RegretAccumulator",
     "collapse",
     "sample_perturbation",
     "default_perturbation_rate",
@@ -71,48 +70,11 @@ class MemoryQuadratic:
         return self.value_stacked(np.concatenate([np.asarray(z, dtype=float) for z in window]))
 
 
-@dataclass(frozen=True)
-class CollapsedQuadratic:
-    """Single-play restriction of a memory quadratic: z'Cz + d'z + const.
-
-    The constructor copies and checks its input; _unchecked wraps arrays
-    the program built itself and does not modify afterwards.
-    """
-
-    Cmat: np.ndarray
-    dvec: np.ndarray
-    const: float
-
-    def __post_init__(self):
-        Cmat = np.array(self.Cmat, dtype=float)
-        dvec = np.array(self.dvec, dtype=float)
-        if Cmat.ndim != 2 or Cmat.shape[0] != Cmat.shape[1] or dvec.shape != (Cmat.shape[0],):
-            raise ValueError("inconsistent collapsed-quadratic shapes")
-        Cmat.setflags(write=False)
-        dvec.setflags(write=False)
-        object.__setattr__(self, "Cmat", Cmat)
-        object.__setattr__(self, "dvec", dvec)
-
-    @classmethod
-    def _unchecked(cls, Cmat: np.ndarray, dvec: np.ndarray, const: float) -> "CollapsedQuadratic":
-        g = object.__new__(cls)
-        object.__setattr__(g, "Cmat", Cmat)
-        object.__setattr__(g, "dvec", dvec)
-        object.__setattr__(g, "const", const)
-        return g
-
-    def value(self, z: np.ndarray) -> float:
-        z = np.asarray(z, dtype=float)
-        return float(z @ self.Cmat @ z + self.dvec @ z + self.const)
-
-
-def collapse(mq: MemoryQuadratic) -> CollapsedQuadratic:
-    """Sum the H x H blocks of P and the H blocks of p: the quadratic of
-    playing one point in every slot."""
+def collapse(mq: MemoryQuadratic):
+    """(C, c): the H x H blocks of P summed and the H blocks of p summed,
+    the quadratic z'Cz + c'z + const of playing one point in every slot."""
     d, H = mq.d, mq.H
-    Cmat = mq.P.reshape(H, d, H, d).sum(axis=(0, 2))
-    dvec = mq.p.reshape(H, d).sum(axis=0)
-    return CollapsedQuadratic(Cmat, dvec, mq.const)
+    return mq.P.reshape(H, d, H, d).sum(axis=(0, 2)), mq.p.reshape(H, d).sum(axis=0)
 
 
 def sample_perturbation(eta: float, d: int, rng: np.random.Generator) -> np.ndarray:
@@ -136,13 +98,20 @@ def _ball_point(rng: np.random.Generator, d: int, D: float) -> np.ndarray:
 
 
 class OtrState:
-    """Perturbed-leader maximization of the accumulated quadratic over the
-    Euclidean ball of radius D, each play an exact trust-region solve."""
+    """Running sum of an episode's round rewards z'Pz + p'z + const, with
+    the reward its plays achieved.
 
-    def __init__(self, d: int, D: float, eta: float, eps: float, seed: int):
+    update plays the perturbed leader on the sum over the Euclidean ball of
+    radius D; hindsight maximizes the same sum without a perturbation, so
+    the regret audit is exact up to the solver tolerance.  Each is one
+    trust-region solve.  eta may stay None until it is calibrated; only
+    update draws a perturbation.
+    """
+
+    def __init__(self, d: int, D: float, eps: float, seed: int, eta: Optional[float] = None):
         if d < 1:
             raise ValueError("d must be positive")
-        if not (eta > 0.0):
+        if eta is not None and not (eta > 0.0):
             raise ValueError("eta must be positive")
         if not (D > 0.0):
             raise ValueError("D must be positive")
@@ -150,33 +119,42 @@ class OtrState:
             raise ValueError("eps must be positive")
         self.d = d
         self.D = float(D)
-        self.eta = float(eta)
+        self.eta = eta
         self.eps = float(eps)
         self.rng = np.random.default_rng(seed)
-        self.S = np.zeros((d, d))
-        self.s = np.zeros(d)
-        self.const_sum = 0.0
-        self.round = 0
+        self.P = np.zeros((d, d))
+        self.p = np.zeros(d)
+        self.const = 0.0
+        self.achieved = 0.0
+        self.rounds = 0
         self.current_z = _ball_point(self.rng, d, self.D)
 
-    def observe(self, g: CollapsedQuadratic) -> None:
-        if g.Cmat.shape != (self.d, self.d):
-            raise ValueError(f"collapsed quadratic has dimension {g.Cmat.shape[0]}, expected {self.d}")
-        self.S += g.Cmat
-        self.s += g.dvec
-        self.const_sum += g.const
-        self.round += 1
+    def observe(self, P: np.ndarray, p: np.ndarray, const: float, achieved: float = 0.0) -> None:
+        """Add one round's reward coefficients and the value the plays got
+        in that round (left at 0 where nothing audits the plays)."""
+        self.P += P
+        self.p += p
+        self.const += const
+        self.achieved += achieved
+        self.rounds += 1
 
     def update(self, sigma: Optional[np.ndarray] = None) -> np.ndarray:
         """Draw a perturbation (unless one is supplied) and replay the
         perturbed leader."""
         if sigma is None:
+            if self.eta is None:
+                raise ValueError("eta must be set before drawing a perturbation")
             sigma = sample_perturbation(self.eta, self.d, self.rng)
         else:
             sigma = np.asarray(sigma, dtype=float)
             if sigma.shape != (self.d,):
                 raise ValueError(f"sigma must have shape ({self.d},)")
-        prob = TrustRegionProblem._unchecked(self.S, self.s - sigma, self.D)
+        # The leader's quadratic part is 2 sum P, for symmetric P the Hessian
+        # P + P' of the summed reward, while hindsight audits sum P itself:
+        # the learner maximizes z'(2 sum P)z + (sum p - sigma)'z.  The
+        # benchmark's numbers are made with this factor; ROADMAP item 4(a)
+        # measures what dropping it would change.
+        prob = TrustRegionProblem._unchecked(2.0 * self.P, self.p - sigma, self.D)
         self.current_z = tr_solve(prob, self.eps).z
         return self.current_z
 
@@ -185,31 +163,10 @@ class OtrState:
         self.current_z = _ball_point(self.rng, self.d, self.D)
         return self.current_z
 
-
-class RegretAccumulator:
-    """Running sums of per-round quadratic rewards z'Pz + p'z + const and of
-    the reward the plays achieved; the hindsight term maximizes the summed
-    quadratic over the ball, itself a trust-region instance, so the audit
-    is exact up to the solver tolerance."""
-
-    def __init__(self, d: int):
-        self.P = np.zeros((d, d))
-        self.p = np.zeros(d)
-        self.const = 0.0
-        self.achieved = 0.0
-        self.rounds = 0
-
-    def add(self, P: np.ndarray, p: np.ndarray, const: float, achieved: float) -> None:
-        self.P += P
-        self.p += p
-        self.const += const
-        self.achieved += achieved
-        self.rounds += 1
-
-    def result(self, D: float, eps: float):
-        """(best fixed play in hindsight, value achieved by the plays)."""
-        hindsight = tr_solve(TrustRegionProblem(self.P, self.p, D), eps).value + self.const
-        return float(hindsight), float(self.achieved)
+    def hindsight(self):
+        """(best fixed play's value on the sum, value achieved by the plays)."""
+        best = tr_solve(TrustRegionProblem(self.P, self.p, self.D), self.eps).value + self.const
+        return float(best), float(self.achieved)
 
 
 def play_sequence(history, D: float, eta: float, eps: float, seed: int):
@@ -223,14 +180,14 @@ def play_sequence(history, D: float, eta: float, eps: float, seed: int):
     if not history:
         return []
     d, H = history[0].d, history[0].H
-    state = OtrState(d, D, eta, eps, seed)
+    state = OtrState(d, D, eps, seed, eta)
     plays = []
     for t, mq in enumerate(history):
         if mq.d != d or mq.H != H:
             raise ValueError("history entries must share (d, H)")
         plays.append(state.current_z)
         if t >= H - 1:
-            state.observe(collapse(mq))
+            state.observe(*collapse(mq), mq.const)
             state.update()
         else:
             state.randomize_play()
@@ -241,18 +198,17 @@ def regret_audit(history, plays, D: float, eps: float = 1e-9):
     """(best fixed play in hindsight, value achieved by the plays).
 
     Both sums run over the rounds with a complete window (t >= H-1,
-    0-indexed); see RegretAccumulator.
+    0-indexed); see OtrState.hindsight.
     """
     if len(history) != len(plays):
         raise ValueError("history and plays must have equal length")
     if not history:
         return 0.0, 0.0
     d, H = history[0].d, history[0].H
-    audit = RegretAccumulator(d)
+    audit = OtrState(d, D, eps, seed=0)
     for t in range(H - 1, len(history)):
         mq = history[t]
         if mq.d != d or mq.H != H:
             raise ValueError("history entries must share (d, H)")
-        g = collapse(mq)
-        audit.add(g.Cmat, g.dvec, g.const, mq.value(plays[t - H + 1 : t + 1]))
-    return audit.result(D, eps)
+        audit.observe(*collapse(mq), mq.const, mq.value(plays[t - H + 1 : t + 1]))
+    return audit.hindsight()

@@ -19,7 +19,6 @@ __all__ = [
     "TrustRegionProblem",
     "TrustRegionSolution",
     "TrustRegionError",
-    "condition_number",
     "solve",
     "brute_force",
     "objective",
@@ -93,17 +92,6 @@ class TrustRegionSolution:
 def objective(prob: TrustRegionProblem, z: np.ndarray) -> float:
     z = np.asarray(z, dtype=float)
     return float(z @ prob.P @ z + prob.p @ z)
-
-
-def condition_number(prob: TrustRegionProblem) -> float:
-    """max(2(||P|| + ||p||), D, 1) / min(D, 1)."""
-    lam = max(
-        2.0 * (np.linalg.norm(prob.P, 2) + np.linalg.norm(prob.p)),
-        prob.D,
-        1.0,
-    )
-    mu = min(prob.D, 1.0)
-    return float(lam / mu)
 
 
 def _make_solution(prob, z, multiplier, hard_case):

@@ -69,6 +69,20 @@ def test_run_jobs_equivalent(tmp_path):
     assert sorted(lines_a) == sorted(lines_b)
 
 
+def test_run_jobs_verbose_logs_every_episode(tmp_path, capsys):
+    cfg_path = write_json(tmp_path / "cfg.json", small_config_dict())
+    out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
+    assert main(["run", "--config", cfg_path, "--out", out_a, "--jobs", "1"]) == 0
+    capsys.readouterr()
+    assert main(["run", "--config", cfg_path, "--out", out_b, "--jobs", "2", "--verbose"]) == 0
+    progress = [line for line in capsys.readouterr().err.splitlines() if ": done (" in line]
+    assert len(progress) == 2 * 2 * 1 * 2
+    assert progress[-1].endswith("(8/8)")
+    bytes_a = open(os.path.join(out_a, "runs.jsonl"), "rb").read()
+    bytes_b = open(os.path.join(out_b, "runs.jsonl"), "rb").read()
+    assert bytes_a == bytes_b
+
+
 def test_partial_run_exit_code_and_manifest(tmp_path, monkeypatch):
     import motrbench.bench as bench
 

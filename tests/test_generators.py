@@ -18,6 +18,7 @@ from motrbench.generators import (
     transform_residual,
 )
 from motrbench.lds import CostWeights, LinearSystem, analyze_stability, random_system, step
+from motrbench.trust_region import TrustRegionProblem, solve as tr_solve
 
 
 def make_setup(seed=0, radius=0.9):
@@ -158,9 +159,11 @@ def test_sinusoid_tie_between_phase_and_phase_plus_pi_takes_first():
     # phase and phase + pi negate the whole open-loop trajectory, so their
     # scores tie in exact arithmetic.  On this plant the best pair is
     # (pi / 2, 3 pi / 2) at omega = 0.6 pi, and the tie must go to pi / 2.
+    # The default grid holds no twins, so the test passes the full circle.
     sys = random_system(4, 2, 2, seed=0)
     cw = CostWeights(np.eye(4), np.eye(2))
-    gen = sinusoid_generator(sys, cw, W_max=1.0, T=200, seed=0)
+    phases = 2.0 * np.pi * np.arange(8) / 8.0
+    gen = sinusoid_generator(sys, cw, W_max=1.0, T=200, seed=0, phases=phases)
     assert gen.omega == pytest.approx(0.6 * np.pi)
     assert gen.phase == pytest.approx(0.5 * np.pi)
     dirs = gen.direction[None, :]
@@ -299,6 +302,46 @@ def test_motr_regret_pair_hindsight_dominates():
     # The hindsight-best fixed policy upper-bounds any played sequence's
     # surrogate total up to the solver tolerance per round.
     assert hind >= ach - 80 * gen.eps - 1e-6
+
+
+def test_motr_plays_the_doubled_leader_of_the_audited_sums(monkeypatch):
+    # Every MOTR play maximizes z'(2 sum P)z + (sum p - sigma)'z over the
+    # D_M ball, where sum P and sum p add up the rollout quadratics of the
+    # rounds so far, and the regret audit maximizes z'(sum P)z + (sum p)'z.
+    import motrbench.generators as generators
+    import motrbench.online as online
+
+    sigma = np.linspace(0.01, 0.12, 12)
+    monkeypatch.setattr(online, "sample_perturbation", lambda eta, d, rng: sigma)
+    seen = []
+    real_quadratic = generators.rollout_cost_quadratic
+
+    def recording(*args):
+        seen.append(real_quadratic(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(generators, "rollout_cost_quadratic", recording)
+    sys, cw, hinf = make_setup(seed=4)
+    cfg = MotrConfig(T=40, H=3, D_M=0.3, W_max=1.0, eta=1.0, seed=7)
+    gen = AdaptiveCdgGenerator(sys, cw, hinf, cfg, update="motr")
+    assert gen.n == sigma.size
+    ctrl = lqr_controller(sys, cw)
+    x = np.random.default_rng(8).standard_normal(4)
+    achieved = 0.0
+    for _ in range(25):
+        u = ctrl.act(x)
+        w = gen.emit(x)
+        x = step(sys, x, u, w)
+        played = gen.M.vec()
+        gen.observe(u)
+        achieved += seen[-1].evaluate(played)
+        P, p = sum(q.P for q in seen), sum(q.p for q in seen)
+        leader = tr_solve(TrustRegionProblem(2.0 * P, p - sigma, cfg.D_M), gen.eps)
+        np.testing.assert_allclose(gen.M.vec(), leader.z, rtol=0.0, atol=1e-12)
+    best = tr_solve(TrustRegionProblem(P, p, cfg.D_M), gen.eps).value
+    hind, ach = gen.regret_pair()
+    assert hind == pytest.approx(best + sum(q.const for q in seen), rel=1e-12)
+    assert ach == pytest.approx(achieved, rel=1e-12)
 
 
 def test_pure_mode_requires_stability_and_runs():

@@ -7,9 +7,7 @@ from motrbench.lds import (
     CostWeights,
     LinearSystem,
     analyze_stability,
-    complexity_measure,
     random_system,
-    stabilize,
     stage_cost,
     step,
     truncation_horizon,
@@ -129,15 +127,6 @@ def test_strong_stability_decay_chain():
             assert np.linalg.norm(Ak @ x) <= bound * (1.0 + 1e-8)
 
 
-def test_stabilize_zero_feedback():
-    sys = LinearSystem(np.array([[1.5]]), np.array([[1.0]]), np.array([[1.0]]))
-    same = stabilize(sys, np.zeros((1, 1)))
-    assert np.allclose(same.A, sys.A)
-    closed = stabilize(sys, np.array([[1.0]]))
-    assert closed.A[0, 0] == pytest.approx(0.5)
-    assert np.allclose(closed.B, sys.B) and np.allclose(closed.C, sys.C)
-
-
 def test_random_system_deterministic():
     a = random_system(4, 2, 2, seed=5)
     b = random_system(4, 2, 2, seed=5)
@@ -170,25 +159,6 @@ def test_truncation_horizon_values():
         truncation_horizon(2.0, 0.0, 1.0, 100)
     with pytest.raises(ValueError):
         truncation_horizon(2.0, 1.5, 1.0, 100)
-
-
-def test_complexity_measure_values():
-    from motrbench.lds import StabilityReport
-
-    rep = StabilityReport(0.0, 1.0, 1.0, 1.0, True)
-    assert complexity_measure(rep, 1, 1, 1, 1.0, 1.0, 1.0) == pytest.approx(9.0)
-
-    rep2 = StabilityReport(0.5, 0.5, 3.0, 2.0, True)
-    assert complexity_measure(rep2, 4, 2, 2, 1.0, 1.0, 1.0) == pytest.approx(18.0)
-
-    base = complexity_measure(rep2, 4, 2, 2, 1.0, 1.0, 1.0)
-    assert complexity_measure(rep2, 5, 2, 2, 1.0, 1.0, 1.0) > base
-    assert complexity_measure(rep2, 4, 2, 2, 2.0, 1.0, 1.0) > base
-    assert complexity_measure(rep2, 4, 2, 2, 1.0, 1.0, 2.0) > base
-
-    rep0 = StabilityReport(1.0, 0.0, 1.0, 1.0, False)
-    with pytest.raises(ValueError):
-        complexity_measure(rep0, 4, 2, 2, 1.0, 1.0, 1.0)
 
 
 def test_system_json_round_trip():

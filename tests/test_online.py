@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from motrbench.online import (
-    CollapsedQuadratic,
     MemoryQuadratic,
     OtrState,
     collapse,
@@ -22,10 +21,9 @@ def random_memory_quadratic(rng, d, H, R=1.0, const=0.0):
 def test_collapse_single_slot_is_identity():
     rng = np.random.default_rng(0)
     mq = random_memory_quadratic(rng, 3, 1, const=2.5)
-    g = collapse(mq)
-    assert np.array_equal(g.Cmat, mq.P)
-    assert np.array_equal(g.dvec, mq.p)
-    assert g.const == 2.5
+    C, c = collapse(mq)
+    assert np.array_equal(C, mq.P)
+    assert np.array_equal(c, mq.p)
 
 
 def test_collapse_equal_blocks():
@@ -33,9 +31,9 @@ def test_collapse_equal_blocks():
     P = np.block([[B0, B0], [B0, B0]])
     p = np.concatenate([np.array([1.0, -1.0])] * 2)
     mq = MemoryQuadratic(P, p, 0.0, 2, 2)
-    g = collapse(mq)
-    assert np.allclose(g.Cmat, 4.0 * B0)
-    assert np.allclose(g.dvec, [2.0, -2.0])
+    C, c = collapse(mq)
+    assert np.allclose(C, 4.0 * B0)
+    assert np.allclose(c, [2.0, -2.0])
 
 
 def test_collapse_matches_repeated_evaluation():
@@ -44,10 +42,10 @@ def test_collapse_matches_repeated_evaluation():
         d = rng.integers(1, 4)
         H = rng.integers(1, 5)
         mq = random_memory_quadratic(rng, d, H, const=float(rng.standard_normal()))
-        g = collapse(mq)
+        C, c = collapse(mq)
         z = rng.standard_normal(d)
         direct = mq.value([z] * H)
-        assert g.value(z) == pytest.approx(direct, rel=1e-10, abs=1e-10)
+        assert z @ C @ z + c @ z + mq.const == pytest.approx(direct, rel=1e-10, abs=1e-10)
 
 
 def test_sample_perturbation_statistics():
@@ -75,60 +73,68 @@ def test_default_perturbation_rate():
 
 def test_observe_accumulates_and_cancels():
     state = OtrState(d=3, D=1.0, eta=1.0, eps=1e-6, seed=0)
-    zero = CollapsedQuadratic(np.zeros((3, 3)), np.zeros(3), 0.0)
-    state.observe(zero)
-    assert np.all(state.S == 0.0) and np.all(state.s == 0.0)
+    state.observe(np.zeros((3, 3)), np.zeros(3), 0.0, 0.0)
+    assert np.all(state.P == 0.0) and np.all(state.p == 0.0)
     rng = np.random.default_rng(5)
-    g = CollapsedQuadratic(rng.standard_normal((3, 3)), rng.standard_normal(3), 1.0)
-    neg = CollapsedQuadratic(-g.Cmat, -g.dvec, -1.0)
-    state.observe(g)
-    state.observe(neg)
-    assert np.max(np.abs(state.S)) < 1e-12
-    assert np.max(np.abs(state.s)) < 1e-12
-    assert state.round == 3
+    P, p = rng.standard_normal((3, 3)), rng.standard_normal(3)
+    state.observe(P, p, 1.0, 0.5)
+    state.observe(-P, -p, -1.0, -0.5)
+    assert np.max(np.abs(state.P)) < 1e-12
+    assert np.max(np.abs(state.p)) < 1e-12
+    assert state.const == 0.0 and state.achieved == 0.0
+    assert state.rounds == 3
 
 
 def test_observe_matches_batch_sum():
     rng = np.random.default_rng(6)
     state = OtrState(d=4, D=1.0, eta=1.0, eps=1e-6, seed=0)
     quads = [
-        CollapsedQuadratic(rng.standard_normal((4, 4)), rng.standard_normal(4), 0.0)
+        (rng.standard_normal((4, 4)), rng.standard_normal(4), float(rng.standard_normal()))
         for _ in range(17)
     ]
-    for g in quads:
-        state.observe(g)
-    S_ref = np.sum([g.Cmat for g in quads], axis=0)
-    s_ref = np.sum([g.dvec for g in quads], axis=0)
-    assert np.allclose(state.S, S_ref, atol=1e-12)
-    assert np.allclose(state.s, s_ref, atol=1e-12)
+    for P, p, const in quads:
+        state.observe(P, p, const, 2.0 * const)
+    assert np.allclose(state.P, np.sum([q[0] for q in quads], axis=0), atol=1e-12)
+    assert np.allclose(state.p, np.sum([q[1] for q in quads], axis=0), atol=1e-12)
+    assert state.const == pytest.approx(sum(q[2] for q in quads), abs=1e-12)
+    assert state.achieved == pytest.approx(2.0 * state.const, abs=1e-12)
 
 
 def test_update_linear_leader_with_tiny_perturbation():
     state = OtrState(d=3, D=2.0, eta=1e9, eps=1e-9, seed=1)
-    state.observe(CollapsedQuadratic(np.zeros((3, 3)), np.array([5.0, 0.0, 0.0]), 0.0))
+    state.observe(np.zeros((3, 3)), np.array([5.0, 0.0, 0.0]), 0.0)
     z = state.update()
     assert np.allclose(z, [2.0, 0.0, 0.0], atol=1e-6)
 
 
 def test_update_degenerate_objective():
     state = OtrState(d=3, D=1.0, eta=1e9, eps=1e-9, seed=2)
-    state.observe(CollapsedQuadratic(np.zeros((3, 3)), np.zeros(3), 0.0))
+    state.observe(np.zeros((3, 3)), np.zeros(3), 0.0)
     z = state.update()
     assert np.linalg.norm(z) <= 1.0 + 1e-9
-    assert abs(z @ state.S @ z + state.s @ z) < 1e-6
+    assert abs(z @ state.P @ z + state.p @ z) < 1e-6
 
 
 def test_update_with_forced_perturbation_matches_direct_solve():
+    # The leader's quadratic part is twice the summed one (OtrState.update).
     rng = np.random.default_rng(3)
     state = OtrState(d=4, D=1.5, eta=1.0, eps=1e-9, seed=3)
     for _ in range(5):
-        state.observe(
-            CollapsedQuadratic(rng.standard_normal((4, 4)), rng.standard_normal(4), 0.0)
-        )
+        state.observe(rng.standard_normal((4, 4)), rng.standard_normal(4), 0.0)
     sigma = np.abs(rng.standard_normal(4))
     z = state.update(sigma=sigma)
-    ref = tr_solve(TrustRegionProblem(state.S, state.s - sigma, 1.5), 1e-9)
+    ref = tr_solve(TrustRegionProblem(2.0 * state.P, state.p - sigma, 1.5), 1e-9)
     assert np.allclose(z, ref.z, atol=1e-9)
+
+
+def test_update_needs_eta_unless_sigma_is_given():
+    state = OtrState(d=2, D=1.0, eps=1e-9, seed=4)
+    state.observe(np.eye(2), np.ones(2), 0.0)
+    with pytest.raises(ValueError, match="eta"):
+        state.update()
+    state.update(sigma=np.zeros(2))
+    state.eta = 2.0
+    state.update()
 
 
 def test_plays_bounded_and_deterministic():
@@ -157,8 +163,7 @@ def test_regret_audit_fixed_point():
     mq = random_memory_quadratic(rng, 3, 2)
     T = 50
     hist = [mq] * T
-    g = collapse(mq)
-    star = tr_solve(TrustRegionProblem(g.Cmat, g.dvec, 1.0), 1e-12).z
+    star = tr_solve(TrustRegionProblem(*collapse(mq), 1.0), 1e-12).z
     plays = [star] * T
     hind, ach = regret_audit(hist, plays, D=1.0)
     assert hind - ach <= 1e-6 * T

@@ -4,7 +4,6 @@ import pytest
 from motrbench.trust_region import (
     TrustRegionProblem,
     brute_force,
-    condition_number,
     objective,
     solve,
 )
@@ -19,17 +18,6 @@ def random_problem(rng, d, D):
 def kkt_residual(prob, sol):
     S = 0.5 * (prob.P + prob.P.T)
     return np.linalg.norm(2.0 * S @ sol.z + prob.p - 2.0 * sol.multiplier * sol.z)
-
-
-def test_condition_number_examples():
-    prob = TrustRegionProblem(np.diag([1.0, 0.0]), np.array([1.0, 0.0]), 2.0)
-    assert condition_number(prob) == pytest.approx(4.0)
-
-    prob = TrustRegionProblem(np.zeros((2, 2)), np.zeros(2), 1.0)
-    assert condition_number(prob) == pytest.approx(1.0)
-
-    prob = TrustRegionProblem(np.diag([0.1, 0.0]), np.array([0.1, 0.0]), 0.5)
-    assert condition_number(prob) == pytest.approx(2.0)
 
 
 def test_solve_linear_objective():
