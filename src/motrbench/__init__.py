@@ -46,9 +46,7 @@ from .controllers import (
     GpcController,
     HinfSolution,
     LinearFeedback,
-    gpc_controller,
     hinf_bisection,
-    hinf_controller,
     lqr_controller,
     solve_dare,
     solve_hinf_game,
@@ -57,7 +55,6 @@ from .generators import (
     AdaptiveCdgGenerator,
     GaussianGenerator,
     HinfGenerator,
-    MotrConfig,
     RandomDirectionGenerator,
     SinusoidGenerator,
     scale_to_budget,

@@ -11,26 +11,19 @@ import functools
 import hashlib
 import json
 import math
+import numbers
 import os
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
 
-from .controllers import (
-    HinfSolution,
-    LinearFeedback,
-    gpc_controller,
-    hinf_bisection,
-    hinf_controller,
-    solve_dare,
-)
+from .controllers import GpcController, HinfSolution, LinearFeedback, hinf_bisection, solve_dare
 from .generators import (
     AdaptiveCdgGenerator,
     GaussianGenerator,
     HinfGenerator,
-    MotrConfig,
     RandomDirectionGenerator,
     sinusoid_generator,
 )
@@ -55,10 +48,15 @@ __all__ = [
 
 DIVERGENCE_LIMIT = 1e12
 
+# Every default of a controller or generator spec.  null is kept only
+# where the value is derived from other inputs: the adaptive generators'
+# H, D_M, eta and eps from the top-level fields of the same names (eta and
+# eps may stay null: see ExperimentConfig), GPC's ball_radius from its
+# base gain and OGA's lr from D_M.
 CONTROLLER_DEFAULTS = {
     "lqr": {},
     "hinf": {},
-    "gpc": {"h": 5, "lr": None, "ball_radius": None},
+    "gpc": {"h": 5, "lr": 0.5, "ball_radius": None},
 }
 
 GENERATOR_DEFAULTS = {
@@ -69,6 +67,7 @@ GENERATOR_DEFAULTS = {
     "gaussian": {},
     "random": {},
 }
+INHERITED = ("H", "D_M", "eta", "eps")
 
 
 class ConfigError(ValueError):
@@ -79,10 +78,39 @@ class AggregationError(RuntimeError):
     """Aggregation over an incomplete or inconsistent record grid."""
 
 
-def _materialize(spec, defaults, kind):
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_positive(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and 0.0 < v < math.inf
+
+
+# The valid values of the spec and top-level fields that are not positive
+# numbers; None passes only where the field's default is None.
+_INT_AT_LEAST_1 = ("an integer >= 1", lambda v: _is_int(v) and v >= 1)
+_FIELD_RANGES = {
+    **dict.fromkeys(("h", "H", "d_x", "d_u", "d_w", "T", "n_systems", "n_seeds"), _INT_AT_LEAST_1),
+    "base_seed": ("an integer", _is_int),
+    "n_random_directions": ("an integer >= 0", lambda v: _is_int(v) and v >= 0),
+    "residual_bias": ("true or false", lambda v: isinstance(v, bool)),
+}
+
+
+def _check_field(where: str, key: str, value, nullable: bool) -> None:
+    if value is None and nullable:
+        return
+    expected, valid = _FIELD_RANGES.get(key, ("a positive number", _is_positive))
+    if not valid(value):
+        raise ConfigError(f"{where}: {key} must be {expected}, got {value!r}")
+
+
+def _materialize(spec, kind: str, config: "ExperimentConfig") -> dict:
     """A controller or generator spec (a name, or an object with a 'name'
-    field) merged over the defaults for that name; an unknown name or field
-    raises ConfigError."""
+    field) merged over the defaults for that name, the adaptive generators'
+    null INHERITED fields filled from the config's top level, and every
+    field range-checked; a bad name, field or value raises ConfigError."""
+    defaults = CONTROLLER_DEFAULTS if kind == "controller" else GENERATOR_DEFAULTS
     if isinstance(spec, str):
         spec = {"name": spec}
     if not isinstance(spec, dict) or "name" not in spec:
@@ -95,6 +123,12 @@ def _materialize(spec, defaults, kind):
         if key != "name" and key not in out:
             raise ConfigError(f"unknown field {key!r} in {kind} spec {name!r}")
         out[key] = value
+    if kind == "generator" and name in ("motr", "oga"):
+        for key in INHERITED:
+            if out[key] is None:
+                out[key] = getattr(config, key)
+    for key, default in defaults[name].items():
+        _check_field(f"{kind} {name!r}", key, out[key], default is None)
     out["name"] = name
     return out
 
@@ -111,12 +145,13 @@ def _fingerprint(*parts) -> str:
 
 @dataclass
 class ExperimentConfig:
-    """Benchmark definition; every field has an explicit value after load.
+    """Benchmark definition; every field has an explicit value after load,
+    and every value is range-checked then (ConfigError).
 
     The adaptive generator specs inherit H, D_M, eta, eps from the top
     level whenever the spec itself leaves them null; eta/eps remaining null
-    selects the documented runtime default (eta calibrated on the first
-    full window of observed quadratics, eps = 1/T).
+    selects the documented runtime default (eta calibrated on the largest
+    coefficient of the first min(2H + 2, T) observed quadratics, eps = 1/T).
     """
 
     d_x: int = 4
@@ -148,22 +183,11 @@ class ExperimentConfig:
     output_dir: str = "out"
 
     def __post_init__(self):
-        if min(self.d_x, self.d_u, self.d_w) < 1:
-            raise ConfigError("dimensions d_x, d_u, d_w must be >= 1")
-        if self.T < 1 or self.n_systems < 1 or self.n_seeds < 1:
-            raise ConfigError("T, n_systems and n_seeds must be >= 1")
-        if not (self.target_radius > 0.0):
-            raise ConfigError("target_radius must be positive")
-        if not (self.W_max > 0.0 and self.D_M > 0.0 and self.H >= 1):
-            raise ConfigError("W_max, D_M must be positive and H >= 1")
-        self.controllers = [_materialize(s, CONTROLLER_DEFAULTS, "controller") for s in self.controllers]
-        self.generators = [_materialize(s, GENERATOR_DEFAULTS, "generator") for s in self.generators]
-        # Top-level values fill per-spec nulls for the adaptive generators.
-        for spec in self.generators:
-            if spec["name"] in ("motr", "oga"):
-                for key in ("H", "D_M", "eta", "eps"):
-                    if spec[key] is None:
-                        spec[key] = getattr(self, key)
+        for key in ("d_x", "d_u", "d_w", "T", "n_systems", "n_seeds", "base_seed", "target_radius",
+                    "W_max") + INHERITED:
+            _check_field("config", key, getattr(self, key), key in ("eta", "eps"))
+        self.controllers = [_materialize(s, "controller", self) for s in self.controllers]
+        self.generators = [_materialize(s, "generator", self) for s in self.generators]
         names = [s["name"] for s in self.controllers]
         if len(set(names)) != len(names):
             raise ConfigError("duplicate controller names")
@@ -215,30 +239,17 @@ class RunRecord:
     rng_fingerprint: str
     wall_time: float = 0.0
 
-    _JSON_FIELDS = (
-        "system_index",
-        "seed_index",
-        "controller",
-        "generator",
-        "T",
-        "cumulative_average_cost",
-        "stage_costs",
-        "max_control_norm",
-        "max_state_norm",
-        "diverged",
-        "regret_hindsight",
-        "regret_achieved",
-        "rng_fingerprint",
-    )
-
     def to_json_line(self) -> str:
-        # wall_time deliberately excluded: reruns must be byte-identical.
-        return json.dumps({k: getattr(self, k) for k in self._JSON_FIELDS})
+        return json.dumps({k: getattr(self, k) for k in _JSON_FIELDS})
 
     @classmethod
     def from_json_line(cls, line: str) -> "RunRecord":
         obj = json.loads(line)
-        return cls(wall_time=0.0, **{k: obj[k] for k in cls._JSON_FIELDS})
+        return cls(wall_time=0.0, **{k: obj[k] for k in _JSON_FIELDS})
+
+
+# Every field but wall_time, in declaration order: reruns must be byte-identical.
+_JSON_FIELDS = tuple(f.name for f in fields(RunRecord) if f.name != "wall_time")
 
 
 @dataclass(frozen=True)
@@ -268,53 +279,34 @@ def build_bundle(config: ExperimentConfig, index: int) -> SystemBundle:
 
 
 def _build_controller(spec: dict, bundle: SystemBundle):
-    """The controller of a spec already checked and merged over its defaults."""
+    """The controller of a spec checked and merged by _materialize."""
     name = spec["name"]
     if name == "lqr":
         return LinearFeedback(bundle.lqr_K, "lqr")
     if name == "hinf":
-        return hinf_controller(bundle.hinf)
-    return gpc_controller(
-        bundle.system,
-        bundle.cw,
-        bundle.lqr_K,
-        h=spec["h"],
-        lr=spec["lr"],
-        ball_radius=spec["ball_radius"],
-    )
+        return LinearFeedback(bundle.hinf.K, "hinf")
+    return GpcController(bundle.system, bundle.cw, bundle.lqr_K, **_fields_of(spec))
 
 
-def _build_generator(spec: dict, bundle: SystemBundle, config: ExperimentConfig, seed: int):
-    """The generator of a spec of config.generators (checked and merged)."""
+def _build_generator(spec: dict, bundle: SystemBundle, T: int, W_max: float, seed: int):
+    """The generator of a spec checked and merged by _materialize."""
     name = spec["name"]
     if name in ("motr", "oga"):
-        cfg = MotrConfig(
-            T=config.T,
-            H=spec["H"],
-            D_M=spec["D_M"],
-            eta=spec["eta"],
-            eps=spec["eps"],
-            W_max=config.W_max,
-            residual_bias=spec["residual_bias"],
-            seed=seed,
-        )
         return AdaptiveCdgGenerator(
-            bundle.system, bundle.cw, bundle.hinf, cfg, update=name, lr=spec.get("lr")
+            bundle.system, bundle.cw, bundle.hinf,
+            update=name, T=T, W_max=W_max, seed=seed, **_fields_of(spec),
         )
     if name == "hinf":
-        return HinfGenerator(bundle.hinf, config.W_max)
+        return HinfGenerator(bundle.hinf, W_max)
     if name == "sine":
-        return sinusoid_generator(
-            bundle.system,
-            bundle.cw,
-            config.W_max,
-            config.T,
-            seed=seed,
-            n_random_directions=spec["n_random_directions"],
-        )
+        return sinusoid_generator(bundle.system, bundle.cw, W_max, T, seed=seed, **_fields_of(spec))
     if name == "gaussian":
-        return GaussianGenerator(config.d_w, config.W_max, seed)
-    return RandomDirectionGenerator(config.d_w, config.W_max, seed)
+        return GaussianGenerator(bundle.system.d_w, W_max, seed)
+    return RandomDirectionGenerator(bundle.system.d_w, W_max, seed)
+
+
+def _fields_of(spec: dict) -> dict:
+    return {k: v for k, v in spec.items() if k != "name"}
 
 
 def run_episode(
@@ -396,7 +388,7 @@ def _episode_task(args):
     x0_rng = np.random.default_rng(stable_seed(config.base_seed, "x0", bundle.index, seed_index))
     x0 = x0_rng.standard_normal(config.d_x)
     controller = _build_controller(ctrl_spec, bundle)
-    generator = _build_generator(gen_spec, bundle, config, episode_seed)
+    generator = _build_generator(gen_spec, bundle, config.T, config.W_max, episode_seed)
     return run_episode(
         bundle.system,
         bundle.cw,
@@ -616,28 +608,39 @@ def normalize_scores(records) -> AggregateTable:
     )
 
 
-def regret_curve(bundle: SystemBundle, controller_spec: dict, cfg: MotrConfig, T_grid, n_seeds: int):
-    """Mean surrogate regret of the adaptive generator at each horizon.
+def regret_curve(config: ExperimentConfig, system_index: int, controller: str, T_grid, n_seeds: int):
+    """Mean surrogate regret of MOTR against the named controller of the
+    config on its system system_index, at each horizon.
 
+    MOTR is the config's motr spec, or the default motr spec merged with
+    the config's top level when the config lists none; both are built as
+    run_grid builds them.  An unknown controller, a T_grid that is not
+    strictly increasing from 1 or more, or n_seeds < 1 raises ConfigError.
     Returns (rows, slope): rows of (T, regret, regret/T) averaged over
     seeds, and the fitted log-log slope of regret versus T (nan when any
     mean regret is non-positive).
     """
     T_grid = list(T_grid)
-    if any(b <= a for a, b in zip(T_grid, T_grid[1:])):
-        raise ValueError("T_grid must be strictly increasing")
-    controller_spec = _materialize(controller_spec, CONTROLLER_DEFAULTS, "controller")
+    if not T_grid or T_grid[0] < 1 or n_seeds < 1 or any(b <= a for a, b in zip(T_grid, T_grid[1:])):
+        raise ConfigError("T_grid must be strictly increasing from >= 1, and n_seeds >= 1")
+    ctrl_spec = next((c for c in config.controllers if c["name"] == controller), None)
+    if ctrl_spec is None:
+        raise ConfigError(f"controller {controller!r} not in config")
+    motr_spec = next((g for g in config.generators if g["name"] == "motr"), None)
+    if motr_spec is None:
+        motr_spec = _materialize("motr", "generator", config)
+    bundle = build_bundle(config, system_index)
     rows = []
     for T in T_grid:
         regs = []
         for s in range(n_seeds):
-            cfg_T = replace(cfg, T=T, seed=stable_seed(cfg.seed, "regret", T, s))
-            gen = AdaptiveCdgGenerator(bundle.system, bundle.cw, bundle.hinf, cfg_T, update="motr")
-            controller = _build_controller(controller_spec, bundle)
-            x0 = np.random.default_rng(stable_seed(cfg.seed, "regret-x0", s)).standard_normal(
+            seed = stable_seed(config.base_seed, "regret", T, s)
+            gen = _build_generator(motr_spec, bundle, T, config.W_max, seed)
+            ctrl = _build_controller(ctrl_spec, bundle)
+            x0 = np.random.default_rng(stable_seed(config.base_seed, "regret-x0", s)).standard_normal(
                 bundle.system.d_x
             )
-            run_episode(bundle.system, bundle.cw, controller, gen, T, x0)
+            run_episode(bundle.system, bundle.cw, ctrl, gen, T, x0)
             hind, ach = gen.regret_pair()
             regs.append(hind - ach)
         mean = float(np.mean(regs))

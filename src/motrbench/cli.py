@@ -18,7 +18,6 @@ from .bench import (
     AggregationError,
     ConfigError,
     ExperimentConfig,
-    build_bundle,
     load_records,
     normalize_scores,
     regret_curve,
@@ -26,7 +25,6 @@ from .bench import (
     write_outputs,
 )
 from .controllers import hinf_bisection, solve_dare
-from .generators import MotrConfig
 from .lds import CostWeights, LinearSystem
 from .trust_region import TrustRegionProblem, solve as tr_solve
 
@@ -77,19 +75,10 @@ def _cmd_regret(args) -> int:
         config = (
             ExperimentConfig.from_json_file(args.config) if args.config else ExperimentConfig()
         )
+        rows, slope = regret_curve(config, args.system_index, args.controller, args.T_grid, args.seeds)
     except ConfigError as exc:
         print(f"config error: {exc}", file=_sys.stderr)
         return 2
-    bundle = build_bundle(config, args.system_index)
-    spec = next((c for c in config.controllers if c["name"] == args.controller), None)
-    if spec is None:
-        print(f"controller {args.controller!r} not in config", file=_sys.stderr)
-        return 2
-    cfg = MotrConfig(
-        T=max(args.T_grid), H=config.H, D_M=config.D_M, eta=config.eta, eps=config.eps,
-        W_max=config.W_max, seed=config.base_seed,
-    )
-    rows, slope = regret_curve(bundle, spec, cfg, args.T_grid, args.seeds)
     out_dir = args.out or config.output_dir
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "regret.csv")
@@ -169,7 +158,7 @@ def main(argv=None) -> int:
     p_table.add_argument("--out", help="directory for the CSV tables")
     p_table.set_defaults(func=_cmd_table)
 
-    p_regret = sub.add_parser("regret", help="regret curve for the adaptive generator")
+    p_regret = sub.add_parser("regret", help="regret curve of the config's motr generator")
     p_regret.add_argument("--config", help="config JSON path")
     p_regret.add_argument("--controller", default="lqr")
     p_regret.add_argument("--system-index", type=int, default=0)

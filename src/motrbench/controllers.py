@@ -35,8 +35,6 @@ __all__ = [
     "solve_hinf_game",
     "hinf_bisection",
     "lqr_controller",
-    "hinf_controller",
-    "gpc_controller",
 ]
 
 
@@ -103,15 +101,6 @@ class HinfSolution:
             "W": self.W.tolist(),
             "gamma_star": self.gamma_star,
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "HinfSolution":
-        return cls(
-            P=np.array(obj["P"], dtype=float),
-            K=np.array(obj["K"], dtype=float),
-            W=np.array(obj["W"], dtype=float),
-            gamma_star=float(obj["gamma_star"]),
-        )
 
 
 def solve_hinf_game(
@@ -228,10 +217,6 @@ def lqr_controller(sys: LinearSystem, cw: CostWeights) -> LinearFeedback:
     return LinearFeedback(K, "lqr")
 
 
-def hinf_controller(sol: HinfSolution) -> LinearFeedback:
-    return LinearFeedback(sol.K, "hinf")
-
-
 class GpcController:
     """Gradient perturbation controller.
 
@@ -242,7 +227,10 @@ class GpcController:
     truncated rollout driven by the recent disturbances, evaluated at the
     state and control the current N would have produced; the gradient's
     policy-sum part is a stack of outer products of R v with the recent
-    w_hat (see _gradient).
+    w_hat (see _gradient).  lr scales the normalized step length
+    lr/sqrt(t), so by the end of a T-round episode the step size is of
+    order lr/sqrt(T); ball_radius None derives the projection radius
+    10 ||K_base||.
     """
 
     def __init__(
@@ -250,8 +238,9 @@ class GpcController:
         sys: LinearSystem,
         cw: CostWeights,
         K_base: np.ndarray,
-        h: int = 5,
-        lr: float = 0.01,
+        *,
+        h: int,
+        lr: float,
         ball_radius: Optional[float] = None,
     ):
         K_base = np.array(K_base, dtype=float)
@@ -330,18 +319,3 @@ class GpcController:
         self._prev = (x, u)
         self._t += 1
         return u
-
-
-def gpc_controller(
-    sys: LinearSystem,
-    cw: CostWeights,
-    K_base: np.ndarray,
-    h: int = 5,
-    lr: Optional[float] = None,
-    ball_radius: Optional[float] = None,
-) -> GpcController:
-    """GPC handle.  lr scales the normalized step length lr/sqrt(t), so by
-    the end of a T-round episode the step size is of order lr/sqrt(T)."""
-    if lr is None:
-        lr = 0.5
-    return GpcController(sys, cw, K_base, h=h, lr=lr, ball_radius=ball_radius)

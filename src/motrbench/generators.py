@@ -18,7 +18,6 @@ by open-loop cost; the search is linear in the phase (_sinusoid_scores).
 """
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -32,7 +31,6 @@ __all__ = [
     "GeneratorError",
     "TransformError",
     "DisturbanceGenerator",
-    "MotrConfig",
     "AdaptiveCdgGenerator",
     "HinfGenerator",
     "GaussianGenerator",
@@ -215,9 +213,10 @@ class SinusoidGenerator(DisturbanceGenerator):
         cw: CostWeights,
         W_max: float,
         T: int,
+        *,
+        n_random_directions: int,
         freqs: Optional[np.ndarray] = None,
         phases: Optional[np.ndarray] = None,
-        n_random_directions: int = 8,
         seed: int = 0,
     ):
         super().__init__()
@@ -245,12 +244,9 @@ class SinusoidGenerator(DisturbanceGenerator):
         self.omega = float(freqs[f])
         self.phase = float(phases[p])
         self.direction = dirs[d]
-        self._t = 0
 
     def _emit(self, x):
-        w = self.W_max * math.sin(self.omega * self._t + self.phase) * self.direction
-        self._t += 1
-        return w
+        return self.W_max * math.sin(self.omega * self._round + self.phase) * self.direction
 
 
 def transform_residual(sys: LinearSystem, hinf: HinfSolution) -> LinearSystem:
@@ -263,35 +259,6 @@ def transform_residual(sys: LinearSystem, hinf: HinfSolution) -> LinearSystem:
     return LinearSystem(Abar, sys.B, sys.C)
 
 
-@dataclass
-class MotrConfig:
-    """Adaptive-generator configuration.
-
-    eta and eps default at runtime: eps to 1/T, eta to the nominal
-    perturbation rate computed from the largest coefficient of the
-    quadratics observed during the warm-up rounds.
-    """
-
-    T: int
-    H: int = 3
-    D_M: float = 0.3
-    eta: Optional[float] = None
-    eps: Optional[float] = None
-    W_max: float = 1.0
-    residual_bias: bool = True
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.T < 1 or self.H < 1:
-            raise ValueError("T and H must be positive")
-        if not (self.D_M > 0.0 and self.W_max > 0.0):
-            raise ValueError("D_M and W_max must be positive")
-        if self.eta is not None and not (self.eta > 0.0):
-            raise ValueError("eta must be positive when given")
-        if self.eps is not None and not (self.eps > 0.0):
-            raise ValueError("eps must be positive when given")
-
-
 class AdaptiveCdgGenerator(DisturbanceGenerator):
     """The MOTR and OGA generators.
 
@@ -300,7 +267,8 @@ class AdaptiveCdgGenerator(DisturbanceGenerator):
     they differ only in how the policy is updated from it.  update is
     "motr" (perturbed-leader trust-region step on the running sum of the
     quadratics, OtrState) or "oga" (one projected gradient-ascent step at
-    the current policy).
+    the current policy).  The keyword arguments after update are the
+    fields of a motr/oga spec, whose defaults and ranges bench.py holds.
     """
 
     def __init__(
@@ -308,18 +276,25 @@ class AdaptiveCdgGenerator(DisturbanceGenerator):
         sys: LinearSystem,
         cw: CostWeights,
         hinf: HinfSolution,
-        cfg: MotrConfig,
-        update: str = "motr",
+        *,
+        update: str,
+        T: int,
+        H: int,
+        D_M: float,
+        W_max: float,
+        residual_bias: bool,
+        seed: int,
+        eta: Optional[float] = None,
+        eps: Optional[float] = None,
         lr: Optional[float] = None,
     ):
         super().__init__()
         if update not in ("motr", "oga"):
             raise ValueError(f"unknown update rule {update!r}")
         self.name = update
-        self.cfg = cfg
         self.cw = cw
-        H = cfg.H
-        if cfg.residual_bias:
+        self.T, self.H, self.D_M, self.W_max = T, H, D_M, float(W_max)
+        if residual_bias:
             self.base = transform_residual(sys, hinf)
             self.K, self.Wb = hinf.K, hinf.W
         else:
@@ -333,15 +308,18 @@ class AdaptiveCdgGenerator(DisturbanceGenerator):
             ) from exc
         self.d_x, self.d_u, self.d_w = sys.d_x, sys.d_u, sys.d_w
         self.n = H * self.d_w * self.d_u
-        self.eps = cfg.eps if cfg.eps is not None else 1.0 / cfg.T
-        self.rng = np.random.default_rng(cfg.seed)
+        # None derives the value: eps = 1/T, OGA's step scale lr = 0.1 D_M,
+        # and eta as described below.
+        self.eps = eps if eps is not None else 1.0 / T
+        self.lr = lr if lr is not None else 0.1 * D_M
+        self.rng = np.random.default_rng(seed)
         # The episode's one running sum of the round quadratics: MOTR's
         # leader and the regret audit of both update rules.  Without a given
         # eta, MOTR calibrates it on the coefficient scale of the first
         # _warmup_rounds + 1 quadratics and only then starts to play.
-        self._state = OtrState(self.n, cfg.D_M, self.eps, cfg.seed + 1, cfg.eta)
+        self._state = OtrState(self.n, D_M, self.eps, seed + 1, eta)
         self._coeff_max = 0.0
-        self._warmup_rounds = min(2 * H + 1, max(1, cfg.T - 1))
+        self._warmup_rounds = min(2 * H + 1, max(1, T - 1))
         # Bias contribution (A^a C) W x_{t-a} of each unrolled step to the
         # rollout state.  The product is formed from A^a, not from the
         # plant's A^a C: that reassociation changes last bits, which GPC
@@ -352,7 +330,6 @@ class AdaptiveCdgGenerator(DisturbanceGenerator):
             for _ in range(H + 1):
                 self._bias_mats.append(Ak @ self.base.C @ self.Wb)
                 Ak = self.base.A @ Ak
-        self.lr = lr
         self.M = self._initial_policy()
         self._r_hist: list = []  # residual controls, most recent first
         self._x_hist: list = []  # states, most recent first
@@ -362,15 +339,15 @@ class AdaptiveCdgGenerator(DisturbanceGenerator):
         v = self.rng.standard_normal(self.n)
         norm = float(np.linalg.norm(v))
         if norm > 0.0:
-            v *= self.cfg.D_M * self.rng.random() ** (1.0 / self.n) / norm
-        return CdgPolicy.from_vec(v, self.cfg.H, self.d_w, self.d_u, self.cfg.D_M)
+            v *= self.D_M * self.rng.random() ** (1.0 / self.n) / norm
+        return CdgPolicy.from_vec(v, self.H, self.d_w, self.d_u, self.D_M)
 
     def _emit(self, x):
-        w = self.M.disturbance(self._r_hist[: self.cfg.H])
+        w = self.M.disturbance(self._r_hist[: self.H])
         if self.Wb is not None:
             w += self.Wb @ x
         self._pending_x = x
-        return scale_to_budget(w, self.cfg.W_max)
+        return scale_to_budget(w, self.W_max)
 
     def _bias_vec(self) -> Optional[np.ndarray]:
         if self._bias_mats is None:
@@ -381,7 +358,7 @@ class AdaptiveCdgGenerator(DisturbanceGenerator):
         return v
 
     def _observe(self, u):
-        H = self.cfg.H
+        H = self.H
         x = self._pending_x
         r = self.K @ x + u
         window = np.zeros((2 * H + 1, self.d_u))
@@ -393,9 +370,7 @@ class AdaptiveCdgGenerator(DisturbanceGenerator):
             if self.name == "motr":
                 v = self._motr_step(rq)
             else:
-                step = (self.lr if self.lr is not None else 0.1 * self.cfg.D_M) / math.sqrt(
-                    self._round + 1.0
-                )
+                step = self.lr / math.sqrt(self._round + 1.0)
                 v = self.M.vec()
                 g = (rq.P + rq.P.T) @ v + rq.p
                 gnorm = math.sqrt(g @ g)
@@ -403,7 +378,7 @@ class AdaptiveCdgGenerator(DisturbanceGenerator):
                     v = v + step * g / gnorm
             if v is not None:
                 self.M = project_frobenius(
-                    CdgPolicy.from_vec(v, H, self.d_w, self.d_u, np.inf), self.cfg.D_M
+                    CdgPolicy.from_vec(v, H, self.d_w, self.d_u, np.inf), self.D_M
                 )
         except (ValueError, RuntimeError) as exc:
             if isinstance(exc, GeneratorError):
@@ -424,7 +399,7 @@ class AdaptiveCdgGenerator(DisturbanceGenerator):
             if self._round < self._warmup_rounds:
                 return None
             state.eta = default_perturbation_rate(
-                max(self._coeff_max, 1e-9), self.n, self.cfg.D_M, self.cfg.H, self.cfg.T
+                max(self._coeff_max, 1e-9), self.n, self.D_M, self.H, self.T
             )
         return state.update()
 

@@ -16,7 +16,7 @@ from motrbench.bench import (
     write_outputs,
 )
 from motrbench.controllers import lqr_controller
-from motrbench.generators import MotrConfig, RandomDirectionGenerator
+from motrbench.generators import RandomDirectionGenerator
 from motrbench.lds import CostWeights, random_system
 
 
@@ -165,13 +165,30 @@ def test_config_materializes_defaults_and_rejects_unknown():
     motr = next(s for s in cfg.generators if s["name"] == "motr")
     assert motr["H"] == cfg.H and motr["D_M"] == cfg.D_M
     gpc = next(s for s in cfg.controllers if s["name"] == "gpc")
-    assert gpc["h"] == 5
+    assert gpc["h"] == 5 and gpc["lr"] == 0.5
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"bogus": 1})
     with pytest.raises(ConfigError):
         ExperimentConfig(controllers=[{"name": "nope"}])
     with pytest.raises(ConfigError):
         ExperimentConfig(generators=[{"name": "motr", "typo": 2}])
+    # Every spec value is range-checked at load, before any episode runs.
+    for fields in (
+        {"generators": [{"name": "motr", "D_M": -1}]},
+        {"generators": [{"name": "motr", "eta": 0}]},
+        {"eta": 0},
+        {"H": 2.5},
+        {"T": "200"},
+        {"d_w": 0},
+        {"generators": [{"name": "oga", "lr": -0.5}]},
+        {"generators": [{"name": "oga", "residual_bias": "no"}]},
+        {"generators": [{"name": "sine", "n_random_directions": -3}]},
+        {"controllers": [{"name": "gpc", "h": 0}]},
+        {"controllers": [{"name": "gpc", "lr": -1}]},
+        {"controllers": [{"name": "gpc", "ball_radius": float("nan")}]},
+    ):
+        with pytest.raises(ConfigError, match="must be"):
+            ExperimentConfig(**fields)
 
 
 def test_config_json_file_errors(tmp_path):
@@ -274,21 +291,19 @@ def test_regret_curve_sublinear_on_default_system():
     # Surrogate regret of the adaptive generator against the best fixed
     # policy in hindsight: per-round regret shrinks with the horizon.
     cfg = ExperimentConfig(n_systems=1, n_seeds=1)
-    bundle = build_bundle(cfg, 0)
-    motr_cfg = MotrConfig(T=2000, H=3, D_M=0.3, W_max=1.0, seed=0)
-    rows, slope = regret_curve(bundle, {"name": "lqr"}, motr_cfg, [250, 500, 1000, 2000], 3)
+    rows, slope = regret_curve(cfg, 0, "lqr", [250, 500, 1000, 2000], 3)
     per_round = [r[2] for r in rows]
     assert all(b < a for a, b in zip(per_round, per_round[1:]))
     assert slope <= 0.65
 
 
 def test_regret_curve_runs_and_validates():
-    cfg = ExperimentConfig(n_systems=1, n_seeds=1)
-    bundle = build_bundle(cfg, 0)
-    motr_cfg = MotrConfig(T=100, H=2, D_M=0.3, W_max=1.0, seed=0)
-    rows, slope = regret_curve(bundle, {"name": "lqr"}, motr_cfg, [50, 100], 2)
+    cfg = ExperimentConfig(n_systems=1, n_seeds=1, H=2)
+    rows, slope = regret_curve(cfg, 0, "lqr", [50, 100], 2)
     assert [r[0] for r in rows] == [50, 100]
     for T, reg, per in rows:
         assert per == pytest.approx(reg / T)
     with pytest.raises(ValueError):
-        regret_curve(bundle, {"name": "lqr"}, motr_cfg, [100, 50], 1)
+        regret_curve(cfg, 0, "lqr", [100, 50], 1)
+    with pytest.raises(ConfigError, match="not in config"):
+        regret_curve(cfg, 0, "nope", [50], 1)

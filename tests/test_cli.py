@@ -114,6 +114,15 @@ def test_malformed_config_exit_code(tmp_path, capsys):
     unknown = write_json(tmp_path / "unknown.json", {"whatever": 1})
     assert main(["run", "--config", unknown]) == 2
 
+    # A spec value out of range fails at load, before any episode runs.
+    out_of_range = write_json(
+        tmp_path / "range.json", {**small_config_dict(), "generators": [{"name": "motr", "D_M": -1}]}
+    )
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", out_of_range, "--out", str(out_dir)]) == 2
+    assert "D_M must be a positive number" in capsys.readouterr().err
+    assert not (out_dir / "runs.jsonl").exists()
+
 
 def test_solve_tr_subcommand(tmp_path, capsys):
     prob = write_json(
@@ -158,3 +167,28 @@ def test_regret_subcommand(tmp_path, capsys):
     assert lines[0] == "T,regret,regret_per_round,loglog_slope"
     assert len(lines) == 3
     assert "fitted log-log slope" in capsys.readouterr().out
+
+    assert main(["regret", "--config", cfg_path, "--controller", "gpc", "--T-grid", "40"]) == 2
+    assert "not in config" in capsys.readouterr().err
+    assert main(["regret", "--config", cfg_path, "--T-grid", "80,40"]) == 2
+    assert "strictly increasing" in capsys.readouterr().err
+
+
+def test_regret_uses_the_configs_motr_spec(tmp_path, capsys):
+    def regret_lines(generators, name):
+        cfg_path = write_json(
+            tmp_path / f"{name}.json",
+            {**small_config_dict(), "n_systems": 1, "n_seeds": 1, "generators": generators},
+        )
+        assert main([
+            "regret", "--config", cfg_path, "--T-grid", "40,80", "--seeds", "1",
+            "--out", str(tmp_path / name),
+        ]) == 0
+        return [line for line in capsys.readouterr().out.splitlines() if line.startswith("T=")]
+
+    default = regret_lines([{"name": "motr"}], "default")
+    assert regret_lines(["random"], "absent") == default
+    changed = regret_lines([{"name": "motr", "H": 1, "residual_bias": False}], "changed")
+    assert len(changed) == len(default) == 2
+    assert changed[0] != default[0] and changed[1] != default[1]
+

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from motrbench.bench import CONTROLLER_DEFAULTS
 from motrbench.cdg import CdgPolicy
 from motrbench.controllers import (
     BracketingError,
     GpcController,
-    gpc_controller,
+    LinearFeedback,
     hinf_bisection,
-    hinf_controller,
     lqr_controller,
     solve_dare,
     solve_hinf_game,
@@ -15,6 +15,7 @@ from motrbench.controllers import (
 from motrbench.lds import CostWeights, LinearSystem, random_system, stage_cost, step
 
 CW2 = CostWeights(np.eye(2), np.eye(2))
+GPC = CONTROLLER_DEFAULTS["gpc"]  # the benchmark's GPC: h, lr, ball_radius
 
 
 def scalar_system(a, b=1.0, c=1.0):
@@ -162,7 +163,7 @@ def test_hinf_bisection_feasible_and_bracketing_error():
 def test_linear_feedback_handles():
     sys = random_system(3, 2, 2, seed=12, target_radius=0.9)
     cw = CostWeights(np.eye(3), np.eye(2))
-    for handle in (lqr_controller(sys, cw), hinf_controller(hinf_bisection(sys, cw))):
+    for handle in (lqr_controller(sys, cw), LinearFeedback(hinf_bisection(sys, cw).K, "hinf")):
         assert np.allclose(handle.act(np.zeros(3)), 0.0)
         x = np.array([1.0, -2.0, 0.5])
         assert np.array_equal(handle.act(x), handle.act(x))
@@ -190,7 +191,7 @@ def test_gpc_stays_at_base_policy_without_disturbances():
     sys = random_system(3, 2, 2, seed=13, target_radius=0.8)
     cw = CostWeights(np.eye(3), np.eye(2))
     _, K = solve_dare(sys, cw)
-    gpc = gpc_controller(sys, cw, K)
+    gpc = GpcController(sys, cw, K, **GPC)
     x = np.array([1.0, 0.0, -1.0])
     for _ in range(20):
         u = gpc.act(x)
@@ -210,7 +211,7 @@ def test_gpc_beats_lqr_under_constant_disturbance():
         wbar /= np.linalg.norm(wbar)
         gen = lambda t, x: wbar  # noqa: E731
         c_lqr = episode_cost(sys, cw, lqr_controller(sys, cw), gen, T, np.zeros(4))
-        c_gpc = episode_cost(sys, cw, gpc_controller(sys, cw, K), gen, T, np.zeros(4))
+        c_gpc = episode_cost(sys, cw, GpcController(sys, cw, K, **GPC), gen, T, np.zeros(4))
         assert c_gpc <= c_lqr
 
 
@@ -222,7 +223,7 @@ def test_gpc_policy_norm_bounded_and_deterministic():
     ws = [rng.standard_normal(2) for _ in range(100)]
 
     def run():
-        gpc = gpc_controller(sys, cw, K, h=4)
+        gpc = GpcController(sys, cw, K, **{**GPC, "h": 4})
         x = np.zeros(4)
         outs = []
         for t in range(100):
@@ -245,7 +246,7 @@ def test_gpc_gradient_matches_finite_differences():
     cw = CostWeights(np.diag([1.0, 2.0, 0.5]), np.diag([0.7, 1.5]))
     _, K = solve_dare(sys, cw)
     h = 3
-    gpc = GpcController(sys, cw, K, h=h, ball_radius=100.0)
+    gpc = GpcController(sys, cw, K, h=h, lr=0.5, ball_radius=100.0)
     rng = np.random.default_rng(5)
     window = rng.standard_normal((2 * h + 1, 3))
     Abar = sys.A - sys.B @ K
@@ -273,4 +274,4 @@ def test_gpc_requires_stabilizing_base():
     sys = scalar_system(1.5)
     cw = CostWeights(np.eye(1), np.eye(1))
     with pytest.raises(ValueError):
-        GpcController(sys, cw, np.zeros((1, 1)))
+        GpcController(sys, cw, np.zeros((1, 1)), **GPC)

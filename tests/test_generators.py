@@ -9,7 +9,6 @@ from motrbench.generators import (
     GaussianGenerator,
     GeneratorError,
     HinfGenerator,
-    MotrConfig,
     RandomDirectionGenerator,
     TransformError,
     _sinusoid_scores,
@@ -114,7 +113,7 @@ def test_random_direction_generator():
 def test_sinusoid_tie_break_takes_first_candidate():
     sys = LinearSystem(np.zeros((2, 2)), np.eye(2), np.eye(2))
     cw = CostWeights(np.zeros((2, 2)), np.zeros((2, 2)))
-    gen = sinusoid_generator(sys, cw, W_max=1.0, T=20, seed=0)
+    gen = sinusoid_generator(sys, cw, W_max=1.0, T=20, seed=0, n_random_directions=8)
     assert gen.omega == pytest.approx(0.0)
     assert gen.phase == pytest.approx(0.0)
     assert np.allclose(gen.direction, [1.0, 0.0])
@@ -163,7 +162,7 @@ def test_sinusoid_tie_between_phase_and_phase_plus_pi_takes_first():
     sys = random_system(4, 2, 2, seed=0)
     cw = CostWeights(np.eye(4), np.eye(2))
     phases = 2.0 * np.pi * np.arange(8) / 8.0
-    gen = sinusoid_generator(sys, cw, W_max=1.0, T=200, seed=0, phases=phases)
+    gen = sinusoid_generator(sys, cw, W_max=1.0, T=200, seed=0, n_random_directions=8, phases=phases)
     assert gen.omega == pytest.approx(0.6 * np.pi)
     assert gen.phase == pytest.approx(0.5 * np.pi)
     dirs = gen.direction[None, :]
@@ -173,7 +172,7 @@ def test_sinusoid_tie_between_phase_and_phase_plus_pi_takes_first():
 
 def test_sinusoid_amplitude_bound():
     sys, cw, _ = make_setup(seed=3)
-    gen = sinusoid_generator(sys, cw, W_max=0.8, T=50, seed=1)
+    gen = sinusoid_generator(sys, cw, W_max=0.8, T=50, seed=1, n_random_directions=8)
     for t in range(100):
         w = gen.emit(np.zeros(4))
         gen.observe(np.zeros(2))
@@ -191,7 +190,7 @@ def test_sinusoid_finds_resonance():
     sys = LinearSystem(0.97 * rot, np.eye(2), np.eye(2))
     cw = CostWeights(np.eye(2), np.eye(2))
     freqs = np.linspace(0.0, np.pi, 16)
-    gen = sinusoid_generator(sys, cw, W_max=1.0, T=400, seed=0)
+    gen = sinusoid_generator(sys, cw, W_max=1.0, T=400, seed=0, n_random_directions=8)
     # Oracle: densely sweep frequencies with the steady-state amplification
     # of the resolvent and pick the best grid point.
     amps = [np.linalg.norm(np.linalg.inv(np.exp(1j * om) * np.eye(2) - sys.A)) for om in freqs]
@@ -211,8 +210,9 @@ def test_generator_call_order_enforced():
 
 def test_motr_zero_residual_path_recovers_equilibrium():
     sys, cw, hinf = make_setup(seed=4)
-    cfg = MotrConfig(T=40, H=3, D_M=0.3, W_max=1.0, seed=7)
-    motr = AdaptiveCdgGenerator(sys, cw, hinf, cfg, update="motr")
+    motr = AdaptiveCdgGenerator(
+        sys, cw, hinf, update="motr", T=40, H=3, D_M=0.3, W_max=1.0, residual_bias=True, seed=7
+    )
     ref = HinfGenerator(hinf, 1.0)
     x = np.random.default_rng(0).standard_normal(4)
     for _ in range(40):
@@ -227,8 +227,9 @@ def test_motr_zero_residual_path_recovers_equilibrium():
 
 def test_motr_small_ball_limit_matches_equilibrium_generator():
     sys, cw, hinf = make_setup(seed=5)
-    cfg = MotrConfig(T=40, H=2, D_M=1e-8, W_max=1.0, seed=3)
-    motr = AdaptiveCdgGenerator(sys, cw, hinf, cfg, update="motr")
+    motr = AdaptiveCdgGenerator(
+        sys, cw, hinf, update="motr", T=40, H=2, D_M=1e-8, W_max=1.0, residual_bias=True, seed=3
+    )
     ref = HinfGenerator(hinf, 1.0)
     ctrl = lqr_controller(sys, cw)
     x = np.random.default_rng(1).standard_normal(4)
@@ -248,8 +249,9 @@ def test_motr_deterministic_and_budgeted():
     x0 = np.random.default_rng(2).standard_normal(4)
 
     def run():
-        cfg = MotrConfig(T=60, H=3, D_M=0.3, W_max=1.0, seed=11)
-        gen = AdaptiveCdgGenerator(sys, cw, hinf, cfg, update="motr")
+        gen = AdaptiveCdgGenerator(
+            sys, cw, hinf, update="motr", T=60, H=3, D_M=0.3, W_max=1.0, residual_bias=True, seed=11
+        )
         ws = drive(sys, gen, ctrl.act, 60, x0)
         return ws, gen
 
@@ -262,8 +264,9 @@ def test_motr_deterministic_and_budgeted():
 
 def test_oga_generator_budgeted_and_in_ball():
     sys, cw, hinf = make_setup(seed=7)
-    cfg = MotrConfig(T=60, H=3, D_M=0.3, W_max=1.0, seed=13)
-    gen = AdaptiveCdgGenerator(sys, cw, hinf, cfg, update="oga")
+    gen = AdaptiveCdgGenerator(
+        sys, cw, hinf, update="oga", T=60, H=3, D_M=0.3, W_max=1.0, residual_bias=True, seed=13
+    )
     ctrl = lqr_controller(sys, cw)
     x0 = np.random.default_rng(3).standard_normal(4)
     ws = drive(sys, gen, ctrl.act, 60, x0)
@@ -280,21 +283,25 @@ def test_motr_oga_share_paths_when_frozen():
     x0 = np.random.default_rng(4).standard_normal(4)
     outs, policies = [], []
     for update in ("motr", "oga"):
-        cfg = MotrConfig(T=50, H=3, D_M=0.3, W_max=1.0, seed=17)
-        gen = AdaptiveCdgGenerator(sys, cw, hinf, cfg, update=update)
+        gen = AdaptiveCdgGenerator(
+            sys, cw, hinf, update=update, T=50, H=3, D_M=0.3, W_max=1.0, residual_bias=True, seed=17
+        )
         assert gen.name == update
         policies.append(gen.M.blocks)
         outs.append(drive(sys, gen, lambda x: -hinf.K @ x, 50, x0))
     assert np.array_equal(policies[0], policies[1])
     assert np.array_equal(outs[0], outs[1])
     with pytest.raises(ValueError):
-        AdaptiveCdgGenerator(sys, cw, hinf, MotrConfig(T=5), update="none")
+        AdaptiveCdgGenerator(
+            sys, cw, hinf, update="none", T=5, H=3, D_M=0.3, W_max=1.0, residual_bias=True, seed=0
+        )
 
 
 def test_motr_regret_pair_hindsight_dominates():
     sys, cw, hinf = make_setup(seed=9)
-    cfg = MotrConfig(T=80, H=3, D_M=0.3, W_max=1.0, seed=19)
-    gen = AdaptiveCdgGenerator(sys, cw, hinf, cfg, update="motr")
+    gen = AdaptiveCdgGenerator(
+        sys, cw, hinf, update="motr", T=80, H=3, D_M=0.3, W_max=1.0, residual_bias=True, seed=19
+    )
     ctrl = lqr_controller(sys, cw)
     x0 = np.random.default_rng(5).standard_normal(4)
     drive(sys, gen, ctrl.act, 80, x0)
@@ -322,8 +329,9 @@ def test_motr_plays_the_doubled_leader_of_the_audited_sums(monkeypatch):
 
     monkeypatch.setattr(generators, "rollout_cost_quadratic", recording)
     sys, cw, hinf = make_setup(seed=4)
-    cfg = MotrConfig(T=40, H=3, D_M=0.3, W_max=1.0, eta=1.0, seed=7)
-    gen = AdaptiveCdgGenerator(sys, cw, hinf, cfg, update="motr")
+    gen = AdaptiveCdgGenerator(
+        sys, cw, hinf, update="motr", T=40, H=3, D_M=0.3, W_max=1.0, eta=1.0, residual_bias=True, seed=7
+    )
     assert gen.n == sigma.size
     ctrl = lqr_controller(sys, cw)
     x = np.random.default_rng(8).standard_normal(4)
@@ -336,9 +344,9 @@ def test_motr_plays_the_doubled_leader_of_the_audited_sums(monkeypatch):
         gen.observe(u)
         achieved += seen[-1].evaluate(played)
         P, p = sum(q.P for q in seen), sum(q.p for q in seen)
-        leader = tr_solve(TrustRegionProblem(2.0 * P, p - sigma, cfg.D_M), gen.eps)
+        leader = tr_solve(TrustRegionProblem(2.0 * P, p - sigma, gen.D_M), gen.eps)
         np.testing.assert_allclose(gen.M.vec(), leader.z, rtol=0.0, atol=1e-12)
-    best = tr_solve(TrustRegionProblem(P, p, cfg.D_M), gen.eps).value
+    best = tr_solve(TrustRegionProblem(P, p, gen.D_M), gen.eps).value
     hind, ach = gen.regret_pair()
     assert hind == pytest.approx(best + sum(q.const for q in seen), rel=1e-12)
     assert ach == pytest.approx(achieved, rel=1e-12)
@@ -348,8 +356,9 @@ def test_pure_mode_requires_stability_and_runs():
     sys = random_system(3, 2, 2, seed=10, target_radius=0.8)
     cw = CostWeights(np.eye(3), np.eye(2))
     hinf = hinf_bisection(sys, cw)
-    cfg = MotrConfig(T=30, H=2, D_M=0.2, W_max=1.0, residual_bias=False, seed=1)
-    gen = AdaptiveCdgGenerator(sys, cw, hinf, cfg, update="motr")
+    gen = AdaptiveCdgGenerator(
+        sys, cw, hinf, update="motr", T=30, H=2, D_M=0.2, W_max=1.0, residual_bias=False, seed=1
+    )
     ctrl = lqr_controller(sys, cw)
     ws = drive(sys, gen, ctrl.act, 30, np.random.default_rng(6).standard_normal(3))
     assert np.all(np.linalg.norm(ws, axis=1) <= 1.0 + 1e-9)
@@ -358,4 +367,6 @@ def test_pure_mode_requires_stability_and_runs():
     cw2 = CostWeights(np.eye(2), np.eye(2))
     hinf2 = hinf_bisection(unstable, cw2)
     with pytest.raises(TransformError):
-        AdaptiveCdgGenerator(unstable, cw2, hinf2, MotrConfig(T=10, H=1, residual_bias=False, seed=0))
+        AdaptiveCdgGenerator(
+            unstable, cw2, hinf2, update="motr", T=10, H=1, D_M=0.3, W_max=1.0, residual_bias=False, seed=0
+        )
