@@ -467,12 +467,18 @@ def write_outputs(records, config: ExperimentConfig, out_dir: str, failures=()):
 
 
 def load_records(path: str):
+    """The records of a runs.jsonl; a line that is not a record raises
+    ValueError naming the line."""
     records = []
     with open(path) as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if line:
-                records.append(RunRecord.from_json_line(line))
+                try:
+                    records.append(RunRecord.from_json_line(line))
+                except (KeyError, TypeError, ValueError) as exc:
+                    what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+                    raise ValueError(f"{path} line {number}: not a run record: {what}") from None
     return records
 
 

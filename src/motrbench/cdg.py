@@ -25,7 +25,8 @@ Conventions (pinned by the calibration tests against direct simulation):
 * A policy is stored as one (H, d_w, d_u) array and flattened column-major
   over the vertically stacked (H d_w, d_u) matrix:
   vec index = col*(H*d_w) + (block-1)*d_w + row.  CdgPolicy.vec and
-  CdgPolicy.from_vec are the only conversions to these coordinates.
+  CdgPolicy.from_vec are the only conversions to these coordinates; the
+  adaptive generators keep their policy in them.
 """
 
 import math
@@ -221,7 +222,7 @@ class RolloutQuadratic:
         v = np.asarray(v, dtype=float)
         if v.shape != (self.n,):
             raise ValueError(f"expected flattened policy of length {self.n}")
-        return float(v @ self.P @ v + self.p @ v + self.const)
+        return float(v @ (self.P @ v + self.p)) + self.const
 
     def evaluate_policy(self, policy: CdgPolicy) -> float:
         return self.evaluate(policy.vec())
@@ -244,8 +245,6 @@ def rollout_cost_quadratic(
     """
     T, b = affine_state_map(powers, window, bias_vec)
     u_now = np.asarray(u_now, dtype=float)
-    Qb = cw.Q @ b
-    P = T.T @ cw.Q @ T
-    p = 2.0 * (T.T @ Qb)
+    QT, Qb = cw.Q @ T, cw.Q @ b
     const = float(b @ Qb + u_now @ cw.R @ u_now)
-    return RolloutQuadratic(P=P, p=p, const=const)
+    return RolloutQuadratic(P=T.T @ QT, p=2.0 * (T.T @ Qb), const=const)

@@ -52,7 +52,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    records = load_records(args.runs)
+    try:
+        records = load_records(args.runs)
+    except (OSError, ValueError) as exc:
+        print(f"bad runs input: {exc}", file=_sys.stderr)
+        return 2
     try:
         table = normalize_scores(records)
     except AggregationError as exc:

@@ -12,6 +12,10 @@ policy reads residual controls r_t = K x_t + u_t, and the disturbance
 bias is the game's equilibrium gain W x_t.  Against a controller playing
 exactly u = -K x the residuals vanish and the equilibrium generator is
 recovered; MOTR's learned component only spends its budget on deviations.
+Their policy is stored as the learner's vector (CdgPolicy.vec order): the
+emitted disturbance, the update and the projection onto the D_M ball all
+work on that vector, and AdaptiveCdgGenerator.M builds the blocks only
+when asked.
 
 The sinusoid generator picks its one sinusoid offline, before the episode,
 by open-loop cost; the search is linear in the phase (_sinusoid_scores).
@@ -22,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cdg import CdgPolicy, InstabilityError, plant_powers, project_frobenius, rollout_cost_quadratic
+from .cdg import CdgPolicy, InstabilityError, plant_powers, rollout_cost_quadratic
 from .controllers import HinfSolution
 from .lds import CostWeights, LinearSystem, spectral_radius
 from .online import OtrState, default_perturbation_rate
@@ -269,6 +273,11 @@ class AdaptiveCdgGenerator(DisturbanceGenerator):
     quadratics, OtrState) or "oga" (one projected gradient-ascent step at
     the current policy).  The keyword arguments after update are the
     fields of a motr/oga spec, whose defaults and ranges bench.py holds.
+
+    The policy is stored as the learner's vector (CdgPolicy.vec order), so
+    the round reads, updates and projects it without conversions; M builds
+    the CdgPolicy on demand.  The last 2H+1 residual controls and the last
+    H+1 states are kept in rolling windows, most recent first.
     """
 
     def __init__(
@@ -320,74 +329,74 @@ class AdaptiveCdgGenerator(DisturbanceGenerator):
         self._state = OtrState(self.n, D_M, self.eps, seed + 1, eta)
         self._coeff_max = 0.0
         self._warmup_rounds = min(2 * H + 1, max(1, T - 1))
-        # Bias contribution (A^a C) W x_{t-a} of each unrolled step to the
-        # rollout state.  The product is formed from A^a, not from the
-        # plant's A^a C: that reassociation changes last bits, which GPC
-        # episodes amplify to percent-level cost changes.
-        self._bias_mats = None
+        # Bias contribution sum_a (A^a C) W x_{t-1-a} of the last H+1 states
+        # to the rollout state, as one (d_x, (H+1) d_x) matrix.  Each block
+        # is formed from A^a, not from the plant's A^a C: that reassociation
+        # changes last bits, which GPC episodes amplify to percent-level cost
+        # changes.
+        self._bias_mat = None
         if self.Wb is not None:
-            Ak, self._bias_mats = np.eye(self.d_x), []
+            Ak, blocks = np.eye(self.d_x), []
             for _ in range(H + 1):
-                self._bias_mats.append(Ak @ self.base.C @ self.Wb)
+                blocks.append(Ak @ self.base.C @ self.Wb)
                 Ak = self.base.A @ Ak
-        self.M = self._initial_policy()
-        self._r_hist: list = []  # residual controls, most recent first
-        self._x_hist: list = []  # states, most recent first
+            self._bias_mat = np.hstack(blocks)
+        self._v = self._initial_policy()
+        self._r_win = np.zeros((2 * H + 1, self.d_u))  # residual controls
+        self._x_win = np.zeros((H + 1, self.d_x))  # states
         self._pending_x: Optional[np.ndarray] = None
 
-    def _initial_policy(self) -> CdgPolicy:
+    @property
+    def M(self) -> CdgPolicy:
+        """The current policy as blocks (built from the vector on each call)."""
+        return CdgPolicy.from_vec(self._v, self.H, self.d_w, self.d_u, self.D_M)
+
+    def _initial_policy(self) -> np.ndarray:
         v = self.rng.standard_normal(self.n)
         norm = float(np.linalg.norm(v))
         if norm > 0.0:
             v *= self.D_M * self.rng.random() ** (1.0 / self.n) / norm
-        return CdgPolicy.from_vec(v, self.H, self.d_w, self.d_u, self.D_M)
+        return v
 
     def _emit(self, x):
-        w = self.M.disturbance(self._r_hist[: self.H])
+        # sum_i M[i] r_{t-1-i}: the vector's index col*(H d_w) + i*d_w + row
+        # is row col*H + i of the (d_u H, d_w) view, and the window's first
+        # H rows flattened column-major are ordered the same way.
+        w = self._r_win[: self.H].ravel(order="F") @ self._v.reshape(-1, self.d_w)
         if self.Wb is not None:
             w += self.Wb @ x
         self._pending_x = x
         return scale_to_budget(w, self.W_max)
 
-    def _bias_vec(self) -> Optional[np.ndarray]:
-        if self._bias_mats is None:
-            return None
-        v = np.zeros(self.d_x)
-        for mat, x in zip(self._bias_mats, self._x_hist):
-            v += mat @ x
-        return v
-
     def _observe(self, u):
-        H = self.H
         x = self._pending_x
         r = self.K @ x + u
-        window = np.zeros((2 * H + 1, self.d_u))
-        for i, past in enumerate(self._r_hist[: 2 * H + 1]):
-            window[i] = past
+        bias = None if self._bias_mat is None else self._bias_mat @ self._x_win.ravel()
+        v = self._v
         try:
-            rq = rollout_cost_quadratic(self._powers, self.cw, window, r, self._bias_vec())
-            self._state.observe(rq.P, rq.p, rq.const, rq.evaluate(self.M.vec()))
+            rq = rollout_cost_quadratic(self._powers, self.cw, self._r_win, r, bias)
+            self._state.observe(rq.P, rq.p, rq.const, rq.evaluate(v))
             if self.name == "motr":
                 v = self._motr_step(rq)
             else:
-                step = self.lr / math.sqrt(self._round + 1.0)
-                v = self.M.vec()
-                g = (rq.P + rq.P.T) @ v + rq.p
+                # The gradient (P + P')v + p, with P = T'QT symmetric up to
+                # rounding for the symmetric Q of a CostWeights.
+                g = 2.0 * (rq.P @ v) + rq.p
                 gnorm = math.sqrt(g @ g)
                 if gnorm > 0.0:
-                    v = v + step * g / gnorm
-            if v is not None:
-                self.M = project_frobenius(
-                    CdgPolicy.from_vec(v, H, self.d_w, self.d_u, np.inf), self.D_M
-                )
+                    v = v + (self.lr / math.sqrt(self._round + 1.0) / gnorm) * g
         except (ValueError, RuntimeError) as exc:
             if isinstance(exc, GeneratorError):
                 raise
             raise GeneratorError(f"round {self._round}: {exc}") from exc
-        self._r_hist.insert(0, r)
-        del self._r_hist[2 * H + 1 :]
-        self._x_hist.insert(0, x)
-        del self._x_hist[H + 2 :]
+        if v is not None:
+            # Radial projection onto the D_M ball.
+            norm = math.sqrt(v @ v)
+            self._v = v if norm <= self.D_M * (1.0 + 1e-12) else v * (self.D_M / norm)
+        self._r_win[1:] = self._r_win[:-1]
+        self._r_win[0] = r
+        self._x_win[1:] = self._x_win[:-1]
+        self._x_win[0] = x
 
     def _motr_step(self, rq) -> Optional[np.ndarray]:
         """The learner's next play, or None while eta is being calibrated."""

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .trust_region import TrustRegionProblem, solve as tr_solve
+from .trust_region import TrustRegionProblem, solve as tr_solve, symmetric_eig
 
 __all__ = [
     "MemoryQuadratic",
@@ -105,7 +105,10 @@ class OtrState:
     radius D; hindsight maximizes the same sum without a perturbation, so
     the regret audit is exact up to the solver tolerance.  Each is one
     trust-region solve.  eta may stay None until it is calibrated; only
-    update draws a perturbation.
+    update draws a perturbation.  The leader's quadratic part and its
+    eigendecomposition are kept until a round adds a nonzero P: against a
+    controller that leaves the adaptive generator's rewards at zero, one
+    decomposition serves every play.
     """
 
     def __init__(self, d: int, D: float, eps: float, seed: int, eta: Optional[float] = None):
@@ -128,10 +131,13 @@ class OtrState:
         self.achieved = 0.0
         self.rounds = 0
         self.current_z = _ball_point(self.rng, d, self.D)
+        self._leader = None  # (2 P, symmetric_eig(2 P)), or None once P has changed
 
     def observe(self, P: np.ndarray, p: np.ndarray, const: float, achieved: float = 0.0) -> None:
         """Add one round's reward coefficients and the value the plays got
         in that round (left at 0 where nothing audits the plays)."""
+        if P.any():
+            self._leader = None
         self.P += P
         self.p += p
         self.const += const
@@ -154,8 +160,12 @@ class OtrState:
         # the learner maximizes z'(2 sum P)z + (sum p - sigma)'z.  The
         # benchmark's numbers are made with this factor; ROADMAP item 4(a)
         # measures what dropping it would change.
-        prob = TrustRegionProblem._unchecked(2.0 * self.P, self.p - sigma, self.D)
-        self.current_z = tr_solve(prob, self.eps).z
+        if self._leader is None:
+            P2 = 2.0 * self.P
+            self._leader = (P2, symmetric_eig(P2))
+        P2, eig = self._leader
+        prob = TrustRegionProblem._unchecked(P2, self.p - sigma, self.D)
+        self.current_z = tr_solve(prob, self.eps, eig=eig).z
         return self.current_z
 
     def randomize_play(self) -> np.ndarray:

@@ -20,6 +20,7 @@ __all__ = [
     "TrustRegionSolution",
     "TrustRegionError",
     "solve",
+    "symmetric_eig",
     "brute_force",
     "objective",
 ]
@@ -114,32 +115,39 @@ def _make_solution(prob, z, multiplier, hard_case):
     )
 
 
-def solve(prob: TrustRegionProblem, eps: float = 1e-9) -> TrustRegionSolution:
+def symmetric_eig(P: np.ndarray):
+    """(lam, V) = eigh((P + P')/2), eigenvalues ascending: the decomposition
+    solve works in, for a caller that solves several problems with one P."""
+    try:
+        return np.linalg.eigh(0.5 * (P + P.T))
+    except np.linalg.LinAlgError as exc:
+        raise TrustRegionError(f"eigendecomposition failed: {exc}") from exc
+
+
+def solve(prob: TrustRegionProblem, eps: float = 1e-9, eig=None) -> TrustRegionSolution:
     """Globally maximize z'Pz + p'z over the ball of radius D.
 
     The returned value is within eps of the true maximum (in practice the
     solution is accurate to near machine precision; eps only caps the
     secular-equation stopping test).  A boundary solution satisfies the KKT
     system 2 S z + p = 2 nu z with nu >= max(0, lambda_max(S)) for
-    S = (P + P')/2.
+    S = (P + P')/2.  eig, if given, is symmetric_eig(prob.P), which solve
+    otherwise computes; the result is the same bit for bit.
     """
     if not (eps > 0.0):
         raise ValueError("eps must be positive")
     D = prob.D
-    S = 0.5 * (prob.P + prob.P.T)
-    try:
-        lam, V = np.linalg.eigh(S)
-    except np.linalg.LinAlgError as exc:
-        raise TrustRegionError(f"eigendecomposition failed: {exc}") from exc
+    lam, V = symmetric_eig(prob.P) if eig is None else eig
     lam_max = float(lam[-1])
     q = V.T @ prob.p
-    scale = max(1.0, float(np.max(np.abs(lam))))
+    # lam is sorted, so max |lam| is at one of its ends.
+    scale = max(1.0, -float(lam[0]), lam_max)
 
     # Interior stationary point 2 S z + p = 0, optimal iff S is negative
     # definite and the point lies inside the ball.
     if lam_max < -1e-14 * scale:
         z0 = V @ (q / (-2.0 * lam))
-        if np.linalg.norm(z0) <= D:
+        if math.sqrt(z0 @ z0) <= D:
             return _make_solution(prob, z0, 0.0, hard_case=False)
         nu_lo = 0.0
         singular_at_lo = False
@@ -151,13 +159,13 @@ def solve(prob: TrustRegionProblem, eps: float = 1e-9) -> TrustRegionSolution:
     top = lam >= lam_max - 1e-12 * scale
 
     if singular_at_lo:
-        q_top = float(np.linalg.norm(q[top]))
-        if p_norm == 0.0 or q_top < HARD_CASE_REL_TOL * p_norm:
+        q_top = q[top]
+        if p_norm == 0.0 or math.sqrt(q_top @ q_top) < HARD_CASE_REL_TOL * p_norm:
             # Hard case: solve on the complement of the top eigenspace and
             # spend the remaining radius along a top eigenvector.
             z_e = np.zeros_like(q)
             z_e[~top] = q[~top] / (2.0 * (nu_lo - lam[~top]))
-            base_norm = float(np.linalg.norm(z_e))
+            base_norm = math.sqrt(z_e @ z_e)
             if base_norm < D * (1.0 - 1e-12):
                 z_e[-1] = np.sqrt(max(0.0, D * D - base_norm * base_norm))
                 return _make_solution(prob, V @ z_e, nu_lo, hard_case=True)
@@ -166,14 +174,15 @@ def solve(prob: TrustRegionProblem, eps: float = 1e-9) -> TrustRegionSolution:
     # eigenbasis being q_i / (2 (nu - lambda_i)).
     lo = nu_lo
     hi = nu_lo + p_norm / (2.0 * D) + 1e-12 * scale
-    tol = min(1e-13, eps) * D
+    stop = max(min(1e-13, eps) * D, 4.0 * _EPS * D)
     nu = hi
     w = None
     near_hard = False
     for _ in range(_SECULAR_MAX_ITER):
-        w = q / (2.0 * (nu - lam))
+        gap = nu - lam
+        w = q / (2.0 * gap)
         norm = math.sqrt(w @ w)
-        if abs(norm - D) <= max(tol, 4.0 * _EPS * D):
+        if abs(norm - D) <= stop:
             break
         if norm > D:
             lo = nu
@@ -186,7 +195,7 @@ def solve(prob: TrustRegionProblem, eps: float = 1e-9) -> TrustRegionSolution:
             break
         # Newton step for the reciprocal-norm form of the secular equation,
         # safeguarded by bisection on the bracket.
-        dnorm2 = float(np.sum(w * w / (nu - lam)))
+        dnorm2 = float((w * w / gap).sum())
         if dnorm2 > 0.0 and norm > 0.0:
             nu_next = nu + (norm * norm / dnorm2) * ((norm - D) / D)
         else:
@@ -194,7 +203,7 @@ def solve(prob: TrustRegionProblem, eps: float = 1e-9) -> TrustRegionSolution:
         if not (lo < nu_next < hi):
             nu_next = 0.5 * (lo + hi)
         if nu_next == nu:
-            near_hard = abs(norm - D) > max(tol, 4.0 * _EPS * D)
+            near_hard = abs(norm - D) > stop
             break
         nu = nu_next
     else:
@@ -212,7 +221,7 @@ def solve(prob: TrustRegionProblem, eps: float = 1e-9) -> TrustRegionSolution:
         w = q / (2.0 * (nu - lam))
         sign = 1.0 if q[-1] >= 0.0 else -1.0
         w[top] = 0.0
-        rest = float(np.linalg.norm(w))
+        rest = math.sqrt(w @ w)
         if rest > D:
             w *= D / rest
             rest = D

@@ -49,6 +49,22 @@ def test_run_and_table_round_trip(tmp_path, capsys):
     assert open(os.path.join(out_dir, "table_ratio.csv")).read() == before
 
 
+def test_table_bad_input_exit_code(tmp_path, capsys):
+    # A missing file, a line that is not JSON and a JSON line that is not a
+    # record each end in one line on stderr and exit code 2.
+    not_json = tmp_path / "not_json.jsonl"
+    not_json.write_text('{"system_index": 0\n')
+    keyless = tmp_path / "keyless.jsonl"
+    keyless.write_text('{"x": 1}\n')
+    cases = [(str(tmp_path / "missing.jsonl"), "missing.jsonl"), (str(not_json), "line 1"),
+             (str(keyless), "missing key 'system_index'")]
+    for path, expected in cases:
+        assert main(["table", "--runs", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("bad runs input: ") and expected in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_run_rerun_byte_identical(tmp_path):
     cfg_path = write_json(tmp_path / "cfg.json", small_config_dict())
     out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")

@@ -297,6 +297,58 @@ def test_motr_oga_share_paths_when_frozen():
         )
 
 
+@pytest.mark.parametrize("update", ["motr", "oga"])
+@pytest.mark.parametrize("residual_bias", [True, False])
+def test_round_emits_the_policy_of_the_recorded_residuals(update, residual_bias):
+    # Every round emits W_max w/||w|| for w = sum_i M[i] r_{t-1-i} + W x_t,
+    # recomputed here from the policy's blocks and the residuals
+    # r = K x + u the test records, and every update leaves M in the D_M
+    # ball.
+    sys, cw, hinf = make_setup(seed=12, radius=0.8)
+    H, D_M, W_max = 3, 0.3, 1.0
+    gen = AdaptiveCdgGenerator(
+        sys, cw, hinf, update=update, T=40, H=H, D_M=D_M, W_max=W_max, eta=1.0,
+        residual_bias=residual_bias, seed=21,
+    )
+    ctrl = lqr_controller(sys, cw)
+    rng = np.random.default_rng(9)
+    K = hinf.K if residual_bias else np.zeros((2, 4))
+    x, residuals = rng.standard_normal(4), []
+    for _ in range(40):
+        blocks = gen.M.blocks
+        w_hat = sum((b @ r for b, r in zip(blocks, residuals[::-1][:H])), np.zeros(2))
+        if residual_bias:
+            w_hat = w_hat + hinf.W @ x
+        u = ctrl.act(x) + 0.1 * rng.standard_normal(2)
+        w = gen.emit(x)
+        norm = np.linalg.norm(w_hat)  # 0 in the first round without the bias
+        expected = W_max * w_hat / norm if norm > 0.0 else np.zeros(2)
+        np.testing.assert_allclose(w, expected, rtol=0.0, atol=1e-12)
+        gen.observe(u)
+        residuals.append(K @ x + u)
+        x = step(sys, x, u, w)
+        assert gen.M.frobenius_norm() <= D_M * (1.0 + 1e-12)
+
+
+def test_motr_against_the_equilibrium_controller_decomposes_once(monkeypatch):
+    # Against u = -K x every rollout quadratic is exactly zero, so the
+    # leader's quadratic part never changes: one eigendecomposition serves
+    # all of an episode's plays.
+    sys, cw, hinf = make_setup(seed=4)
+    gen = AdaptiveCdgGenerator(
+        sys, cw, hinf, update="motr", T=40, H=3, D_M=0.3, W_max=1.0, eta=1.0, residual_bias=True, seed=7
+    )
+    calls = []
+    real_eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda S: calls.append(S.shape) or real_eigh(S))
+    x = np.random.default_rng(0).standard_normal(4)
+    for _ in range(40):
+        u = -hinf.K @ x
+        x = step(sys, x, u, gen.emit(x))
+        gen.observe(u)
+    assert calls == [(gen.n, gen.n)]
+
+
 def test_motr_regret_pair_hindsight_dominates():
     sys, cw, hinf = make_setup(seed=9)
     gen = AdaptiveCdgGenerator(

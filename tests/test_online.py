@@ -127,6 +127,31 @@ def test_update_with_forced_perturbation_matches_direct_solve():
     assert np.allclose(z, ref.z, atol=1e-9)
 
 
+def test_update_reuses_the_eigendecomposition_until_a_nonzero_round(monkeypatch):
+    # Interleaved zero and nonzero rounds: every play is exactly the direct
+    # solve of the doubled leader, and the leader's quadratic part is
+    # decomposed again only after a round that changed it.
+    rng = np.random.default_rng(5)
+    d, D = 5, 0.7
+    state = OtrState(d=d, D=D, eps=1e-9, seed=5)
+    P_sum, p_sum = np.zeros((d, d)), np.zeros(d)
+    calls = []
+    real_eigh = np.linalg.eigh
+    for t, nonzero in enumerate([False, False, True, False, False, True, True, False]):
+        P = rng.standard_normal((d, d)) if nonzero else np.zeros((d, d))
+        p = rng.standard_normal(d)
+        state.observe(P, p, 0.0)
+        P_sum += P
+        p_sum += p
+        sigma = np.abs(rng.standard_normal(d))
+        monkeypatch.setattr(np.linalg, "eigh", lambda S: calls.append(t) or real_eigh(S))
+        z = state.update(sigma=sigma)
+        monkeypatch.setattr(np.linalg, "eigh", real_eigh)
+        direct = tr_solve(TrustRegionProblem(2.0 * P_sum, p_sum - sigma, D), 1e-9).z
+        assert np.array_equal(z, direct), f"round {t}"
+    assert calls == [0, 2, 5, 6]
+
+
 def test_update_needs_eta_unless_sigma_is_given():
     state = OtrState(d=2, D=1.0, eps=1e-9, seed=4)
     state.observe(np.eye(2), np.ones(2), 0.0)

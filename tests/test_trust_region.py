@@ -6,6 +6,7 @@ from motrbench.trust_region import (
     brute_force,
     objective,
     solve,
+    symmetric_eig,
 )
 
 
@@ -223,3 +224,36 @@ def test_non_finite_coefficients_raise_instead_of_returning_nan():
         P[0, 1] = bad
         with pytest.raises(tr.TrustRegionError):
             solve(TrustRegionProblem._unchecked(P, np.ones(3), 1.0))
+
+
+def same_solution(a, b):
+    return (
+        np.array_equal(a.z, b.z)
+        and a.value == b.value
+        and a.multiplier == b.multiplier
+        and a.on_boundary == b.on_boundary
+        and a.hard_case == b.hard_case
+    )
+
+
+@pytest.mark.parametrize("n", [3, 12, 64])
+def test_solve_with_given_eigendecomposition_is_bit_identical(n):
+    # A caller that keeps the eigendecomposition of P (OtrState) gets what
+    # solve computes itself, bit for bit.
+    for seed in range(3):
+        random = ("random", random_problem(np.random.default_rng(seed), n, 1.0))
+        for name, prob in [random, *certification_instances(n, seed)]:
+            eig = np.linalg.eigh(0.5 * (prob.P + prob.P.T))
+            for eps in (1e-9, 1e-3):
+                assert same_solution(solve(prob, eps, eig=eig), solve(prob, eps)), f"{name} seed={seed}"
+
+
+def test_solve_with_given_eigendecomposition_hard_case():
+    # p orthogonal to the top eigenvector and the complement's solution
+    # inside the ball: the hard case, which spends the rest of the radius
+    # along the top eigenvector.
+    prob = TrustRegionProblem(np.diag([-1.0, 0.0, 2.0]), np.array([1.0, 1.0, 0.0]), 10.0)
+    reference = solve(prob)
+    assert reference.hard_case
+    assert same_solution(solve(prob, eig=symmetric_eig(prob.P)), reference)
+    assert same_solution(solve(prob, eig=np.linalg.eigh(0.5 * (prob.P + prob.P.T))), reference)
