@@ -39,6 +39,7 @@ from .cdg import (
     RolloutQuadratic,
     affine_state_map,
     plant_powers,
+    project_ball,
     project_frobenius,
     rollout_cost_quadratic,
 )

@@ -244,12 +244,34 @@ class RunRecord:
 
     @classmethod
     def from_json_line(cls, line: str) -> "RunRecord":
+        """The record of one runs.jsonl line.  KeyError names a missing
+        field; ValueError says the line is not JSON, not an object, or
+        holds a field of the wrong type."""
         obj = json.loads(line)
-        return cls(wall_time=0.0, **{k: obj[k] for k in _JSON_FIELDS})
+        if not isinstance(obj, dict):
+            raise ValueError("not a JSON object")
+        values = {k: obj[k] for k in _JSON_FIELDS}
+        for f in fields(cls):
+            if f.name in values and not _json_type_ok(f.type, values[f.name]):
+                raise ValueError(f"{f.name} has the wrong type: {values[f.name]!r}")
+        return cls(wall_time=0.0, **values)
 
 
 # Every field but wall_time, in declaration order: reruns must be byte-identical.
 _JSON_FIELDS = tuple(f.name for f in fields(RunRecord) if f.name != "wall_time")
+
+
+def _json_type_ok(kind, value) -> bool:
+    """Whether a value parsed from JSON fits a RunRecord field's annotation.
+    JSON gives exact types, so a float field takes an int or a float, an int
+    field no bool, and the one list field (stage_costs) holds numbers."""
+    if kind == Optional[float]:
+        return value is None or type(value) in (int, float)
+    if kind is float:
+        return type(value) in (int, float)
+    if kind is list:
+        return type(value) is list and set(map(type, value)) <= {int, float}
+    return type(value) is kind
 
 
 @dataclass(frozen=True)
@@ -467,8 +489,9 @@ def write_outputs(records, config: ExperimentConfig, out_dir: str, failures=()):
 
 
 def load_records(path: str):
-    """The records of a runs.jsonl; a line that is not a record raises
-    ValueError naming the line."""
+    """The records of a runs.jsonl; a line that is not a record (not JSON,
+    a missing field or a field of the wrong type) raises ValueError naming
+    the line."""
     records = []
     with open(path) as fh:
         for number, line in enumerate(fh, 1):

@@ -42,6 +42,7 @@ __all__ = [
     "PlantPowers",
     "RolloutQuadratic",
     "InstabilityError",
+    "project_ball",
     "project_frobenius",
     "plant_powers",
     "affine_state_map",
@@ -135,14 +136,21 @@ class CdgPolicy:
         return w
 
 
-def project_frobenius(policy: CdgPolicy, bound: float) -> CdgPolicy:
-    """Radially project the blocks onto the Frobenius ball of radius bound."""
+def project_ball(v: np.ndarray, bound: float) -> np.ndarray:
+    """Radially project the vector v onto the Euclidean ball of radius
+    bound; v itself when it lies within the ball up to rounding."""
     if not (bound > 0.0):
         raise ValueError("bound must be positive")
-    norm = policy.frobenius_norm()
+    norm = math.sqrt(v @ v)
     if norm <= bound * (1.0 + 1e-12):
-        return CdgPolicy._unchecked(policy.blocks, bound)
-    return CdgPolicy._unchecked(policy.blocks * (bound / norm), bound)
+        return v
+    return v * (bound / norm)
+
+
+def project_frobenius(policy: CdgPolicy, bound: float) -> CdgPolicy:
+    """Radially project the blocks onto the Frobenius ball of radius bound."""
+    blocks = project_ball(policy.blocks.ravel(), bound).reshape(policy.blocks.shape)
+    return CdgPolicy._unchecked(blocks, bound)
 
 
 @dataclass(frozen=True)

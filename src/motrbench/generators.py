@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cdg import CdgPolicy, InstabilityError, plant_powers, rollout_cost_quadratic
+from .cdg import CdgPolicy, InstabilityError, plant_powers, project_ball, rollout_cost_quadratic
 from .controllers import HinfSolution
 from .lds import CostWeights, LinearSystem, spectral_radius
 from .online import OtrState, default_perturbation_rate
@@ -390,9 +390,7 @@ class AdaptiveCdgGenerator(DisturbanceGenerator):
                 raise
             raise GeneratorError(f"round {self._round}: {exc}") from exc
         if v is not None:
-            # Radial projection onto the D_M ball.
-            norm = math.sqrt(v @ v)
-            self._v = v if norm <= self.D_M * (1.0 + 1e-12) else v * (self.D_M / norm)
+            self._v = project_ball(v, self.D_M)
         self._r_win[1:] = self._r_win[:-1]
         self._r_win[0] = r
         self._x_win[1:] = self._x_win[:-1]

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from motrbench.bench import RunRecord
 from motrbench.cli import main
 from motrbench.lds import random_system
 
@@ -11,6 +12,15 @@ from motrbench.lds import random_system
 def write_json(path, obj):
     path.write_text(json.dumps(obj))
     return str(path)
+
+
+def run_record_line():
+    return RunRecord(
+        system_index=0, seed_index=0, controller="lqr", generator="hinf", T=2,
+        cumulative_average_cost=1.5, stage_costs=[1.0, 2.0], max_control_norm=0.5,
+        max_state_norm=1.0, diverged=False, regret_hindsight=None, regret_achieved=None,
+        rng_fingerprint="ab",
+    ).to_json_line()
 
 
 def small_config_dict():
@@ -50,14 +60,24 @@ def test_run_and_table_round_trip(tmp_path, capsys):
 
 
 def test_table_bad_input_exit_code(tmp_path, capsys):
-    # A missing file, a line that is not JSON and a JSON line that is not a
-    # record each end in one line on stderr and exit code 2.
+    # A missing file, a line that is not JSON, a JSON line that is not a
+    # record and a record with a field of the wrong type each end in one
+    # line on stderr and exit code 2.
     not_json = tmp_path / "not_json.jsonl"
     not_json.write_text('{"system_index": 0\n')
     keyless = tmp_path / "keyless.jsonl"
     keyless.write_text('{"x": 1}\n')
+    not_object = tmp_path / "not_object.jsonl"
+    not_object.write_text("[1, 2]\n")
     cases = [(str(tmp_path / "missing.jsonl"), "missing.jsonl"), (str(not_json), "line 1"),
-             (str(keyless), "missing key 'system_index'")]
+             (str(keyless), "missing key 'system_index'"), (str(not_object), "not a JSON object")]
+    good = run_record_line()
+    for field, value in [("system_index", None), ("system_index", "0"), ("T", True),
+                         ("controller", 3), ("stage_costs", [1.0, "x"]),
+                         ("regret_achieved", "0.5"), ("diverged", 0)]:
+        wrong = tmp_path / f"wrong_{field}.jsonl"
+        wrong.write_text(good + "\n" + json.dumps(dict(json.loads(good), **{field: value})) + "\n")
+        cases.append((str(wrong), f"line 2: not a run record: {field} has the wrong type"))
     for path, expected in cases:
         assert main(["table", "--runs", path]) == 2
         err = capsys.readouterr().err

@@ -1,12 +1,14 @@
 """Write one BENCH_<n>.json: the benchmark's figures and the behaviour's
 fingerprint for one checkout.
 
-    python3 tools/bench_snapshot.py BENCH_<n>.json [--root CHECKOUT] [--seconds 20]
+    python3 tools/bench_snapshot.py BENCH_<n>.json [--root CHECKOUT]
 
-CHECKOUT (default: this one) is measured as its files stand.  The file
-holds, for every workload in CHECKOUT/BENCHMARK.json, the last JSON line of
-`perfbench/run.py` untraced and with `--trace 1` (plus the traced passes'
-trust-region certificate lines); the wall time of the full default grid
+CHECKOUT (default: this one) is measured at its committed HEAD: the script
+refuses a checkout whose src/ differs from HEAD, so git_head names the code
+measured.  The file holds, for every workload in CHECKOUT/BENCHMARK.json,
+the last JSON line of `perfbench/run.py --seconds <run_seconds>` (the
+benchmark's own run length) untraced and with `--trace 1` (plus the traced
+passes' trust-region certificate lines); the wall time of the full default grid
 (`motrbench run`, one process, raw seconds) with the SHA-256 of its
 `runs.jsonl` and both score tables from `motrbench table`; the line count
 of src/motrbench/*.py; and every command that produced these figures, in
@@ -49,35 +51,31 @@ def _sha256(path):
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _source_fingerprint(root):
-    src = os.path.join(root, "src", "motrbench")
-    digest = hashlib.sha256()
-    for name in sorted(os.listdir(src)):
-        if name.endswith(".py"):
-            digest.update(name.encode())
-            with open(os.path.join(src, name), "rb") as fh:
-                digest.update(fh.read())
-    return digest.hexdigest()
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("out", help="path of the BENCH_<n>.json to write")
     parser.add_argument("--root", default=os.path.dirname(HERE), help="checkout to measure")
-    parser.add_argument("--seconds", type=float, default=20.0, help="perfbench/run.py --seconds")
     args = parser.parse_args(argv)
     root = os.path.abspath(args.root)
     commands = []
 
+    dirty = subprocess.run(
+        ["git", "status", "--porcelain", "src"], cwd=root, stdout=subprocess.PIPE, text=True
+    )
+    if dirty.returncode != 0 or dirty.stdout.strip():
+        raise SystemExit(f"{root}: src/ is not a clean git checkout; commit it first")
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, stdout=subprocess.PIPE, text=True)
     with open(os.path.join(root, "BENCHMARK.json")) as fh:
-        workloads = [w["name"] for w in json.load(fh)["workloads"]]
+        benchmark = json.load(fh)
+    workloads = [w["name"] for w in benchmark["workloads"]]
+    seconds = benchmark["run_seconds"]
     perfbench = {}
     for workload in workloads:
         entry = {}
         for trace in (0, 1):
             out = _run(
                 [sys.executable, "perfbench/run.py", "--workload", workload,
-                 "--seconds", f"{args.seconds:g}", "--trace", str(trace)],
+                 "--seconds", str(seconds), "--trace", str(trace)],
                 root, commands,
             )
             lines = out.splitlines()
@@ -111,24 +109,17 @@ def main(argv=None):
         }
 
     wc = _run(["sh", "-c", "wc -l src/motrbench/*.py"], root, commands)
-    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, stdout=subprocess.PIPE, text=True)
-    dirty = subprocess.run(
-        ["git", "status", "--porcelain", "src"], cwd=root, stdout=subprocess.PIPE, text=True
-    )
     snapshot = {
         "schema": SCHEMA,
-        "command": f"python3 tools/bench_snapshot.py {os.path.basename(args.out)} --root CHECKOUT"
-        f" --seconds {args.seconds:g}",
+        "command": f"python3 tools/bench_snapshot.py {os.path.basename(args.out)} --root CHECKOUT",
         "git_head": head.stdout.strip(),
-        "src_modified_since_head": bool(dirty.stdout.strip()),
-        "source_sha256": _source_fingerprint(root),
         "machine": {
             "python": platform.python_version(),
             "numpy": numpy.__version__,
             "cpus": os.cpu_count(),
             "platform": platform.platform(),
         },
-        "perfbench_seconds": args.seconds,
+        "perfbench_seconds": seconds,
         "perfbench": perfbench,
         "full_grid": full_grid,
         "src_lines": {
