@@ -21,8 +21,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .cdg import CdgPolicy, InstabilityError, affine_state_map, plant_powers, project_frobenius
+from .cdg import CdgPolicy, InstabilityError, plant_powers, project_ball
 from .lds import CostWeights, LinearSystem, spectral_radius
 
 __all__ = [
@@ -225,12 +226,19 @@ class GpcController:
     presumes knowledge of A and B).  After each recovered disturbance, N
     takes one projected gradient step on the counterfactual cost of a
     truncated rollout driven by the recent disturbances, evaluated at the
-    state and control the current N would have produced; the gradient's
-    policy-sum part is a stack of outer products of R v with the recent
-    w_hat (see _gradient).  lr scales the normalized step length
-    lr/sqrt(t), so by the end of a T-round episode the step size is of
-    order lr/sqrt(T); ball_radius None derives the projection radius
-    10 ||K_base||.
+    state and control the current N would have produced.  lr scales the
+    normalized step length lr/sqrt(t), so by the end of a T-round episode
+    the step size is of order lr/sqrt(T); ball_radius None derives the
+    projection radius 10 ||K_base||.
+
+    The policy is one stacked (d_u, h d_x) matrix [N[0] | ... | N[h-1]],
+    and the last 2h+1 recovered disturbances sit in a window shifted in
+    place.  One read-only view S of that window, made once, has as row j
+    the h disturbances (w_hat_{t-j}, ..., w_hat_{t-j-h+1}) flattened, so
+    S N' holds every policy sum the round needs.  The counterfactual state
+    and the gradient come from these sums and the stacked powers of the
+    closed loop (see _state_and_gradient); the unroll matrix of
+    cdg.affine_state_map is never formed.
     """
 
     def __init__(
@@ -248,7 +256,7 @@ class GpcController:
         # directly, the policy output enters through B.
         mirror = LinearSystem(sys.A - sys.B @ K_base, np.eye(sys.d_x), sys.B)
         try:
-            self._powers = plant_powers(mirror, h)
+            powers = plant_powers(mirror, h)
         except InstabilityError as exc:
             raise ValueError(f"K_base must stabilize the plant: {exc}") from exc
         self.name = "gpc"
@@ -260,62 +268,71 @@ class GpcController:
         self.ball = float(ball_radius) if ball_radius is not None else 10.0 * float(
             np.linalg.norm(K_base)
         )
-        self.N = CdgPolicy.zeros(h, sys.d_u, sys.d_x, self.ball)
-        self._whist = []  # recovered disturbances, most recent first
+        d_x, d_u = sys.d_x, sys.d_u
+        # [(A-BK)^0 B | ... | (A-BK)^h B] and [(A-BK)^0 | ... | (A-BK)^h].
+        self._AkB = powers.AkC.transpose(1, 0, 2).reshape(d_x, (h + 1) * d_u)
+        self._Ak = powers.AkB.transpose(1, 0, 2).reshape(d_x, (h + 1) * d_x)
+        self._Nst = np.zeros((d_u, h * d_x))  # [N[0] | ... | N[h-1]]
+        self._win = np.zeros((2 * h + 1, d_x))  # recovered disturbances, most recent first
+        # Row j = 0..h+1 is window rows j..j+h-1, flattened.  It is a view,
+        # so it follows the in-place shifts; self._win is never rebound.
+        self._S = sliding_window_view(self._win.ravel(), h * d_x)[::d_x]
         self._prev = None
         self._t = 0
 
-    def _window(self) -> np.ndarray:
-        win = np.zeros((2 * self.h + 1, self.sys.d_x))
-        for i, w in enumerate(self._whist[: 2 * self.h + 1]):
-            win[i] = w
-        return win
+    @property
+    def N(self) -> CdgPolicy:
+        """The current policy as blocks (built from the stacked matrix on each call)."""
+        blocks = self._Nst.reshape(self.sys.d_u, self.h, self.sys.d_x).transpose(1, 0, 2)
+        return CdgPolicy._unchecked(blocks.copy(), self.ball)
 
-    def _gradient(self, window: np.ndarray) -> np.ndarray:
-        """Gradient in vec(N) of the counterfactual cost y'Qy + v'Rv, where
-        y = Ty vec(N) + by is the truncated-rollout state and
-        v = sum_i N[i] w_hat_{t-i} - K y the control.
+    def _state_and_gradient(self):
+        """Counterfactual state y and the gradient in the stacked policy of
+        the cost y'Qy + v'Rv, where v = sum_i N[i] w_hat_{t-i} - K y and
 
-        The policy sum contributes the outer products (R v) w_hat_{t-i}'
-        block by block, so the gradient is
-        2 Ty'(Q y - K'R v) + 2 vec((R v) w_hat_{t-i}'), in CdgPolicy's vec
-        order, and no matrix of the policy sum is formed.
+            y = sum_k (A-BK)^k B sum_i N[i] w_hat_{t-k-1-i}
+                + sum_k (A-BK)^k w_hat_{t-k},   k = 0..h
+
+        is the (h+1)-step rollout of the plant closed by K, driven from zero
+        by the recent w_hat with the policy output entering through B
+        (cdg.affine_state_map's y = Ty vec(N) + by).  Row j of ZS = S N' is
+        the policy sum on the window from w_hat_{t-j}, so y and v are
+        products with its rows, and with g = Q y - K'R v the gradient is
+        2 c'S for c = [R v; ((A-BK)^k B)' g for k = 0..h].
         """
-        Ty, by = affine_state_map(self._powers, window)
-        y = Ty @ self.N.vec() + by
-        w_hat = window[: self.h]
-        v = np.einsum("irc,ic->r", self.N.blocks, w_hat) - self.K @ y
+        S = self._S
+        ZS = S @ self._Nst.T  # (h+2, d_u)
+        y = self._AkB @ ZS[1:].ravel() + self._Ak @ self._win[: self.h + 1].ravel()
+        v = ZS[0] - self.K @ y
         Rv = self.cw.R @ v
-        outer = Rv[None, :, None] * w_hat[:, None, :]  # (h, d_u, d_x)
-        policy_part = CdgPolicy._unchecked(outer, np.inf).vec()
-        return 2.0 * (Ty.T @ (self.cw.Q @ y - self.K.T @ Rv)) + 2.0 * policy_part
+        g = self.cw.Q @ y - self.K.T @ Rv
+        c = np.empty_like(ZS)
+        c[0] = Rv
+        c[1:] = (g @ self._AkB).reshape(self.h + 1, -1)
+        return y, 2.0 * (c.T @ S)
 
     def _update(self) -> None:
-        m = self.N.vec()
-        grad = self._gradient(self._window())
-        gnorm = math.sqrt(grad @ grad)
+        _, grad = self._state_and_gradient()
+        flat = grad.ravel()
+        gnorm = math.sqrt(flat @ flat)
+        N = self._Nst
         if gnorm > 0.0:
             # Rate lr, but capped so one step never moves farther than
             # lr/sqrt(t): vanishing gradients get a plain gradient step while
             # badly conditioned rounds cannot fling N to the projection ball.
-            rate = min(self.lr, self.lr / (np.sqrt(self._t + 1.0) * gnorm))
-            m = m - rate * grad
-        self.N = project_frobenius(
-            CdgPolicy.from_vec(m, self.h, self.sys.d_u, self.sys.d_x, np.inf),
-            self.ball,
-        )
+            rate = min(self.lr, self.lr / (math.sqrt(self._t + 1.0) * gnorm))
+            N = N - rate * grad
+        self._Nst = project_ball(N.ravel(), self.ball).reshape(N.shape)
 
     def act(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self._prev is not None:
             xp, up = self._prev
-            w_hat = x - self.sys.A @ xp - self.sys.B @ up
-            self._whist.insert(0, w_hat)
-            del self._whist[2 * self.h + 1 :]
+            win = self._win
+            win[1:] = win[:-1]
+            win[0] = x - self.sys.A @ xp - self.sys.B @ up
             self._update()
-        u = -self.K @ x
-        for block, w in zip(self.N.blocks, self._whist):
-            u = u + block @ w
+        u = -self.K @ x + self._Nst @ self._S[0]
         self._prev = (x, u)
         self._t += 1
         return u

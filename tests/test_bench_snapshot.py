@@ -1,0 +1,61 @@
+"""tools/bench_snapshot.py writes a BENCH file only from benchmark passes
+that passed their own checks."""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+TOOLS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools")
+
+
+@pytest.fixture(scope="module")
+def snapshot():
+    sys.path.insert(0, TOOLS)
+    try:
+        import bench_snapshot
+
+        yield bench_snapshot
+    finally:
+        sys.path.remove(TOOLS)
+
+
+def _out(result):
+    return "grid seed 0: 4 passes\n" + json.dumps(result) + "\n"
+
+
+def test_checked_result_returns_a_clean_pass(snapshot):
+    result = {"correct": True, "attempted": 36, "failed": 0, "metrics": {}}
+    assert snapshot._checked_result(_out(result), "run.py") == result
+
+
+@pytest.mark.parametrize("result", [
+    {"correct": False, "attempted": 36, "failed": 0, "metrics": {}},
+    {"correct": True, "attempted": 36, "failed": 2, "metrics": {}},
+    {"correct": "true", "attempted": 36, "failed": 0, "metrics": {}},
+    {"attempted": 36, "failed": 0, "metrics": {}},
+    {"correct": True, "attempted": 36, "metrics": {}},
+    [1, 2],
+])
+def test_checked_result_refuses_a_failed_pass(snapshot, result):
+    with pytest.raises(SystemExit):
+        snapshot._checked_result(_out(result), "run.py")
+
+
+@pytest.mark.parametrize("out", ["", "grid seed 0: 4 passes\nTraceback: boom\n"])
+def test_checked_result_refuses_output_without_a_result_line(snapshot, out):
+    with pytest.raises(SystemExit):
+        snapshot._checked_result(out, "run.py")
+
+
+def test_no_file_is_written_when_head_cannot_be_resolved(snapshot, tmp_path):
+    # A fresh repository has a clean src/ but no HEAD: the script stops
+    # before any pass runs.
+    subprocess.run(["git", "init", "-q", str(tmp_path)], check=True)
+    (tmp_path / "src").mkdir()
+    out = tmp_path / "BENCH_x.json"
+    with pytest.raises(SystemExit):
+        snapshot.main([str(out), "--root", str(tmp_path)])
+    assert not out.exists()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from motrbench.bench import CONTROLLER_DEFAULTS
-from motrbench.cdg import CdgPolicy
+from motrbench.cdg import CdgPolicy, affine_state_map, plant_powers
 from motrbench.controllers import (
     BracketingError,
     GpcController,
@@ -237,6 +237,16 @@ def test_gpc_policy_norm_bounded_and_deterministic():
     assert np.array_equal(a, b)
 
 
+def stacked(blocks):
+    """GPC's stored policy [N[0] | ... | N[h-1]] from (h, d_u, d_x) blocks."""
+    return np.hstack(list(blocks))
+
+
+def stacked_to_vec(G, h):
+    """A stacked (d_u, h d_x) matrix in CdgPolicy's vec order."""
+    return CdgPolicy(np.stack(np.hsplit(G, h)), np.inf).vec()
+
+
 def test_gpc_gradient_matches_finite_differences():
     # The gradient _update steps along is that of the truncated
     # counterfactual cost y'Qy + v'Rv: y is the H+1-step rollout of the
@@ -261,13 +271,74 @@ def test_gpc_gradient_matches_finite_differences():
         return y @ cw.Q @ y + ctrl @ cw.R @ ctrl
 
     m = rng.standard_normal(h * 2 * 3)
-    gpc.N = CdgPolicy.from_vec(m, h, 2, 3, 100.0)
-    grad = gpc._gradient(window)
+    gpc._win[:] = window
+    gpc._Nst = stacked(CdgPolicy.from_vec(m, h, 2, 3, 100.0).blocks)
+    _, G = gpc._state_and_gradient()
+    grad = stacked_to_vec(G, h)
     step = 1e-5
     fd = np.array([
         (cost(m + step * e) - cost(m - step * e)) / (2.0 * step) for e in np.eye(m.size)
     ])
     np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-8)
+
+
+@pytest.mark.parametrize("h", [1, 3, 5])
+def test_gpc_matrix_free_round_matches_the_unroll(h):
+    # GPC's state and gradient, computed from the window view without the
+    # unroll matrix, equal cdg.affine_state_map's y = Ty vec(N) + by and the
+    # gradient 2 Ty'(Q y - K'R v) + 2 vec((R v) w_hat') formed from it.
+    d_x, d_u = 4, 2
+    sys = random_system(d_x, d_u, 2, seed=30 + h, target_radius=0.9)
+    cw = CostWeights(np.diag([1.0, 2.0, 0.5, 3.0]), np.diag([0.7, 1.5]))
+    _, K = solve_dare(sys, cw)
+    gpc = GpcController(sys, cw, K, h=h, lr=0.5, ball_radius=100.0)
+    powers = plant_powers(LinearSystem(sys.A - sys.B @ K, np.eye(d_x), sys.B), h)
+    rng = np.random.default_rng(h)
+    for _ in range(5):
+        window = rng.standard_normal((2 * h + 1, d_x))
+        N = CdgPolicy(rng.standard_normal((h, d_u, d_x)), np.inf)
+        gpc._win[:] = window
+        gpc._Nst = stacked(N.blocks)
+        y, G = gpc._state_and_gradient()
+
+        Ty, by = affine_state_map(powers, window)
+        y_ref = Ty @ N.vec() + by
+        w_hat = window[:h]
+        v = np.einsum("irc,ic->r", N.blocks, w_hat) - K @ y_ref
+        Rv = cw.R @ v
+        outer = CdgPolicy(Rv[None, :, None] * w_hat[:, None, :], np.inf)
+        grad_ref = 2.0 * (Ty.T @ (cw.Q @ y_ref - K.T @ Rv)) + 2.0 * outer.vec()
+
+        np.testing.assert_allclose(y, y_ref, rtol=0, atol=1e-12 * np.abs(y_ref).max())
+        grad = stacked_to_vec(G, h)
+        np.testing.assert_allclose(grad, grad_ref, rtol=0, atol=1e-12 * np.abs(grad_ref).max())
+
+
+def test_gpc_episode_plays_its_policy_within_the_ball():
+    # Every round of an episode plays u = -K x + sum_i N[i] w_hat_{t-i},
+    # with w_hat recomputed from the recorded transitions and N read from
+    # the controller after the round's update, and N stays in the ball.
+    sys = random_system(4, 2, 2, seed=15, target_radius=0.9)
+    cw = CostWeights(np.eye(4), np.eye(2))
+    _, K = solve_dare(sys, cw)
+    h = 3
+    gpc = GpcController(sys, cw, K, h=h, lr=0.5, ball_radius=0.3)
+    rng = np.random.default_rng(8)
+    x = np.zeros(4)
+    w_hats, norms = [], []
+    for t in range(40):
+        u = gpc.act(x)
+        N = gpc.N
+        expected = -K @ x
+        for block, w_hat in zip(N.blocks, w_hats):
+            expected = expected + block @ w_hat
+        np.testing.assert_allclose(u, expected, rtol=0, atol=1e-12 * (1.0 + np.abs(expected).max()))
+        norms.append(N.frobenius_norm())
+        assert norms[-1] <= gpc.ball * (1.0 + 1e-12)
+        x_next = step(sys, x, u, rng.standard_normal(2))
+        w_hats.insert(0, x_next - sys.A @ x - sys.B @ u)
+        x = x_next
+    assert max(norms) >= gpc.ball * (1.0 - 1e-12)  # the projection was active
 
 
 def test_gpc_requires_stabilizing_base():

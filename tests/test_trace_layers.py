@@ -34,3 +34,21 @@ def test_traced_pass_certifies_every_solve(perfbench, tmp_path):
     assert result["problems"] == []
     assert result["failed"] == 0
     assert result["solves_certified"] == 3144
+
+
+def test_traced_gpc_pass(perfbench, tmp_path):
+    # One traced pass of the gpc-noise workload (a few seconds): the
+    # per-round plant-step recomputation finds no problem, no episode fails,
+    # and GPC acts in every one of the workload's 9600 rounds.
+    root = os.path.dirname(perfbench)
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, os.path.join(perfbench, "worker.py"), "gpc-noise", "0", "trace", str(tmp_path)],
+        env=env, stdout=subprocess.PIPE, text=True, timeout=300,
+    )
+    assert proc.returncode == 0
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["problems"] == []
+    assert result["failed"] == 0
+    assert result["per_layer"]["controllers.gpc_act.calls"] == 9600

@@ -46,6 +46,24 @@ def _run(cmd, root, commands, env=None, out_dir=None):
     return proc.stdout
 
 
+def _checked_result(out, what):
+    """The final JSON line of a perfbench/run.py pass.  run.py exits 0 even
+    when a pass fails its own checks, so a pass that reports correct other
+    than true, or failed episodes, stops the snapshot here."""
+    try:
+        result = json.loads(out.splitlines()[-1])
+    except (IndexError, ValueError):
+        raise SystemExit(f"{what}: the last line of its output is not JSON") from None
+    if not isinstance(result, dict):
+        raise SystemExit(f"{what}: the last line of its output is not a JSON object")
+    if result.get("correct") is not True or result.get("failed") != 0:
+        raise SystemExit(
+            f"{what}: correct {result.get('correct')}, failed {result.get('failed')}; "
+            "no BENCH file written"
+        )
+    return result
+
+
 def _sha256(path):
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
@@ -65,6 +83,8 @@ def main(argv=None):
     if dirty.returncode != 0 or dirty.stdout.strip():
         raise SystemExit(f"{root}: src/ is not a clean git checkout; commit it first")
     head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, stdout=subprocess.PIPE, text=True)
+    if head.returncode != 0 or not head.stdout.strip():
+        raise SystemExit(f"{root}: git rev-parse HEAD failed; no BENCH file written")
     with open(os.path.join(root, "BENCHMARK.json")) as fh:
         benchmark = json.load(fh)
     workloads = [w["name"] for w in benchmark["workloads"]]
@@ -73,13 +93,11 @@ def main(argv=None):
     for workload in workloads:
         entry = {}
         for trace in (0, 1):
-            out = _run(
-                [sys.executable, "perfbench/run.py", "--workload", workload,
-                 "--seconds", str(seconds), "--trace", str(trace)],
-                root, commands,
-            )
+            cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+                   "--seconds", str(seconds), "--trace", str(trace)]
+            out = _run(cmd, root, commands)
             lines = out.splitlines()
-            entry["traced" if trace else "untraced"] = json.loads(lines[-1])
+            entry["traced" if trace else "untraced"] = _checked_result(out, " ".join(cmd[1:]))
             if trace:
                 entry["certificates"] = [
                     line.strip() for line in lines if re.search(r"solves certified", line)
