@@ -481,10 +481,13 @@ def write_outputs(records, config: ExperimentConfig, out_dir: str, failures=()):
             fh.write(
                 f"{rec.system_index},{rec.seed_index},{rec.controller},{rec.generator},{rec.wall_time:.6f}\n"
             )
+    manifest = os.path.join(out_dir, "incomplete.manifest.json")
     if failures:
-        with open(os.path.join(out_dir, "incomplete.manifest.json"), "w") as fh:
+        with open(manifest, "w") as fh:
             json.dump([{"task": t, "error": e} for t, e in failures], fh, indent=2)
             fh.write("\n")
+    elif os.path.exists(manifest):
+        os.remove(manifest)  # left by an earlier, partial run into the same directory
     return runs_path
 
 
@@ -547,94 +550,54 @@ class AggregateTable:
 
 
 def normalize_scores(records) -> AggregateTable:
-    """Aggregate run records into the two normalized score tables."""
+    """Aggregate run records into the two normalized score tables, as
+    arithmetic on one cost[controller, system, generator, seed] array."""
     if not records:
         raise AggregationError("no records to aggregate")
-    systems = sorted({r.system_index for r in records})
-    seeds = sorted({r.seed_index for r in records})
-    controllers, generators = [], []
+    controllers = list(dict.fromkeys(r.controller for r in records))
+    generators = list(dict.fromkeys(r.generator for r in records))
+    systems, seeds = sorted({r.system_index for r in records}), sorted({r.seed_index for r in records})
+    index = [{v: i for i, v in enumerate(axis)} for axis in (controllers, systems, generators, seeds)]
+    cost = np.zeros((len(controllers), len(systems), len(generators), len(seeds)))
+    diverged, filled = np.zeros(cost.shape, bool), np.zeros(cost.shape, bool)
     for r in records:
-        if r.controller not in controllers:
-            controllers.append(r.controller)
-        if r.generator not in generators:
-            generators.append(r.generator)
-    by_key = {}
-    for r in records:
-        key = (r.system_index, r.seed_index, r.controller, r.generator)
-        if key in by_key:
-            raise AggregationError(f"duplicate record for {key}")
-        by_key[key] = r
-    missing = [
-        (si, sj, c, g)
-        for si in systems
-        for sj in seeds
-        for c in controllers
-        for g in generators
-        if (si, sj, c, g) not in by_key
-    ]
+        at = tuple(ix[v] for ix, v in zip(index, (r.controller, r.system_index, r.generator, r.seed_index)))
+        if filled[at]:
+            raise AggregationError(f"duplicate record for {(r.system_index, r.seed_index, r.controller, r.generator)}")
+        filled[at], cost[at], diverged[at] = True, r.cumulative_average_cost, r.diverged
+    missing = [(systems[s], seeds[k], controllers[c], generators[g])
+               for s, k, c, g in np.argwhere(~filled.transpose(1, 3, 0, 2))]
     if missing:
         raise AggregationError(f"incomplete grid; missing cells: {missing[:20]}" + ("..." if len(missing) > 20 else ""))
 
-    n_diverged = sum(1 for r in records if r.diverged)
-    # A diverged run means the adversary destabilized the loop: score it as
-    # the worst cost observed in its (system, controller) group.
-    costs = {}
-    for (si, sj, c, g), r in by_key.items():
-        costs[(si, sj, c, g)] = r.cumulative_average_cost
-    for si in systems:
-        for c in controllers:
-            group = [
-                by_key[(si, sj, c, g)]
-                for sj in seeds
-                for g in generators
-            ]
-            finite = [r.cumulative_average_cost for r in group if not r.diverged]
-            worst = max(finite) if finite else max(r.cumulative_average_cost for r in group)
-            for r in group:
-                if r.diverged:
-                    key = (si, r.seed_index, c, r.generator)
-                    costs[key] = max(worst, costs[key])
+    # A diverged run means the adversary destabilized the loop: it scores as
+    # its (system, controller) group's largest cost over the non-diverged
+    # runs, or over all runs when all diverged.  A non-finite diverged cost
+    # is set to NaN, which fmax skips, so record order does not matter.
+    cost[diverged & ~np.isfinite(cost)] = np.nan
+    counted = ~diverged | diverged.all(axis=(2, 3), keepdims=True)
+    worst = np.fmax.reduce(np.where(counted, cost, np.nan), axis=(2, 3), keepdims=True)
+    cost = np.where(diverged, np.fmax(worst, cost), cost)
 
-    ratio = {c: {} for c in controllers}
-    minmax = {c: {} for c in controllers}
-    for c in controllers:
-        per_system = {g: [] for g in generators}
-        for si in systems:
-            seed_means = {
-                g: float(np.mean([costs[(si, sj, c, g)] for sj in seeds])) for g in generators
-            }
-            best = max(seed_means.values())
-            worst = min(seed_means.values())
-            spread = best - worst
-            for g in generators:
-                r_val = seed_means[g] / best if best > 0 else 1.0
-                m_val = (seed_means[g] - worst) / spread if spread > 0 else 1.0
-                per_system[g].append((r_val, m_val))
-        for kind_idx, table in ((0, ratio), (1, minmax)):
-            means = {
-                g: float(np.mean([vals[kind_idx] for vals in per_system[g]])) for g in generators
-            }
-            stds = {
-                g: float(np.std([vals[kind_idx] for vals in per_system[g]], ddof=1))
-                if len(systems) > 1
-                else 0.0
-                for g in generators
-            }
-            anchor = max(means.values())
-            for g in generators:
-                if anchor > 0:
-                    table[c][g] = (means[g] / anchor, stds[g] / anchor)
-                else:
-                    table[c][g] = (1.0, 0.0)
-    return AggregateTable(
-        controllers=controllers,
-        generators=generators,
-        ratio=ratio,
-        minmax=minmax,
-        n_systems=len(systems),
-        n_seeds=len(seeds),
-        n_diverged=n_diverged,
-    )
+    def table(per_system):
+        """{controller: {generator: (mean, std)}} of per_system[c, s, g]
+        across systems, rescaled so that the best generator reads 1."""
+        per_system = per_system.transpose(0, 2, 1).copy()  # systems last and contiguous, like the seeds
+        mean = per_system.mean(axis=2)
+        std = per_system.std(axis=2, ddof=1) if len(systems) > 1 else np.zeros_like(mean)
+        anchor = mean.max(axis=1, keepdims=True)
+        mean, std = np.where(anchor > 0, mean / anchor, 1.0), np.where(anchor > 0, std / anchor, 0.0)
+        return {c: {g: (float(mean[i, j]), float(std[i, j])) for j, g in enumerate(generators)}
+                for i, c in enumerate(controllers)}
+
+    # The seed axis is last and contiguous, so each mean sums in np.mean's order for a list.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        seed_mean = cost.mean(axis=3)
+        best, least = seed_mean.max(axis=2, keepdims=True), seed_mean.min(axis=2, keepdims=True)
+        ratio = table(np.where(best > 0, seed_mean / best, 1.0))
+        minmax = table(np.where(best - least > 0, (seed_mean - least) / (best - least), 1.0))
+    return AggregateTable(controllers=controllers, generators=generators, ratio=ratio, minmax=minmax,
+                          n_systems=len(systems), n_seeds=len(seeds), n_diverged=int(diverged.sum()))
 
 
 def regret_curve(config: ExperimentConfig, system_index: int, controller: str, T_grid, n_seeds: int):
@@ -643,8 +606,9 @@ def regret_curve(config: ExperimentConfig, system_index: int, controller: str, T
 
     MOTR is the config's motr spec, or the default motr spec merged with
     the config's top level when the config lists none; both are built as
-    run_grid builds them.  An unknown controller, a T_grid that is not
-    strictly increasing from 1 or more, or n_seeds < 1 raises ConfigError.
+    run_grid builds them.  An unknown controller, a system_index outside
+    [0, n_systems), a T_grid that is not strictly increasing from 1 or
+    more, or n_seeds < 1 raises ConfigError.
     Returns (rows, slope): rows of (T, regret, regret/T) averaged over
     seeds, and the fitted log-log slope of regret versus T (nan when any
     mean regret is non-positive).
@@ -652,6 +616,8 @@ def regret_curve(config: ExperimentConfig, system_index: int, controller: str, T
     T_grid = list(T_grid)
     if not T_grid or T_grid[0] < 1 or n_seeds < 1 or any(b <= a for a, b in zip(T_grid, T_grid[1:])):
         raise ConfigError("T_grid must be strictly increasing from >= 1, and n_seeds >= 1")
+    if not (_is_int(system_index) and 0 <= system_index < config.n_systems):
+        raise ConfigError(f"system_index must be in [0, {config.n_systems}), got {system_index!r}")
     ctrl_spec = next((c for c in config.controllers if c["name"] == controller), None)
     if ctrl_spec is None:
         raise ConfigError(f"controller {controller!r} not in config")

@@ -97,11 +97,16 @@ def _cmd_regret(args) -> int:
     return 0
 
 
-def _read_json_arg(path: str):
+def _read_json_arg(path: str) -> dict:
+    """The JSON object at path (- for stdin); ValueError if it is not one."""
     if path == "-":
-        return json.load(_sys.stdin)
-    with open(path) as fh:
-        return json.load(fh)
+        obj = json.load(_sys.stdin)
+    else:
+        with open(path) as fh:
+            obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(obj).__name__}")
+    return obj
 
 
 def _cmd_solve_tr(args) -> int:
@@ -110,11 +115,10 @@ def _cmd_solve_tr(args) -> int:
         prob = TrustRegionProblem(
             np.array(obj["P"], dtype=float), np.array(obj["p"], dtype=float), float(obj["D"])
         )
-        eps = float(obj.get("eps", 1e-9))
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+        sol = tr_solve(prob, float(obj.get("eps", 1e-9)))
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         print(f"bad problem input: {exc}", file=_sys.stderr)
         return 2
-    sol = tr_solve(prob, eps)
     print(json.dumps({
         "z": sol.z.tolist(),
         "value": sol.value,
@@ -133,7 +137,7 @@ def _cmd_synth(args) -> int:
             cw = CostWeights.from_json(_read_json_arg(args.cost))
         else:
             cw = CostWeights(np.eye(system.d_x), np.eye(system.d_u))
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         print(f"bad system input: {exc}", file=_sys.stderr)
         return 2
     P, K = solve_dare(system, cw)

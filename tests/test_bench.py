@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,27 @@ class NanController:
 
     def act(self, x):
         return np.full(2, np.nan)
+
+
+def record(si, sj, ctrl, gen, cost, diverged=False):
+    return RunRecord(
+        system_index=si, seed_index=sj, controller=ctrl, generator=gen, T=10,
+        cumulative_average_cost=cost, stage_costs=[cost] * 10,
+        max_control_norm=1.0, max_state_norm=1.0, diverged=diverged,
+        regret_hindsight=None, regret_achieved=None, rng_fingerprint="",
+    )
+
+
+def random_records(rng, n_systems, n_seeds, controllers, generators, p_diverged):
+    """Every cell of the grid once, with costs spread over decades and a
+    share of the runs diverged."""
+    return [
+        record(si, sj, c, g, float(10.0 ** rng.uniform(-2, 2)), bool(rng.random() < p_diverged))
+        for si in range(n_systems)
+        for sj in range(n_seeds)
+        for c in controllers
+        for g in generators
+    ]
 
 
 def small_config(**kw):
@@ -221,23 +244,15 @@ def test_run_grid_deterministic_and_parallel_equivalent(tmp_path):
 
 
 def test_normalize_scores_singleton_and_two_point():
-    def rec(si, sj, ctrl, gen, cost):
-        return RunRecord(
-            system_index=si, seed_index=sj, controller=ctrl, generator=gen, T=10,
-            cumulative_average_cost=cost, stage_costs=[cost] * 10,
-            max_control_norm=1.0, max_state_norm=1.0, diverged=False,
-            regret_hindsight=None, regret_achieved=None, rng_fingerprint="",
-        )
-
-    single = [rec(0, 0, "lqr", "only", 3.0)]
+    single = [record(0, 0, "lqr", "only", 3.0)]
     table = normalize_scores(single)
     assert table.ratio["lqr"]["only"][0] == pytest.approx(1.0)
 
     recs = []
     for si in range(3):
         for sj in range(2):
-            recs.append(rec(si, sj, "lqr", "strong", 2.0))
-            recs.append(rec(si, sj, "lqr", "weak", 1.0))
+            recs.append(record(si, sj, "lqr", "strong", 2.0))
+            recs.append(record(si, sj, "lqr", "weak", 1.0))
     table = normalize_scores(recs)
     assert table.ratio["lqr"]["strong"][0] == pytest.approx(1.0)
     assert table.ratio["lqr"]["weak"][0] == pytest.approx(0.5)
@@ -248,20 +263,19 @@ def test_normalize_scores_singleton_and_two_point():
     table2 = normalize_scores(shuffled)
     assert table2.ratio["lqr"]["weak"] == table.ratio["lqr"]["weak"]
 
-    with pytest.raises(AggregationError, match="missing"):
+    with pytest.raises(AggregationError, match=re.escape("missing cells: [(2, 1, 'lqr', 'weak')]")):
         normalize_scores(recs[:-1])
-    with pytest.raises(AggregationError, match="duplicate"):
+    with pytest.raises(AggregationError, match=re.escape("duplicate record for (0, 0, 'lqr', 'strong')")):
         normalize_scores(recs + [recs[0]])
+    # Missing cells are listed in (system, seed, controller, generator) order.
+    with pytest.raises(AggregationError, match=re.escape("[(0, 1, 'lqr', 'weak'), (1, 0, 'lqr', 'strong')]")):
+        normalize_scores([r for r in recs if (r.system_index, r.seed_index, r.generator) not in
+                          ((1, 0, "strong"), (0, 1, "weak"))])
 
 
 def test_normalize_scores_diverged_takes_worst_cost():
     def rec(si, sj, gen, cost, diverged=False):
-        return RunRecord(
-            system_index=si, seed_index=sj, controller="lqr", generator=gen, T=10,
-            cumulative_average_cost=cost, stage_costs=[cost] * 10,
-            max_control_norm=1.0, max_state_norm=1.0, diverged=diverged,
-            regret_hindsight=None, regret_achieved=None, rng_fingerprint="",
-        )
+        return record(si, sj, "lqr", gen, cost, diverged)
 
     recs = [
         rec(0, 0, "a", 5.0),
@@ -273,6 +287,93 @@ def test_normalize_scores_diverged_takes_worst_cost():
     assert table.ratio["lqr"]["b"][0] == pytest.approx(1.0)
     assert table.ratio["lqr"]["a"][0] == pytest.approx(1.0)
     assert table.ratio["lqr"]["c"][0] == pytest.approx(0.2)
+
+
+def test_normalize_scores_group_with_every_run_diverged():
+    # Every run of (system 0, lqr) diverged: each scores as the group's
+    # largest cost, 3.0, so both generators read 1 on that system.
+    recs = [
+        record(0, 0, "lqr", "a", 3.0, diverged=True),
+        record(0, 1, "lqr", "a", 1.0, diverged=True),
+        record(0, 0, "lqr", "b", 2.0, diverged=True),
+        record(0, 1, "lqr", "b", 2.0, diverged=True),
+    ]
+    recs += [record(1, sj, "lqr", g, cost) for sj in range(2) for g, cost in (("a", 4.0), ("b", 1.0))]
+    table = normalize_scores(recs)
+    assert table.n_diverged == 4
+    assert table.ratio["lqr"]["a"] == (1.0, 0.0)
+    assert table.ratio["lqr"]["b"] == (0.625, float(np.std([1.0, 0.25], ddof=1)))
+    assert table.minmax["lqr"]["b"] == (0.5, float(np.std([1.0, 0.0], ddof=1)))
+
+
+def test_normalize_scores_all_zero_costs_and_single_system():
+    # A controller whose every seed-mean cost is 0 reads 1.0 in both
+    # columns; with a single system the std across systems is 0.
+    recs = [record(0, sj, c, g, 0.0 if c == "quiet" else cost)
+            for sj in range(3) for c in ("quiet", "lqr") for g, cost in (("a", 2.0), ("b", 1.0))]
+    table = normalize_scores(recs)
+    assert table.n_systems == 1
+    for kind in (table.ratio, table.minmax):
+        assert kind["quiet"] == {"a": (1.0, 0.0), "b": (1.0, 0.0)}
+    assert table.ratio["lqr"] == {"a": (1.0, 0.0), "b": (0.5, 0.0)}
+    assert table.minmax["lqr"] == {"a": (1.0, 0.0), "b": (0.0, 0.0)}
+
+    # On two systems the zero group still reads 1.0 on its own system.
+    recs += [record(1, sj, c, g, cost)
+             for sj in range(3) for c in ("quiet", "lqr") for g, cost in (("a", 2.0), ("b", 1.0))]
+    table = normalize_scores(recs)
+    assert table.ratio["quiet"]["b"][0] == 0.75
+    assert table.minmax["quiet"]["b"][0] == 0.5
+
+
+def test_normalize_scores_independent_of_record_order():
+    rng = np.random.default_rng(3)
+    recs = random_records(rng, 4, 5, ("lqr", "gpc", "hinf"), ("motr", "oga", "hinf", "random"), 0.3)
+    table = normalize_scores(recs)
+    assert table.n_diverged > 0
+    for _ in range(5):
+        other = normalize_scores([recs[i] for i in rng.permutation(len(recs))])
+        assert other.n_diverged == table.n_diverged
+        for kind in ("ratio", "minmax"):
+            mine, theirs = getattr(table, kind), getattr(other, kind)
+            assert {c: {g: repr(v) for g, v in row.items()} for c, row in mine.items()} == \
+                {c: {g: repr(v) for g, v in row.items()} for c, row in theirs.items()}
+
+
+def test_normalize_scores_non_finite_diverged_cost_takes_worst_finite():
+    # A diverged run whose cost is NaN or inf (a pluggable controller that
+    # returned a non-finite u) scores as its group's worst finite cost, in
+    # any record order.
+    recs = [
+        record(0, 0, "lqr", "a", 1.0),
+        record(0, 0, "lqr", "b", 2.5, diverged=True),
+        record(0, 1, "lqr", "a", float("nan"), diverged=True),
+        record(0, 1, "lqr", "b", 2.5),
+        record(1, 0, "lqr", "a", float("inf"), diverged=True),
+        record(1, 0, "lqr", "b", 2.5, diverged=True),
+        record(1, 1, "lqr", "a", 2.5, diverged=True),
+        record(1, 1, "lqr", "b", 2.5),
+    ]
+    # System 0 scores as a = [1.0, 2.5], b = [2.5, 2.5]; system 1 as 2.5 throughout.
+    forward, backward = normalize_scores(recs), normalize_scores(recs[::-1])
+    for table in (forward, backward):
+        assert table.ratio["lqr"]["a"] == pytest.approx((0.85, np.std([0.7, 1.0], ddof=1)))
+        assert table.ratio["lqr"]["b"] == (1.0, 0.0)
+        cells = [v for kind in (table.ratio, table.minmax) for row in kind.values() for v in row.values()]
+        assert np.isfinite(cells).all()
+    assert forward.minmax == backward.minmax
+
+
+def test_normalize_scores_ratio_matches_the_benchmark_oracle(perfbench):
+    import checks
+
+    rng = np.random.default_rng(11)
+    recs = random_records(rng, 3, 10, ("lqr", "gpc", "hinf"), ("motr", "oga", "hinf", "random", "sine"), 0.0)
+    table = normalize_scores(recs)
+    oracle = checks.ratio_table(recs)
+    for c, row in oracle.items():
+        for g, value in row.items():
+            assert abs(table.ratio[c][g][0] - value) <= 1e-12 * abs(value)
 
 
 def test_aggregate_csv_shape(tmp_path):
@@ -307,3 +408,6 @@ def test_regret_curve_runs_and_validates():
         regret_curve(cfg, 0, "lqr", [100, 50], 1)
     with pytest.raises(ConfigError, match="not in config"):
         regret_curve(cfg, 0, "nope", [50], 1)
+    for index in (1, 7, -3):
+        with pytest.raises(ConfigError, match="system_index"):
+            regret_curve(cfg, index, "lqr", [50], 1)

@@ -140,6 +140,11 @@ def test_partial_run_exit_code_and_manifest(tmp_path, monkeypatch):
     assert "injected failure" in manifest[0]["error"]
     assert "task" in manifest[0]
 
+    # A clean rerun into the same directory leaves no stale manifest.
+    monkeypatch.setattr(bench, "_episode_task", real_task)
+    assert main(["run", "--config", cfg_path, "--out", out_dir]) == 0
+    assert not os.path.exists(os.path.join(out_dir, "incomplete.manifest.json"))
+
 
 def test_malformed_config_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
@@ -173,6 +178,13 @@ def test_solve_tr_subcommand(tmp_path, capsys):
 
     bad = write_json(tmp_path / "bad.json", {"P": [[1.0]]})
     assert main(["solve-tr", "--problem", bad]) == 2
+    capsys.readouterr()
+    negative_eps = write_json(tmp_path / "eps.json", {"P": [[1.0]], "p": [1.0], "D": 1.0, "eps": -1})
+    array = write_json(tmp_path / "array.json", [[1.0]])
+    for path in (negative_eps, array):
+        assert main(["solve-tr", "--problem", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("bad problem input:") and err.count("\n") == 1
 
 
 def test_synth_subcommand(tmp_path, capsys):
@@ -186,6 +198,12 @@ def test_synth_subcommand(tmp_path, capsys):
     gains = out["hinf"]
     assert np.array(gains["W"]).shape == (2, 3)
     assert gains["gamma_star"] > 0
+
+    array = write_json(tmp_path / "array.json", [[1.0]])
+    for argv in (["--system", array], ["--system", sys_path, "--cost", array]):
+        assert main(["synth", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("bad system input:") and err.count("\n") == 1
 
 
 def test_regret_subcommand(tmp_path, capsys):
@@ -208,6 +226,9 @@ def test_regret_subcommand(tmp_path, capsys):
     assert "not in config" in capsys.readouterr().err
     assert main(["regret", "--config", cfg_path, "--T-grid", "80,40"]) == 2
     assert "strictly increasing" in capsys.readouterr().err
+    for index in ("7", "-3", "1"):
+        assert main(["regret", "--config", cfg_path, "--system-index", index, "--T-grid", "40"]) == 2
+        assert "system_index must be in [0, 1)" in capsys.readouterr().err
 
 
 def test_regret_uses_the_configs_motr_spec(tmp_path, capsys):
