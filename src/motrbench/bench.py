@@ -50,9 +50,9 @@ DIVERGENCE_LIMIT = 1e12
 
 # Every default of a controller or generator spec.  null is kept only
 # where the value is derived from other inputs: the adaptive generators'
-# H, D_M, eta and eps from the top-level fields of the same names (eta and
-# eps may stay null: see ExperimentConfig), GPC's ball_radius from its
-# base gain and OGA's lr from D_M.
+# H, D_M and eta from the top-level fields of the same names (eta may stay
+# null: see ExperimentConfig), GPC's ball_radius from its base gain and
+# OGA's lr from D_M.
 CONTROLLER_DEFAULTS = {
     "lqr": {},
     "hinf": {},
@@ -60,14 +60,14 @@ CONTROLLER_DEFAULTS = {
 }
 
 GENERATOR_DEFAULTS = {
-    "motr": {"H": None, "D_M": None, "eta": None, "eps": None, "residual_bias": True},
-    "oga": {"H": None, "D_M": None, "eta": None, "eps": None, "residual_bias": True, "lr": None},
+    "motr": {"H": None, "D_M": None, "eta": None, "residual_bias": True},
+    "oga": {"H": None, "D_M": None, "eta": None, "residual_bias": True, "lr": None},
     "hinf": {},
-    "sine": {"n_random_directions": 8},
+    "sine": {},
     "gaussian": {},
     "random": {},
 }
-INHERITED = ("H", "D_M", "eta", "eps")
+INHERITED = ("H", "D_M", "eta")
 
 
 class ConfigError(ValueError):
@@ -92,8 +92,9 @@ _INT_AT_LEAST_1 = ("an integer >= 1", lambda v: _is_int(v) and v >= 1)
 _FIELD_RANGES = {
     **dict.fromkeys(("h", "H", "d_x", "d_u", "d_w", "T", "n_systems", "n_seeds"), _INT_AT_LEAST_1),
     "base_seed": ("an integer", _is_int),
-    "n_random_directions": ("an integer >= 0", lambda v: _is_int(v) and v >= 0),
     "residual_bias": ("true or false", lambda v: isinstance(v, bool)),
+    **dict.fromkeys(("controllers", "generators"), ("a non-empty list", lambda v: isinstance(v, list) and v != [])),
+    "output_dir": ("a non-empty string", lambda v: isinstance(v, str) and v != ""),
 }
 
 
@@ -113,8 +114,8 @@ def _materialize(spec, kind: str, config: "ExperimentConfig") -> dict:
     defaults = CONTROLLER_DEFAULTS if kind == "controller" else GENERATOR_DEFAULTS
     if isinstance(spec, str):
         spec = {"name": spec}
-    if not isinstance(spec, dict) or "name" not in spec:
-        raise ConfigError(f"{kind} spec must be a name or an object with a 'name' field: {spec!r}")
+    if not isinstance(spec, dict) or not isinstance(spec.get("name"), str):
+        raise ConfigError(f"{kind} spec must be a name or an object with a string 'name' field: {spec!r}")
     name = spec["name"]
     if name not in defaults:
         raise ConfigError(f"unknown {kind} {name!r}; expected one of {sorted(defaults)}")
@@ -148,10 +149,10 @@ class ExperimentConfig:
     """Benchmark definition; every field has an explicit value after load,
     and every value is range-checked then (ConfigError).
 
-    The adaptive generator specs inherit H, D_M, eta, eps from the top
-    level whenever the spec itself leaves them null; eta/eps remaining null
-    selects the documented runtime default (eta calibrated on the largest
-    coefficient of the first min(2H + 2, T) observed quadratics, eps = 1/T).
+    The adaptive generator specs inherit H, D_M and eta from the top level
+    whenever the spec itself leaves them null; eta remaining null selects
+    the documented runtime default (eta calibrated on the largest
+    coefficient of the first min(2H + 2, T) observed quadratics).
     """
 
     d_x: int = 4
@@ -166,7 +167,6 @@ class ExperimentConfig:
     D_M: float = 0.3
     H: int = 3
     eta: Optional[float] = None
-    eps: Optional[float] = None
     controllers: list = field(
         default_factory=lambda: [{"name": "lqr"}, {"name": "gpc"}, {"name": "hinf"}]
     )
@@ -183,9 +183,8 @@ class ExperimentConfig:
     output_dir: str = "out"
 
     def __post_init__(self):
-        for key in ("d_x", "d_u", "d_w", "T", "n_systems", "n_seeds", "base_seed", "target_radius",
-                    "W_max") + INHERITED:
-            _check_field("config", key, getattr(self, key), key in ("eta", "eps"))
+        for f in fields(self):
+            _check_field("config", f.name, getattr(self, f.name), f.name == "eta")
         self.controllers = [_materialize(s, "controller", self) for s in self.controllers]
         self.generators = [_materialize(s, "generator", self) for s in self.generators]
         names = [s["name"] for s in self.controllers]
@@ -321,7 +320,7 @@ def _build_generator(spec: dict, bundle: SystemBundle, T: int, W_max: float, see
     if name == "hinf":
         return HinfGenerator(bundle.hinf, W_max)
     if name == "sine":
-        return sinusoid_generator(bundle.system, bundle.cw, W_max, T, seed=seed, **_fields_of(spec))
+        return sinusoid_generator(bundle.system, bundle.cw, W_max, T)
     if name == "gaussian":
         return GaussianGenerator(bundle.system.d_w, W_max, seed)
     return RandomDirectionGenerator(bundle.system.d_w, W_max, seed)

@@ -112,10 +112,13 @@ def _read_json_arg(path: str) -> dict:
 def _cmd_solve_tr(args) -> int:
     try:
         obj = _read_json_arg(args.problem)
+        unknown = sorted(set(obj) - {"P", "p", "D"})
+        if unknown:
+            raise ValueError(f"unknown fields {unknown}; expected P, p and D")
         prob = TrustRegionProblem(
             np.array(obj["P"], dtype=float), np.array(obj["p"], dtype=float), float(obj["D"])
         )
-        sol = tr_solve(prob, float(obj.get("eps", 1e-9)))
+        sol = tr_solve(prob)
     except (OSError, KeyError, TypeError, ValueError) as exc:
         print(f"bad problem input: {exc}", file=_sys.stderr)
         return 2

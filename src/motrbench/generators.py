@@ -18,7 +18,8 @@ work on that vector, and AdaptiveCdgGenerator.M builds the blocks only
 when asked.
 
 The sinusoid generator picks its one sinusoid offline, before the episode,
-by open-loop cost; the search is linear in the phase (_sinusoid_scores).
+by open-loop cost: per (frequency, phase) the best direction is the top
+eigenvector of a d_w x d_w matrix built from _sinusoid_gram.
 """
 
 import math
@@ -162,18 +163,18 @@ class RandomDirectionGenerator(DisturbanceGenerator):
         return self.W_max * v / norm
 
 
-def _sinusoid_scores(sys, cw, W_max, T, directions, freqs, phases) -> np.ndarray:
-    """Open-loop (u = 0, x_0 = 0) cost sum_{t<T} x_t'Q x_t of every sinusoid
-    candidate w_t = W_max sin(omega t + phase) v, as an array indexed
-    (direction, frequency, phase).
+def _sinusoid_gram(sys, cw, T, freqs) -> np.ndarray:
+    """G(omega) for each frequency, as a (frequency, 2 d_w, 2 d_w) array:
+    the open-loop (u = 0, x_0 = 0) cost sum_{t<T} x_t'Q x_t of the drive
+    w_t = sin(omega t + phase) v is z'G(omega)z with
+    z = [cos(phase) v; sin(phase) v].
 
     The state is linear in the drive and sin(omega t + phase) v =
     cos(phase) sin(omega t) v + sin(phase) cos(omega t) v, so
-    x_t = W_max X_t(omega) z with z = [cos(phase) v; sin(phase) v], where
-    X_t(omega) is the state response to the sine and cosine drives through
-    each disturbance channel.  The cost is W_max^2 z'G(omega)z with
-    G(omega) = sum_t X_t' Q X_t, accumulated step by step: one simulation
-    of 2 d_w columns per frequency scores every direction and phase.
+    x_t = X_t(omega) z, where X_t(omega) is the state response to the sine
+    and cosine drives through each disturbance channel, and
+    G(omega) = sum_t X_t' Q X_t is accumulated step by step: one
+    simulation of 2 d_w columns per frequency.
     """
     d_x, d_w = sys.d_x, sys.d_w
     A, Q, C2 = sys.A, cw.Q, np.hstack([sys.C, sys.C])
@@ -186,27 +187,31 @@ def _sinusoid_scores(sys, cw, W_max, T, directions, freqs, phases) -> np.ndarray
     for t in range(T - 1):
         X = A @ X + C2 * gains[:, t, None, :]
         G += X.transpose(0, 2, 1) @ (Q @ X)
-    Z = np.concatenate(
-        [np.cos(phases)[None, :, None] * directions[:, None, :],
-         np.sin(phases)[None, :, None] * directions[:, None, :]],
-        axis=2,
-    )  # (direction, phase, 2 d_w)
-    return W_max**2 * np.einsum("dpa,fab,dpb->dfp", Z, G, Z)
+    return G
 
 
 class SinusoidGenerator(DisturbanceGenerator):
     """Sinusoid w_t = W_max sin(omega t + phase) v, with (omega, phase, v)
-    chosen offline as the candidate maximizing open-loop (u = 0) cumulative
-    cost over the horizon (_sinusoid_scores: one simulation per frequency
-    scores the 640 default candidates).
+    chosen offline to maximize the open-loop (u = 0) cumulative cost over
+    the horizon among every unit direction v and every (omega, phase) on
+    the grids.
+
+    With c = cos(phase), s = sin(phase) and the blocks G11, G12, G22 of the
+    Gram matrix G(omega) (_sinusoid_gram), the cost of v is W_max^2 v'Mv
+    for M = c^2 G11 + c s (G12 + G12') + s^2 G22, so the best v is a top
+    eigenvector of M and scores W_max^2 lambda_max; one batched eigh
+    solves the 64 default (omega, phase) candidates.  The eigenvector is
+    column 0 of eigh(-M), so a degenerate top eigenspace (zero cost, say)
+    gives e_1, and its sign makes its largest-magnitude entry (the first
+    on a tie) positive: v and -v tie open loop but not from a nonzero x_0.
 
     Phase and phase + pi negate the whole open-loop trajectory and so give
     the same cost in exact arithmetic; the default phase grid 2 pi k / 8,
-    k = 0..3, therefore covers [0, pi) only.  Candidates are ordered
-    direction-major, then frequency, then phase.  Scores within a relative
-    TIE_REL_TOL of the best count as tied, and ties break to the first
-    candidate in that order, so rounding does not decide between twins on
-    a grid that holds both.
+    k = 0..3, therefore covers [0, pi) only.  Candidates are ordered by
+    frequency, then phase.  Scores within a relative TIE_REL_TOL of the
+    best count as tied, and ties break to the first candidate in that
+    order, so rounding does not decide between twins on a grid that holds
+    both.
     """
 
     name = "sine"
@@ -218,10 +223,8 @@ class SinusoidGenerator(DisturbanceGenerator):
         W_max: float,
         T: int,
         *,
-        n_random_directions: int,
         freqs: Optional[np.ndarray] = None,
         phases: Optional[np.ndarray] = None,
-        seed: int = 0,
     ):
         super().__init__()
         if not (W_max > 0.0):
@@ -235,19 +238,20 @@ class SinusoidGenerator(DisturbanceGenerator):
         if freqs.ndim != 1 or phases.ndim != 1 or freqs.size == 0 or phases.size == 0:
             raise ValueError("frequency and phase grids must be non-empty 1-D arrays")
         d_w = sys.d_w
-        rng = np.random.default_rng(seed)
-        dirs = [np.eye(d_w)[i] for i in range(d_w)]
-        for _ in range(n_random_directions):
-            v = rng.standard_normal(d_w)
-            dirs.append(v / np.linalg.norm(v))
-        dirs = np.array(dirs)
-        J = _sinusoid_scores(sys, cw, W_max, T, dirs, freqs, phases).ravel()
+        G = _sinusoid_gram(sys, cw, T, freqs)[:, None]  # (frequency, 1, 2 d_w, 2 d_w)
+        G12 = G[..., :d_w, d_w:]
+        c, s = np.cos(phases)[:, None, None], np.sin(phases)[:, None, None]
+        M = c * c * G[..., :d_w, :d_w] + c * s * (G12 + G12.swapaxes(-1, -2)) + s * s * G[..., d_w:, d_w:]
+        neg_lam, V = np.linalg.eigh(-M)  # (frequency, phase, ...)
+        J = -W_max**2 * neg_lam[..., 0].ravel()
         best = int(np.flatnonzero(J >= J.max() - TIE_REL_TOL * abs(J.max()))[0])
-        d, f, p = np.unravel_index(best, (len(dirs), freqs.size, phases.size))
+        f, p = np.unravel_index(best, (freqs.size, phases.size))
+        v = V[f, p, :, 0]
         self.W_max = float(W_max)
+        self.score = float(J[best])  # the chosen sinusoid's open-loop cost
         self.omega = float(freqs[f])
         self.phase = float(phases[p])
-        self.direction = dirs[d]
+        self.direction = v if v[np.argmax(np.abs(v))] > 0 else -v
 
     def _emit(self, x):
         return self.W_max * math.sin(self.omega * self._round + self.phase) * self.direction
@@ -294,7 +298,6 @@ class AdaptiveCdgGenerator(DisturbanceGenerator):
         residual_bias: bool,
         seed: int,
         eta: Optional[float] = None,
-        eps: Optional[float] = None,
         lr: Optional[float] = None,
     ):
         super().__init__()
@@ -317,16 +320,15 @@ class AdaptiveCdgGenerator(DisturbanceGenerator):
             ) from exc
         self.d_x, self.d_u, self.d_w = sys.d_x, sys.d_u, sys.d_w
         self.n = H * self.d_w * self.d_u
-        # None derives the value: eps = 1/T, OGA's step scale lr = 0.1 D_M,
-        # and eta as described below.
-        self.eps = eps if eps is not None else 1.0 / T
+        # None derives the value: OGA's step scale lr = 0.1 D_M, and eta as
+        # described below.
         self.lr = lr if lr is not None else 0.1 * D_M
         self.rng = np.random.default_rng(seed)
         # The episode's one running sum of the round quadratics: MOTR's
         # leader and the regret audit of both update rules.  Without a given
         # eta, MOTR calibrates it on the coefficient scale of the first
         # _warmup_rounds + 1 quadratics and only then starts to play.
-        self._state = OtrState(self.n, D_M, self.eps, seed + 1, eta)
+        self._state = OtrState(self.n, D_M, seed + 1, eta)
         self._coeff_max = 0.0
         self._warmup_rounds = min(2 * H + 1, max(1, T - 1))
         # Bias contribution sum_a (A^a C) W x_{t-1-a} of the last H+1 states
@@ -418,12 +420,5 @@ class AdaptiveCdgGenerator(DisturbanceGenerator):
         return self._state.hindsight()
 
 
-def sinusoid_generator(
-    sys: LinearSystem,
-    cw: CostWeights,
-    W_max: float,
-    T: int,
-    seed: int = 0,
-    **grid,
-) -> SinusoidGenerator:
-    return SinusoidGenerator(sys, cw, W_max, T, seed=seed, **grid)
+def sinusoid_generator(sys: LinearSystem, cw: CostWeights, W_max: float, T: int, **grid) -> SinusoidGenerator:
+    return SinusoidGenerator(sys, cw, W_max, T, **grid)

@@ -111,19 +111,16 @@ class OtrState:
     decomposition serves every play.
     """
 
-    def __init__(self, d: int, D: float, eps: float, seed: int, eta: Optional[float] = None):
+    def __init__(self, d: int, D: float, seed: int, eta: Optional[float] = None):
         if d < 1:
             raise ValueError("d must be positive")
         if eta is not None and not (eta > 0.0):
             raise ValueError("eta must be positive")
         if not (D > 0.0):
             raise ValueError("D must be positive")
-        if not (eps > 0.0):
-            raise ValueError("eps must be positive")
         self.d = d
         self.D = float(D)
         self.eta = eta
-        self.eps = float(eps)
         self.rng = np.random.default_rng(seed)
         self.P = np.zeros((d, d))
         self.p = np.zeros(d)
@@ -165,7 +162,7 @@ class OtrState:
             self._leader = (P2, symmetric_eig(P2))
         P2, eig = self._leader
         prob = TrustRegionProblem._unchecked(P2, self.p - sigma, self.D)
-        self.current_z = tr_solve(prob, self.eps, eig=eig).z
+        self.current_z = tr_solve(prob, eig=eig).z
         return self.current_z
 
     def randomize_play(self) -> np.ndarray:
@@ -175,11 +172,11 @@ class OtrState:
 
     def hindsight(self):
         """(best fixed play's value on the sum, value achieved by the plays)."""
-        best = tr_solve(TrustRegionProblem(self.P, self.p, self.D), self.eps).value + self.const
+        best = tr_solve(TrustRegionProblem(self.P, self.p, self.D)).value + self.const
         return float(best), float(self.achieved)
 
 
-def play_sequence(history, D: float, eta: float, eps: float, seed: int):
+def play_sequence(history, D: float, eta: float, seed: int):
     """Run the learner over a reward sequence and return its plays.
 
     history is a sequence of MemoryQuadratic with common (d, H).  Rounds
@@ -190,7 +187,7 @@ def play_sequence(history, D: float, eta: float, eps: float, seed: int):
     if not history:
         return []
     d, H = history[0].d, history[0].H
-    state = OtrState(d, D, eps, seed, eta)
+    state = OtrState(d, D, seed, eta)
     plays = []
     for t, mq in enumerate(history):
         if mq.d != d or mq.H != H:
@@ -204,7 +201,7 @@ def play_sequence(history, D: float, eta: float, eps: float, seed: int):
     return plays
 
 
-def regret_audit(history, plays, D: float, eps: float = 1e-9):
+def regret_audit(history, plays, D: float):
     """(best fixed play in hindsight, value achieved by the plays).
 
     Both sums run over the rounds with a complete window (t >= H-1,
@@ -215,7 +212,7 @@ def regret_audit(history, plays, D: float, eps: float = 1e-9):
     if not history:
         return 0.0, 0.0
     d, H = history[0].d, history[0].H
-    audit = OtrState(d, D, eps, seed=0)
+    audit = OtrState(d, D, seed=0)
     for t in range(H - 1, len(history)):
         mq = history[t]
         if mq.d != d or mq.H != H:

@@ -26,6 +26,8 @@ __all__ = [
 ]
 
 HARD_CASE_REL_TOL = 1e-10
+# Relative tolerance on ||z|| = D that ends the secular-equation iteration.
+SECULAR_REL_TOL = 1e-13
 _SECULAR_MAX_ITER = 200
 _EPS = float(np.finfo(float).eps)
 
@@ -124,18 +126,16 @@ def symmetric_eig(P: np.ndarray):
         raise TrustRegionError(f"eigendecomposition failed: {exc}") from exc
 
 
-def solve(prob: TrustRegionProblem, eps: float = 1e-9, eig=None) -> TrustRegionSolution:
+def solve(prob: TrustRegionProblem, *, eig=None) -> TrustRegionSolution:
     """Globally maximize z'Pz + p'z over the ball of radius D.
 
-    The returned value is within eps of the true maximum (in practice the
-    solution is accurate to near machine precision; eps only caps the
-    secular-equation stopping test).  A boundary solution satisfies the KKT
-    system 2 S z + p = 2 nu z with nu >= max(0, lambda_max(S)) for
-    S = (P + P')/2.  eig, if given, is symmetric_eig(prob.P), which solve
-    otherwise computes; the result is the same bit for bit.
+    The solution is accurate to near machine precision: the secular
+    equation stops once ||z|| is within SECULAR_REL_TOL D of the radius.
+    A boundary solution satisfies the KKT system 2 S z + p = 2 nu z with
+    nu >= max(0, lambda_max(S)) for S = (P + P')/2.  eig, if given, is
+    symmetric_eig(prob.P), which solve otherwise computes; the result is
+    the same bit for bit.
     """
-    if not (eps > 0.0):
-        raise ValueError("eps must be positive")
     D = prob.D
     lam, V = symmetric_eig(prob.P) if eig is None else eig
     lam_max = float(lam[-1])
@@ -174,7 +174,7 @@ def solve(prob: TrustRegionProblem, eps: float = 1e-9, eig=None) -> TrustRegionS
     # eigenbasis being q_i / (2 (nu - lambda_i)).
     lo = nu_lo
     hi = nu_lo + p_norm / (2.0 * D) + 1e-12 * scale
-    stop = max(min(1e-13, eps) * D, 4.0 * _EPS * D)
+    stop = SECULAR_REL_TOL * D
     nu = hi
     w = None
     near_hard = False

@@ -113,7 +113,7 @@ def test_criterion_1_trust_region_solver():
         P = rng.uniform(-1.0, 1.0, size=(d, d))
         p = rng.uniform(-1.0, 1.0, size=d)
         prob = TrustRegionProblem(P, p, radii[i % 3])
-        sol = tr_solve(prob, eps=1e-9)
+        sol = tr_solve(prob)
         ref = brute_force(prob, samples=20000 if d == 2 else 60000)
         worst_gap = max(worst_gap, ref.value - sol.value)
         S = 0.5 * (P + P.T)
@@ -279,7 +279,7 @@ def test_criterion_6_otr_regret():
                 for _ in range(T)
             ]
             eta = default_perturbation_rate(R, d, D, H, T)
-            plays = play_sequence(hist, D, eta, 1.0 / T, seed=7000 + s)
+            plays = play_sequence(hist, D, eta, seed=7000 + s)
             hind, ach = regret_audit(hist, plays, D)
             regs.append(hind - ach)
         means.append(float(np.mean(regs)))
@@ -369,7 +369,7 @@ def test_criterion_9_determinism(benchmark_results, tmp_path):
             MemoryQuadratic(r.uniform(-1, 1, (12, 12)), r.uniform(-1, 1, 12), 0.0, 4, 3)
             for _ in range(250)
         ]
-        plays = play_sequence(hist, 1.0, 0.01, 1e-3, seed=9)
+        plays = play_sequence(hist, 1.0, 0.01, seed=9)
         return regret_audit(hist, plays, 1.0)
 
     otr_ok = one_otr() == one_otr()

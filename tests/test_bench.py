@@ -195,6 +195,12 @@ def test_config_materializes_defaults_and_rejects_unknown():
         ExperimentConfig(controllers=[{"name": "nope"}])
     with pytest.raises(ConfigError):
         ExperimentConfig(generators=[{"name": "motr", "typo": 2}])
+    for spec in ({"name": "sine", "n_random_directions": -3}, {"name": "sine", "n_random_directions": 8},
+                 {"name": "motr", "eps": 1e-3}, {"name": "oga", "eps": None}):
+        with pytest.raises(ConfigError, match="unknown field"):
+            ExperimentConfig(generators=[spec])
+    with pytest.raises(ConfigError, match="unknown config fields"):
+        ExperimentConfig.from_dict({"eps": 0.1})
     # Every spec value is range-checked at load, before any episode runs.
     for fields in (
         {"generators": [{"name": "motr", "D_M": -1}]},
@@ -205,7 +211,14 @@ def test_config_materializes_defaults_and_rejects_unknown():
         {"d_w": 0},
         {"generators": [{"name": "oga", "lr": -0.5}]},
         {"generators": [{"name": "oga", "residual_bias": "no"}]},
-        {"generators": [{"name": "sine", "n_random_directions": -3}]},
+        {"controllers": 5},
+        {"controllers": []},
+        {"generators": []},
+        {"generators": "motr"},
+        {"generators": [{"name": ["motr"]}]},
+        {"controllers": [{"name": None}]},
+        {"output_dir": 5},
+        {"output_dir": ""},
         {"controllers": [{"name": "gpc", "h": 0}]},
         {"controllers": [{"name": "gpc", "lr": -1}]},
         {"controllers": [{"name": "gpc", "ball_radius": float("nan")}]},

@@ -1,10 +1,12 @@
+import dataclasses
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
-from motrbench.bench import RunRecord
+from motrbench.bench import CONTROLLER_DEFAULTS, GENERATOR_DEFAULTS, ExperimentConfig, RunRecord
 from motrbench.cli import main
 from motrbench.lds import random_system
 
@@ -146,7 +148,7 @@ def test_partial_run_exit_code_and_manifest(tmp_path, monkeypatch):
     assert not os.path.exists(os.path.join(out_dir, "incomplete.manifest.json"))
 
 
-def test_malformed_config_exit_code(tmp_path, capsys):
+def test_malformed_config_exit_code(tmp_path, capsys, monkeypatch):
     bad = tmp_path / "bad.json"
     bad.write_text('{"T": ')
     assert main(["run", "--config", str(bad)]) == 2
@@ -164,6 +166,15 @@ def test_malformed_config_exit_code(tmp_path, capsys):
     assert "D_M must be a positive number" in capsys.readouterr().err
     assert not (out_dir / "runs.jsonl").exists()
 
+    # So does a malformed shape: no traceback, and no empty run.
+    monkeypatch.chdir(tmp_path)
+    for fields in ({"controllers": 5}, {"generators": [{"name": ["motr"]}]}, {"generators": []},
+                   {"output_dir": 5}, {"generators": [{"name": "sine", "n_random_directions": 8}]}):
+        path = write_json(tmp_path / "shape.json", {**small_config_dict(), **fields})
+        assert main(["run", "--config", path]) == 2, fields
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "out" / "runs.jsonl").exists()
+
 
 def test_solve_tr_subcommand(tmp_path, capsys):
     prob = write_json(
@@ -180,8 +191,9 @@ def test_solve_tr_subcommand(tmp_path, capsys):
     assert main(["solve-tr", "--problem", bad]) == 2
     capsys.readouterr()
     negative_eps = write_json(tmp_path / "eps.json", {"P": [[1.0]], "p": [1.0], "D": 1.0, "eps": -1})
+    any_eps = write_json(tmp_path / "eps2.json", {"P": [[1.0]], "p": [1.0], "D": 1.0, "eps": 1e-9})
     array = write_json(tmp_path / "array.json", [[1.0]])
-    for path in (negative_eps, array):
+    for path in (negative_eps, any_eps, array):
         assert main(["solve-tr", "--problem", path]) == 2
         err = capsys.readouterr().err
         assert err.startswith("bad problem input:") and err.count("\n") == 1
@@ -249,3 +261,19 @@ def test_regret_uses_the_configs_motr_spec(tmp_path, capsys):
     assert len(changed) == len(default) == 2
     assert changed[0] != default[0] and changed[1] != default[1]
 
+
+def test_readme_config_schema_matches_the_code():
+    # The README's "Config schema" section lists exactly the config's fields
+    # and names every controller, generator and spec field, so a knob that
+    # is removed or added cannot leave the documentation behind.
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+        readme = fh.read()
+    section = readme.split("### Config schema", 1)[1].split("\n#", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    documented = [name for row in rows for cell in re.findall(r"`([^`]*)`", row.split("|")[1])
+                  for name in cell.split(", ")]
+    assert sorted(documented) == sorted(f.name for f in dataclasses.fields(ExperimentConfig))
+    named = set(re.findall(r"`([^`]*)`", section))
+    for defaults in (CONTROLLER_DEFAULTS, GENERATOR_DEFAULTS):
+        for name, spec in defaults.items():
+            assert {name, *spec} <= named, name

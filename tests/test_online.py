@@ -72,7 +72,7 @@ def test_default_perturbation_rate():
 
 
 def test_observe_accumulates_and_cancels():
-    state = OtrState(d=3, D=1.0, eta=1.0, eps=1e-6, seed=0)
+    state = OtrState(d=3, D=1.0, eta=1.0, seed=0)
     state.observe(np.zeros((3, 3)), np.zeros(3), 0.0, 0.0)
     assert np.all(state.P == 0.0) and np.all(state.p == 0.0)
     rng = np.random.default_rng(5)
@@ -87,7 +87,7 @@ def test_observe_accumulates_and_cancels():
 
 def test_observe_matches_batch_sum():
     rng = np.random.default_rng(6)
-    state = OtrState(d=4, D=1.0, eta=1.0, eps=1e-6, seed=0)
+    state = OtrState(d=4, D=1.0, eta=1.0, seed=0)
     quads = [
         (rng.standard_normal((4, 4)), rng.standard_normal(4), float(rng.standard_normal()))
         for _ in range(17)
@@ -101,14 +101,14 @@ def test_observe_matches_batch_sum():
 
 
 def test_update_linear_leader_with_tiny_perturbation():
-    state = OtrState(d=3, D=2.0, eta=1e9, eps=1e-9, seed=1)
+    state = OtrState(d=3, D=2.0, eta=1e9, seed=1)
     state.observe(np.zeros((3, 3)), np.array([5.0, 0.0, 0.0]), 0.0)
     z = state.update()
     assert np.allclose(z, [2.0, 0.0, 0.0], atol=1e-6)
 
 
 def test_update_degenerate_objective():
-    state = OtrState(d=3, D=1.0, eta=1e9, eps=1e-9, seed=2)
+    state = OtrState(d=3, D=1.0, eta=1e9, seed=2)
     state.observe(np.zeros((3, 3)), np.zeros(3), 0.0)
     z = state.update()
     assert np.linalg.norm(z) <= 1.0 + 1e-9
@@ -118,12 +118,12 @@ def test_update_degenerate_objective():
 def test_update_with_forced_perturbation_matches_direct_solve():
     # The leader's quadratic part is twice the summed one (OtrState.update).
     rng = np.random.default_rng(3)
-    state = OtrState(d=4, D=1.5, eta=1.0, eps=1e-9, seed=3)
+    state = OtrState(d=4, D=1.5, eta=1.0, seed=3)
     for _ in range(5):
         state.observe(rng.standard_normal((4, 4)), rng.standard_normal(4), 0.0)
     sigma = np.abs(rng.standard_normal(4))
     z = state.update(sigma=sigma)
-    ref = tr_solve(TrustRegionProblem(2.0 * state.P, state.p - sigma, 1.5), 1e-9)
+    ref = tr_solve(TrustRegionProblem(2.0 * state.P, state.p - sigma, 1.5))
     assert np.allclose(z, ref.z, atol=1e-9)
 
 
@@ -133,7 +133,7 @@ def test_update_reuses_the_eigendecomposition_until_a_nonzero_round(monkeypatch)
     # decomposed again only after a round that changed it.
     rng = np.random.default_rng(5)
     d, D = 5, 0.7
-    state = OtrState(d=d, D=D, eps=1e-9, seed=5)
+    state = OtrState(d=d, D=D, seed=5)
     P_sum, p_sum = np.zeros((d, d)), np.zeros(d)
     calls = []
     real_eigh = np.linalg.eigh
@@ -147,13 +147,13 @@ def test_update_reuses_the_eigendecomposition_until_a_nonzero_round(monkeypatch)
         monkeypatch.setattr(np.linalg, "eigh", lambda S: calls.append(t) or real_eigh(S))
         z = state.update(sigma=sigma)
         monkeypatch.setattr(np.linalg, "eigh", real_eigh)
-        direct = tr_solve(TrustRegionProblem(2.0 * P_sum, p_sum - sigma, D), 1e-9).z
+        direct = tr_solve(TrustRegionProblem(2.0 * P_sum, p_sum - sigma, D)).z
         assert np.array_equal(z, direct), f"round {t}"
     assert calls == [0, 2, 5, 6]
 
 
 def test_update_needs_eta_unless_sigma_is_given():
-    state = OtrState(d=2, D=1.0, eps=1e-9, seed=4)
+    state = OtrState(d=2, D=1.0, seed=4)
     state.observe(np.eye(2), np.ones(2), 0.0)
     with pytest.raises(ValueError, match="eta"):
         state.update()
@@ -165,8 +165,8 @@ def test_update_needs_eta_unless_sigma_is_given():
 def test_plays_bounded_and_deterministic():
     rng = np.random.default_rng(4)
     hist = [random_memory_quadratic(rng, 3, 2) for _ in range(40)]
-    plays_a = play_sequence(hist, D=0.7, eta=0.5, eps=1e-6, seed=11)
-    plays_b = play_sequence(hist, D=0.7, eta=0.5, eps=1e-6, seed=11)
+    plays_a = play_sequence(hist, D=0.7, eta=0.5, seed=11)
+    plays_b = play_sequence(hist, D=0.7, eta=0.5, seed=11)
     for za, zb in zip(plays_a, plays_b):
         assert np.array_equal(za, zb)
         assert np.linalg.norm(za) <= 0.7 * (1.0 + 1e-9)
@@ -188,7 +188,7 @@ def test_regret_audit_fixed_point():
     mq = random_memory_quadratic(rng, 3, 2)
     T = 50
     hist = [mq] * T
-    star = tr_solve(TrustRegionProblem(*collapse(mq), 1.0), 1e-12).z
+    star = tr_solve(TrustRegionProblem(*collapse(mq), 1.0)).z
     plays = [star] * T
     hind, ach = regret_audit(hist, plays, D=1.0)
     assert hind - ach <= 1e-6 * T
@@ -217,7 +217,7 @@ def test_empirical_regret_sublinear():
                 for _ in range(T)
             ]
             eta = default_perturbation_rate(R, d, D, H, T)
-            plays = play_sequence(hist, D, eta, 1.0 / T, seed=7000 + s)
+            plays = play_sequence(hist, D, eta, seed=7000 + s)
             hind, ach = regret_audit(hist, plays, D)
             regs.append(hind - ach)
         means.append(np.mean(regs))

@@ -118,7 +118,7 @@ def test_random_suite_against_sampling_oracle():
     for i in range(100):
         d = 2 + (i % 2)
         prob = random_problem(rng, d, radii[i % 3])
-        sol = solve(prob, eps=1e-9)
+        sol = solve(prob)
         samples = 100000 if d == 2 else 1000000
         ref = brute_force(prob, samples=samples)
         assert abs(sol.value - ref.value) < 1e-4
@@ -244,8 +244,7 @@ def test_solve_with_given_eigendecomposition_is_bit_identical(n):
         random = ("random", random_problem(np.random.default_rng(seed), n, 1.0))
         for name, prob in [random, *certification_instances(n, seed)]:
             eig = np.linalg.eigh(0.5 * (prob.P + prob.P.T))
-            for eps in (1e-9, 1e-3):
-                assert same_solution(solve(prob, eps, eig=eig), solve(prob, eps)), f"{name} seed={seed}"
+            assert same_solution(solve(prob, eig=eig), solve(prob)), f"{name} seed={seed}"
 
 
 def test_solve_with_given_eigendecomposition_hard_case():
