@@ -7,6 +7,7 @@ generator), initial states depend only on (base_seed, system_index,
 seed_index), and aggregation is a pure function of the run records.
 """
 
+import copy
 import functools
 import hashlib
 import json
@@ -345,10 +346,16 @@ def run_episode(
     generator (never shown u_t beforehand) commits w_t, the state steps, and
     both sides observe the realized quantities.
 
-    The controller's u and the generator's w are the values this harness
-    takes from pluggable code, so their shapes are checked here, once per
-    round; a wrong shape raises ValueError.  The plant step and the stage
-    cost below it are plain arithmetic.  State blowup past
+    What enters from outside is checked here, at the boundary: x0 becomes a
+    float vector and must have shape (d_x,), and the controller's u and the
+    generator's w, which come from pluggable code, become float arrays whose
+    shapes are checked every round; a wrong shape raises ValueError.  The
+    controller, the generator and the plant step therefore see float
+    vectors and convert nothing.  A round is act, emit, step, observe and
+    one x @ x for the divergence test; x_t and u_t go into preallocated
+    arrays, and the stage costs, the largest ||u_t|| and the largest ||x_t||
+    (x_0 and every state reached) are computed from them once, after the
+    loop, with the same bits as per-round arithmetic.  State blowup past
     DIVERGENCE_LIMIT, or a non-finite state, ends the episode early with
     the diverged flag set instead of raising.
     """
@@ -357,31 +364,33 @@ def run_episode(
     if x.shape != (sys.d_x,):
         raise ValueError(f"x0 must have shape ({sys.d_x},), got {x.shape}")
     u_shape, w_shape = (sys.d_u,), (sys.d_w,)
-    costs = []
-    max_u = 0.0
-    max_x = float(np.linalg.norm(x))
-    diverged = False
-    for _ in range(T):
+    X, U = np.empty((T, sys.d_x)), np.empty((T, sys.d_u))
+    sq_norms = np.empty(T + 1)  # ||x||^2 of x_0 and of each state reached
+    sq_norms[0] = x @ x
+    rounds, diverged = T, False
+    for t in range(T):
         u = np.asarray(controller.act(x), dtype=float)
         w = np.asarray(generator.emit(x), dtype=float)
         if u.shape != u_shape:
             raise ValueError(f"controller {controller.name!r} returned u of shape {u.shape}, expected {u_shape}")
         if w.shape != w_shape:
             raise ValueError(f"generator {generator.name!r} returned w of shape {w.shape}, expected {w_shape}")
-        costs.append(stage_cost(cw, x, u))
-        max_u = max(max_u, math.sqrt(u @ u))
+        X[t], U[t] = x, u
         x = step(sys, x, u, w)
         generator.observe(u)
-        # ||x||, as np.linalg.norm computes it; NaN or inf once x is not finite.
-        x_norm = math.sqrt(x @ x)
-        if not math.isfinite(x_norm):
-            max_x = math.inf
-            diverged = True
+        sq_norms[t + 1] = sq = x @ x
+        # ||x|| as np.linalg.norm computes it; NaN once x is not finite.
+        if not math.sqrt(sq) <= DIVERGENCE_LIMIT:
+            rounds, diverged = t + 1, True
             break
-        max_x = max(max_x, x_norm)
-        if x_norm > DIVERGENCE_LIMIT:
-            diverged = True
-            break
+    X, U = X[:rounds], U[:rounds]
+    costs = stage_cost(cw, X, U).tolist()
+    # sqrt is monotone, so the square root of the largest squared norm is
+    # the largest norm.  A NaN control norm is skipped, as Python's max
+    # skips it; a non-finite state makes the state norm inf.
+    max_u = math.sqrt(np.fmax.reduce((U[:, None] @ U[:, :, None]).ravel(), initial=0.0))
+    largest = float(sq_norms[: rounds + 1].max())
+    max_x = math.sqrt(largest) if math.isfinite(largest) else math.inf
     pair = generator.regret_pair() if hasattr(generator, "regret_pair") else None
     return RunRecord(
         system_index=system_index,
@@ -389,8 +398,8 @@ def run_episode(
         controller=controller.name,
         generator=generator.name,
         T=T,
-        cumulative_average_cost=float(sum(costs)) / T,
-        stage_costs=[float(c) for c in costs],
+        cumulative_average_cost=sum(costs) / T,
+        stage_costs=costs,
         max_control_norm=max_u,
         max_state_norm=max_x,
         diverged=diverged,
@@ -401,15 +410,32 @@ def run_episode(
     )
 
 
+def _prototype_sine(spec: dict, config: ExperimentConfig, bundle: SystemBundle):
+    """The sine generator of a system, which depends on nothing else (it
+    draws no random numbers), built once for all of its episodes.  An error
+    in the build is returned instead of raised, so that it fails the
+    system's sine episodes and no other."""
+    try:
+        return _build_generator(spec, bundle, config.T, config.W_max, seed=None)
+    except Exception as exc:  # noqa: BLE001 - raised again by each sine episode
+        return exc
+
+
 def _episode_task(args):
-    config, bundle, ctrl_spec, gen_spec, seed_index = args
+    config, bundle, sine, ctrl_spec, gen_spec, seed_index = args
     episode_seed = stable_seed(
         config.base_seed, bundle.index, seed_index, ctrl_spec["name"], gen_spec["name"]
     )
     x0_rng = np.random.default_rng(stable_seed(config.base_seed, "x0", bundle.index, seed_index))
     x0 = x0_rng.standard_normal(config.d_x)
     controller = _build_controller(ctrl_spec, bundle)
-    generator = _build_generator(gen_spec, bundle, config.T, config.W_max, episode_seed)
+    if gen_spec["name"] == "sine":
+        if isinstance(sine, Exception):
+            raise sine.with_traceback(None)
+        # The prototype never plays, so its copy starts at round 0.
+        generator = copy.copy(sine)
+    else:
+        generator = _build_generator(gen_spec, bundle, config.T, config.W_max, episode_seed)
     return run_episode(
         bundle.system,
         bundle.cw,
@@ -432,18 +458,20 @@ def run_grid(config: ExperimentConfig, jobs: int = 1, log=None):
     string) pairs for episodes that raised.
     """
     bundles = [build_bundle(config, i) for i in range(config.n_systems)]
+    sine_spec = next((spec for spec in config.generators if spec["name"] == "sine"), None)
     tasks = []
     for bundle in bundles:
+        sine = None if sine_spec is None else _prototype_sine(sine_spec, config, bundle)
         for seed_index in range(config.n_seeds):
             for ctrl_spec in config.controllers:
                 for gen_spec in config.generators:
-                    tasks.append((config, bundle, ctrl_spec, gen_spec, seed_index))
+                    tasks.append((config, bundle, sine, ctrl_spec, gen_spec, seed_index))
     records, failures = [], []
 
     def collect(results):
         # One zero-argument call per task, in task order, giving its record.
         for task, result in zip(tasks, results):
-            _, bundle, ctrl_spec, gen_spec, seed_index = task
+            _, bundle, _, ctrl_spec, gen_spec, seed_index = task
             describe = (
                 f"system={bundle.index} seed={seed_index} "
                 f"controller={ctrl_spec['name']} generator={gen_spec['name']}"

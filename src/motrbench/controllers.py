@@ -203,14 +203,15 @@ def hinf_bisection(
 
 
 class LinearFeedback:
-    """Stateless handle playing u = -K x."""
+    """Stateless handle playing u = -K x on a float vector x."""
 
     def __init__(self, K: np.ndarray, name: str):
         self.K = np.array(K, dtype=float)
+        self._neg_K = -self.K  # -K @ x parses as (-K) @ x: the same bits, negated once
         self.name = name
 
     def act(self, x: np.ndarray) -> np.ndarray:
-        return -self.K @ np.asarray(x, dtype=float)
+        return self._neg_K @ x
 
 
 def lqr_controller(sys: LinearSystem, cw: CostWeights) -> LinearFeedback:
@@ -263,6 +264,7 @@ class GpcController:
         self.sys = sys
         self.cw = cw
         self.K = K_base
+        self._neg_K = -K_base
         self.h = h
         self.lr = float(lr)
         self.ball = float(ball_radius) if ball_radius is not None else 10.0 * float(
@@ -325,14 +327,13 @@ class GpcController:
         self._Nst = project_ball(N.ravel(), self.ball).reshape(N.shape)
 
     def act(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
         if self._prev is not None:
             xp, up = self._prev
             win = self._win
             win[1:] = win[:-1]
             win[0] = x - self.sys.A @ xp - self.sys.B @ up
             self._update()
-        u = -self.K @ x + self._Nst @ self._S[0]
+        u = self._neg_K @ x + self._Nst @ self._S[0]
         self._prev = (x, u)
         self._t += 1
         return u

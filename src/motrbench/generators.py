@@ -60,6 +60,13 @@ class TransformError(RuntimeError):
     """The residual-coordinate state map is not stable."""
 
 
+def _check_budget(W_max) -> float:
+    """W_max as a float; ValueError unless it is positive."""
+    if not (W_max > 0.0):
+        raise ValueError("W_max must be positive")
+    return float(W_max)
+
+
 def scale_to_budget(w: np.ndarray, W_max: float) -> np.ndarray:
     """Spend the whole budget in the direction of w: W_max * w / ||w||.
 
@@ -69,8 +76,7 @@ def scale_to_budget(w: np.ndarray, W_max: float) -> np.ndarray:
     stabilized state decays, and every comparison against persistent noise
     would be vacuous.
     """
-    if not (W_max > 0.0):
-        raise ValueError("W_max must be positive")
+    _check_budget(W_max)
     w = np.asarray(w, dtype=float)
     norm = math.sqrt(w @ w)
     if norm == 0.0:
@@ -79,7 +85,9 @@ def scale_to_budget(w: np.ndarray, W_max: float) -> np.ndarray:
 
 
 class DisturbanceGenerator:
-    """Base round protocol: emit(x) -> w, then observe(u)."""
+    """Base round protocol: emit(x) -> w, then observe(u), on the float
+    vectors that the episode harness hands over (it converts at its
+    boundary, so these do not)."""
 
     name = "generator"
 
@@ -90,14 +98,14 @@ class DisturbanceGenerator:
     def emit(self, x: np.ndarray) -> np.ndarray:
         if self._awaiting_control:
             raise GeneratorError(f"round {self._round}: emit called before observe")
-        w = self._emit(np.asarray(x, dtype=float))
+        w = self._emit(x)
         self._awaiting_control = True
         return w
 
     def observe(self, u: np.ndarray) -> None:
         if not self._awaiting_control:
             raise GeneratorError(f"round {self._round}: observe called before emit")
-        self._observe(np.asarray(u, dtype=float))
+        self._observe(u)
         self._awaiting_control = False
         self._round += 1
 
@@ -116,7 +124,7 @@ class HinfGenerator(DisturbanceGenerator):
     def __init__(self, hinf: HinfSolution, W_max: float):
         super().__init__()
         self.W = hinf.W
-        self.W_max = float(W_max)
+        self.W_max = _check_budget(W_max)
 
     def _emit(self, x):
         return scale_to_budget(self.W @ x, self.W_max)
@@ -130,8 +138,7 @@ class GaussianGenerator(DisturbanceGenerator):
 
     def __init__(self, d_w: int, W_max: float, seed: int):
         super().__init__()
-        if not (W_max > 0.0):
-            raise ValueError("W_max must be positive")
+        W_max = _check_budget(W_max)
         self.d_w = d_w
         self.rng = np.random.default_rng(seed)
         mean_norm = math.sqrt(2.0) * math.gamma((d_w + 1) / 2.0) / math.gamma(d_w / 2.0)
@@ -148,18 +155,16 @@ class RandomDirectionGenerator(DisturbanceGenerator):
 
     def __init__(self, d_w: int, W_max: float, seed: int):
         super().__init__()
-        if not (W_max > 0.0):
-            raise ValueError("W_max must be positive")
         self.d_w = d_w
-        self.W_max = float(W_max)
+        self.W_max = _check_budget(W_max)
         self.rng = np.random.default_rng(seed)
 
     def _emit(self, x):
         v = self.rng.standard_normal(self.d_w)
-        norm = float(np.linalg.norm(v))
+        norm = math.sqrt(v @ v)  # np.linalg.norm's arithmetic
         while norm == 0.0:
             v = self.rng.standard_normal(self.d_w)
-            norm = float(np.linalg.norm(v))
+            norm = math.sqrt(v @ v)
         return self.W_max * v / norm
 
 
@@ -227,8 +232,7 @@ class SinusoidGenerator(DisturbanceGenerator):
         phases: Optional[np.ndarray] = None,
     ):
         super().__init__()
-        if not (W_max > 0.0):
-            raise ValueError("W_max must be positive")
+        W_max = _check_budget(W_max)
         if freqs is None:
             freqs = np.linspace(0.0, np.pi, 16)
         if phases is None:
@@ -247,7 +251,7 @@ class SinusoidGenerator(DisturbanceGenerator):
         best = int(np.flatnonzero(J >= J.max() - TIE_REL_TOL * abs(J.max()))[0])
         f, p = np.unravel_index(best, (freqs.size, phases.size))
         v = V[f, p, :, 0]
-        self.W_max = float(W_max)
+        self.W_max = W_max
         self.score = float(J[best])  # the chosen sinusoid's open-loop cost
         self.omega = float(freqs[f])
         self.phase = float(phases[p])
@@ -305,7 +309,7 @@ class AdaptiveCdgGenerator(DisturbanceGenerator):
             raise ValueError(f"unknown update rule {update!r}")
         self.name = update
         self.cw = cw
-        self.T, self.H, self.D_M, self.W_max = T, H, D_M, float(W_max)
+        self.T, self.H, self.D_M, self.W_max = T, H, D_M, _check_budget(W_max)
         if residual_bias:
             self.base = transform_residual(sys, hinf)
             self.K, self.Wb = hinf.K, hinf.W

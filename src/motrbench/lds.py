@@ -203,9 +203,18 @@ def step(sys: LinearSystem, x: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.n
     return sys.A @ x + sys.B @ u + sys.C @ w
 
 
-def stage_cost(cw: CostWeights, x: np.ndarray, u: np.ndarray) -> float:
-    """Quadratic stage cost x'Qx + u'Ru of float vectors x (d_x,), u (d_u,)."""
-    return float(x @ cw.Q @ x + u @ cw.R @ u)
+def stage_cost(cw: CostWeights, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Quadratic stage costs x'Qx + u'Ru of float arrays x (..., d_x) and
+    u (..., d_u): one cost for a pair of vectors, one per row for the
+    stacked states and controls of a trajectory.
+
+    The products are stacked matmuls, (x Q) x then (u R) u per row, which
+    run the BLAS kernels of the per-vector x @ Q @ x and so give the same
+    bits for every row; np.einsum or one gemm X @ Q would not.
+    """
+    xQx = (x[..., None, :] @ cw.Q) @ x[..., :, None]
+    uRu = (u[..., None, :] @ cw.R) @ u[..., :, None]
+    return (xQx + uRu)[..., 0, 0]
 
 
 def analyze_stability(sys: LinearSystem) -> StabilityReport:

@@ -1,9 +1,12 @@
+import math
 import re
 
 import numpy as np
 import pytest
 
+from motrbench import bench
 from motrbench.bench import (
+    DIVERGENCE_LIMIT,
     AggregationError,
     ConfigError,
     ExperimentConfig,
@@ -17,8 +20,8 @@ from motrbench.bench import (
     stable_seed,
     write_outputs,
 )
-from motrbench.controllers import lqr_controller
-from motrbench.generators import RandomDirectionGenerator
+from motrbench.controllers import GpcController, LinearFeedback, hinf_bisection, lqr_controller, solve_dare
+from motrbench.generators import HinfGenerator, RandomDirectionGenerator, sinusoid_generator
 from motrbench.lds import CostWeights, random_system
 
 
@@ -172,6 +175,82 @@ def test_run_episode_non_finite_control_diverges():
     assert len(rec.stage_costs) == 1
 
 
+class FaultyController:
+    """Plays u = -K x, and the value `fault` at round `at`."""
+
+    name = "faulty"
+
+    def __init__(self, K, at, fault):
+        self.K, self.at, self.fault, self.t = K, at, fault, 0
+
+    def act(self, x):
+        self.t += 1
+        return np.full(self.K.shape[0], self.fault) if self.t - 1 == self.at else -self.K @ x
+
+
+def per_round_episode(sys, cw, controller, generator, T, x0):
+    """(stage costs, max ||u||, max ||x||, diverged) of an episode, each
+    computed round by round with plain formulas: x'Qx + u'Ru, Python's max
+    of math.sqrt(u @ u), and of math.sqrt(x @ x) from x_0 on."""
+    x = np.array(x0, dtype=float)
+    costs, max_u, max_x = [], 0.0, math.sqrt(x @ x)
+    for _ in range(T):
+        u = controller.act(x)
+        w = generator.emit(x)
+        costs.append(float(x @ cw.Q @ x + u @ cw.R @ u))
+        max_u = max(max_u, math.sqrt(u @ u))
+        x = sys.A @ x + sys.B @ u + sys.C @ w
+        generator.observe(u)
+        x_norm = math.sqrt(x @ x)
+        if not math.isfinite(x_norm):
+            return costs, max_u, math.inf, True
+        max_x = max(max_x, x_norm)
+        if x_norm > DIVERGENCE_LIMIT:
+            return costs, max_u, max_x, True
+    return costs, max_u, max_x, False
+
+
+@pytest.mark.parametrize("case", ["lqr-random", "gpc-hinf", "blowup", "nan-control", "inf-control"])
+def test_run_episode_matches_per_round_arithmetic(case):
+    # The harness computes the costs and norms once per episode from the
+    # stacked trajectory; they must equal the per-round formulas exactly.
+    rng = np.random.default_rng(5)
+    sys = random_system(4, 2, 2, seed=6, target_radius=1.5 if case == "blowup" else 0.9)
+    Mq, Mr = rng.standard_normal((4, 4)), rng.standard_normal((2, 2))
+    cw = CostWeights(Mq @ Mq.T + 0.5 * np.eye(4), Mr @ Mr.T + 0.5 * np.eye(2))
+    x0 = rng.standard_normal(4)
+    T = 60
+    _, K = solve_dare(sys, cw)
+    hinf = hinf_bisection(sys, cw) if case == "gpc-hinf" else None
+
+    def pair():
+        """A fresh (controller, generator) of the case."""
+        if case == "lqr-random":
+            return LinearFeedback(K, "lqr"), RandomDirectionGenerator(2, 1.0, seed=3)
+        if case == "gpc-hinf":
+            return GpcController(sys, cw, K, h=5, lr=0.5), HinfGenerator(hinf, 1.0)
+        if case == "blowup":
+            return BlowupController(), RandomDirectionGenerator(2, 1.0, seed=3)
+        fault = np.nan if case == "nan-control" else np.inf
+        return FaultyController(K, 7, fault), RandomDirectionGenerator(2, 1.0, seed=3)
+
+    with np.errstate(invalid="ignore"):  # inf - inf in the plant step of inf-control
+        rec = run_episode(sys, cw, *pair(), T, x0)
+        costs, max_u, max_x, diverged = per_round_episode(sys, cw, *pair(), T, x0)
+    assert len(rec.stage_costs) == len(costs)
+    np.testing.assert_array_equal(rec.stage_costs, costs)  # exact; NaN only where the formula gives NaN
+    assert rec.max_control_norm == max_u
+    assert rec.max_state_norm == max_x
+    assert rec.diverged == diverged
+    if case == "blowup":
+        assert diverged and math.isfinite(max_x) and max_x > DIVERGENCE_LIMIT and len(costs) < T
+    elif case.endswith("control"):
+        assert diverged and max_x == math.inf and len(costs) == 8
+    else:
+        assert not diverged and len(costs) == T
+        assert rec.cumulative_average_cost == sum(costs) / T
+
+
 def test_run_record_json_round_trip_excludes_wall_time():
     sys = random_system(4, 2, 2, seed=1)
     cw = CostWeights(np.eye(4), np.eye(2))
@@ -254,6 +333,49 @@ def test_run_grid_deterministic_and_parallel_equivalent(tmp_path):
     path = write_outputs(rec_a, cfg, str(tmp_path / "out"))
     again = [r.to_json_line() for r in load_records(path)]
     assert again == lines_a
+
+
+def test_run_grid_builds_the_sine_once_per_system(monkeypatch):
+    cfg = small_config(controllers=[{"name": "lqr"}, {"name": "hinf"}],
+                       generators=[{"name": "sine"}, {"name": "random"}])
+    calls = []
+    monkeypatch.setattr(bench, "sinusoid_generator", lambda *a, **k: calls.append(a) or sinusoid_generator(*a, **k))
+    records, failures = run_grid(cfg, jobs=1)
+    assert not failures and len(records) == 16
+    assert len(calls) == 2  # 2 systems; not one per (seed, controller) episode
+
+    # Each sine record equals that of an episode with a sine of its own.
+    sines = [r for r in records if r.generator == "sine"]
+    assert len(sines) == 8
+    for rec in sines:
+        bundle = build_bundle(cfg, rec.system_index)
+        K = bundle.lqr_K if rec.controller == "lqr" else bundle.hinf.K
+        x0 = np.random.default_rng(stable_seed(cfg.base_seed, "x0", rec.system_index, rec.seed_index))
+        own = run_episode(
+            bundle.system, bundle.cw, LinearFeedback(K, rec.controller),
+            sinusoid_generator(bundle.system, bundle.cw, cfg.W_max, cfg.T), cfg.T,
+            x0.standard_normal(cfg.d_x), rec.system_index, rec.seed_index, rec.rng_fingerprint,
+        )
+        assert own.to_json_line() == rec.to_json_line()
+
+    # A config that lists no sine builds none.
+    del calls[:]
+    run_grid(small_config(), jobs=1)
+    assert calls == []
+
+
+def test_run_grid_sine_build_error_fails_only_the_sine_episodes(monkeypatch):
+    def broken(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(bench, "sinusoid_generator", broken)
+    cfg = small_config(generators=[{"name": "sine"}, {"name": "random"}])
+    records, failures = run_grid(cfg, jobs=1)
+    assert [r.generator for r in records] == ["random"] * 4
+    assert len(failures) == 4
+    for task, error in failures:
+        assert "generator=sine" in task
+        assert error == "LinAlgError: Eigenvalues did not converge"
 
 
 def test_normalize_scores_singleton_and_two_point():

@@ -87,6 +87,27 @@ def test_hinf_generator_direction_and_budget():
     assert cos == pytest.approx(1.0)
 
 
+def test_every_generator_checks_its_budget_when_built():
+    # A budget that is not positive fails at construction, not at the
+    # first emit.
+    sys, cw, hinf = make_setup()
+    for W_max in (0.0, -1.0, float("nan")):
+        builders = [
+            lambda: HinfGenerator(hinf, W_max),
+            lambda: GaussianGenerator(2, W_max, seed=0),
+            lambda: RandomDirectionGenerator(2, W_max, seed=0),
+            lambda: sinusoid_generator(sys, cw, W_max, T=10),
+        ] + [
+            lambda update=update: AdaptiveCdgGenerator(
+                sys, cw, hinf, update=update, T=10, H=2, D_M=0.3, W_max=W_max, residual_bias=True, seed=0
+            )
+            for update in ("motr", "oga")
+        ]
+        for build in builders:
+            with pytest.raises(ValueError, match="W_max must be positive"):
+                build()
+
+
 def test_gaussian_generator_norm_statistics():
     gen = GaussianGenerator(d_w=3, W_max=2.0, seed=0)
     norms = []
