@@ -22,11 +22,17 @@ Conventions (pinned by the calibration tests against direct simulation):
   plant_powers computes them once, after checking that the plant is
   strictly stable.
 
-* A policy is stored as one (H, d_w, d_u) array and flattened column-major
-  over the vertically stacked (H d_w, d_u) matrix:
-  vec index = col*(H*d_w) + (block-1)*d_w + row.  CdgPolicy.vec and
-  CdgPolicy.from_vec are the only conversions to these coordinates; the
-  adaptive generators keep their policy in them.
+* A policy has one encoding: the learner's own array.  MOTR and OGA keep
+  the vector vec(M), the column-major flatten of the vertically stacked
+  (H d_w, d_u) matrix, vec index = col*(H*d_w) + (block-1)*d_w + row,
+  which is the column order of the unroll's T; GPC keeps the row-major
+  stacked (d_u, h d_x) matrix [N[0] | ... | N[h-1]].  The blocks M[i] are
+  only ever read-only (H, ., .) views of these arrays (the learners'
+  M and N properties).  CdgPolicy.vec and CdgPolicy.from_vec are the two
+  conversions between blocks and vec(M), and project_frobenius is the one
+  radial projection of either array.  Both keep their names, and from_vec
+  its class, because the benchmark's tracer (perfbench/tracing.py) wraps
+  motrbench.cdg.project_frobenius and motrbench.cdg.CdgPolicy.from_vec.
 """
 
 import math
@@ -42,7 +48,6 @@ __all__ = [
     "PlantPowers",
     "RolloutQuadratic",
     "InstabilityError",
-    "project_ball",
     "project_frobenius",
     "plant_powers",
     "affine_state_map",
@@ -54,103 +59,30 @@ class InstabilityError(RuntimeError):
     """The rollout quadratic requires a strictly stable state map."""
 
 
-@dataclass(frozen=True)
 class CdgPolicy:
-    """Disturbance policy: blocks[i-1] multiplies the control i steps back.
+    """The conversions between a policy's (H, d_w, d_u) blocks and vec(M)."""
 
-    blocks is one read-only (H, d_w, d_u) array whose Frobenius norm must
-    stay within frobenius_bound.  The constructor checks its input;
-    from_vec and project_frobenius build from the program's own arrays
-    without checking again.
-    """
+    @staticmethod
+    def vec(blocks: np.ndarray) -> np.ndarray:
+        return blocks.reshape(-1, blocks.shape[2]).ravel(order="F")
 
-    blocks: np.ndarray
-    frobenius_bound: float
-
-    def __post_init__(self):
-        blocks = np.array(self.blocks, dtype=float)
-        if blocks.ndim != 3 or blocks.shape[0] < 1:
-            raise ValueError(f"blocks must have shape (H, d_w, d_u) with H >= 1, got {blocks.shape}")
-        if not np.all(np.isfinite(blocks)):
-            raise ValueError("blocks must be finite")
-        if not (self.frobenius_bound > 0.0):
-            raise ValueError("frobenius_bound must be positive")
+    @classmethod
+    def from_vec(cls, v: np.ndarray, H: int, d_w: int, d_u: int) -> np.ndarray:
+        """The blocks of vec(M) as a read-only view of v (no copy)."""
+        blocks = v.reshape((H * d_w, d_u), order="F").reshape(H, d_w, d_u)
         blocks.setflags(write=False)
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "frobenius_bound", float(self.frobenius_bound))
-        norm = self.frobenius_norm()
-        if norm > self.frobenius_bound * (1.0 + 1e-9):
-            raise ValueError(
-                f"stacked Frobenius norm {norm:.6g} exceeds bound {self.frobenius_bound:.6g}"
-            )
-
-    @classmethod
-    def _unchecked(cls, blocks: np.ndarray, frobenius_bound: float) -> "CdgPolicy":
-        policy = object.__new__(cls)
-        blocks.setflags(write=False)
-        object.__setattr__(policy, "blocks", blocks)
-        object.__setattr__(policy, "frobenius_bound", float(frobenius_bound))
-        return policy
-
-    @property
-    def H(self) -> int:
-        return self.blocks.shape[0]
-
-    @property
-    def d_w(self) -> int:
-        return self.blocks.shape[1]
-
-    @property
-    def d_u(self) -> int:
-        return self.blocks.shape[2]
-
-    def frobenius_norm(self) -> float:
-        flat = self.blocks.ravel()
-        return math.sqrt(flat @ flat)
-
-    def vec(self) -> np.ndarray:
-        return self.blocks.reshape(-1, self.d_u).ravel(order="F")
-
-    @classmethod
-    def zeros(cls, H: int, d_w: int, d_u: int, frobenius_bound: float) -> "CdgPolicy":
-        return cls(np.zeros((H, d_w, d_u)), frobenius_bound)
-
-    @classmethod
-    def from_vec(
-        cls, v: np.ndarray, H: int, d_w: int, d_u: int, frobenius_bound: float
-    ) -> "CdgPolicy":
-        v = np.asarray(v, dtype=float)
-        if v.shape != (H * d_w * d_u,):
-            raise ValueError(f"vector must have length {H * d_w * d_u}")
-        stacked = v.reshape((H * d_w, d_u), order="F")
-        return cls._unchecked(np.array(stacked.reshape(H, d_w, d_u), order="C"), frobenius_bound)
-
-    def disturbance(self, past_controls) -> np.ndarray:
-        """sum_i blocks[i-1] @ past_controls[i-1], past controls most recent
-        first; a history shorter than H sums the controls it has."""
-        if len(past_controls) > self.H:
-            raise ValueError(f"at most {self.H} past controls, got {len(past_controls)}")
-        w = np.zeros(self.d_w)
-        for b, u in zip(self.blocks, past_controls):
-            w += b @ u
-        return w
+        return blocks
 
 
-def project_ball(v: np.ndarray, bound: float) -> np.ndarray:
-    """Radially project the vector v onto the Euclidean ball of radius
-    bound; v itself when it lies within the ball up to rounding."""
-    if not (bound > 0.0):
-        raise ValueError("bound must be positive")
-    norm = math.sqrt(v @ v)
+def project_frobenius(M: np.ndarray, bound: float) -> np.ndarray:
+    """Radially project the float array M onto the Frobenius ball of radius
+    bound: M itself when it lies within the ball up to rounding.  Each
+    radius is checked positive where it is built, not here."""
+    flat = M.ravel()
+    norm = math.sqrt(flat @ flat)
     if norm <= bound * (1.0 + 1e-12):
-        return v
-    return v * (bound / norm)
-
-
-def project_frobenius(policy: CdgPolicy, bound: float) -> CdgPolicy:
-    """Radially project the blocks onto the Frobenius ball of radius bound."""
-    blocks = project_ball(policy.blocks.ravel(), bound).reshape(policy.blocks.shape)
-    return CdgPolicy._unchecked(blocks, bound)
+        return M
+    return M * (bound / norm)
 
 
 @dataclass(frozen=True)
@@ -222,18 +154,8 @@ class RolloutQuadratic:
     p: np.ndarray
     const: float
 
-    @property
-    def n(self) -> int:
-        return self.p.shape[0]
-
     def evaluate(self, v: np.ndarray) -> float:
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.n,):
-            raise ValueError(f"expected flattened policy of length {self.n}")
         return float(v @ (self.P @ v + self.p)) + self.const
-
-    def evaluate_policy(self, policy: CdgPolicy) -> float:
-        return self.evaluate(policy.vec())
 
 
 def rollout_cost_quadratic(

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .cdg import CdgPolicy, InstabilityError, plant_powers, project_ball
+from .cdg import InstabilityError, plant_powers, project_frobenius
 from .lds import CostWeights, LinearSystem, spectral_radius
 
 __all__ = [
@@ -230,10 +230,12 @@ class GpcController:
     state and control the current N would have produced.  lr scales the
     normalized step length lr/sqrt(t), so by the end of a T-round episode
     the step size is of order lr/sqrt(T); ball_radius None derives the
-    projection radius 10 ||K_base||.
+    projection radius 10 ||K_base||, and the radius must be positive.
 
-    The policy is one stacked (d_u, h d_x) matrix [N[0] | ... | N[h-1]],
-    and the last 2h+1 recovered disturbances sit in a window shifted in
+    The policy is one stacked (d_u, h d_x) matrix [N[0] | ... | N[h-1]]
+    (cdg's one policy encoding), rebound by each update and never written
+    in place, so a view N taken before a round keeps that round's policy.
+    The last 2h+1 recovered disturbances sit in a window shifted in
     place.  One read-only view S of that window, made once, has as row j
     the h disturbances (w_hat_{t-j}, ..., w_hat_{t-j-h+1}) flattened, so
     S N' holds every policy sum the round needs.  The counterfactual state
@@ -270,6 +272,8 @@ class GpcController:
         self.ball = float(ball_radius) if ball_radius is not None else 10.0 * float(
             np.linalg.norm(K_base)
         )
+        if not (self.ball > 0.0):
+            raise ValueError(f"the projection radius must be positive, got {self.ball}")
         d_x, d_u = sys.d_x, sys.d_u
         # [(A-BK)^0 B | ... | (A-BK)^h B] and [(A-BK)^0 | ... | (A-BK)^h].
         self._AkB = powers.AkC.transpose(1, 0, 2).reshape(d_x, (h + 1) * d_u)
@@ -283,10 +287,11 @@ class GpcController:
         self._t = 0
 
     @property
-    def N(self) -> CdgPolicy:
-        """The current policy as blocks (built from the stacked matrix on each call)."""
-        blocks = self._Nst.reshape(self.sys.d_u, self.h, self.sys.d_x).transpose(1, 0, 2)
-        return CdgPolicy._unchecked(blocks.copy(), self.ball)
+    def N(self) -> np.ndarray:
+        """The current policy as a read-only (h, d_u, d_x) view of the stacked matrix."""
+        blocks = self._Nst.reshape(self.sys.d_u, self.h, self.sys.d_x).swapaxes(0, 1)
+        blocks.setflags(write=False)
+        return blocks
 
     def _state_and_gradient(self):
         """Counterfactual state y and the gradient in the stacked policy of
@@ -324,7 +329,7 @@ class GpcController:
             # badly conditioned rounds cannot fling N to the projection ball.
             rate = min(self.lr, self.lr / (math.sqrt(self._t + 1.0) * gnorm))
             N = N - rate * grad
-        self._Nst = project_ball(N.ravel(), self.ball).reshape(N.shape)
+        self._Nst = project_frobenius(N, self.ball)
 
     def act(self, x: np.ndarray) -> np.ndarray:
         if self._prev is not None:

@@ -12,10 +12,10 @@ policy reads residual controls r_t = K x_t + u_t, and the disturbance
 bias is the game's equilibrium gain W x_t.  Against a controller playing
 exactly u = -K x the residuals vanish and the equilibrium generator is
 recovered; MOTR's learned component only spends its budget on deviations.
-Their policy is stored as the learner's vector (CdgPolicy.vec order): the
-emitted disturbance, the update and the projection onto the D_M ball all
-work on that vector, and AdaptiveCdgGenerator.M builds the blocks only
-when asked.
+Their policy is the learner's vector vec(M) (cdg's one policy encoding):
+the emitted disturbance, the update and the projection onto the D_M ball
+all work on that vector, and AdaptiveCdgGenerator.M is a read-only view
+of it as (H, d_w, d_u) blocks.
 
 The sinusoid generator picks its one sinusoid offline, before the episode,
 by open-loop cost: per (frequency, phase) the best direction is the top
@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cdg import CdgPolicy, InstabilityError, plant_powers, project_ball, rollout_cost_quadratic
+from .cdg import CdgPolicy, InstabilityError, plant_powers, project_frobenius, rollout_cost_quadratic
 from .controllers import HinfSolution
 from .lds import CostWeights, LinearSystem, spectral_radius
 from .online import OtrState, default_perturbation_rate
@@ -282,10 +282,11 @@ class AdaptiveCdgGenerator(DisturbanceGenerator):
     the current policy).  The keyword arguments after update are the
     fields of a motr/oga spec, whose defaults and ranges bench.py holds.
 
-    The policy is stored as the learner's vector (CdgPolicy.vec order), so
-    the round reads, updates and projects it without conversions; M builds
-    the CdgPolicy on demand.  The last 2H+1 residual controls and the last
-    H+1 states are kept in rolling windows, most recent first.
+    The policy is the learner's vector vec(M), so the round reads, updates
+    and projects it without conversions.  A round rebinds the vector and
+    never writes it in place, so a view M taken before a round keeps that
+    round's policy.  The last 2H+1 residual controls and the last H+1
+    states are kept in rolling windows, most recent first.
     """
 
     def __init__(
@@ -353,9 +354,9 @@ class AdaptiveCdgGenerator(DisturbanceGenerator):
         self._pending_x: Optional[np.ndarray] = None
 
     @property
-    def M(self) -> CdgPolicy:
-        """The current policy as blocks (built from the vector on each call)."""
-        return CdgPolicy.from_vec(self._v, self.H, self.d_w, self.d_u, self.D_M)
+    def M(self) -> np.ndarray:
+        """The current policy as a read-only (H, d_w, d_u) view of the vector."""
+        return CdgPolicy.from_vec(self._v, self.H, self.d_w, self.d_u)
 
     def _initial_policy(self) -> np.ndarray:
         v = self.rng.standard_normal(self.n)
@@ -396,7 +397,7 @@ class AdaptiveCdgGenerator(DisturbanceGenerator):
                 raise
             raise GeneratorError(f"round {self._round}: {exc}") from exc
         if v is not None:
-            self._v = project_ball(v, self.D_M)
+            self._v = project_frobenius(v, self.D_M)
         self._r_win[1:] = self._r_win[:-1]
         self._r_win[0] = r
         self._x_win[1:] = self._x_win[:-1]

@@ -26,6 +26,7 @@ from motrbench.lds import (
 )
 from motrbench.online import MemoryQuadratic, default_perturbation_rate, play_sequence, regret_audit
 from motrbench.trust_region import TrustRegionProblem, brute_force, solve as tr_solve
+from policy_oracle import policy_sum
 
 
 def report(criterion: int, ok: bool, detail: str):
@@ -44,9 +45,7 @@ def oracle_unroll(sys, x_past, block_lists, window):
     x = np.array(x_past, dtype=float)
     for j, blocks in enumerate(block_lists):
         a = H - j
-        w = np.zeros(sys.d_w)
-        for m in range(1, H + 1):
-            w = w + blocks[m - 1] @ window[a + m]
+        w = policy_sum(blocks, window[a + 1 : a + H + 1])
         x = sys.A @ x + sys.B @ window[a] + sys.C @ w
     return x
 
@@ -76,7 +75,7 @@ def crit3_runs():
         window = rng.standard_normal((2 * H + 1, 2))
         u_now = rng.standard_normal(2)
         rq = rollout_cost_quadratic(plant_powers(sys, H), cw, window, u_now)
-        pol = project_frobenius(CdgPolicy([rng.standard_normal((4, 2)) for _ in range(H)], 1e9), 1.0)
+        pol = project_frobenius(np.array([rng.standard_normal((4, 2)) for _ in range(H)]), 1.0)
         runs.append((sys, cw, window, u_now, H, rq, pol))
     return runs
 
@@ -142,11 +141,11 @@ def test_criterion_2_transfer_calibration():
         d_x, d_u, d_w = int(rng.integers(1, 5)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
         H = int(rng.integers(1, 5))
         sys = random_system(d_x, d_u, d_w, seed=5000 + case, target_radius=0.85)
-        pol = CdgPolicy([0.5 * rng.standard_normal((d_w, d_u)) for _ in range(H)], 1e9)
+        pol = np.array([0.5 * rng.standard_normal((d_w, d_u)) for _ in range(H)])
         window = rng.standard_normal((2 * H + 1, d_u))
         T, b = affine_state_map(plant_powers(sys, H), window)
-        got = T @ pol.vec() + b
-        ref = oracle_unroll(sys, np.zeros(d_x), [pol.blocks] * (H + 1), window)
+        got = T @ CdgPolicy.vec(pol) + b
+        ref = oracle_unroll(sys, np.zeros(d_x), [pol] * (H + 1), window)
         worst = max(worst, float(np.linalg.norm(got - ref) / max(1.0, np.linalg.norm(ref))))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-9 and elapsed < 10.0
@@ -163,17 +162,16 @@ def test_criterion_3_closed_form_oracle(crit3_runs):
     worst_eval = 0.0
     worst_fd = 0.0
     for sys, cw, window, u_now, H, rq, pol in crit3_runs:
-        got = rq.evaluate_policy(pol)
-        ref = oracle_rollout_cost(sys, cw, window, u_now, H, pol.blocks)
+        got = rq.evaluate(CdgPolicy.vec(pol))
+        ref = oracle_rollout_cost(sys, cw, window, u_now, H, pol)
         worst_eval = max(worst_eval, abs(got - ref) / max(1e-12, abs(ref)))
 
-        n = rq.n
+        n = rq.p.size
         hess = rq.P + rq.P.T
         h = 1e-4
 
         def g_of(v):
-            p = CdgPolicy.from_vec(v, H, 4, 2, np.inf)
-            return oracle_rollout_cost(sys, cw, window, u_now, H, p.blocks)
+            return oracle_rollout_cost(sys, cw, window, u_now, H, CdgPolicy.from_vec(v, H, 4, 2))
 
         scale_h = max(1.0, float(np.max(np.abs(hess))))
         scale_g = max(1.0, float(np.max(np.abs(rq.p))))
@@ -215,7 +213,7 @@ def test_criterion_4_approximation_bound():
         assert rep.is_strongly_stable
         cw = CostWeights(np.eye(4), np.eye(2))
         H = truncation_horizon(rep.kappa, rep.gamma, cw.xi, T)
-        pol = project_frobenius(CdgPolicy([rng.standard_normal((2, 2)) for _ in range(H)], 1e9), D)
+        pol = project_frobenius(np.array([rng.standard_normal((2, 2)) for _ in range(H)]), D)
         controls = []
         for _ in range(T):
             u = rng.standard_normal(2)
@@ -224,7 +222,7 @@ def test_criterion_4_approximation_bound():
         xs = [x]
         for t in range(T):
             past = [controls[t - i] if t - i >= 0 else np.zeros(2) for i in range(1, H + 1)]
-            x = step(sys, x, controls[t], pol.disturbance(past))
+            x = step(sys, x, controls[t], policy_sum(pol, past))
             xs.append(x)
         powers = plant_powers(sys, H)
         C_x = 2.0 * rep.beta * H * D * C_u / rep.gamma
@@ -232,7 +230,7 @@ def test_criterion_4_approximation_bound():
         for t in range(H + 2, T):
             window = [controls[t - 1 - i] if t - 1 - i >= 0 else np.zeros(2) for i in range(2 * H + 1)]
             T_y, b_y = affine_state_map(powers, np.array(window))
-            y = T_y @ pol.vec() + b_y
+            y = T_y @ CdgPolicy.vec(pol) + b_y
             gap = abs(stage_cost(cw, xs[t], controls[t]) - stage_cost(cw, y, controls[t]))
             worst_ratio = max(worst_ratio, gap / bound)
     elapsed = time.perf_counter() - t0

@@ -10,11 +10,12 @@ from motrbench.cdg import (
     rollout_cost_quadratic,
 )
 from motrbench.lds import CostWeights, LinearSystem, analyze_stability, random_system, stage_cost
+from policy_oracle import policy_sum
 
 
 def random_policy(rng, H, d_w, d_u, bound=10.0, scale=0.5):
-    blocks = [scale * rng.standard_normal((d_w, d_u)) for _ in range(H)]
-    return project_frobenius(CdgPolicy(blocks, 1e9), bound)
+    blocks = np.array([scale * rng.standard_normal((d_w, d_u)) for _ in range(H)])
+    return project_frobenius(blocks, bound)
 
 
 def simulate_unroll(sys, x_past, policy, window):
@@ -25,28 +26,26 @@ def simulate_unroll(sys, x_past, policy, window):
     applies control window[H-j] and the disturbance of the policy evaluated
     on the H controls preceding it.
     """
-    H = policy.H
+    H = len(policy)
     x = np.array(x_past, dtype=float)
     for j in range(H + 1):
         a = H - j
-        w = np.zeros(sys.d_w)
-        for m in range(1, H + 1):
-            w += policy.blocks[m - 1] @ window[a + m]
+        w = policy_sum(policy, window[a + 1 : a + H + 1])
         x = sys.A @ x + sys.B @ window[a] + sys.C @ w
     return x
 
 
 def unrolled_state(sys, policy, window):
     """Truncated-rollout state y = T vec(M) + b from affine_state_map."""
-    T, b = affine_state_map(plant_powers(sys, policy.H), np.asarray(window, dtype=float))
-    return T @ policy.vec() + b
+    T, b = affine_state_map(plant_powers(sys, len(policy)), np.asarray(window, dtype=float))
+    return T @ CdgPolicy.vec(policy) + b
 
 
 def test_transfer_stack_pure_control_ladder():
     # Zero policy: the map's constant part is the control ladder A^i B.
     sys = LinearSystem(np.array([[0.5]]), np.array([[1.0]]), np.array([[1.0]]))
     H = 2
-    zero = CdgPolicy.zeros(H, 1, 1, 1.0)
+    zero = np.zeros((H, 1, 1))
     ladder = [float(unrolled_state(sys, zero, np.eye(2 * H + 1)[i][:, None])[0]) for i in range(2 * H + 1)]
     assert ladder == pytest.approx([1.0, 0.5, 0.25, 0.0, 0.0])
 
@@ -54,7 +53,7 @@ def test_transfer_stack_pure_control_ladder():
 def test_transfer_stack_single_block_position():
     sys = LinearSystem(np.array([[0.0]]), np.array([[1.0]]), np.array([[1.0]]))
     m = 0.7
-    pol = CdgPolicy([[[m]]], 1.0)
+    pol = np.array([[[m]]])
     response = [float(unrolled_state(sys, pol, np.eye(3)[i][:, None])[0]) for i in range(3)]
     assert response == pytest.approx([1.0, m, 0.0])
 
@@ -64,10 +63,10 @@ def test_transfer_stack_affine_in_blocks():
     sys = random_system(3, 2, 2, seed=1, target_radius=0.8)
     H = 2
     window = rng.standard_normal((2 * H + 1, 2))
-    zero = CdgPolicy.zeros(H, 2, 2, 10.0)
+    zero = np.zeros((H, 2, 2))
     p1 = random_policy(rng, H, 2, 2)
     p2 = random_policy(rng, H, 2, 2)
-    p_sum = CdgPolicy(p1.blocks + p2.blocks, 100.0)
+    p_sum = p1 + p2
     y0 = unrolled_state(sys, zero, window)
     lhs = unrolled_state(sys, p_sum, window) - y0
     rhs = (unrolled_state(sys, p1, window) - y0) + (unrolled_state(sys, p2, window) - y0)
@@ -101,7 +100,7 @@ def test_unrolled_state_zero_policies_reduce_to_control_convolution():
     rng = np.random.default_rng(2)
     sys = random_system(3, 2, 2, seed=6, target_radius=0.7)
     H = 2
-    zero = CdgPolicy.zeros(H, 2, 2, 1.0)
+    zero = np.zeros((H, 2, 2))
     window = rng.standard_normal((2 * H + 1, 2))
     got = unrolled_state(sys, zero, window)
     ref = np.zeros(3)
@@ -130,7 +129,7 @@ def test_approx_state_equals_unrolled_with_zero_start():
     bias_vec = rng.standard_normal(3)
     T, b = affine_state_map(plant_powers(sys, H), window, bias_vec)
     ref = simulate_unroll(sys, np.zeros(3), policy, window)
-    assert np.allclose(T @ policy.vec() + b, ref + bias_vec, atol=1e-10)
+    assert np.allclose(T @ CdgPolicy.vec(policy) + b, ref + bias_vec, atol=1e-10)
 
 
 def test_approx_state_linear_in_each_control():
@@ -170,7 +169,7 @@ def test_approx_state_truncation_error_bound():
         xs = [np.zeros(3)]
         for t in range(T):
             past = [controls[t - i] if t - i >= 0 else np.zeros(2) for i in range(1, H + 1)]
-            w = pol.disturbance(past)
+            w = policy_sum(pol, past)
             xs.append(step(sys, xs[t], controls[t], w))
         C_x = 2.0 * rep.beta * H * D * C_u / rep.gamma
         bound = rep.kappa * C_x * np.exp(-rep.gamma * H)
@@ -191,7 +190,7 @@ def test_approx_cost_delegates_to_stage_cost():
     pol = random_policy(rng, H, 2, 2)
     rq = rollout_cost_quadratic(plant_powers(sys, H), cw, window, u_now)
     y = unrolled_state(sys, pol, window)
-    assert rq.evaluate_policy(pol) == pytest.approx(stage_cost(cw, y, u_now), rel=1e-12)
+    assert rq.evaluate(CdgPolicy.vec(pol)) == pytest.approx(stage_cost(cw, y, u_now), rel=1e-12)
 
 
 def rollout_cost(sys, cw, window, u_now, H, policy, bias_vec=None):
@@ -226,7 +225,7 @@ def test_rollout_quadratic_master_oracle():
         u_now = rng.standard_normal(d_u)
         rq = rollout_cost_quadratic(plant_powers(sys, H), cw, window, u_now)
         pol = random_policy(rng, H, d_w, d_u)
-        got = rq.evaluate_policy(pol)
+        got = rq.evaluate(CdgPolicy.vec(pol))
         ref = rollout_cost(sys, cw, window, u_now, H, pol)
         assert got == pytest.approx(ref, rel=1e-8)
 
@@ -242,7 +241,7 @@ def test_rollout_quadratic_bias_folding():
     rq = rollout_cost_quadratic(plant_powers(sys, H), cw, window, u_now, bias_vec=bias_vec)
     for _ in range(5):
         pol = random_policy(rng, H, 2, 2)
-        got = rq.evaluate_policy(pol)
+        got = rq.evaluate(CdgPolicy.vec(pol))
         ref = rollout_cost(sys, cw, window, u_now, H, pol, bias_vec=bias_vec)
         assert got == pytest.approx(ref, rel=1e-9)
 
@@ -266,11 +265,11 @@ def test_hessian_gradient_match_finite_differences():
     # accumulates them.
     hess, grad = rq.P + rq.P.T, rq.p
     assert np.allclose(hess, hess.T, atol=1e-12)
-    n = rq.n
+    n = rq.p.size
     h = 1e-4
 
     def g_of(v):
-        pol = CdgPolicy.from_vec(v, H, 2, 2, 1e9)
+        pol = CdgPolicy.from_vec(v, H, 2, 2)
         return rollout_cost(sys, cw, window, u_now, H, pol)
 
     for k in range(n):
@@ -298,62 +297,40 @@ def test_symmetric_p_hessian_is_twice_p():
     assert np.allclose(rq.P + rq.P.T, 2.0 * rq.P, atol=1e-12)
 
 
-def test_policy_disturbance_examples():
-    null = CdgPolicy.zeros(2, 2, 2, 1.0)
-    assert np.allclose(null.disturbance([np.ones(2), np.ones(2)]), 0.0)
-
-    ident = CdgPolicy([np.eye(2)], 2.0)
-    v = np.array([0.3, -0.4])
-    assert np.allclose(ident.disturbance([v]), v)
-    # A history shorter than H sums the controls it has.
-    two = CdgPolicy([np.eye(2), 2.0 * np.eye(2)], 4.0)
-    assert np.allclose(two.disturbance([v]), v)
-    assert np.allclose(two.disturbance([]), 0.0)
-    with pytest.raises(ValueError):
-        ident.disturbance([v, v])
-
-
 def test_project_frobenius():
     rng = np.random.default_rng(10)
-    pol = CdgPolicy(rng.standard_normal((3, 2, 2)), 1e9)
-    same = project_frobenius(pol, pol.frobenius_norm() + 1.0)
-    assert np.array_equal(same.blocks, pol.blocks)
+    pol = rng.standard_normal((3, 2, 2))
+    norm = np.linalg.norm(pol)
+    assert project_frobenius(pol, norm + 1.0) is pol
 
-    norm = pol.frobenius_norm()
     half = project_frobenius(pol, norm / 2.0)
-    assert half.frobenius_norm() == pytest.approx(norm / 2.0)
-    assert np.allclose(half.blocks[0], pol.blocks[0] / 2.0)
+    assert np.linalg.norm(half) == pytest.approx(norm / 2.0)
+    assert np.allclose(half[0], pol[0] / 2.0)
 
     for seed in range(50):
         r = np.random.default_rng(seed)
-        big = CdgPolicy(5.0 * r.standard_normal((2, 2, 3)), 1e9)
+        big = 5.0 * r.standard_normal((2, 2, 3))
         proj = project_frobenius(big, 1.0)
-        assert proj.frobenius_norm() == pytest.approx(1.0, abs=1e-10)
+        assert np.linalg.norm(proj) == pytest.approx(1.0, abs=1e-10)
         again = project_frobenius(proj, 1.0)
-        assert np.array_equal(proj.blocks, again.blocks)
+        assert np.array_equal(proj, again)
+    # Any shape: a vector, and GPC's stacked matrix, scale alike.
+    v = 5.0 * rng.standard_normal(12)
+    np.testing.assert_array_equal(project_frobenius(v.reshape(2, 6), 1.0).ravel(), project_frobenius(v, 1.0))
 
 
 def test_policy_vec_round_trip():
     rng = np.random.default_rng(11)
     pol = random_policy(rng, 3, 2, 2)
-    back = CdgPolicy.from_vec(pol.vec(), 3, 2, 2, pol.frobenius_bound)
-    assert np.array_equal(back.blocks, pol.blocks)
+    v = CdgPolicy.vec(pol)
+    back = CdgPolicy.from_vec(v, 3, 2, 2)
+    assert np.array_equal(back, pol)
+    # from_vec is a read-only view of the vector, not a copy.
+    assert np.shares_memory(back, v)
+    with pytest.raises(ValueError):
+        back[0, 0, 0] = 1.0
     # Column-major over the stacked (H d_w, d_u) matrix.
-    v = pol.vec()
     for col in range(2):
         for block in range(3):
             for row in range(2):
-                assert v[col * 6 + block * 2 + row] == pol.blocks[block, row, col]
-
-
-def test_policy_constructor_checks_input():
-    with pytest.raises(ValueError):
-        CdgPolicy(np.zeros((2, 2)), 1.0)
-    with pytest.raises(ValueError):
-        CdgPolicy(np.full((1, 2, 2), np.nan), 1.0)
-    with pytest.raises(ValueError):
-        CdgPolicy(np.ones((1, 2, 2)), 1.0)
-    with pytest.raises(ValueError):
-        CdgPolicy(np.zeros((1, 2, 2)), 0.0)
-    pol = CdgPolicy(np.zeros((1, 2, 2)), 1.0)
-    assert not pol.blocks.flags.writeable
+                assert v[col * 6 + block * 2 + row] == pol[block, row, col]

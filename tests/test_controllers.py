@@ -13,6 +13,7 @@ from motrbench.controllers import (
     solve_hinf_game,
 )
 from motrbench.lds import CostWeights, LinearSystem, random_system, stage_cost, step
+from policy_oracle import policy_sum
 
 CW2 = CostWeights(np.eye(2), np.eye(2))
 GPC = CONTROLLER_DEFAULTS["gpc"]  # the benchmark's GPC: h, lr, ball_radius
@@ -198,7 +199,7 @@ def test_gpc_stays_at_base_policy_without_disturbances():
         assert np.allclose(u, -K @ x, atol=1e-12)
         x = sys.A @ x + sys.B @ u  # w = 0
     # Recovered disturbances are float dust, so N stays at numerical zero.
-    assert gpc.N.frobenius_norm() < 1e-10
+    assert np.linalg.norm(gpc.N) < 1e-10
 
 
 def test_gpc_beats_lqr_under_constant_disturbance():
@@ -230,7 +231,7 @@ def test_gpc_policy_norm_bounded_and_deterministic():
             u = gpc.act(x)
             outs.append(u)
             x = step(sys, x, u, ws[t])
-            assert gpc.N.frobenius_norm() <= gpc.ball * (1.0 + 1e-9)
+            assert np.linalg.norm(gpc.N) <= gpc.ball * (1.0 + 1e-9)
         return np.array(outs)
 
     a, b = run(), run()
@@ -244,7 +245,7 @@ def stacked(blocks):
 
 def stacked_to_vec(G, h):
     """A stacked (d_u, h d_x) matrix in CdgPolicy's vec order."""
-    return CdgPolicy(np.stack(np.hsplit(G, h)), np.inf).vec()
+    return CdgPolicy.vec(np.stack(np.hsplit(G, h)))
 
 
 def test_gpc_gradient_matches_finite_differences():
@@ -262,17 +263,17 @@ def test_gpc_gradient_matches_finite_differences():
     Abar = sys.A - sys.B @ K
 
     def cost(v):
-        N = CdgPolicy.from_vec(v, h, 2, 3, np.inf)
+        N = CdgPolicy.from_vec(v, h, 2, 3)
         y = np.zeros(3)
         for j in range(h + 1):
             a = h - j
-            y = Abar @ y + window[a] + sys.B @ N.disturbance(window[a + 1 : a + 1 + h])
-        ctrl = N.disturbance(window[:h]) - K @ y
+            y = Abar @ y + window[a] + sys.B @ policy_sum(N, window[a + 1 : a + 1 + h])
+        ctrl = policy_sum(N, window[:h]) - K @ y
         return y @ cw.Q @ y + ctrl @ cw.R @ ctrl
 
     m = rng.standard_normal(h * 2 * 3)
     gpc._win[:] = window
-    gpc._Nst = stacked(CdgPolicy.from_vec(m, h, 2, 3, 100.0).blocks)
+    gpc._Nst = stacked(CdgPolicy.from_vec(m, h, 2, 3))
     _, G = gpc._state_and_gradient()
     grad = stacked_to_vec(G, h)
     step = 1e-5
@@ -296,18 +297,18 @@ def test_gpc_matrix_free_round_matches_the_unroll(h):
     rng = np.random.default_rng(h)
     for _ in range(5):
         window = rng.standard_normal((2 * h + 1, d_x))
-        N = CdgPolicy(rng.standard_normal((h, d_u, d_x)), np.inf)
+        N = rng.standard_normal((h, d_u, d_x))
         gpc._win[:] = window
-        gpc._Nst = stacked(N.blocks)
+        gpc._Nst = stacked(N)
         y, G = gpc._state_and_gradient()
 
         Ty, by = affine_state_map(powers, window)
-        y_ref = Ty @ N.vec() + by
+        y_ref = Ty @ CdgPolicy.vec(N) + by
         w_hat = window[:h]
-        v = np.einsum("irc,ic->r", N.blocks, w_hat) - K @ y_ref
+        v = np.einsum("irc,ic->r", N, w_hat) - K @ y_ref
         Rv = cw.R @ v
-        outer = CdgPolicy(Rv[None, :, None] * w_hat[:, None, :], np.inf)
-        grad_ref = 2.0 * (Ty.T @ (cw.Q @ y_ref - K.T @ Rv)) + 2.0 * outer.vec()
+        outer = Rv[None, :, None] * w_hat[:, None, :]
+        grad_ref = 2.0 * (Ty.T @ (cw.Q @ y_ref - K.T @ Rv)) + 2.0 * CdgPolicy.vec(outer)
 
         np.testing.assert_allclose(y, y_ref, rtol=0, atol=1e-12 * np.abs(y_ref).max())
         grad = stacked_to_vec(G, h)
@@ -318,6 +319,7 @@ def test_gpc_episode_plays_its_policy_within_the_ball():
     # Every round of an episode plays u = -K x + sum_i N[i] w_hat_{t-i},
     # with w_hat recomputed from the recorded transitions and N read from
     # the controller after the round's update, and N stays in the ball.
+    # N is a read-only view that the next update does not overwrite.
     sys = random_system(4, 2, 2, seed=15, target_radius=0.9)
     cw = CostWeights(np.eye(4), np.eye(2))
     _, K = solve_dare(sys, cw)
@@ -325,20 +327,26 @@ def test_gpc_episode_plays_its_policy_within_the_ball():
     gpc = GpcController(sys, cw, K, h=h, lr=0.5, ball_radius=0.3)
     rng = np.random.default_rng(8)
     x = np.zeros(4)
-    w_hats, norms = [], []
+    w_hats, norms, moved = [], [], 0
+    before = None
     for t in range(40):
         u = gpc.act(x)
+        if before is not None:
+            np.testing.assert_array_equal(*before)
+            moved += not np.array_equal(gpc.N, before[1])
         N = gpc.N
-        expected = -K @ x
-        for block, w_hat in zip(N.blocks, w_hats):
-            expected = expected + block @ w_hat
+        with pytest.raises(ValueError):
+            N[0, 0, 0] = 1.0
+        before = (N, N.copy())
+        expected = -K @ x + policy_sum(N, w_hats)
         np.testing.assert_allclose(u, expected, rtol=0, atol=1e-12 * (1.0 + np.abs(expected).max()))
-        norms.append(N.frobenius_norm())
+        norms.append(np.linalg.norm(N))
         assert norms[-1] <= gpc.ball * (1.0 + 1e-12)
         x_next = step(sys, x, u, rng.standard_normal(2))
         w_hats.insert(0, x_next - sys.A @ x - sys.B @ u)
         x = x_next
     assert max(norms) >= gpc.ball * (1.0 - 1e-12)  # the projection was active
+    assert moved > 0
 
 
 def test_gpc_requires_stabilizing_base():
@@ -346,3 +354,10 @@ def test_gpc_requires_stabilizing_base():
     cw = CostWeights(np.eye(1), np.eye(1))
     with pytest.raises(ValueError):
         GpcController(sys, cw, np.zeros((1, 1)), **GPC)
+    # Nor does it build with a projection radius <= 0 or NaN, given or
+    # derived as 10 ||K_base|| from K_base = 0 on a stable plant.
+    sys = LinearSystem(np.diag([0.5, 0.3]), np.eye(2), np.eye(2))
+    cw = CostWeights(np.eye(2), np.eye(2))
+    for ball_radius in (None, 0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="radius"):
+            GpcController(sys, cw, np.zeros((2, 2)), h=2, lr=0.5, ball_radius=ball_radius)

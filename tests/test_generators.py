@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from motrbench.bench import ExperimentConfig, stable_seed
+from motrbench.cdg import CdgPolicy
 from motrbench.controllers import hinf_bisection, lqr_controller
 from motrbench.generators import (
     AdaptiveCdgGenerator,
@@ -19,6 +20,7 @@ from motrbench.generators import (
 )
 from motrbench.lds import CostWeights, LinearSystem, analyze_stability, random_system, step
 from motrbench.trust_region import TrustRegionProblem, solve as tr_solve
+from policy_oracle import policy_sum
 
 
 def make_setup(seed=0, radius=0.9):
@@ -326,7 +328,7 @@ def test_motr_deterministic_and_budgeted():
     ws_b, _ = run()
     assert np.array_equal(ws_a, ws_b)
     assert np.all(np.linalg.norm(ws_a, axis=1) <= 1.0 * (1.0 + 1e-9))
-    assert gen_a.M.frobenius_norm() <= 0.3 * (1.0 + 1e-9)
+    assert np.linalg.norm(gen_a.M) <= 0.3 * (1.0 + 1e-9)
 
 
 def test_oga_generator_budgeted_and_in_ball():
@@ -338,7 +340,7 @@ def test_oga_generator_budgeted_and_in_ball():
     x0 = np.random.default_rng(3).standard_normal(4)
     ws = drive(sys, gen, ctrl.act, 60, x0)
     assert np.all(np.linalg.norm(ws, axis=1) <= 1.0 * (1.0 + 1e-9))
-    assert gen.M.frobenius_norm() <= 0.3 * (1.0 + 1e-9)
+    assert np.linalg.norm(gen.M) <= 0.3 * (1.0 + 1e-9)
 
 
 def test_motr_oga_share_paths_when_frozen():
@@ -354,7 +356,7 @@ def test_motr_oga_share_paths_when_frozen():
             sys, cw, hinf, update=update, T=50, H=3, D_M=0.3, W_max=1.0, residual_bias=True, seed=17
         )
         assert gen.name == update
-        policies.append(gen.M.blocks)
+        policies.append(gen.M)
         outs.append(drive(sys, gen, lambda x: -hinf.K @ x, 50, x0))
     assert np.array_equal(policies[0], policies[1])
     assert np.array_equal(outs[0], outs[1])
@@ -370,7 +372,7 @@ def test_round_emits_the_policy_of_the_recorded_residuals(update, residual_bias)
     # Every round emits W_max w/||w|| for w = sum_i M[i] r_{t-1-i} + W x_t,
     # recomputed here from the policy's blocks and the residuals
     # r = K x + u the test records, and every update leaves M in the D_M
-    # ball.
+    # ball.  M is a read-only view that the update does not overwrite.
     sys, cw, hinf = make_setup(seed=12, radius=0.8)
     H, D_M, W_max = 3, 0.3, 1.0
     gen = AdaptiveCdgGenerator(
@@ -380,10 +382,13 @@ def test_round_emits_the_policy_of_the_recorded_residuals(update, residual_bias)
     ctrl = lqr_controller(sys, cw)
     rng = np.random.default_rng(9)
     K = hinf.K if residual_bias else np.zeros((2, 4))
-    x, residuals = rng.standard_normal(4), []
+    x, residuals, moved = rng.standard_normal(4), [], 0
     for _ in range(40):
-        blocks = gen.M.blocks
-        w_hat = sum((b @ r for b, r in zip(blocks, residuals[::-1][:H])), np.zeros(2))
+        blocks = gen.M
+        with pytest.raises(ValueError):
+            blocks[0, 0, 0] = 1.0
+        played = blocks.copy()
+        w_hat = policy_sum(blocks, residuals[::-1])
         if residual_bias:
             w_hat = w_hat + hinf.W @ x
         u = ctrl.act(x) + 0.1 * rng.standard_normal(2)
@@ -392,9 +397,12 @@ def test_round_emits_the_policy_of_the_recorded_residuals(update, residual_bias)
         expected = W_max * w_hat / norm if norm > 0.0 else np.zeros(2)
         np.testing.assert_allclose(w, expected, rtol=0.0, atol=1e-12)
         gen.observe(u)
+        np.testing.assert_array_equal(blocks, played)
+        moved += not np.array_equal(gen.M, played)
         residuals.append(K @ x + u)
         x = step(sys, x, u, w)
-        assert gen.M.frobenius_norm() <= D_M * (1.0 + 1e-12)
+        assert np.linalg.norm(gen.M) <= D_M * (1.0 + 1e-12)
+    assert moved > 0
 
 
 def test_motr_against_the_equilibrium_controller_decomposes_once(monkeypatch):
@@ -459,12 +467,12 @@ def test_motr_plays_the_doubled_leader_of_the_audited_sums(monkeypatch):
         u = ctrl.act(x)
         w = gen.emit(x)
         x = step(sys, x, u, w)
-        played = gen.M.vec()
+        played = CdgPolicy.vec(gen.M)
         gen.observe(u)
         achieved += seen[-1].evaluate(played)
         P, p = sum(q.P for q in seen), sum(q.p for q in seen)
         leader = tr_solve(TrustRegionProblem(2.0 * P, p - sigma, gen.D_M))
-        np.testing.assert_allclose(gen.M.vec(), leader.z, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(CdgPolicy.vec(gen.M), leader.z, rtol=0.0, atol=1e-12)
     best = tr_solve(TrustRegionProblem(P, p, gen.D_M)).value
     hind, ach = gen.regret_pair()
     assert hind == pytest.approx(best + sum(q.const for q in seen), rel=1e-12)

@@ -21,7 +21,9 @@ def test_traced_pass_certifies_every_solve(perfbench, tmp_path):
     # One traced pass of the adversary-n64 workload (about 5 s): every
     # check passes, no episode fails, and each of the workload's 3144
     # trust-region solves (8 MOTR episodes of 391 plays, plus one hindsight
-    # solve per adaptive episode) goes through the certificate.
+    # solve per adaptive episode) goes through the certificate.  The
+    # cdg.project span counts the D_M-ball projection of every MOTR/OGA
+    # round that updates the policy.
     root = os.path.dirname(perfbench)
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
@@ -34,12 +36,14 @@ def test_traced_pass_certifies_every_solve(perfbench, tmp_path):
     assert result["problems"] == []
     assert result["failed"] == 0
     assert result["solves_certified"] == 3144
+    assert result["per_layer"]["cdg.project.calls"] == 6328
 
 
 def test_traced_gpc_pass(perfbench, tmp_path):
     # One traced pass of the gpc-noise workload (a few seconds): the
     # per-round plant-step recomputation finds no problem, no episode fails,
-    # and GPC acts in every one of the workload's 9600 rounds.
+    # GPC acts in every one of the workload's 9600 rounds, and the cdg.project
+    # span counts its projection in each of the 48 x 199 rounds that update.
     root = os.path.dirname(perfbench)
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
@@ -52,3 +56,4 @@ def test_traced_gpc_pass(perfbench, tmp_path):
     assert result["problems"] == []
     assert result["failed"] == 0
     assert result["per_layer"]["controllers.gpc_act.calls"] == 9600
+    assert result["per_layer"]["cdg.project.calls"] == 9552
