@@ -37,10 +37,12 @@ from .cdg import (
     CdgPolicy,
     PlantPowers,
     RolloutQuadratic,
+    UnrollMap,
     affine_state_map,
     plant_powers,
     project_frobenius,
     rollout_cost_quadratic,
+    unroll_map,
 )
 from .controllers import (
     GpcController,

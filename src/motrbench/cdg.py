@@ -4,9 +4,11 @@ truncated-rollout cost.
 A policy with history H maps the last H controls to a disturbance,
 w_t = sum_i M[i] u_{t-i}.  Unrolling the plant H+1 steps from a zero
 state under one repeated policy expresses the truncated-rollout state as
-an affine function of the flattened policy, y = T vec(M) + b
-(affine_state_map, the one unroll), so the truncated-rollout cost is an
-explicit quadratic in vec(M), which is what the online learner consumes.
+an affine function of the flattened policy, y = T vec(M) + b, so the
+truncated-rollout cost is an explicit quadratic in vec(M), which is what
+the online learner consumes.  T and b are linear in the recent history,
+so the unroll is one linear map E of it (unroll_map), and both
+affine_state_map and rollout_cost_quadratic start from one product h @ E.
 
 Conventions (pinned by the calibration tests against direct simulation):
 
@@ -20,7 +22,11 @@ Conventions (pinned by the calibration tests against direct simulation):
 
 * The powers A^k B and A^k C (k = 0..H) depend only on the plant and H;
   plant_powers computes them once, after checking that the plant is
-  strictly stable.
+  strictly stable.  unroll_map lays them out as E, once per plant and
+  horizon.  Given a state gain W, E also maps the last H+1 states to the
+  bias sum_a A^a C W x_{t-1-a} they add to b: the residual bias of the
+  MOTR/OGA generators, whose round keeps its controls and states in one
+  history vector h and reads [T | b] from one product h @ E.
 
 * A policy has one encoding: the learner's own array.  MOTR and OGA keep
   the vector vec(M), the column-major flatten of the vertically stacked
@@ -46,10 +52,12 @@ from .lds import CostWeights, LinearSystem, spectral_radius
 __all__ = [
     "CdgPolicy",
     "PlantPowers",
+    "UnrollMap",
     "RolloutQuadratic",
     "InstabilityError",
     "project_frobenius",
     "plant_powers",
+    "unroll_map",
     "affine_state_map",
     "rollout_cost_quadratic",
 ]
@@ -93,9 +101,6 @@ class PlantPowers:
     H: int
     AkB: np.ndarray  # (H+1, d_x, d_u), AkB[k] = A^k B
     AkC: np.ndarray  # (H+1, d_x, d_w), AkC[k] = A^k C
-    # (H+1, H), window_index[k, m-1] = k + m: the window entry that
-    # A^k C M[m-1] multiplies.
-    window_index: np.ndarray
 
 
 def plant_powers(sys: LinearSystem, H: int) -> PlantPowers:
@@ -114,35 +119,66 @@ def plant_powers(sys: LinearSystem, H: int) -> PlantPowers:
     for k in range(1, H + 1):
         AkB[k] = A @ AkB[k - 1]
         AkC[k] = A @ AkC[k - 1]
-    window_index = np.arange(1, H + 1)[None, :] + np.arange(H + 1)[:, None]
-    return PlantPowers(H, AkB, AkC, window_index)
+    return PlantPowers(H, AkB, AkC)
 
 
-def affine_state_map(
-    powers: PlantPowers, window: np.ndarray, bias_vec: Optional[np.ndarray] = None
-):
-    """(T, b) with truncated-rollout state y = T vec(M) + b for a stationary
-    policy M, given the 2H+1 most-recent-first window of controls.
+@dataclass(frozen=True)
+class UnrollMap:
+    """The truncated unroll of horizon H as one linear map E of the recent
+    history h: (h @ E).reshape(d_x, n + 1) = [T | b], n = H d_w d_u.
 
-    bias_vec is any fixed state contribution (e.g. from per-step bias
-    disturbances already aggregated by the caller); it is simply added to b.
+    h is the 2H+1 most-recent-first controls flattened, followed, for a map
+    built with a state gain W, by the H+1 most-recent-first states
+    flattened."""
+
+    H: int
+    d_u: int
+    d_x: int
+    E: np.ndarray  # (len(h), d_x (n + 1))
+
+
+def unroll_map(sys: LinearSystem, H: int, W: Optional[np.ndarray] = None) -> UnrollMap:
+    """The unroll map of horizon H; raises InstabilityError unless the state
+    map is strictly stable.
+
+    W, a (d_w, d_x) state-feedback gain, adds the states to the history:
+    their contribution sum_a A^a C W x_{t-1-a} (a = 0..H) to b.
     """
-    H, AkB, AkC = powers.H, powers.AkB, powers.AkC
-    _, d_x, d_u = AkB.shape
-    d_w = AkC.shape[2]
-    window = np.asarray(window, dtype=float)
-    if window.shape != (2 * H + 1, d_u):
-        raise ValueError(f"window must have shape ({2 * H + 1}, {d_u}), got {window.shape}")
+    powers = plant_powers(sys, H)
+    d_x, d_u, d_w = sys.d_x, sys.d_u, sys.d_w
+    n, R = H * d_w * d_u, (2 * H + 1) * d_u
+    E = np.zeros((R if W is None else R + (H + 1) * d_x, d_x, n + 1))
+    # T[x, l H d_w + m d_w + w] = sum_a (A^a C)[x, w] window[a + m + 1, l].
+    ET = np.zeros((2 * H + 1, d_u, d_x, d_u, H, d_w))
+    for m in range(H):
+        for l in range(d_u):
+            ET[m + 1 : m + H + 2, l, :, l, m, :] = powers.AkC
+    E[:R, :, :n] = ET.reshape(R, d_x, n)
+    # b = sum_k A^k B window[k] (+ sum_a A^a C W x_{t-1-a}).
+    E[: (H + 1) * d_u, :, n] = powers.AkB.transpose(0, 2, 1).reshape(-1, d_x)
+    if W is not None:
+        E[R:, :, n] = (powers.AkC @ W).transpose(0, 2, 1).reshape(-1, d_x)
+    return UnrollMap(H, d_u, d_x, E.reshape(E.shape[0], -1))
 
-    # Block m of the map collects sum_k A^k C weighted by window[m+k].
-    w_slices = window[powers.window_index]  # (H+1, H, d_u)
-    Tb = np.einsum("kxw,kml->xmwl", AkC, w_slices)  # (d_x, H, d_w, d_u)
-    T = Tb.transpose(0, 3, 1, 2).reshape(d_x, d_u * H * d_w)
 
-    b = np.einsum("kxu,ku->x", AkB, window[: H + 1])
-    if bias_vec is not None:
-        b = b + bias_vec
-    return T, b
+def affine_state_map(unroll: UnrollMap, window: np.ndarray, states: Optional[np.ndarray] = None):
+    """(T, b) with truncated-rollout state y = T vec(M) + b for a stationary
+    policy M, given the 2H+1 most-recent-first window of controls and, for
+    a map built with a state gain, the H+1 most-recent-first states."""
+    H, d_u, d_x = unroll.H, unroll.d_u, unroll.d_x
+    history = np.asarray(window, dtype=float)
+    if history.shape != (2 * H + 1, d_u):
+        raise ValueError(f"window must have shape ({2 * H + 1}, {d_u}), got {history.shape}")
+    history = history.ravel()
+    if states is not None:
+        states = np.asarray(states, dtype=float)
+        if states.shape != (H + 1, d_x):
+            raise ValueError(f"states must have shape ({H + 1}, {d_x}), got {states.shape}")
+        history = np.concatenate([history, states.ravel()])
+    if history.size != unroll.E.shape[0]:
+        raise ValueError("the states are needed exactly when the map was built with a state gain")
+    Tb = (history @ unroll.E).reshape(d_x, -1)
+    return Tb[:, :-1], Tb[:, -1]
 
 
 @dataclass(frozen=True)
@@ -159,22 +195,18 @@ class RolloutQuadratic:
 
 
 def rollout_cost_quadratic(
-    powers: PlantPowers,
-    cw: CostWeights,
-    window: np.ndarray,
-    u_now: np.ndarray,
-    bias_vec: Optional[np.ndarray] = None,
+    unroll: UnrollMap, cw: CostWeights, history: np.ndarray, u_now: np.ndarray
 ) -> RolloutQuadratic:
-    """Quadratic coefficients of the truncated-rollout cost.
+    """Quadratic coefficients of the truncated-rollout cost y'Qy + u'Ru.
 
-    window holds the 2H+1 controls driving the rollout (most recent first,
-    the current control excluded); u_now is the current control, entering
-    only through the u'Ru constant.  bias_vec is the aggregated fixed
-    disturbance contribution to the rollout state, folded into the affine
-    and constant parts so the result stays a pure quadratic in the policy.
+    history is the map's flat history vector (UnrollMap), which the
+    generator round keeps and passes as it is; u_now is the current
+    control, entering only through the u'Ru constant.  With [T | b] from
+    the one product h @ E, G = [T | b]' Q [T | b] holds P = T'QT, p = 2 T'Qb
+    and b'Qb as its blocks.  P is copied out of G: the learner adds it to
+    its running sum each round, which is faster from a contiguous array.
     """
-    T, b = affine_state_map(powers, window, bias_vec)
-    u_now = np.asarray(u_now, dtype=float)
-    QT, Qb = cw.Q @ T, cw.Q @ b
-    const = float(b @ Qb + u_now @ cw.R @ u_now)
-    return RolloutQuadratic(P=T.T @ QT, p=2.0 * (T.T @ Qb), const=const)
+    Tb = (history @ unroll.E).reshape(unroll.d_x, -1)
+    G = Tb.T @ (cw.Q @ Tb)
+    const = float(G[-1, -1] + u_now @ cw.R @ u_now)
+    return RolloutQuadratic(P=G[:-1, :-1].copy(), p=2.0 * G[:-1, -1], const=const)

@@ -24,9 +24,9 @@ from .bench import (
     run_grid,
     write_outputs,
 )
-from .controllers import hinf_bisection, solve_dare
+from .controllers import SynthesisError, hinf_bisection, solve_dare
 from .lds import CostWeights, LinearSystem
-from .trust_region import TrustRegionProblem, solve as tr_solve
+from .trust_region import TrustRegionProblem, objective, solve as tr_solve
 
 
 def _cmd_run(args) -> int:
@@ -40,6 +40,9 @@ def _cmd_run(args) -> int:
             config.output_dir = args.out
     except ConfigError as exc:
         print(f"config error: {exc}", file=_sys.stderr)
+        return 2
+    if args.jobs < 1:
+        print(f"bad --jobs: {args.jobs}; it must be at least 1", file=_sys.stderr)
         return 2
     log = (lambda msg: print(msg, file=_sys.stderr)) if args.verbose else None
     records, failures = run_grid(config, jobs=args.jobs, log=log)
@@ -124,7 +127,7 @@ def _cmd_solve_tr(args) -> int:
         return 2
     print(json.dumps({
         "z": sol.z.tolist(),
-        "value": sol.value,
+        "value": objective(prob, sol.z),
         "multiplier": sol.multiplier,
         "on_boundary": sol.on_boundary,
         "hard_case": sol.hard_case,
@@ -143,8 +146,12 @@ def _cmd_synth(args) -> int:
     except (OSError, KeyError, TypeError, ValueError) as exc:
         print(f"bad system input: {exc}", file=_sys.stderr)
         return 2
-    P, K = solve_dare(system, cw)
-    hinf = hinf_bisection(system, cw)
+    try:
+        P, K = solve_dare(system, cw)
+        hinf = hinf_bisection(system, cw)
+    except SynthesisError as exc:
+        print(f"synthesis error: {exc}", file=_sys.stderr)
+        return 2
     print(json.dumps({
         "lqr": {"P": P.tolist(), "K": K.tolist()},
         "hinf": hinf.to_json(),

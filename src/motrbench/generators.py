@@ -15,7 +15,11 @@ recovered; MOTR's learned component only spends its budget on deviations.
 Their policy is the learner's vector vec(M) (cdg's one policy encoding):
 the emitted disturbance, the update and the projection onto the D_M ball
 all work on that vector, and AdaptiveCdgGenerator.M is a read-only view
-of it as (H, d_w, d_u) blocks.
+of it as (H, d_w, d_u) blocks.  Their history is one vector h, shifted in
+place each round: the last 2H+1 residual controls, then, with the
+residual bias, the last H+1 states, most recent first.  The generator builds its unroll map E once
+(cdg.unroll_map, with W as the state gain), and each round's rollout
+quadratic starts from the one product h @ E, bias included.
 
 The sinusoid generator picks its one sinusoid offline, before the episode,
 by open-loop cost: per (frequency, phase) the best direction is the top
@@ -27,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cdg import CdgPolicy, InstabilityError, plant_powers, project_frobenius, rollout_cost_quadratic
+from .cdg import CdgPolicy, InstabilityError, project_frobenius, rollout_cost_quadratic, unroll_map
 from .controllers import HinfSolution
 from .lds import CostWeights, LinearSystem, spectral_radius
 from .online import OtrState, default_perturbation_rate
@@ -286,7 +290,8 @@ class AdaptiveCdgGenerator(DisturbanceGenerator):
     and projects it without conversions.  A round rebinds the vector and
     never writes it in place, so a view M taken before a round keeps that
     round's policy.  The last 2H+1 residual controls and the last H+1
-    states are kept in rolling windows, most recent first.
+    states are kept in the one history vector of the unroll map, most
+    recent first.
     """
 
     def __init__(
@@ -318,7 +323,7 @@ class AdaptiveCdgGenerator(DisturbanceGenerator):
             self.base = sys
             self.K, self.Wb = np.zeros((sys.d_u, sys.d_x)), None
         try:
-            self._powers = plant_powers(self.base, H)
+            self._unroll = unroll_map(self.base, H, self.Wb)
         except InstabilityError as exc:
             raise TransformError(
                 f"without the residual transformation the plant must be open-loop stable: {exc}"
@@ -336,21 +341,12 @@ class AdaptiveCdgGenerator(DisturbanceGenerator):
         self._state = OtrState(self.n, D_M, seed + 1, eta)
         self._coeff_max = 0.0
         self._warmup_rounds = min(2 * H + 1, max(1, T - 1))
-        # Bias contribution sum_a (A^a C) W x_{t-1-a} of the last H+1 states
-        # to the rollout state, as one (d_x, (H+1) d_x) matrix.  Each block
-        # is formed from A^a, not from the plant's A^a C: that reassociation
-        # changes last bits, which GPC episodes amplify to percent-level cost
-        # changes.
-        self._bias_mat = None
-        if self.Wb is not None:
-            Ak, blocks = np.eye(self.d_x), []
-            for _ in range(H + 1):
-                blocks.append(Ak @ self.base.C @ self.Wb)
-                Ak = self.base.A @ Ak
-            self._bias_mat = np.hstack(blocks)
         self._v = self._initial_policy()
-        self._r_win = np.zeros((2 * H + 1, self.d_u))  # residual controls
-        self._x_win = np.zeros((H + 1, self.d_x))  # states
+        # The unroll map's history: the last 2H+1 residual controls, then
+        # (with the residual bias) the last H+1 states, most recent first.
+        self._R = (2 * H + 1) * self.d_u
+        self._h = np.zeros(self._unroll.E.shape[0])
+        self._r_win = self._h[: self._R].reshape(2 * H + 1, self.d_u)
         self._pending_x: Optional[np.ndarray] = None
 
     @property
@@ -378,10 +374,9 @@ class AdaptiveCdgGenerator(DisturbanceGenerator):
     def _observe(self, u):
         x = self._pending_x
         r = self.K @ x + u
-        bias = None if self._bias_mat is None else self._bias_mat @ self._x_win.ravel()
         v = self._v
         try:
-            rq = rollout_cost_quadratic(self._powers, self.cw, self._r_win, r, bias)
+            rq = rollout_cost_quadratic(self._unroll, self.cw, self._h, r)
             self._state.observe(rq.P, rq.p, rq.const, rq.evaluate(v))
             if self.name == "motr":
                 v = self._motr_step(rq)
@@ -398,10 +393,12 @@ class AdaptiveCdgGenerator(DisturbanceGenerator):
             raise GeneratorError(f"round {self._round}: {exc}") from exc
         if v is not None:
             self._v = project_frobenius(v, self.D_M)
-        self._r_win[1:] = self._r_win[:-1]
-        self._r_win[0] = r
-        self._x_win[1:] = self._x_win[:-1]
-        self._x_win[0] = x
+        h, R, d_u, d_x = self._h, self._R, self.d_u, self.d_x
+        h[d_u:R] = h[: R - d_u]
+        h[:d_u] = r
+        if self.Wb is not None:
+            h[R + d_x :] = h[R:-d_x]
+            h[R : R + d_x] = x
 
     def _motr_step(self, rq) -> Optional[np.ndarray]:
         """The learner's next play, or None while eta is being calibrated."""

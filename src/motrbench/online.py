@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .trust_region import TrustRegionProblem, solve as tr_solve, symmetric_eig
+from .trust_region import TrustRegionProblem, objective, solve as tr_solve, symmetric_eig
 
 __all__ = [
     "MemoryQuadratic",
@@ -172,8 +172,8 @@ class OtrState:
 
     def hindsight(self):
         """(best fixed play's value on the sum, value achieved by the plays)."""
-        best = tr_solve(TrustRegionProblem(self.P, self.p, self.D)).value + self.const
-        return float(best), float(self.achieved)
+        prob = TrustRegionProblem(self.P, self.p, self.D)
+        return objective(prob, tr_solve(prob).z) + self.const, float(self.achieved)
 
 
 def play_sequence(history, D: float, eta: float, seed: int):

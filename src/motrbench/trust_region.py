@@ -85,8 +85,10 @@ class TrustRegionProblem:
 
 @dataclass(frozen=True)
 class TrustRegionSolution:
+    """The maximiser z, its multiplier and how it was found; objective(prob,
+    z) is its value, computed by the callers that read it."""
+
     z: np.ndarray
-    value: float
     multiplier: float
     on_boundary: bool
     hard_case: bool
@@ -110,7 +112,6 @@ def _make_solution(prob, z, multiplier, hard_case):
         norm = D
     return TrustRegionSolution(
         z=z,
-        value=objective(prob, z),
         multiplier=float(multiplier),
         on_boundary=abs(norm - D) <= 1e-7 * D,
         hard_case=hard_case,
@@ -291,7 +292,6 @@ def brute_force(prob: TrustRegionProblem, samples: int = 20000) -> TrustRegionSo
     norm = float(np.linalg.norm(z_best))
     return TrustRegionSolution(
         z=np.asarray(z_best, dtype=float),
-        value=val_best,
         multiplier=0.0,
         on_boundary=abs(norm - D) <= 1e-7 * D,
         hard_case=False,

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from motrbench.bench import ExperimentConfig, normalize_scores, run_grid, write_outputs
-from motrbench.cdg import CdgPolicy, affine_state_map, plant_powers, project_frobenius, rollout_cost_quadratic
+from motrbench.cdg import CdgPolicy, affine_state_map, project_frobenius, rollout_cost_quadratic, unroll_map
 from motrbench.controllers import hinf_bisection, solve_dare, solve_hinf_game
 from motrbench.generators import transform_residual
 from motrbench.lds import (
@@ -25,7 +25,7 @@ from motrbench.lds import (
     truncation_horizon,
 )
 from motrbench.online import MemoryQuadratic, default_perturbation_rate, play_sequence, regret_audit
-from motrbench.trust_region import TrustRegionProblem, brute_force, solve as tr_solve
+from motrbench.trust_region import TrustRegionProblem, brute_force, objective, solve as tr_solve
 from policy_oracle import policy_sum
 
 
@@ -74,7 +74,7 @@ def crit3_runs():
         H = int(rng.integers(1, 6))
         window = rng.standard_normal((2 * H + 1, 2))
         u_now = rng.standard_normal(2)
-        rq = rollout_cost_quadratic(plant_powers(sys, H), cw, window, u_now)
+        rq = rollout_cost_quadratic(unroll_map(sys, H), cw, window.ravel(), u_now)
         pol = project_frobenius(np.array([rng.standard_normal((4, 2)) for _ in range(H)]), 1.0)
         runs.append((sys, cw, window, u_now, H, rq, pol))
     return runs
@@ -114,7 +114,7 @@ def test_criterion_1_trust_region_solver():
         prob = TrustRegionProblem(P, p, radii[i % 3])
         sol = tr_solve(prob)
         ref = brute_force(prob, samples=20000 if d == 2 else 60000)
-        worst_gap = max(worst_gap, ref.value - sol.value)
+        worst_gap = max(worst_gap, objective(prob, ref.z) - objective(prob, sol.z))
         S = 0.5 * (P + P.T)
         kkt = float(
             np.linalg.norm(2.0 * S @ sol.z + p - 2.0 * sol.multiplier * sol.z)
@@ -143,7 +143,7 @@ def test_criterion_2_transfer_calibration():
         sys = random_system(d_x, d_u, d_w, seed=5000 + case, target_radius=0.85)
         pol = np.array([0.5 * rng.standard_normal((d_w, d_u)) for _ in range(H)])
         window = rng.standard_normal((2 * H + 1, d_u))
-        T, b = affine_state_map(plant_powers(sys, H), window)
+        T, b = affine_state_map(unroll_map(sys, H), window)
         got = T @ CdgPolicy.vec(pol) + b
         ref = oracle_unroll(sys, np.zeros(d_x), [pol] * (H + 1), window)
         worst = max(worst, float(np.linalg.norm(got - ref) / max(1.0, np.linalg.norm(ref))))
@@ -224,12 +224,12 @@ def test_criterion_4_approximation_bound():
             past = [controls[t - i] if t - i >= 0 else np.zeros(2) for i in range(1, H + 1)]
             x = step(sys, x, controls[t], policy_sum(pol, past))
             xs.append(x)
-        powers = plant_powers(sys, H)
+        unroll = unroll_map(sys, H)
         C_x = 2.0 * rep.beta * H * D * C_u / rep.gamma
         bound = C_x / T
         for t in range(H + 2, T):
             window = [controls[t - 1 - i] if t - 1 - i >= 0 else np.zeros(2) for i in range(2 * H + 1)]
-            T_y, b_y = affine_state_map(powers, np.array(window))
+            T_y, b_y = affine_state_map(unroll, np.array(window))
             y = T_y @ CdgPolicy.vec(pol) + b_y
             gap = abs(stage_cost(cw, xs[t], controls[t]) - stage_cost(cw, y, controls[t]))
             worst_ratio = max(worst_ratio, gap / bound)

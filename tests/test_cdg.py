@@ -8,6 +8,7 @@ from motrbench.cdg import (
     plant_powers,
     project_frobenius,
     rollout_cost_quadratic,
+    unroll_map,
 )
 from motrbench.lds import CostWeights, LinearSystem, analyze_stability, random_system, stage_cost
 from policy_oracle import policy_sum
@@ -18,26 +19,29 @@ def random_policy(rng, H, d_w, d_u, bound=10.0, scale=0.5):
     return project_frobenius(blocks, bound)
 
 
-def simulate_unroll(sys, x_past, policy, window):
+def simulate_unroll(sys, x_past, policy, window, W=None, states=None):
     """Direct step-by-step simulation of the H+1-step unroll under one
     repeated policy.
 
     window holds the 2H+1 controls most recent first.  Step j (0-based)
     applies control window[H-j] and the disturbance of the policy evaluated
-    on the H controls preceding it.
+    on the H controls preceding it, plus, given a state gain W, the bias
+    W states[H-j] of the states (most recent first) recorded at that step.
     """
     H = len(policy)
     x = np.array(x_past, dtype=float)
     for j in range(H + 1):
         a = H - j
         w = policy_sum(policy, window[a + 1 : a + H + 1])
+        if W is not None:
+            w = w + W @ states[a]
         x = sys.A @ x + sys.B @ window[a] + sys.C @ w
     return x
 
 
-def unrolled_state(sys, policy, window):
+def unrolled_state(sys, policy, window, W=None, states=None):
     """Truncated-rollout state y = T vec(M) + b from affine_state_map."""
-    T, b = affine_state_map(plant_powers(sys, len(policy)), np.asarray(window, dtype=float))
+    T, b = affine_state_map(unroll_map(sys, len(policy), W), np.asarray(window, dtype=float), states)
     return T @ CdgPolicy.vec(policy) + b
 
 
@@ -87,6 +91,17 @@ def test_unrolled_state_calibration_against_simulation():
         ref = simulate_unroll(sys, np.zeros(sys.d_x), policy, window)
         denom = max(1.0, np.linalg.norm(ref))
         assert np.linalg.norm(got - ref) / denom < 1e-9
+    # The shapes the benchmark runs, (d_x, d_u, d_w, H) of the default grid
+    # and of the n = 64 adversary, with and without the residual bias.
+    for case, (d_x, d_u, d_w, H) in enumerate([(4, 2, 2, 3), (8, 4, 4, 4)] * 5):
+        sys = random_system(d_x, d_u, d_w, seed=100 + case, target_radius=0.9)
+        policy = random_policy(rng, H, d_w, d_u)
+        window = rng.standard_normal((2 * H + 1, d_u))
+        W, states = rng.standard_normal((d_w, d_x)), rng.standard_normal((H + 1, d_x))
+        for bias in ((), (W, states)):
+            got = unrolled_state(sys, policy, window, *bias)
+            ref = simulate_unroll(sys, np.zeros(d_x), policy, window, *bias)
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_unrolled_state_zero_inputs():
@@ -111,13 +126,21 @@ def test_unrolled_state_zero_policies_reduce_to_control_convolution():
 
 def test_window_length_validated():
     sys = random_system(2, 1, 1, seed=7)
-    powers = plant_powers(sys, 1)
+    unroll = unroll_map(sys, 1)
     with pytest.raises(ValueError):
-        affine_state_map(powers, np.zeros((4, 1)))
+        affine_state_map(unroll, np.zeros((4, 1)))
     with pytest.raises(ValueError):
-        affine_state_map(powers, np.zeros((3, 2)))
+        affine_state_map(unroll, np.zeros((3, 2)))
     with pytest.raises(ValueError):
         plant_powers(sys, 0)
+    # The states go with a map built with a state gain, and only with one.
+    with pytest.raises(ValueError):
+        affine_state_map(unroll, np.zeros((3, 1)), np.zeros((2, 2)))
+    biased = unroll_map(sys, 1, np.ones((1, 2)))
+    with pytest.raises(ValueError):
+        affine_state_map(biased, np.zeros((3, 1)))
+    with pytest.raises(ValueError):
+        affine_state_map(biased, np.zeros((3, 1)), np.zeros((3, 2)))
 
 
 def test_approx_state_equals_unrolled_with_zero_start():
@@ -126,10 +149,10 @@ def test_approx_state_equals_unrolled_with_zero_start():
     H = 2
     policy = random_policy(rng, H, 2, 2)
     window = rng.standard_normal((2 * H + 1, 2))
-    bias_vec = rng.standard_normal(3)
-    T, b = affine_state_map(plant_powers(sys, H), window, bias_vec)
-    ref = simulate_unroll(sys, np.zeros(3), policy, window)
-    assert np.allclose(T @ CdgPolicy.vec(policy) + b, ref + bias_vec, atol=1e-10)
+    W, states = rng.standard_normal((2, 3)), rng.standard_normal((H + 1, 3))
+    T, b = affine_state_map(unroll_map(sys, H, W), window, states)
+    ref = simulate_unroll(sys, np.zeros(3), policy, window, W, states)
+    assert np.allclose(T @ CdgPolicy.vec(policy) + b, ref, atol=1e-10)
 
 
 def test_approx_state_linear_in_each_control():
@@ -188,16 +211,14 @@ def test_approx_cost_delegates_to_stage_cost():
     window = rng.standard_normal((2 * H + 1, 2))
     u_now = rng.standard_normal(2)
     pol = random_policy(rng, H, 2, 2)
-    rq = rollout_cost_quadratic(plant_powers(sys, H), cw, window, u_now)
+    rq = rollout_cost_quadratic(unroll_map(sys, H), cw, window.ravel(), u_now)
     y = unrolled_state(sys, pol, window)
     assert rq.evaluate(CdgPolicy.vec(pol)) == pytest.approx(stage_cost(cw, y, u_now), rel=1e-12)
 
 
-def rollout_cost(sys, cw, window, u_now, H, policy, bias_vec=None):
+def rollout_cost(sys, cw, window, u_now, H, policy, W=None, states=None):
     """Independent oracle: cost of the H+1-step truncated rollout."""
-    z = simulate_unroll(sys, np.zeros(sys.d_x), policy, window)
-    if bias_vec is not None:
-        z = z + bias_vec
+    z = simulate_unroll(sys, np.zeros(sys.d_x), policy, window, W, states)
     return float(z @ cw.Q @ z + u_now @ cw.R @ u_now)
 
 
@@ -206,7 +227,7 @@ def test_rollout_quadratic_zero_window():
     cw = CostWeights(np.eye(3), np.diag([2.0, 1.0]))
     H = 2
     u_now = np.array([1.0, 2.0])
-    rq = rollout_cost_quadratic(plant_powers(sys, H), cw, np.zeros((2 * H + 1, 2)), u_now)
+    rq = rollout_cost_quadratic(unroll_map(sys, H), cw, np.zeros((2 * H + 1) * 2), u_now)
     assert np.max(np.abs(rq.P)) == 0.0
     assert np.max(np.abs(rq.p)) == 0.0
     assert rq.const == pytest.approx(2.0 * 1.0 + 1.0 * 4.0)
@@ -223,7 +244,7 @@ def test_rollout_quadratic_master_oracle():
         cw = CostWeights(Qroot @ Qroot.T, np.eye(d_u))
         window = rng.standard_normal((2 * H + 1, d_u))
         u_now = rng.standard_normal(d_u)
-        rq = rollout_cost_quadratic(plant_powers(sys, H), cw, window, u_now)
+        rq = rollout_cost_quadratic(unroll_map(sys, H), cw, window.ravel(), u_now)
         pol = random_policy(rng, H, d_w, d_u)
         got = rq.evaluate(CdgPolicy.vec(pol))
         ref = rollout_cost(sys, cw, window, u_now, H, pol)
@@ -237,12 +258,15 @@ def test_rollout_quadratic_bias_folding():
     H = 2
     window = rng.standard_normal((2 * H + 1, 2))
     u_now = rng.standard_normal(2)
-    bias_vec = rng.standard_normal(3)
-    rq = rollout_cost_quadratic(plant_powers(sys, H), cw, window, u_now, bias_vec=bias_vec)
+    # The states' bias sum_a A^a C W x_{t-1-a} is folded into the affine
+    # and constant parts through the map's state rows.
+    W, states = rng.standard_normal((2, 3)), rng.standard_normal((H + 1, 3))
+    history = np.concatenate([window.ravel(), states.ravel()])
+    rq = rollout_cost_quadratic(unroll_map(sys, H, W), cw, history, u_now)
     for _ in range(5):
         pol = random_policy(rng, H, 2, 2)
         got = rq.evaluate(CdgPolicy.vec(pol))
-        ref = rollout_cost(sys, cw, window, u_now, H, pol, bias_vec=bias_vec)
+        ref = rollout_cost(sys, cw, window, u_now, H, pol, W, states)
         assert got == pytest.approx(ref, rel=1e-9)
 
 
@@ -251,6 +275,8 @@ def test_rollout_quadratic_rejects_unstable_plant():
     sys = LinearSystem(1.1 * np.eye(2), np.eye(2), np.eye(2))
     with pytest.raises(InstabilityError):
         plant_powers(sys, 1)
+    with pytest.raises(InstabilityError):
+        unroll_map(sys, 1)
 
 
 def test_hessian_gradient_match_finite_differences():
@@ -260,7 +286,7 @@ def test_hessian_gradient_match_finite_differences():
     H = 2
     window = rng.standard_normal((2 * H + 1, 2))
     u_now = rng.standard_normal(2)
-    rq = rollout_cost_quadratic(plant_powers(sys, H), cw, window, u_now)
+    rq = rollout_cost_quadratic(unroll_map(sys, H), cw, window.ravel(), u_now)
     # Hessian P + P' and gradient p at the zero policy, as the learner
     # accumulates them.
     hess, grad = rq.P + rq.P.T, rq.p
@@ -292,7 +318,7 @@ def test_symmetric_p_hessian_is_twice_p():
     cw = CostWeights(np.eye(2), np.eye(1))
     H = 1
     window = rng.standard_normal((3, 1))
-    rq = rollout_cost_quadratic(plant_powers(sys, H), cw, window, np.zeros(1))
+    rq = rollout_cost_quadratic(unroll_map(sys, H), cw, window.ravel(), np.zeros(1))
     assert np.allclose(rq.P, rq.P.T, atol=1e-12)
     assert np.allclose(rq.P + rq.P.T, 2.0 * rq.P, atol=1e-12)
 

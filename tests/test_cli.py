@@ -107,6 +107,16 @@ def test_run_jobs_equivalent(tmp_path):
     assert sorted(lines_a) == sorted(lines_b)
 
 
+def test_run_rejects_jobs_below_one(tmp_path, capsys):
+    cfg_path = write_json(tmp_path / "cfg.json", small_config_dict())
+    for jobs in ("0", "-3"):
+        out_dir = tmp_path / f"out{jobs}"
+        assert main(["run", "--config", cfg_path, "--out", str(out_dir), "--jobs", jobs]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("bad --jobs:") and err.count("\n") == 1
+        assert not (out_dir / "runs.jsonl").exists()
+
+
 def test_run_jobs_verbose_logs_every_episode(tmp_path, capsys):
     cfg_path = write_json(tmp_path / "cfg.json", small_config_dict())
     out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
@@ -216,6 +226,15 @@ def test_synth_subcommand(tmp_path, capsys):
         assert main(["synth", *argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("bad system input:") and err.count("\n") == 1
+
+    # The unstable mode 1.5 is uncontrollable: the solver rejects (A, B).
+    unstabilizable = {
+        "d_x": 2, "d_u": 1, "d_w": 1, "A": [[1.5, 0.0], [0.0, 0.5]], "B": [[0.0], [1.0]], "C": [[1.0], [0.0]],
+    }
+    assert main(["synth", "--system", write_json(tmp_path / "bad.json", unstabilizable)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("synthesis error:") and captured.err.count("\n") == 1
 
 
 def test_regret_subcommand(tmp_path, capsys):

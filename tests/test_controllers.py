@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from motrbench.bench import CONTROLLER_DEFAULTS
-from motrbench.cdg import CdgPolicy, affine_state_map, plant_powers
+from motrbench.cdg import CdgPolicy, affine_state_map, unroll_map
 from motrbench.controllers import (
     BracketingError,
     GpcController,
@@ -293,7 +293,7 @@ def test_gpc_matrix_free_round_matches_the_unroll(h):
     cw = CostWeights(np.diag([1.0, 2.0, 0.5, 3.0]), np.diag([0.7, 1.5]))
     _, K = solve_dare(sys, cw)
     gpc = GpcController(sys, cw, K, h=h, lr=0.5, ball_radius=100.0)
-    powers = plant_powers(LinearSystem(sys.A - sys.B @ K, np.eye(d_x), sys.B), h)
+    unroll = unroll_map(LinearSystem(sys.A - sys.B @ K, np.eye(d_x), sys.B), h)
     rng = np.random.default_rng(h)
     for _ in range(5):
         window = rng.standard_normal((2 * h + 1, d_x))
@@ -302,7 +302,7 @@ def test_gpc_matrix_free_round_matches_the_unroll(h):
         gpc._Nst = stacked(N)
         y, G = gpc._state_and_gradient()
 
-        Ty, by = affine_state_map(powers, window)
+        Ty, by = affine_state_map(unroll, window)
         y_ref = Ty @ CdgPolicy.vec(N) + by
         w_hat = window[:h]
         v = np.einsum("irc,ic->r", N, w_hat) - K @ y_ref

@@ -19,7 +19,7 @@ from motrbench.generators import (
     transform_residual,
 )
 from motrbench.lds import CostWeights, LinearSystem, analyze_stability, random_system, step
-from motrbench.trust_region import TrustRegionProblem, solve as tr_solve
+from motrbench.trust_region import TrustRegionProblem, objective, solve as tr_solve
 from policy_oracle import policy_sum
 
 
@@ -473,7 +473,8 @@ def test_motr_plays_the_doubled_leader_of_the_audited_sums(monkeypatch):
         P, p = sum(q.P for q in seen), sum(q.p for q in seen)
         leader = tr_solve(TrustRegionProblem(2.0 * P, p - sigma, gen.D_M))
         np.testing.assert_allclose(CdgPolicy.vec(gen.M), leader.z, rtol=0.0, atol=1e-12)
-    best = tr_solve(TrustRegionProblem(P, p, gen.D_M)).value
+    audit = TrustRegionProblem(P, p, gen.D_M)
+    best = objective(audit, tr_solve(audit).z)
     hind, ach = gen.regret_pair()
     assert hind == pytest.approx(best + sum(q.const for q in seen), rel=1e-12)
     assert ach == pytest.approx(achieved, rel=1e-12)

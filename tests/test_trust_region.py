@@ -25,7 +25,7 @@ def test_solve_linear_objective():
     prob = TrustRegionProblem(np.zeros((2, 2)), np.array([1.0, 0.0]), 2.0)
     sol = solve(prob)
     assert np.allclose(sol.z, [2.0, 0.0], atol=1e-9)
-    assert sol.value == pytest.approx(2.0)
+    assert objective(prob, sol.z) == pytest.approx(2.0)
     assert sol.on_boundary
 
 
@@ -34,7 +34,7 @@ def test_solve_hard_case_zero_linear_term():
     sol = solve(prob)
     assert sol.hard_case
     assert sol.on_boundary
-    assert sol.value == pytest.approx(1.0)
+    assert objective(prob, sol.z) == pytest.approx(1.0)
     assert abs(abs(sol.z[0]) - 1.0) < 1e-9 and abs(sol.z[1]) < 1e-9
     assert sol.multiplier == pytest.approx(1.0)
 
@@ -47,7 +47,7 @@ def test_solve_hard_case_orthogonal_linear_term():
     assert sol.on_boundary
     assert kkt_residual(prob, sol) < 1e-6 * (1.0 + np.linalg.norm(prob.p))
     ref = brute_force(prob, samples=200000)
-    assert sol.value >= ref.value - 1e-6
+    assert objective(prob, sol.z) >= objective(prob, ref.z) - 1e-6
 
 
 def test_solve_near_hard_case():
@@ -56,7 +56,7 @@ def test_solve_near_hard_case():
     assert sol.on_boundary
     assert kkt_residual(prob, sol) < 1e-6 * (1.0 + np.linalg.norm(prob.p))
     ref = brute_force(prob, samples=200000)
-    assert sol.value >= ref.value - 1e-6
+    assert objective(prob, sol.z) >= objective(prob, ref.z) - 1e-6
 
 
 def test_solve_interior():
@@ -72,7 +72,7 @@ def test_solve_interior():
 def test_solve_all_zero():
     prob = TrustRegionProblem(np.zeros((3, 3)), np.zeros(3), 1.5)
     sol = solve(prob)
-    assert sol.value == pytest.approx(0.0)
+    assert objective(prob, sol.z) == pytest.approx(0.0)
     assert np.linalg.norm(sol.z) <= 1.5 * (1 + 1e-9)
 
 
@@ -80,14 +80,14 @@ def test_solve_scalar_dimension():
     prob = TrustRegionProblem(np.array([[2.0]]), np.array([-0.5]), 1.0)
     sol = solve(prob)
     # max over [-1,1] of 2z^2 - 0.5z is at z = -1: value 2.5.
-    assert sol.value == pytest.approx(2.5)
+    assert objective(prob, sol.z) == pytest.approx(2.5)
     assert sol.z[0] == pytest.approx(-1.0)
 
 
 def test_brute_force_linear_matches():
     prob = TrustRegionProblem(np.zeros((2, 2)), np.array([1.0, 0.0]), 2.0)
     ref = brute_force(prob, samples=5000)
-    assert ref.value == pytest.approx(2.0, abs=1e-3)
+    assert objective(prob, ref.z) == pytest.approx(2.0, abs=1e-3)
 
 
 def test_brute_force_interior_matches_closed_form():
@@ -100,7 +100,7 @@ def test_brute_force_interior_matches_closed_form():
         z0 = np.linalg.solve(-2.0 * S, p)
         assert np.linalg.norm(z0) < 2.0
         ref = brute_force(prob, samples=2000)
-        assert ref.value == pytest.approx(objective(prob, z0), rel=1e-12, abs=1e-12)
+        assert objective(prob, ref.z) == pytest.approx(objective(prob, z0), rel=1e-12, abs=1e-12)
 
 
 def test_brute_force_argument_errors():
@@ -121,10 +121,10 @@ def test_random_suite_against_sampling_oracle():
         sol = solve(prob)
         samples = 100000 if d == 2 else 1000000
         ref = brute_force(prob, samples=samples)
-        assert abs(sol.value - ref.value) < 1e-4
-        assert sol.value >= ref.value - 1e-9
+        value, ref_value = objective(prob, sol.z), objective(prob, ref.z)
+        assert abs(value - ref_value) < 1e-4
+        assert value >= ref_value - 1e-9
         assert np.linalg.norm(sol.z) <= prob.D * (1.0 + 1e-9)
-        assert abs(sol.value - objective(prob, sol.z)) <= 1e-9 * (1.0 + abs(sol.value))
         if sol.on_boundary:
             S = 0.5 * (prob.P + prob.P.T)
             assert kkt_residual(prob, sol) <= 1e-6 * (1.0 + np.linalg.norm(prob.p))
@@ -140,9 +140,10 @@ def test_scale_equivariance():
         c = 7.5
         scaled = TrustRegionProblem(c * prob.P, c * prob.p, prob.D)
         sol_c = solve(scaled)
-        assert sol_c.value == pytest.approx(c * sol.value, rel=1e-6, abs=1e-9)
+        value = objective(prob, sol.z)
+        assert objective(scaled, sol_c.z) == pytest.approx(c * value, rel=1e-6, abs=1e-9)
         # The scaled argmax is optimal for the original problem too.
-        assert objective(prob, sol_c.z) >= sol.value - 1e-6 * (1.0 + abs(sol.value))
+        assert objective(prob, sol_c.z) >= value - 1e-6 * (1.0 + abs(value))
 
 
 def test_monotone_in_radius():
@@ -150,7 +151,8 @@ def test_monotone_in_radius():
     for _ in range(10):
         P = rng.uniform(-1.0, 1.0, size=(3, 3))
         p = rng.uniform(-1.0, 1.0, size=3)
-        values = [solve(TrustRegionProblem(P, p, D)).value for D in (0.25, 0.5, 1.0, 2.0, 4.0)]
+        probs = [TrustRegionProblem(P, p, D) for D in (0.25, 0.5, 1.0, 2.0, 4.0)]
+        values = [objective(prob, solve(prob).z) for prob in probs]
         for a, b in zip(values, values[1:]):
             assert b >= a - 1e-10
 
@@ -229,7 +231,6 @@ def test_non_finite_coefficients_raise_instead_of_returning_nan():
 def same_solution(a, b):
     return (
         np.array_equal(a.z, b.z)
-        and a.value == b.value
         and a.multiplier == b.multiplier
         and a.on_boundary == b.on_boundary
         and a.hard_case == b.hard_case
