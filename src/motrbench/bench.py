@@ -50,10 +50,9 @@ __all__ = [
 DIVERGENCE_LIMIT = 1e12
 
 # Every default of a controller or generator spec.  null is kept only
-# where the value is derived from other inputs: the adaptive generators'
-# H, D_M and eta from the top-level fields of the same names (eta may stay
-# null: see ExperimentConfig), GPC's ball_radius from its base gain and
-# OGA's lr from D_M.
+# where the value is derived from other inputs: GPC's ball_radius from its
+# base gain and OGA's lr from D_M.  The adaptive generators' H and D_M are
+# the config's top-level fields.
 CONTROLLER_DEFAULTS = {
     "lqr": {},
     "hinf": {},
@@ -61,14 +60,13 @@ CONTROLLER_DEFAULTS = {
 }
 
 GENERATOR_DEFAULTS = {
-    "motr": {"H": None, "D_M": None, "eta": None, "residual_bias": True},
-    "oga": {"H": None, "D_M": None, "eta": None, "residual_bias": True, "lr": None},
+    "motr": {"residual_bias": True},
+    "oga": {"residual_bias": True, "lr": None},
     "hinf": {},
     "sine": {},
     "gaussian": {},
     "random": {},
 }
-INHERITED = ("H", "D_M", "eta")
 
 
 class ConfigError(ValueError):
@@ -99,7 +97,7 @@ _FIELD_RANGES = {
 }
 
 
-def _check_field(where: str, key: str, value, nullable: bool) -> None:
+def _check_field(where: str, key: str, value, nullable: bool = False) -> None:
     if value is None and nullable:
         return
     expected, valid = _FIELD_RANGES.get(key, ("a positive number", _is_positive))
@@ -107,11 +105,10 @@ def _check_field(where: str, key: str, value, nullable: bool) -> None:
         raise ConfigError(f"{where}: {key} must be {expected}, got {value!r}")
 
 
-def _materialize(spec, kind: str, config: "ExperimentConfig") -> dict:
+def _materialize(spec, kind: str) -> dict:
     """A controller or generator spec (a name, or an object with a 'name'
-    field) merged over the defaults for that name, the adaptive generators'
-    null INHERITED fields filled from the config's top level, and every
-    field range-checked; a bad name, field or value raises ConfigError."""
+    field) merged over the defaults for that name, with every field
+    range-checked; a bad name, field or value raises ConfigError."""
     defaults = CONTROLLER_DEFAULTS if kind == "controller" else GENERATOR_DEFAULTS
     if isinstance(spec, str):
         spec = {"name": spec}
@@ -125,10 +122,6 @@ def _materialize(spec, kind: str, config: "ExperimentConfig") -> dict:
         if key != "name" and key not in out:
             raise ConfigError(f"unknown field {key!r} in {kind} spec {name!r}")
         out[key] = value
-    if kind == "generator" and name in ("motr", "oga"):
-        for key in INHERITED:
-            if out[key] is None:
-                out[key] = getattr(config, key)
     for key, default in defaults[name].items():
         _check_field(f"{kind} {name!r}", key, out[key], default is None)
     out["name"] = name
@@ -150,10 +143,9 @@ class ExperimentConfig:
     """Benchmark definition; every field has an explicit value after load,
     and every value is range-checked then (ConfigError).
 
-    The adaptive generator specs inherit H, D_M and eta from the top level
-    whenever the spec itself leaves them null; eta remaining null selects
-    the documented runtime default (eta calibrated on the largest
-    coefficient of the first min(2H + 2, T) observed quadratics).
+    H and D_M are the memory length and policy ball of both adaptive
+    generators; MOTR calibrates its perturbation rate eta at runtime, on
+    the largest coefficient of the first min(2H + 2, T) observed quadratics.
     """
 
     d_x: int = 4
@@ -167,7 +159,6 @@ class ExperimentConfig:
     W_max: float = 1.0
     D_M: float = 0.3
     H: int = 3
-    eta: Optional[float] = None
     controllers: list = field(
         default_factory=lambda: [{"name": "lqr"}, {"name": "gpc"}, {"name": "hinf"}]
     )
@@ -185,9 +176,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            _check_field("config", f.name, getattr(self, f.name), f.name == "eta")
-        self.controllers = [_materialize(s, "controller", self) for s in self.controllers]
-        self.generators = [_materialize(s, "generator", self) for s in self.generators]
+            _check_field("config", f.name, getattr(self, f.name))
+        self.controllers = [_materialize(s, "controller") for s in self.controllers]
+        self.generators = [_materialize(s, "generator") for s in self.generators]
         names = [s["name"] for s in self.controllers]
         if len(set(names)) != len(names):
             raise ConfigError("duplicate controller names")
@@ -310,13 +301,14 @@ def _build_controller(spec: dict, bundle: SystemBundle):
     return GpcController(bundle.system, bundle.cw, bundle.lqr_K, **_fields_of(spec))
 
 
-def _build_generator(spec: dict, bundle: SystemBundle, T: int, W_max: float, seed: int):
-    """The generator of a spec checked and merged by _materialize."""
-    name = spec["name"]
+def _build_generator(spec: dict, bundle: SystemBundle, config: ExperimentConfig, T: int, seed: int):
+    """The generator of a spec checked and merged by _materialize, for
+    episodes of T rounds."""
+    name, W_max = spec["name"], config.W_max
     if name in ("motr", "oga"):
         return AdaptiveCdgGenerator(
-            bundle.system, bundle.cw, bundle.hinf,
-            update=name, T=T, W_max=W_max, seed=seed, **_fields_of(spec),
+            bundle.system, bundle.cw, bundle.hinf, update=name, T=T, H=config.H, D_M=config.D_M,
+            W_max=W_max, seed=seed, **_fields_of(spec),
         )
     if name == "hinf":
         return HinfGenerator(bundle.hinf, W_max)
@@ -410,32 +402,32 @@ def run_episode(
     )
 
 
-def _prototype_sine(spec: dict, config: ExperimentConfig, bundle: SystemBundle):
-    """The sine generator of a system, which depends on nothing else (it
-    draws no random numbers), built once for all of its episodes.  An error
-    in the build is returned instead of raised, so that it fails the
-    system's sine episodes and no other."""
+def _built(build, *args):
+    """build(*args), or the error it raised.  A build that serves many
+    episodes (a system's bundle, its sine) returns its error instead of
+    raising it, so that the error fails those episodes and no other."""
     try:
-        return _build_generator(spec, bundle, config.T, config.W_max, seed=None)
-    except Exception as exc:  # noqa: BLE001 - raised again by each sine episode
+        return build(*args)
+    except Exception as exc:  # noqa: BLE001 - raised again by each episode that needs it
         return exc
 
 
 def _episode_task(args):
-    config, bundle, sine, ctrl_spec, gen_spec, seed_index = args
-    episode_seed = stable_seed(
-        config.base_seed, bundle.index, seed_index, ctrl_spec["name"], gen_spec["name"]
-    )
-    x0_rng = np.random.default_rng(stable_seed(config.base_seed, "x0", bundle.index, seed_index))
+    config, index, bundle, sine, ctrl_spec, gen_spec, seed_index = args
+    if isinstance(bundle, Exception):
+        raise bundle.with_traceback(None)
+    episode_seed = stable_seed(config.base_seed, index, seed_index, ctrl_spec["name"], gen_spec["name"])
+    x0_rng = np.random.default_rng(stable_seed(config.base_seed, "x0", index, seed_index))
     x0 = x0_rng.standard_normal(config.d_x)
     controller = _build_controller(ctrl_spec, bundle)
     if gen_spec["name"] == "sine":
         if isinstance(sine, Exception):
             raise sine.with_traceback(None)
-        # The prototype never plays, so its copy starts at round 0.
+        # The sine draws no random numbers, so one prototype per system
+        # serves every episode; it never plays, so its copy starts at round 0.
         generator = copy.copy(sine)
     else:
-        generator = _build_generator(gen_spec, bundle, config.T, config.W_max, episode_seed)
+        generator = _build_generator(gen_spec, bundle, config, config.T, episode_seed)
     return run_episode(
         bundle.system,
         bundle.cw,
@@ -443,11 +435,9 @@ def _episode_task(args):
         generator,
         config.T,
         x0,
-        system_index=bundle.index,
+        system_index=index,
         seed_index=seed_index,
-        rng_fingerprint=_fingerprint(
-            config.base_seed, bundle.index, seed_index, ctrl_spec["name"], gen_spec["name"]
-        ),
+        rng_fingerprint=_fingerprint(config.base_seed, index, seed_index, ctrl_spec["name"], gen_spec["name"]),
     )
 
 
@@ -455,25 +445,28 @@ def run_grid(config: ExperimentConfig, jobs: int = 1, log=None):
     """All episodes of the config grid, in deterministic order.
 
     Returns (records, failures); failures are (task description, error
-    string) pairs for episodes that raised.
+    string) pairs for episodes that raised.  A system whose synthesis
+    fails fails each of its episodes; the other systems still run.
     """
-    bundles = [build_bundle(config, i) for i in range(config.n_systems)]
     sine_spec = next((spec for spec in config.generators if spec["name"] == "sine"), None)
     tasks = []
-    for bundle in bundles:
-        sine = None if sine_spec is None else _prototype_sine(sine_spec, config, bundle)
+    for index in range(config.n_systems):
+        bundle = _built(build_bundle, config, index)
+        sine = None
+        if sine_spec is not None and not isinstance(bundle, Exception):
+            sine = _built(_build_generator, sine_spec, bundle, config, config.T, None)
         for seed_index in range(config.n_seeds):
             for ctrl_spec in config.controllers:
                 for gen_spec in config.generators:
-                    tasks.append((config, bundle, sine, ctrl_spec, gen_spec, seed_index))
+                    tasks.append((config, index, bundle, sine, ctrl_spec, gen_spec, seed_index))
     records, failures = [], []
 
     def collect(results):
         # One zero-argument call per task, in task order, giving its record.
         for task, result in zip(tasks, results):
-            _, bundle, _, ctrl_spec, gen_spec, seed_index = task
+            _, index, _, _, ctrl_spec, gen_spec, seed_index = task
             describe = (
-                f"system={bundle.index} seed={seed_index} "
+                f"system={index} seed={seed_index} "
                 f"controller={ctrl_spec['name']} generator={gen_spec['name']}"
             )
             try:
@@ -631,11 +624,11 @@ def regret_curve(config: ExperimentConfig, system_index: int, controller: str, T
     """Mean surrogate regret of MOTR against the named controller of the
     config on its system system_index, at each horizon.
 
-    MOTR is the config's motr spec, or the default motr spec merged with
-    the config's top level when the config lists none; both are built as
-    run_grid builds them.  An unknown controller, a system_index outside
-    [0, n_systems), a T_grid that is not strictly increasing from 1 or
-    more, or n_seeds < 1 raises ConfigError.
+    MOTR is the config's motr spec, or the default motr spec when the
+    config lists none, built as run_grid builds it.  An unknown
+    controller, a system_index outside [0, n_systems), a T_grid that is
+    not strictly increasing from 1 or more, or n_seeds < 1 raises
+    ConfigError; a system whose synthesis fails raises SynthesisError.
     Returns (rows, slope): rows of (T, regret, regret/T) averaged over
     seeds, and the fitted log-log slope of regret versus T (nan when any
     mean regret is non-positive).
@@ -650,14 +643,14 @@ def regret_curve(config: ExperimentConfig, system_index: int, controller: str, T
         raise ConfigError(f"controller {controller!r} not in config")
     motr_spec = next((g for g in config.generators if g["name"] == "motr"), None)
     if motr_spec is None:
-        motr_spec = _materialize("motr", "generator", config)
+        motr_spec = _materialize("motr", "generator")
     bundle = build_bundle(config, system_index)
     rows = []
     for T in T_grid:
         regs = []
         for s in range(n_seeds):
             seed = stable_seed(config.base_seed, "regret", T, s)
-            gen = _build_generator(motr_spec, bundle, T, config.W_max, seed)
+            gen = _build_generator(motr_spec, bundle, config, T, seed)
             ctrl = _build_controller(ctrl_spec, bundle)
             x0 = np.random.default_rng(stable_seed(config.base_seed, "regret-x0", s)).standard_normal(
                 bundle.system.d_x

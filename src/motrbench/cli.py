@@ -86,6 +86,9 @@ def _cmd_regret(args) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=_sys.stderr)
         return 2
+    except SynthesisError as exc:
+        print(f"synthesis error: {exc}", file=_sys.stderr)
+        return 2
     out_dir = args.out or config.output_dir
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "regret.csv")

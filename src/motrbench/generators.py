@@ -34,7 +34,7 @@ import numpy as np
 from .cdg import CdgPolicy, InstabilityError, project_frobenius, rollout_cost_quadratic, unroll_map
 from .controllers import HinfSolution
 from .lds import CostWeights, LinearSystem, spectral_radius
-from .online import OtrState, default_perturbation_rate
+from .online import OtrState, ball_point, default_perturbation_rate
 
 __all__ = [
     "GeneratorError",
@@ -283,8 +283,10 @@ class AdaptiveCdgGenerator(DisturbanceGenerator):
     they differ only in how the policy is updated from it.  update is
     "motr" (perturbed-leader trust-region step on the running sum of the
     quadratics, OtrState) or "oga" (one projected gradient-ascent step at
-    the current policy).  The keyword arguments after update are the
-    fields of a motr/oga spec, whose defaults and ranges bench.py holds.
+    the current policy).  H and D_M are the config's top-level fields of
+    those names and residual_bias and lr the fields of a motr/oga spec,
+    whose defaults and ranges bench.py holds; eta, which no config sets,
+    fixes MOTR's perturbation rate instead of calibrating it.
 
     The policy is the learner's vector vec(M), so the round reads, updates
     and projects it without conversions.  A round rebinds the vector and
@@ -341,7 +343,7 @@ class AdaptiveCdgGenerator(DisturbanceGenerator):
         self._state = OtrState(self.n, D_M, seed + 1, eta)
         self._coeff_max = 0.0
         self._warmup_rounds = min(2 * H + 1, max(1, T - 1))
-        self._v = self._initial_policy()
+        self._v = ball_point(self.rng, self.n, D_M)
         # The unroll map's history: the last 2H+1 residual controls, then
         # (with the residual bias) the last H+1 states, most recent first.
         self._R = (2 * H + 1) * self.d_u
@@ -353,13 +355,6 @@ class AdaptiveCdgGenerator(DisturbanceGenerator):
     def M(self) -> np.ndarray:
         """The current policy as a read-only (H, d_w, d_u) view of the vector."""
         return CdgPolicy.from_vec(self._v, self.H, self.d_w, self.d_u)
-
-    def _initial_policy(self) -> np.ndarray:
-        v = self.rng.standard_normal(self.n)
-        norm = float(np.linalg.norm(v))
-        if norm > 0.0:
-            v *= self.D_M * self.rng.random() ** (1.0 / self.n) / norm
-        return v
 
     def _emit(self, x):
         # sum_i M[i] r_{t-1-i}: the vector's index col*(H d_w) + i*d_w + row

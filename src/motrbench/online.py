@@ -23,6 +23,7 @@ __all__ = [
     "collapse",
     "sample_perturbation",
     "default_perturbation_rate",
+    "ball_point",
     "regret_audit",
     "play_sequence",
 ]
@@ -89,12 +90,14 @@ def default_perturbation_rate(R: float, d: int, D: float, H: int, T: int) -> flo
     return R / (d**1.5 * D * H**1.5 * math.sqrt(T))
 
 
-def _ball_point(rng: np.random.Generator, d: int, D: float) -> np.ndarray:
+def ball_point(rng: np.random.Generator, d: int, D: float) -> np.ndarray:
+    """A uniform point of the d-dimensional ball of radius D: a normal
+    direction scaled to the radius D U^(1/d) (the zero vector stays zero)."""
     v = rng.standard_normal(d)
-    norm = np.linalg.norm(v)
-    if norm == 0.0:
-        return np.zeros(d)
-    return D * rng.random() ** (1.0 / d) * v / norm
+    norm = float(np.linalg.norm(v))
+    if norm > 0.0:
+        v *= D * rng.random() ** (1.0 / d) / norm
+    return v
 
 
 class OtrState:
@@ -127,13 +130,13 @@ class OtrState:
         self.const = 0.0
         self.achieved = 0.0
         self.rounds = 0
-        self.current_z = _ball_point(self.rng, d, self.D)
+        self.current_z = ball_point(self.rng, d, self.D)
         self._leader = None  # (2 P, symmetric_eig(2 P)), or None once P has changed
 
     def observe(self, P: np.ndarray, p: np.ndarray, const: float, achieved: float = 0.0) -> None:
         """Add one round's reward coefficients and the value the plays got
         in that round (left at 0 where nothing audits the plays)."""
-        if P.any():
+        if self._leader is not None and P.any():
             self._leader = None
         self.P += P
         self.p += p
@@ -167,7 +170,7 @@ class OtrState:
 
     def randomize_play(self) -> np.ndarray:
         """Fresh uniform draw from the ball; used for the warmup plays."""
-        self.current_z = _ball_point(self.rng, self.d, self.D)
+        self.current_z = ball_point(self.rng, self.d, self.D)
         return self.current_z
 
     def hindsight(self):

@@ -265,7 +265,7 @@ def test_run_record_json_round_trip_excludes_wall_time():
 def test_config_materializes_defaults_and_rejects_unknown():
     cfg = ExperimentConfig()
     motr = next(s for s in cfg.generators if s["name"] == "motr")
-    assert motr["H"] == cfg.H and motr["D_M"] == cfg.D_M
+    assert motr == {"name": "motr", "residual_bias": True}
     gpc = next(s for s in cfg.controllers if s["name"] == "gpc")
     assert gpc["h"] == 5 and gpc["lr"] == 0.5
     with pytest.raises(ConfigError):
@@ -275,16 +275,17 @@ def test_config_materializes_defaults_and_rejects_unknown():
     with pytest.raises(ConfigError):
         ExperimentConfig(generators=[{"name": "motr", "typo": 2}])
     for spec in ({"name": "sine", "n_random_directions": -3}, {"name": "sine", "n_random_directions": 8},
-                 {"name": "motr", "eps": 1e-3}, {"name": "oga", "eps": None}):
+                 {"name": "motr", "eps": 1e-3}, {"name": "oga", "eps": None},
+                 *({"name": name, key: value} for name in ("motr", "oga")
+                   for key, value in (("H", 3), ("D_M", 0.3), ("eta", None), ("eta", 0.5)))):
         with pytest.raises(ConfigError, match="unknown field"):
             ExperimentConfig(generators=[spec])
-    with pytest.raises(ConfigError, match="unknown config fields"):
-        ExperimentConfig.from_dict({"eps": 0.1})
+    for fields in ({"eps": 0.1}, {"eta": None}, {"eta": 0.5}):
+        with pytest.raises(ConfigError, match="unknown config fields"):
+            ExperimentConfig.from_dict(fields)
     # Every spec value is range-checked at load, before any episode runs.
     for fields in (
-        {"generators": [{"name": "motr", "D_M": -1}]},
-        {"generators": [{"name": "motr", "eta": 0}]},
-        {"eta": 0},
+        {"D_M": -1},
         {"H": 2.5},
         {"T": "200"},
         {"d_w": 0},
@@ -376,6 +377,19 @@ def test_run_grid_sine_build_error_fails_only_the_sine_episodes(monkeypatch):
     for task, error in failures:
         assert "generator=sine" in task
         assert error == "LinAlgError: Eigenvalues did not converge"
+
+
+def test_run_grid_synthesis_error_fails_only_that_systems_episodes(fail_synthesis):
+    cfg = small_config(n_systems=3, generators=[{"name": "sine"}, {"name": "random"}])
+    clean, failures = run_grid(cfg, jobs=1)
+    assert not failures
+    fail_synthesis(cfg, 1)
+    records, failures = run_grid(cfg, jobs=1)
+    assert [r.to_json_line() for r in records] == [r.to_json_line() for r in clean if r.system_index != 1]
+    assert [task for task, _ in failures] == [
+        f"system=1 seed={seed} controller=lqr generator={gen}" for seed in (0, 1) for gen in ("sine", "random")
+    ]
+    assert {error for _, error in failures} == {"SynthesisError: Riccati iteration did not converge in 500 steps"}
 
 
 def test_normalize_scores_singleton_and_two_point():

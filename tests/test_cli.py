@@ -167,14 +167,25 @@ def test_malformed_config_exit_code(tmp_path, capsys, monkeypatch):
     unknown = write_json(tmp_path / "unknown.json", {"whatever": 1})
     assert main(["run", "--config", unknown]) == 2
 
-    # A spec value out of range fails at load, before any episode runs.
+    # A value out of range fails at load, before any episode runs.
     out_of_range = write_json(
-        tmp_path / "range.json", {**small_config_dict(), "generators": [{"name": "motr", "D_M": -1}]}
+        tmp_path / "range.json", {**small_config_dict(), "generators": [{"name": "oga", "lr": -1}]}
     )
     out_dir = tmp_path / "out"
     assert main(["run", "--config", out_of_range, "--out", str(out_dir)]) == 2
-    assert "D_M must be a positive number" in capsys.readouterr().err
+    assert "lr must be a positive number" in capsys.readouterr().err
     assert not (out_dir / "runs.jsonl").exists()
+
+    # H, D_M and eta are no spec fields, and eta no config field: a config
+    # or an old snapshot that carries them names the field.
+    for fields, named in (({"eta": None}, "'eta'"), ({"generators": [{"name": "motr", "H": 3}]}, "'H'"),
+                          ({"generators": [{"name": "oga", "D_M": 0.3}]}, "'D_M'"),
+                          ({"generators": [{"name": "motr", "eta": None}]}, "'eta'")):
+        path = write_json(tmp_path / "old.json", {**small_config_dict(), **fields})
+        assert main(["run", "--config", path, "--out", str(out_dir)]) == 2, fields
+        err = capsys.readouterr().err
+        assert err.startswith("config error: unknown") and named in err, err
+        assert not (out_dir / "runs.jsonl").exists()
 
     # So does a malformed shape: no traceback, and no empty run.
     monkeypatch.chdir(tmp_path)
@@ -184,6 +195,29 @@ def test_malformed_config_exit_code(tmp_path, capsys, monkeypatch):
         assert main(["run", "--config", path]) == 2, fields
         assert capsys.readouterr().err.startswith("config error:")
         assert not (tmp_path / "out" / "runs.jsonl").exists()
+
+
+def test_run_and_regret_on_a_system_whose_synthesis_fails(tmp_path, capsys, fail_synthesis):
+    config = {**small_config_dict(), "n_systems": 3, "n_seeds": 1}
+    cfg_path = write_json(tmp_path / "cfg.json", config)
+    fail_synthesis(ExperimentConfig.from_dict(config), 1)
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", cfg_path, "--out", str(out_dir)]) == 1
+    records = [json.loads(line) for line in (out_dir / "runs.jsonl").read_text().splitlines()]
+    assert [r["system_index"] for r in records] == [0, 0, 2, 2]
+    manifest = json.loads((out_dir / "incomplete.manifest.json").read_text())
+    assert [entry["task"] for entry in manifest] == [
+        "system=1 seed=0 controller=lqr generator=random", "system=1 seed=0 controller=lqr generator=hinf"
+    ]
+    assert all(entry["error"].startswith("SynthesisError: Riccati") for entry in manifest)
+    capsys.readouterr()
+
+    argv = ["regret", "--config", cfg_path, "--T-grid", "40,80", "--seeds", "1", "--out", str(tmp_path / "regret")]
+    assert main([*argv, "--system-index", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("synthesis error: Riccati") and captured.err.count("\n") == 1
+    assert main([*argv, "--system-index", "2"]) == 0
 
 
 def test_solve_tr_subcommand(tmp_path, capsys):
@@ -263,10 +297,10 @@ def test_regret_subcommand(tmp_path, capsys):
 
 
 def test_regret_uses_the_configs_motr_spec(tmp_path, capsys):
-    def regret_lines(generators, name):
+    def regret_lines(generators, name, **top_level):
         cfg_path = write_json(
             tmp_path / f"{name}.json",
-            {**small_config_dict(), "n_systems": 1, "n_seeds": 1, "generators": generators},
+            {**small_config_dict(), "n_systems": 1, "n_seeds": 1, "generators": generators, **top_level},
         )
         assert main([
             "regret", "--config", cfg_path, "--T-grid", "40,80", "--seeds", "1",
@@ -276,7 +310,7 @@ def test_regret_uses_the_configs_motr_spec(tmp_path, capsys):
 
     default = regret_lines([{"name": "motr"}], "default")
     assert regret_lines(["random"], "absent") == default
-    changed = regret_lines([{"name": "motr", "H": 1, "residual_bias": False}], "changed")
+    changed = regret_lines([{"name": "motr", "residual_bias": False}], "changed", H=1)
     assert len(changed) == len(default) == 2
     assert changed[0] != default[0] and changed[1] != default[1]
 

@@ -11,8 +11,10 @@ benchmark's own run length) untraced and with `--trace 1` (plus the traced
 passes' trust-region certificate lines); the wall time of the full default grid
 (`motrbench run`, one process, raw seconds) with the SHA-256 of its
 `runs.jsonl` and both score tables from `motrbench table`; the line count
-of src/motrbench/*.py; and every command that produced these figures, in
-the order they ran.  Every BENCH file has this one schema.
+of src/motrbench/*.py; the number of values a config can set (the
+ExperimentConfig fields plus every controller and generator spec field);
+and every command that produced these figures, in the order they ran.
+Schema 2 is schema 1 (BENCH_1 to BENCH_5) plus settable_values.
 """
 
 import argparse
@@ -28,11 +30,16 @@ import time
 
 import numpy
 
-SCHEMA = 1
+SCHEMA = 2
 HERE = os.path.dirname(os.path.abspath(__file__))
 # The benchmark and the grid run with one BLAS thread, as perfbench/run.py
 # runs its workers.
 BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+SETTABLE_VALUES = (
+    "import dataclasses; from motrbench.bench import CONTROLLER_DEFAULTS, GENERATOR_DEFAULTS, ExperimentConfig; "
+    "print(len(dataclasses.fields(ExperimentConfig))"
+    " + sum(len(spec) for specs in (CONTROLLER_DEFAULTS, GENERATOR_DEFAULTS) for spec in specs.values()))"
+)
 
 
 def _run(cmd, root, commands, env=None, out_dir=None):
@@ -62,6 +69,12 @@ def _checked_result(out, what):
             "no BENCH file written"
         )
     return result
+
+
+def settable_values(root, commands):
+    """The number of values a config of the checkout at root can set."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    return int(_run([sys.executable, "-c", SETTABLE_VALUES], root, commands, env))
 
 
 def _sha256(path):
@@ -127,6 +140,7 @@ def main(argv=None):
         }
 
     wc = _run(["sh", "-c", "wc -l src/motrbench/*.py"], root, commands)
+    settable = settable_values(root, commands)
     snapshot = {
         "schema": SCHEMA,
         "command": f"python3 tools/bench_snapshot.py {os.path.basename(args.out)} --root CHECKOUT",
@@ -144,6 +158,7 @@ def main(argv=None):
             "total": int(wc.splitlines()[-1].split()[0]),
             "files": [line.strip() for line in wc.splitlines()[:-1]],
         },
+        "settable_values": settable,
         "commands": commands,
     }
     with open(args.out, "w") as fh:
