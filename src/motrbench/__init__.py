@@ -35,7 +35,6 @@ from .online import (
 )
 from .cdg import (
     CdgPolicy,
-    PlantPowers,
     RolloutQuadratic,
     UnrollMap,
     affine_state_map,

@@ -630,8 +630,9 @@ def regret_curve(config: ExperimentConfig, system_index: int, controller: str, T
     not strictly increasing from 1 or more, or n_seeds < 1 raises
     ConfigError; a system whose synthesis fails raises SynthesisError.
     Returns (rows, slope): rows of (T, regret, regret/T) averaged over
-    seeds, and the fitted log-log slope of regret versus T (nan when any
-    mean regret is non-positive).
+    seeds, and the fitted log-log slope of regret versus T (nan when
+    T_grid has one horizon, which fixes no slope, or when any mean regret
+    is non-positive).
     """
     T_grid = list(T_grid)
     if not T_grid or T_grid[0] < 1 or n_seeds < 1 or any(b <= a for a, b in zip(T_grid, T_grid[1:])):
@@ -660,7 +661,7 @@ def regret_curve(config: ExperimentConfig, system_index: int, controller: str, T
             regs.append(hind - ach)
         mean = float(np.mean(regs))
         rows.append((T, mean, mean / T))
-    if all(r[1] > 0 for r in rows):
+    if len(rows) > 1 and all(r[1] > 0 for r in rows):
         slope = float(
             np.polyfit(np.log([r[0] for r in rows]), np.log([r[1] for r in rows]), 1)[0]
         )

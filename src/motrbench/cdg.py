@@ -51,7 +51,6 @@ from .lds import CostWeights, LinearSystem, spectral_radius
 
 __all__ = [
     "CdgPolicy",
-    "PlantPowers",
     "UnrollMap",
     "RolloutQuadratic",
     "InstabilityError",

@@ -235,13 +235,14 @@ class GpcController:
     The policy is one stacked (d_u, h d_x) matrix [N[0] | ... | N[h-1]]
     (cdg's one policy encoding), rebound by each update and never written
     in place, so a view N taken before a round keeps that round's policy.
-    The last 2h+1 recovered disturbances sit in a window shifted in
-    place.  One read-only view S of that window, made once, has as row j
-    the h disturbances (w_hat_{t-j}, ..., w_hat_{t-j-h+1}) flattened, so
-    S N' holds every policy sum the round needs.  The counterfactual state
-    and the gradient come from these sums and the stacked powers of the
-    closed loop (see _state_and_gradient); the unroll matrix of
-    cdg.affine_state_map is never formed.
+    A round reads one flat buffer z: the h+2 policy sums ZS = S N' and
+    then the last 2h+1 recovered disturbances, a window shifted in place.
+    S, one read-only view of that window made once, has as row j the h
+    disturbances (w_hat_{t-j}, ..., w_hat_{t-j-h+1}) flattened.  The
+    counterfactual state and the gradient's left factor are linear in z,
+    so two maps built once from the closed loop's powers give them:
+    y = Y z and c = L z (see _gradient).  They stand in for the unroll
+    matrix of cdg.affine_state_map, which is never formed.
     """
 
     def __init__(
@@ -275,15 +276,26 @@ class GpcController:
         if not (self.ball > 0.0):
             raise ValueError(f"the projection radius must be positive, got {self.ball}")
         d_x, d_u = sys.d_x, sys.d_u
-        # [(A-BK)^0 B | ... | (A-BK)^h B] and [(A-BK)^0 | ... | (A-BK)^h].
-        self._AkB = powers.AkC.transpose(1, 0, 2).reshape(d_x, (h + 1) * d_u)
-        self._Ak = powers.AkB.transpose(1, 0, 2).reshape(d_x, (h + 1) * d_x)
-        self._Nst = np.zeros((d_u, h * d_x))  # [N[0] | ... | N[h-1]]
-        self._win = np.zeros((2 * h + 1, d_x))  # recovered disturbances, most recent first
+        n_zs = (h + 2) * d_u
+        self._z = np.zeros(n_zs + (2 * h + 1) * d_x)
+        self._ZS = self._z[:n_zs].reshape(h + 2, d_u)
+        self._win = self._z[n_zs:].reshape(2 * h + 1, d_x)  # recovered disturbances, most recent first
         # Row j = 0..h+1 is window rows j..j+h-1, flattened.  It is a view,
         # so it follows the in-place shifts; self._win is never rebound.
         self._S = sliding_window_view(self._win.ravel(), h * d_x)[::d_x]
-        self._prev = None
+        # y = sum_k (A-BK)^k B ZS[k+1] + sum_k (A-BK)^k w_hat_{t-k}, k = 0..h.
+        AkB = powers.AkC.transpose(1, 0, 2).reshape(d_x, (h + 1) * d_u)
+        self._Y = np.zeros((d_x, self._z.size))
+        self._Y[:, d_u:n_zs] = AkB
+        self._Y[:, n_zs : n_zs + (h + 1) * d_x] = powers.AkB.transpose(1, 0, 2).reshape(d_x, -1)
+        # v = ZS[0] - K y, and c = 2 [R v; ((A-BK)^k B)'(Q y - K'R v)].
+        V = -K_base @ self._Y
+        V[:, :d_u] += np.eye(d_u)
+        RV = cw.R @ V
+        self._L = 2.0 * np.vstack([RV, AkB.T @ (cw.Q @ self._Y - K_base.T @ RV)])
+        self._AB = np.hstack([sys.A, sys.B])
+        self._xu = np.zeros(d_x + d_u)  # the last round's [x; u]
+        self._Nst = np.zeros((d_u, h * d_x))  # [N[0] | ... | N[h-1]]
         self._t = 0
 
     @property
@@ -293,9 +305,9 @@ class GpcController:
         blocks.setflags(write=False)
         return blocks
 
-    def _state_and_gradient(self):
-        """Counterfactual state y and the gradient in the stacked policy of
-        the cost y'Qy + v'Rv, where v = sum_i N[i] w_hat_{t-i} - K y and
+    def _gradient(self) -> np.ndarray:
+        """The gradient in the stacked policy of the cost y'Qy + v'Rv, where
+        v = sum_i N[i] w_hat_{t-i} - K y and
 
             y = sum_k (A-BK)^k B sum_i N[i] w_hat_{t-k-1-i}
                 + sum_k (A-BK)^k w_hat_{t-k},   k = 0..h
@@ -303,23 +315,16 @@ class GpcController:
         is the (h+1)-step rollout of the plant closed by K, driven from zero
         by the recent w_hat with the policy output entering through B
         (cdg.affine_state_map's y = Ty vec(N) + by).  Row j of ZS = S N' is
-        the policy sum on the window from w_hat_{t-j}, so y and v are
-        products with its rows, and with g = Q y - K'R v the gradient is
-        2 c'S for c = [R v; ((A-BK)^k B)' g for k = 0..h].
+        the policy sum on the window from w_hat_{t-j}, so once ZS is written
+        into z, y = Y z, and with g = Q y - K'R v the gradient is c'S for
+        c = L z = 2 [R v; ((A-BK)^k B)' g for k = 0..h].
         """
         S = self._S
-        ZS = S @ self._Nst.T  # (h+2, d_u)
-        y = self._AkB @ ZS[1:].ravel() + self._Ak @ self._win[: self.h + 1].ravel()
-        v = ZS[0] - self.K @ y
-        Rv = self.cw.R @ v
-        g = self.cw.Q @ y - self.K.T @ Rv
-        c = np.empty_like(ZS)
-        c[0] = Rv
-        c[1:] = (g @ self._AkB).reshape(self.h + 1, -1)
-        return y, 2.0 * (c.T @ S)
+        np.matmul(S, self._Nst.T, out=self._ZS)
+        return (self._L @ self._z).reshape(self._ZS.shape).T @ S
 
     def _update(self) -> None:
-        _, grad = self._state_and_gradient()
+        grad = self._gradient()
         flat = grad.ravel()
         gnorm = math.sqrt(flat @ flat)
         N = self._Nst
@@ -332,13 +337,14 @@ class GpcController:
         self._Nst = project_frobenius(N, self.ball)
 
     def act(self, x: np.ndarray) -> np.ndarray:
-        if self._prev is not None:
-            xp, up = self._prev
+        xu = self._xu
+        if self._t:
             win = self._win
             win[1:] = win[:-1]
-            win[0] = x - self.sys.A @ xp - self.sys.B @ up
+            np.subtract(x, self._AB @ xu, out=win[0])
             self._update()
         u = self._neg_K @ x + self._Nst @ self._S[0]
-        self._prev = (x, u)
+        xu[: self.sys.d_x] = x
+        xu[self.sys.d_x :] = u
         self._t += 1
         return u

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -560,3 +561,14 @@ def test_regret_curve_runs_and_validates():
     for index in (1, 7, -3):
         with pytest.raises(ConfigError, match="system_index"):
             regret_curve(cfg, index, "lqr", [50], 1)
+
+
+def test_regret_curve_fits_no_slope_to_one_horizon():
+    # One horizon fixes no log-log slope: nan, and no polyfit (whose
+    # RankWarning the filter would turn into an error).
+    cfg = ExperimentConfig(n_systems=1, n_seeds=1, H=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows, slope = regret_curve(cfg, 0, "lqr", [40], 1)
+    assert len(rows) == 1 and rows[0][1] > 0
+    assert math.isnan(slope)

@@ -296,6 +296,17 @@ def test_regret_subcommand(tmp_path, capsys):
         assert "system_index must be in [0, 1)" in capsys.readouterr().err
 
 
+def test_regret_on_one_horizon_reports_no_slope(tmp_path, capsys):
+    cfg_path = write_json(tmp_path / "cfg.json", {**small_config_dict(), "n_systems": 1, "n_seeds": 1})
+    out_dir = str(tmp_path / "out")
+    assert main(["regret", "--config", cfg_path, "--T-grid", "40", "--seeds", "1", "--out", out_dir]) == 0
+    captured = capsys.readouterr()
+    assert "fitted log-log slope: nan\n" in captured.out
+    assert captured.err == ""
+    lines = open(os.path.join(out_dir, "regret.csv")).read().strip().splitlines()
+    assert len(lines) == 2 and lines[1].endswith(",nan")
+
+
 def test_regret_uses_the_configs_motr_spec(tmp_path, capsys):
     def regret_lines(generators, name, **top_level):
         cfg_path = write_json(

@@ -248,71 +248,90 @@ def stacked_to_vec(G, h):
     return CdgPolicy.vec(np.stack(np.hsplit(G, h)))
 
 
+def spd(d, seed):
+    """A dense, non-diagonal symmetric positive definite d x d matrix."""
+    G = np.random.default_rng(seed).standard_normal((d, d))
+    return G @ G.T + 0.5 * np.eye(d)
+
+
+def gpc_weights(kind, d_x, d_u):
+    """Diagonal weights with distinct entries, or dense SPD ones, which
+    also catch a misplaced Q, R or K'R factor in GPC's maps."""
+    if kind == "diagonal":
+        return CostWeights(np.diag([1.0, 2.0, 0.5, 3.0][:d_x]), np.diag([0.7, 1.5][:d_u]))
+    return CostWeights(spd(d_x, 100 + d_x), spd(d_u, 200 + d_u))
+
+
 def test_gpc_gradient_matches_finite_differences():
     # The gradient _update steps along is that of the truncated
     # counterfactual cost y'Qy + v'Rv: y is the H+1-step rollout of the
     # plant closed by K, driven from zero by the recent w_hat with the policy
     # output entering through B, and v = sum_i N[i] w_hat_{t-i} - K y.
     sys = random_system(3, 2, 2, seed=21, target_radius=0.9)
-    cw = CostWeights(np.diag([1.0, 2.0, 0.5]), np.diag([0.7, 1.5]))
-    _, K = solve_dare(sys, cw)
     h = 3
-    gpc = GpcController(sys, cw, K, h=h, lr=0.5, ball_radius=100.0)
-    rng = np.random.default_rng(5)
-    window = rng.standard_normal((2 * h + 1, 3))
-    Abar = sys.A - sys.B @ K
+    for weights in ("diagonal", "dense"):
+        cw = gpc_weights(weights, 3, 2)
+        _, K = solve_dare(sys, cw)
+        gpc = GpcController(sys, cw, K, h=h, lr=0.5, ball_radius=100.0)
+        rng = np.random.default_rng(5)
+        window = rng.standard_normal((2 * h + 1, 3))
+        Abar = sys.A - sys.B @ K
 
-    def cost(v):
-        N = CdgPolicy.from_vec(v, h, 2, 3)
-        y = np.zeros(3)
-        for j in range(h + 1):
-            a = h - j
-            y = Abar @ y + window[a] + sys.B @ policy_sum(N, window[a + 1 : a + 1 + h])
-        ctrl = policy_sum(N, window[:h]) - K @ y
-        return y @ cw.Q @ y + ctrl @ cw.R @ ctrl
+        def cost(v):
+            N = CdgPolicy.from_vec(v, h, 2, 3)
+            y = np.zeros(3)
+            for j in range(h + 1):
+                a = h - j
+                y = Abar @ y + window[a] + sys.B @ policy_sum(N, window[a + 1 : a + 1 + h])
+            ctrl = policy_sum(N, window[:h]) - K @ y
+            return y @ cw.Q @ y + ctrl @ cw.R @ ctrl
 
-    m = rng.standard_normal(h * 2 * 3)
-    gpc._win[:] = window
-    gpc._Nst = stacked(CdgPolicy.from_vec(m, h, 2, 3))
-    _, G = gpc._state_and_gradient()
-    grad = stacked_to_vec(G, h)
-    step = 1e-5
-    fd = np.array([
-        (cost(m + step * e) - cost(m - step * e)) / (2.0 * step) for e in np.eye(m.size)
-    ])
-    np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-8)
+        m = rng.standard_normal(h * 2 * 3)
+        gpc._win[:] = window
+        gpc._Nst = stacked(CdgPolicy.from_vec(m, h, 2, 3))
+        grad = stacked_to_vec(gpc._gradient(), h)
+        step = 1e-5
+        fd = np.array([
+            (cost(m + step * e) - cost(m - step * e)) / (2.0 * step) for e in np.eye(m.size)
+        ])
+        np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-8, err_msg=weights)
 
 
 @pytest.mark.parametrize("h", [1, 3, 5])
 def test_gpc_matrix_free_round_matches_the_unroll(h):
-    # GPC's state and gradient, computed from the window view without the
-    # unroll matrix, equal cdg.affine_state_map's y = Ty vec(N) + by and the
-    # gradient 2 Ty'(Q y - K'R v) + 2 vec((R v) w_hat') formed from it.
+    # GPC's state y = Y z and gradient, computed from its history buffer z
+    # and two maps built once, without the unroll matrix, equal
+    # cdg.affine_state_map's y = Ty vec(N) + by and the gradient
+    # 2 Ty'(Q y - K'R v) + 2 vec((R v) w_hat') formed from it.
     d_x, d_u = 4, 2
     sys = random_system(d_x, d_u, 2, seed=30 + h, target_radius=0.9)
-    cw = CostWeights(np.diag([1.0, 2.0, 0.5, 3.0]), np.diag([0.7, 1.5]))
-    _, K = solve_dare(sys, cw)
-    gpc = GpcController(sys, cw, K, h=h, lr=0.5, ball_radius=100.0)
-    unroll = unroll_map(LinearSystem(sys.A - sys.B @ K, np.eye(d_x), sys.B), h)
-    rng = np.random.default_rng(h)
-    for _ in range(5):
-        window = rng.standard_normal((2 * h + 1, d_x))
-        N = rng.standard_normal((h, d_u, d_x))
-        gpc._win[:] = window
-        gpc._Nst = stacked(N)
-        y, G = gpc._state_and_gradient()
+    for weights in ("diagonal", "dense"):
+        cw = gpc_weights(weights, d_x, d_u)
+        _, K = solve_dare(sys, cw)
+        gpc = GpcController(sys, cw, K, h=h, lr=0.5, ball_radius=100.0)
+        unroll = unroll_map(LinearSystem(sys.A - sys.B @ K, np.eye(d_x), sys.B), h)
+        rng = np.random.default_rng(h)
+        for _ in range(5):
+            window = rng.standard_normal((2 * h + 1, d_x))
+            N = rng.standard_normal((h, d_u, d_x))
+            gpc._win[:] = window
+            gpc._Nst = stacked(N)
+            G = gpc._gradient()
+            y = gpc._Y @ gpc._z
 
-        Ty, by = affine_state_map(unroll, window)
-        y_ref = Ty @ CdgPolicy.vec(N) + by
-        w_hat = window[:h]
-        v = np.einsum("irc,ic->r", N, w_hat) - K @ y_ref
-        Rv = cw.R @ v
-        outer = Rv[None, :, None] * w_hat[:, None, :]
-        grad_ref = 2.0 * (Ty.T @ (cw.Q @ y_ref - K.T @ Rv)) + 2.0 * CdgPolicy.vec(outer)
+            Ty, by = affine_state_map(unroll, window)
+            y_ref = Ty @ CdgPolicy.vec(N) + by
+            w_hat = window[:h]
+            v = np.einsum("irc,ic->r", N, w_hat) - K @ y_ref
+            Rv = cw.R @ v
+            outer = Rv[None, :, None] * w_hat[:, None, :]
+            grad_ref = 2.0 * (Ty.T @ (cw.Q @ y_ref - K.T @ Rv)) + 2.0 * CdgPolicy.vec(outer)
 
-        np.testing.assert_allclose(y, y_ref, rtol=0, atol=1e-12 * np.abs(y_ref).max())
-        grad = stacked_to_vec(G, h)
-        np.testing.assert_allclose(grad, grad_ref, rtol=0, atol=1e-12 * np.abs(grad_ref).max())
+            np.testing.assert_allclose(y, y_ref, rtol=0, atol=1e-12 * np.abs(y_ref).max(), err_msg=weights)
+            grad = stacked_to_vec(G, h)
+            np.testing.assert_allclose(
+                grad, grad_ref, rtol=0, atol=1e-12 * np.abs(grad_ref).max(), err_msg=weights
+            )
 
 
 def test_gpc_episode_plays_its_policy_within_the_ball():
