@@ -73,7 +73,8 @@ def drift(runs_a, runs_b):
 
 
 def format_report(pairs, unmatched):
-    lines = [f"{'controller':<10} {'generator':<9} {'identical':>9} {'cum_avg_cost':>12} {'stage_costs':>11} {'regret_*':>9}"]
+    header = ("controller", "generator", "identical", "cum_avg_cost", "stage_costs", "regret_*")
+    lines = ["{:<10} {:<9} {:>9} {:>12} {:>11} {:>9}".format(*header)]
     for (ctrl, gen), row in sorted(pairs.items()):
         lines.append(
             f"{ctrl:<10} {gen:<9} {row['identical']:>4}/{row['records']:<4} "
