@@ -35,7 +35,6 @@ from .online import (
 )
 from .cdg import (
     CdgPolicy,
-    RolloutQuadratic,
     UnrollMap,
     affine_state_map,
     plant_powers,
@@ -58,7 +57,6 @@ from .generators import (
     HinfGenerator,
     RandomDirectionGenerator,
     SinusoidGenerator,
-    scale_to_budget,
     sinusoid_generator,
     transform_residual,
 )

@@ -60,8 +60,8 @@ CONTROLLER_DEFAULTS = {
 }
 
 GENERATOR_DEFAULTS = {
-    "motr": {"residual_bias": True},
-    "oga": {"residual_bias": True, "lr": None},
+    "motr": {},
+    "oga": {"lr": None},
     "hinf": {},
     "sine": {},
     "gaussian": {},
@@ -91,7 +91,6 @@ _INT_AT_LEAST_1 = ("an integer >= 1", lambda v: _is_int(v) and v >= 1)
 _FIELD_RANGES = {
     **dict.fromkeys(("h", "H", "d_x", "d_u", "d_w", "T", "n_systems", "n_seeds"), _INT_AT_LEAST_1),
     "base_seed": ("an integer", _is_int),
-    "residual_bias": ("true or false", lambda v: isinstance(v, bool)),
     **dict.fromkeys(("controllers", "generators"), ("a non-empty list", lambda v: isinstance(v, list) and v != [])),
     "output_dir": ("a non-empty string", lambda v: isinstance(v, str) and v != ""),
 }
@@ -272,7 +271,6 @@ class SystemBundle:
     index: int
     system: LinearSystem
     cw: CostWeights
-    lqr_P: np.ndarray
     lqr_K: np.ndarray
     hinf: HinfSolution
 
@@ -286,9 +284,9 @@ def build_bundle(config: ExperimentConfig, index: int) -> SystemBundle:
         target_radius=config.target_radius,
     )
     cw = CostWeights(np.eye(config.d_x), np.eye(config.d_u))
-    P, K = solve_dare(sys, cw)
+    _, K = solve_dare(sys, cw)
     hinf = hinf_bisection(sys, cw)
-    return SystemBundle(index=index, system=sys, cw=cw, lqr_P=P, lqr_K=K, hinf=hinf)
+    return SystemBundle(index=index, system=sys, cw=cw, lqr_K=K, hinf=hinf)
 
 
 def _build_controller(spec: dict, bundle: SystemBundle):

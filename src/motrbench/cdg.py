@@ -6,8 +6,10 @@ w_t = sum_i M[i] u_{t-i}.  Unrolling the plant H+1 steps from a zero
 state under one repeated policy expresses the truncated-rollout state as
 an affine function of the flattened policy, y = T vec(M) + b, so the
 truncated-rollout cost is an explicit quadratic in vec(M), which is what
-the online learner consumes.  T and b are linear in the recent history,
-so the unroll is one linear map E of it (unroll_map), and both
+the online learner consumes.  The quadratic has one encoding, its Gram
+matrix G = [T | b]' Q [T | b] with u'Ru added to its corner: the cost of
+v = vec(M) is [v; 1]' G [v; 1].  T and b are linear in the recent
+history, so the unroll is one linear map E of it (unroll_map), and both
 affine_state_map and rollout_cost_quadratic start from one product h @ E.
 
 Conventions (pinned by the calibration tests against direct simulation):
@@ -26,7 +28,7 @@ Conventions (pinned by the calibration tests against direct simulation):
   horizon.  Given a state gain W, E also maps the last H+1 states to the
   bias sum_a A^a C W x_{t-1-a} they add to b: the residual bias of the
   MOTR/OGA generators, whose round keeps its controls and states in one
-  history vector h and reads [T | b] from one product h @ E.
+  history vector h and builds its round's G from one product h @ E.
 
 * A policy has one encoding: the learner's own array.  MOTR and OGA keep
   the vector vec(M), the column-major flatten of the vertically stacked
@@ -52,7 +54,6 @@ from .lds import CostWeights, LinearSystem, spectral_radius
 __all__ = [
     "CdgPolicy",
     "UnrollMap",
-    "RolloutQuadratic",
     "InstabilityError",
     "project_frobenius",
     "plant_powers",
@@ -180,32 +181,20 @@ def affine_state_map(unroll: UnrollMap, window: np.ndarray, states: Optional[np.
     return Tb[:, :-1], Tb[:, -1]
 
 
-@dataclass(frozen=True)
-class RolloutQuadratic:
-    """Truncated-rollout cost as a quadratic in the flattened policy:
-    g(M) = vec(M)' P vec(M) + p' vec(M) + const."""
-
-    P: np.ndarray
-    p: np.ndarray
-    const: float
-
-    def evaluate(self, v: np.ndarray) -> float:
-        return float(v @ (self.P @ v + self.p)) + self.const
-
-
 def rollout_cost_quadratic(
     unroll: UnrollMap, cw: CostWeights, history: np.ndarray, u_now: np.ndarray
-) -> RolloutQuadratic:
-    """Quadratic coefficients of the truncated-rollout cost y'Qy + u'Ru.
+) -> np.ndarray:
+    """The truncated-rollout cost y'Qy + u'Ru as its Gram matrix G.
 
     history is the map's flat history vector (UnrollMap), which the
     generator round keeps and passes as it is; u_now is the current
-    control, entering only through the u'Ru constant.  With [T | b] from
-    the one product h @ E, G = [T | b]' Q [T | b] holds P = T'QT, p = 2 T'Qb
-    and b'Qb as its blocks.  P is copied out of G: the learner adds it to
-    its running sum each round, which is faster from a contiguous array.
+    control, entering only through u'Ru, which is added to G's corner.
+    With [T | b] from the one product h @ E, G = [T | b]' Q [T | b] (+ u'Ru
+    in the corner) is (n+1, n+1), and the cost of the policy v = vec(M) is
+    [v; 1]' G [v; 1] = v'Pv + 2 q'v + c for its blocks P = G[:-1, :-1] =
+    T'QT, q = G[:-1, -1] = T'Qb and c = G[-1, -1] = b'Qb + u'Ru.
     """
     Tb = (history @ unroll.E).reshape(unroll.d_x, -1)
     G = Tb.T @ (cw.Q @ Tb)
-    const = float(G[-1, -1] + u_now @ cw.R @ u_now)
-    return RolloutQuadratic(P=G[:-1, :-1].copy(), p=2.0 * G[:-1, -1], const=const)
+    G[-1, -1] += u_now @ cw.R @ u_now
+    return G

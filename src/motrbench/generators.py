@@ -16,10 +16,12 @@ Their policy is the learner's vector vec(M) (cdg's one policy encoding):
 the emitted disturbance, the update and the projection onto the D_M ball
 all work on that vector, and AdaptiveCdgGenerator.M is a read-only view
 of it as (H, d_w, d_u) blocks.  Their history is one vector h, shifted in
-place each round: the last 2H+1 residual controls, then, with the
-residual bias, the last H+1 states, most recent first.  The generator builds its unroll map E once
+place each round: the last 2H+1 residual controls, then the last H+1
+states, most recent first.  The generator builds its unroll map E once
 (cdg.unroll_map, with W as the state gain), and each round's rollout
-quadratic starts from the one product h @ E, bias included.
+cost is one Gram matrix G built from the one product h @ E, bias
+included: the learner sums G, and the round reads its blocks
+P = G[:-1, :-1] and q = G[:-1, -1] as views.
 
 The sinusoid generator picks its one sinusoid offline, before the episode,
 by open-loop cost: per (frequency, phase) the best direction is the top
@@ -31,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cdg import CdgPolicy, InstabilityError, project_frobenius, rollout_cost_quadratic, unroll_map
+from .cdg import CdgPolicy, project_frobenius, rollout_cost_quadratic, unroll_map
 from .controllers import HinfSolution
 from .lds import CostWeights, LinearSystem, spectral_radius
 from .online import OtrState, ball_point, default_perturbation_rate
@@ -45,7 +47,6 @@ __all__ = [
     "GaussianGenerator",
     "RandomDirectionGenerator",
     "SinusoidGenerator",
-    "scale_to_budget",
     "transform_residual",
     "sinusoid_generator",
 ]
@@ -78,10 +79,8 @@ def scale_to_budget(w: np.ndarray, W_max: float) -> np.ndarray:
     this, so the shared budget does not vary across generators; a generator
     that merely clipped w = W x would spend almost nothing once the
     stabilized state decays, and every comparison against persistent noise
-    would be vacuous.
+    would be vacuous.  Each generator checks W_max when it is built.
     """
-    _check_budget(W_max)
-    w = np.asarray(w, dtype=float)
     norm = math.sqrt(w @ w)
     if norm == 0.0:
         return np.zeros_like(w)
@@ -278,15 +277,16 @@ def transform_residual(sys: LinearSystem, hinf: HinfSolution) -> LinearSystem:
 class AdaptiveCdgGenerator(DisturbanceGenerator):
     """The MOTR and OGA generators.
 
-    Both emit the budget-scaled w_t along sum_i M_t[i] r_{t-i} + bias(x_t)
-    and rebuild the rollout-cost quadratic after observing each control;
-    they differ only in how the policy is updated from it.  update is
-    "motr" (perturbed-leader trust-region step on the running sum of the
-    quadratics, OtrState) or "oga" (one projected gradient-ascent step at
-    the current policy).  H and D_M are the config's top-level fields of
-    those names and residual_bias and lr the fields of a motr/oga spec,
-    whose defaults and ranges bench.py holds; eta, which no config sets,
-    fixes MOTR's perturbation rate instead of calibrating it.
+    Both emit the budget-scaled w_t along sum_i M_t[i] r_{t-i} + W x_t on
+    the residual plant (transform_residual) and, after observing each
+    control, build the round's rollout cost as its Gram matrix G
+    (cdg.rollout_cost_quadratic); they differ only in how the policy is
+    updated from it.  update is "motr" (perturbed-leader trust-region step
+    on the running sum of the matrices, OtrState) or "oga" (one projected
+    gradient-ascent step at the current policy).  H and D_M are the
+    config's top-level fields of those names and lr the one field of an
+    oga spec, whose default and range bench.py holds; eta, which no config
+    sets, fixes MOTR's perturbation rate instead of calibrating it.
 
     The policy is the learner's vector vec(M), so the round reads, updates
     and projects it without conversions.  A round rebinds the vector and
@@ -307,7 +307,6 @@ class AdaptiveCdgGenerator(DisturbanceGenerator):
         H: int,
         D_M: float,
         W_max: float,
-        residual_bias: bool,
         seed: int,
         eta: Optional[float] = None,
         lr: Optional[float] = None,
@@ -318,25 +317,15 @@ class AdaptiveCdgGenerator(DisturbanceGenerator):
         self.name = update
         self.cw = cw
         self.T, self.H, self.D_M, self.W_max = T, H, D_M, _check_budget(W_max)
-        if residual_bias:
-            self.base = transform_residual(sys, hinf)
-            self.K, self.Wb = hinf.K, hinf.W
-        else:
-            self.base = sys
-            self.K, self.Wb = np.zeros((sys.d_u, sys.d_x)), None
-        try:
-            self._unroll = unroll_map(self.base, H, self.Wb)
-        except InstabilityError as exc:
-            raise TransformError(
-                f"without the residual transformation the plant must be open-loop stable: {exc}"
-            ) from exc
+        self.K, self.W = hinf.K, hinf.W
+        self._unroll = unroll_map(transform_residual(sys, hinf), H, self.W)
         self.d_x, self.d_u, self.d_w = sys.d_x, sys.d_u, sys.d_w
         self.n = H * self.d_w * self.d_u
         # None derives the value: OGA's step scale lr = 0.1 D_M, and eta as
         # described below.
         self.lr = lr if lr is not None else 0.1 * D_M
         self.rng = np.random.default_rng(seed)
-        # The episode's one running sum of the round quadratics: MOTR's
+        # The episode's one running sum of the round Gram matrices: MOTR's
         # leader and the regret audit of both update rules.  Without a given
         # eta, MOTR calibrates it on the coefficient scale of the first
         # _warmup_rounds + 1 quadratics and only then starts to play.
@@ -345,7 +334,7 @@ class AdaptiveCdgGenerator(DisturbanceGenerator):
         self._warmup_rounds = min(2 * H + 1, max(1, T - 1))
         self._v = ball_point(self.rng, self.n, D_M)
         # The unroll map's history: the last 2H+1 residual controls, then
-        # (with the residual bias) the last H+1 states, most recent first.
+        # the last H+1 states, most recent first.
         self._R = (2 * H + 1) * self.d_u
         self._h = np.zeros(self._unroll.E.shape[0])
         self._r_win = self._h[: self._R].reshape(2 * H + 1, self.d_u)
@@ -361,8 +350,7 @@ class AdaptiveCdgGenerator(DisturbanceGenerator):
         # is row col*H + i of the (d_u H, d_w) view, and the window's first
         # H rows flattened column-major are ordered the same way.
         w = self._r_win[: self.H].ravel(order="F") @ self._v.reshape(-1, self.d_w)
-        if self.Wb is not None:
-            w += self.Wb @ x
+        w += self.W @ x
         self._pending_x = x
         return scale_to_budget(w, self.W_max)
 
@@ -371,14 +359,16 @@ class AdaptiveCdgGenerator(DisturbanceGenerator):
         r = self.K @ x + u
         v = self._v
         try:
-            rq = rollout_cost_quadratic(self._unroll, self.cw, self._h, r)
-            self._state.observe(rq.P, rq.p, rq.const, rq.evaluate(v))
+            G = rollout_cost_quadratic(self._unroll, self.cw, self._h, r)
+            P, q = G[:-1, :-1], G[:-1, -1]
+            Pv = P @ v
+            self._state.observe(G, float(v @ (Pv + 2.0 * q) + G[-1, -1]))
             if self.name == "motr":
-                v = self._motr_step(rq)
+                v = self._motr_step(P, q)
             else:
-                # The gradient (P + P')v + p, with P = T'QT symmetric up to
+                # The gradient (P + P')v + 2q, with P = T'QT symmetric up to
                 # rounding for the symmetric Q of a CostWeights.
-                g = 2.0 * (rq.P @ v) + rq.p
+                g = 2.0 * (Pv + q)
                 gnorm = math.sqrt(g @ g)
                 if gnorm > 0.0:
                     v = v + (self.lr / math.sqrt(self._round + 1.0) / gnorm) * g
@@ -391,16 +381,16 @@ class AdaptiveCdgGenerator(DisturbanceGenerator):
         h, R, d_u, d_x = self._h, self._R, self.d_u, self.d_x
         h[d_u:R] = h[: R - d_u]
         h[:d_u] = r
-        if self.Wb is not None:
-            h[R + d_x :] = h[R:-d_x]
-            h[R : R + d_x] = x
+        h[R + d_x :] = h[R:-d_x]
+        h[R : R + d_x] = x
 
-    def _motr_step(self, rq) -> Optional[np.ndarray]:
-        """The learner's next play, or None while eta is being calibrated."""
+    def _motr_step(self, P: np.ndarray, q: np.ndarray) -> Optional[np.ndarray]:
+        """The learner's next play, or None while eta is being calibrated on
+        the largest coefficient of P and of the linear term 2q."""
         state = self._state
         if state.eta is None:
             self._coeff_max = max(
-                self._coeff_max, float(np.max(np.abs(rq.P))), float(np.max(np.abs(rq.p)))
+                self._coeff_max, float(np.max(np.abs(P))), 2.0 * float(np.max(np.abs(q)))
             )
             if self._round < self._warmup_rounds:
                 return None

@@ -1,12 +1,15 @@
 """Follow-the-perturbed-leader over quadratic rewards with memory.
 
 Each round t reveals a quadratic reward of the last H plays.  Collapsing
-the reward onto a single repeated play gives a per-round quadratic g_t(z),
-whose coefficients are accumulated in one running sum (OtrState); the
-next play maximizes the sum, its quadratic part doubled, minus a random
-linear perturbation with Exp(eta) coordinates, and the regret audit
-maximizes the sum itself.  Both are ball-constrained problems handled
-exactly by the trust-region solver.
+the reward onto a single repeated play gives a per-round quadratic
+g_t(z) = [z; 1]' G_t [z; 1], encoded, like the generators' rollout cost,
+by its (d+1, d+1) Gram matrix G_t alone.  The learner keeps one running
+sum G of these matrices (OtrState); with its blocks P = G[:-1, :-1],
+q = G[:-1, -1] and c = G[-1, -1], the summed reward is z'Pz + 2q'z + c.
+The next play maximizes the sum, its quadratic part doubled, minus a
+random linear perturbation with Exp(eta) coordinates, and the regret
+audit maximizes the sum itself.  Both are ball-constrained problems
+handled exactly by the trust-region solver.
 """
 
 import math
@@ -71,11 +74,16 @@ class MemoryQuadratic:
         return self.value_stacked(np.concatenate([np.asarray(z, dtype=float) for z in window]))
 
 
-def collapse(mq: MemoryQuadratic):
-    """(C, c): the H x H blocks of P summed and the H blocks of p summed,
-    the quadratic z'Cz + c'z + const of playing one point in every slot."""
+def collapse(mq: MemoryQuadratic) -> np.ndarray:
+    """The Gram matrix G of playing one point z in every slot: with C the
+    H x H blocks of P summed and c the H blocks of p summed, the reward
+    z'Cz + c'z + const is [z; 1]' G [z; 1] for G = [[C, c/2], [c'/2, const]]."""
     d, H = mq.d, mq.H
-    return mq.P.reshape(H, d, H, d).sum(axis=(0, 2)), mq.p.reshape(H, d).sum(axis=0)
+    G = np.empty((d + 1, d + 1))
+    G[:-1, :-1] = mq.P.reshape(H, d, H, d).sum(axis=(0, 2))
+    G[:-1, -1] = G[-1, :-1] = 0.5 * mq.p.reshape(H, d).sum(axis=0)
+    G[-1, -1] = mq.const
+    return G
 
 
 def sample_perturbation(eta: float, d: int, rng: np.random.Generator) -> np.ndarray:
@@ -101,8 +109,10 @@ def ball_point(rng: np.random.Generator, d: int, D: float) -> np.ndarray:
 
 
 class OtrState:
-    """Running sum of an episode's round rewards z'Pz + p'z + const, with
-    the reward its plays achieved.
+    """Running sum G of an episode's round Gram matrices, the reward
+    [z; 1]' G [z; 1] = z'Pz + 2q'z + c, with the reward its plays achieved.
+    Only the blocks P = G[:-1, :-1], q = G[:-1, -1] and c = G[-1, -1] are
+    read, so a round's G need not be symmetric outside its P.
 
     update plays the perturbed leader on the sum over the Euclidean ball of
     radius D; hindsight maximizes the same sum without a perturbation, so
@@ -125,22 +135,18 @@ class OtrState:
         self.D = float(D)
         self.eta = eta
         self.rng = np.random.default_rng(seed)
-        self.P = np.zeros((d, d))
-        self.p = np.zeros(d)
-        self.const = 0.0
+        self.G = np.zeros((d + 1, d + 1))
         self.achieved = 0.0
         self.rounds = 0
         self.current_z = ball_point(self.rng, d, self.D)
         self._leader = None  # (2 P, symmetric_eig(2 P)), or None once P has changed
 
-    def observe(self, P: np.ndarray, p: np.ndarray, const: float, achieved: float = 0.0) -> None:
-        """Add one round's reward coefficients and the value the plays got
-        in that round (left at 0 where nothing audits the plays)."""
-        if self._leader is not None and P.any():
+    def observe(self, G: np.ndarray, achieved: float = 0.0) -> None:
+        """Add one round's (d+1, d+1) Gram matrix and the value the plays
+        got in that round (left at 0 where nothing audits the plays)."""
+        if self._leader is not None and G[:-1, :-1].any():
             self._leader = None
-        self.P += P
-        self.p += p
-        self.const += const
+        self.G += G
         self.achieved += achieved
         self.rounds += 1
 
@@ -155,16 +161,17 @@ class OtrState:
             sigma = np.asarray(sigma, dtype=float)
             if sigma.shape != (self.d,):
                 raise ValueError(f"sigma must have shape ({self.d},)")
-        # The leader's quadratic part is 2 sum P, for symmetric P the Hessian
-        # P + P' of the summed reward, while hindsight audits sum P itself:
-        # the learner maximizes z'(2 sum P)z + (sum p - sigma)'z.  The
-        # benchmark's numbers are made with this factor; ROADMAP item 4(a)
-        # measures what dropping it would change.
+        # The leader's quadratic part is 2P, for symmetric P the Hessian
+        # P + P' of the summed reward, while hindsight audits P itself: the
+        # learner maximizes z'(2P)z + (2q - sigma)'z.  The benchmark's
+        # numbers are made with this factor; the decision on it belongs to
+        # ROADMAP item 1.
+        G = self.G
         if self._leader is None:
-            P2 = 2.0 * self.P
+            P2 = 2.0 * G[:-1, :-1]
             self._leader = (P2, symmetric_eig(P2))
         P2, eig = self._leader
-        prob = TrustRegionProblem._unchecked(P2, self.p - sigma, self.D)
+        prob = TrustRegionProblem._unchecked(P2, 2.0 * G[:-1, -1] - sigma, self.D)
         self.current_z = tr_solve(prob, eig=eig).z
         return self.current_z
 
@@ -175,8 +182,9 @@ class OtrState:
 
     def hindsight(self):
         """(best fixed play's value on the sum, value achieved by the plays)."""
-        prob = TrustRegionProblem(self.P, self.p, self.D)
-        return objective(prob, tr_solve(prob).z) + self.const, float(self.achieved)
+        G = self.G
+        prob = TrustRegionProblem(G[:-1, :-1], 2.0 * G[:-1, -1], self.D)
+        return objective(prob, tr_solve(prob).z) + float(G[-1, -1]), float(self.achieved)
 
 
 def play_sequence(history, D: float, eta: float, seed: int):
@@ -197,7 +205,7 @@ def play_sequence(history, D: float, eta: float, seed: int):
             raise ValueError("history entries must share (d, H)")
         plays.append(state.current_z)
         if t >= H - 1:
-            state.observe(*collapse(mq), mq.const)
+            state.observe(collapse(mq))
             state.update()
         else:
             state.randomize_play()
@@ -220,5 +228,5 @@ def regret_audit(history, plays, D: float):
         mq = history[t]
         if mq.d != d or mq.H != H:
             raise ValueError("history entries must share (d, H)")
-        audit.observe(*collapse(mq), mq.const, mq.value(plays[t - H + 1 : t + 1]))
+        audit.observe(collapse(mq), mq.value(plays[t - H + 1 : t + 1]))
     return audit.hindsight()

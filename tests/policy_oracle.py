@@ -1,5 +1,6 @@
 """The block oracle of a CDG policy, shared by the tests that check the
-pipeline's vector and stacked-matrix arithmetic against it."""
+pipeline's vector and stacked-matrix arithmetic against it, and the
+reading of a round's cost from its Gram matrix."""
 
 import numpy as np
 
@@ -12,3 +13,9 @@ def policy_sum(blocks, past):
     for block, u in zip(blocks, past):
         w = w + block @ u
     return w
+
+
+def gram_cost(G, v):
+    """[v; 1]' G [v; 1], read from the blocks of the rollout cost's Gram
+    matrix G as v'Pv + 2q'v + c, in the generator round's order."""
+    return float(v @ (G[:-1, :-1] @ v + 2.0 * G[:-1, -1]) + G[-1, -1])

@@ -26,7 +26,7 @@ from motrbench.lds import (
 )
 from motrbench.online import MemoryQuadratic, default_perturbation_rate, play_sequence, regret_audit
 from motrbench.trust_region import TrustRegionProblem, brute_force, objective, solve as tr_solve
-from policy_oracle import policy_sum
+from policy_oracle import gram_cost, policy_sum
 
 
 def report(criterion: int, ok: bool, detail: str):
@@ -74,9 +74,9 @@ def crit3_runs():
         H = int(rng.integers(1, 6))
         window = rng.standard_normal((2 * H + 1, 2))
         u_now = rng.standard_normal(2)
-        rq = rollout_cost_quadratic(unroll_map(sys, H), cw, window.ravel(), u_now)
+        G = rollout_cost_quadratic(unroll_map(sys, H), cw, window.ravel(), u_now)
         pol = project_frobenius(np.array([rng.standard_normal((4, 2)) for _ in range(H)]), 1.0)
-        runs.append((sys, cw, window, u_now, H, rq, pol))
+        runs.append((sys, cw, window, u_now, H, G, pol))
     return runs
 
 
@@ -161,25 +161,28 @@ def test_criterion_3_closed_form_oracle(crit3_runs):
     t0 = time.perf_counter()
     worst_eval = 0.0
     worst_fd = 0.0
-    for sys, cw, window, u_now, H, rq, pol in crit3_runs:
-        got = rq.evaluate(CdgPolicy.vec(pol))
+    for sys, cw, window, u_now, H, G, pol in crit3_runs:
+        got = gram_cost(G, CdgPolicy.vec(pol))
         ref = oracle_rollout_cost(sys, cw, window, u_now, H, pol)
         worst_eval = max(worst_eval, abs(got - ref) / max(1e-12, abs(ref)))
 
-        n = rq.p.size
-        hess = rq.P + rq.P.T
+        # The Hessian P + P' and gradient p = 2q of the cost at the zero
+        # policy, from G's blocks P = G[:-1, :-1] and q = G[:-1, -1].
+        P, p = G[:-1, :-1], 2.0 * G[:-1, -1]
+        n = p.size
+        hess = P + P.T
         h = 1e-4
 
         def g_of(v):
             return oracle_rollout_cost(sys, cw, window, u_now, H, CdgPolicy.from_vec(v, H, 4, 2))
 
         scale_h = max(1.0, float(np.max(np.abs(hess))))
-        scale_g = max(1.0, float(np.max(np.abs(rq.p))))
+        scale_g = max(1.0, float(np.max(np.abs(p))))
         for k in range(n):
             e = np.zeros(n)
             e[k] = h
             fd = (g_of(e) - g_of(-e)) / (2.0 * h)
-            worst_fd = max(worst_fd, abs(fd - rq.p[k]) / scale_g)
+            worst_fd = max(worst_fd, abs(fd - p[k]) / scale_g)
         for k in range(n):
             ek = np.zeros(n)
             ek[k] = h
@@ -246,13 +249,13 @@ def test_criterion_4_approximation_bound():
 def test_criterion_5_coefficient_bounds(crit3_runs):
     worst_P = 0.0
     worst_p = 0.0
-    for sys, cw, window, u_now, H, rq, _ in crit3_runs:
+    for sys, cw, window, u_now, H, G, _ in crit3_runs:
         rep = analyze_stability(sys)
         C_u = float(np.max(np.linalg.norm(window, axis=1)))
         bound_P = cw.xi * C_u**2 * rep.kappa**2
         bound_p = bound_P * rep.beta
-        worst_P = max(worst_P, float(np.max(np.abs(rq.P))) / bound_P)
-        worst_p = max(worst_p, float(np.max(np.abs(rq.p))) / bound_p)
+        worst_P = max(worst_P, float(np.max(np.abs(G[:-1, :-1]))) / bound_P)
+        worst_p = max(worst_p, float(np.max(np.abs(2.0 * G[:-1, -1]))) / bound_p)
     ok = worst_P <= 1.0 and worst_p <= 1.0
     report(
         5,

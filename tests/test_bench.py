@@ -266,7 +266,7 @@ def test_run_record_json_round_trip_excludes_wall_time():
 def test_config_materializes_defaults_and_rejects_unknown():
     cfg = ExperimentConfig()
     motr = next(s for s in cfg.generators if s["name"] == "motr")
-    assert motr == {"name": "motr", "residual_bias": True}
+    assert motr == {"name": "motr"}
     gpc = next(s for s in cfg.controllers if s["name"] == "gpc")
     assert gpc["h"] == 5 and gpc["lr"] == 0.5
     with pytest.raises(ConfigError):
@@ -278,7 +278,8 @@ def test_config_materializes_defaults_and_rejects_unknown():
     for spec in ({"name": "sine", "n_random_directions": -3}, {"name": "sine", "n_random_directions": 8},
                  {"name": "motr", "eps": 1e-3}, {"name": "oga", "eps": None},
                  *({"name": name, key: value} for name in ("motr", "oga")
-                   for key, value in (("H", 3), ("D_M", 0.3), ("eta", None), ("eta", 0.5)))):
+                   for key, value in (("H", 3), ("D_M", 0.3), ("eta", None), ("eta", 0.5),
+                                      ("residual_bias", True), ("residual_bias", False)))):
         with pytest.raises(ConfigError, match="unknown field"):
             ExperimentConfig(generators=[spec])
     for fields in ({"eps": 0.1}, {"eta": None}, {"eta": 0.5}):
@@ -291,7 +292,6 @@ def test_config_materializes_defaults_and_rejects_unknown():
         {"T": "200"},
         {"d_w": 0},
         {"generators": [{"name": "oga", "lr": -0.5}]},
-        {"generators": [{"name": "oga", "residual_bias": "no"}]},
         {"controllers": 5},
         {"controllers": []},
         {"generators": []},

@@ -62,8 +62,7 @@ def test_no_file_is_written_when_head_cannot_be_resolved(snapshot, tmp_path):
 
 
 def test_settable_values_counts_config_and_spec_fields(snapshot):
-    # 14 config fields, gpc's h, lr and ball_radius, motr's residual_bias,
-    # and oga's residual_bias and lr.
+    # 14 config fields, gpc's h, lr and ball_radius, and oga's lr.
     commands = []
-    assert snapshot.settable_values(os.path.dirname(TOOLS), commands) == 20
+    assert snapshot.settable_values(os.path.dirname(TOOLS), commands) == 18
     assert len(commands) == 1 and commands[0].startswith("python3 -c ")

@@ -11,7 +11,7 @@ from motrbench.cdg import (
     unroll_map,
 )
 from motrbench.lds import CostWeights, LinearSystem, analyze_stability, random_system, stage_cost
-from policy_oracle import policy_sum
+from policy_oracle import gram_cost, policy_sum
 
 
 def random_policy(rng, H, d_w, d_u, bound=10.0, scale=0.5):
@@ -211,9 +211,9 @@ def test_approx_cost_delegates_to_stage_cost():
     window = rng.standard_normal((2 * H + 1, 2))
     u_now = rng.standard_normal(2)
     pol = random_policy(rng, H, 2, 2)
-    rq = rollout_cost_quadratic(unroll_map(sys, H), cw, window.ravel(), u_now)
+    G = rollout_cost_quadratic(unroll_map(sys, H), cw, window.ravel(), u_now)
     y = unrolled_state(sys, pol, window)
-    assert rq.evaluate(CdgPolicy.vec(pol)) == pytest.approx(stage_cost(cw, y, u_now), rel=1e-12)
+    assert gram_cost(G, CdgPolicy.vec(pol)) == pytest.approx(stage_cost(cw, y, u_now), rel=1e-12)
 
 
 def rollout_cost(sys, cw, window, u_now, H, policy, W=None, states=None):
@@ -227,10 +227,10 @@ def test_rollout_quadratic_zero_window():
     cw = CostWeights(np.eye(3), np.diag([2.0, 1.0]))
     H = 2
     u_now = np.array([1.0, 2.0])
-    rq = rollout_cost_quadratic(unroll_map(sys, H), cw, np.zeros((2 * H + 1) * 2), u_now)
-    assert np.max(np.abs(rq.P)) == 0.0
-    assert np.max(np.abs(rq.p)) == 0.0
-    assert rq.const == pytest.approx(2.0 * 1.0 + 1.0 * 4.0)
+    G = rollout_cost_quadratic(unroll_map(sys, H), cw, np.zeros((2 * H + 1) * 2), u_now)
+    assert G.shape == (H * 2 * 2 + 1,) * 2
+    assert np.max(np.abs(G[:-1])) == 0.0 and np.max(np.abs(G[:, :-1])) == 0.0
+    assert G[-1, -1] == pytest.approx(2.0 * 1.0 + 1.0 * 4.0)
 
 
 def test_rollout_quadratic_master_oracle():
@@ -244,9 +244,9 @@ def test_rollout_quadratic_master_oracle():
         cw = CostWeights(Qroot @ Qroot.T, np.eye(d_u))
         window = rng.standard_normal((2 * H + 1, d_u))
         u_now = rng.standard_normal(d_u)
-        rq = rollout_cost_quadratic(unroll_map(sys, H), cw, window.ravel(), u_now)
+        G = rollout_cost_quadratic(unroll_map(sys, H), cw, window.ravel(), u_now)
         pol = random_policy(rng, H, d_w, d_u)
-        got = rq.evaluate(CdgPolicy.vec(pol))
+        got = gram_cost(G, CdgPolicy.vec(pol))
         ref = rollout_cost(sys, cw, window, u_now, H, pol)
         assert got == pytest.approx(ref, rel=1e-8)
 
@@ -262,10 +262,10 @@ def test_rollout_quadratic_bias_folding():
     # and constant parts through the map's state rows.
     W, states = rng.standard_normal((2, 3)), rng.standard_normal((H + 1, 3))
     history = np.concatenate([window.ravel(), states.ravel()])
-    rq = rollout_cost_quadratic(unroll_map(sys, H, W), cw, history, u_now)
+    G = rollout_cost_quadratic(unroll_map(sys, H, W), cw, history, u_now)
     for _ in range(5):
         pol = random_policy(rng, H, 2, 2)
-        got = rq.evaluate(CdgPolicy.vec(pol))
+        got = gram_cost(G, CdgPolicy.vec(pol))
         ref = rollout_cost(sys, cw, window, u_now, H, pol, W, states)
         assert got == pytest.approx(ref, rel=1e-9)
 
@@ -286,12 +286,13 @@ def test_hessian_gradient_match_finite_differences():
     H = 2
     window = rng.standard_normal((2 * H + 1, 2))
     u_now = rng.standard_normal(2)
-    rq = rollout_cost_quadratic(unroll_map(sys, H), cw, window.ravel(), u_now)
-    # Hessian P + P' and gradient p at the zero policy, as the learner
-    # accumulates them.
-    hess, grad = rq.P + rq.P.T, rq.p
+    G = rollout_cost_quadratic(unroll_map(sys, H), cw, window.ravel(), u_now)
+    # Hessian P + P' and gradient 2q at the zero policy, from the blocks
+    # P = G[:-1, :-1] and q = G[:-1, -1] the learner sums.
+    P = G[:-1, :-1]
+    hess, grad = P + P.T, 2.0 * G[:-1, -1]
     assert np.allclose(hess, hess.T, atol=1e-12)
-    n = rq.p.size
+    n = grad.size
     h = 1e-4
 
     def g_of(v):
@@ -318,9 +319,10 @@ def test_symmetric_p_hessian_is_twice_p():
     cw = CostWeights(np.eye(2), np.eye(1))
     H = 1
     window = rng.standard_normal((3, 1))
-    rq = rollout_cost_quadratic(unroll_map(sys, H), cw, window.ravel(), np.zeros(1))
-    assert np.allclose(rq.P, rq.P.T, atol=1e-12)
-    assert np.allclose(rq.P + rq.P.T, 2.0 * rq.P, atol=1e-12)
+    G = rollout_cost_quadratic(unroll_map(sys, H), cw, window.ravel(), np.zeros(1))
+    P = G[:-1, :-1]
+    assert np.allclose(P, P.T, atol=1e-12)
+    assert np.allclose(P + P.T, 2.0 * P, atol=1e-12)
 
 
 def test_project_frobenius():

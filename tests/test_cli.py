@@ -321,7 +321,7 @@ def test_regret_uses_the_configs_motr_spec(tmp_path, capsys):
 
     default = regret_lines([{"name": "motr"}], "default")
     assert regret_lines(["random"], "absent") == default
-    changed = regret_lines([{"name": "motr", "residual_bias": False}], "changed", H=1)
+    changed = regret_lines([{"name": "motr"}], "changed", H=1)
     assert len(changed) == len(default) == 2
     assert changed[0] != default[0] and changed[1] != default[1]
 

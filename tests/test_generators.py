@@ -20,7 +20,7 @@ from motrbench.generators import (
 )
 from motrbench.lds import CostWeights, LinearSystem, analyze_stability, random_system, step
 from motrbench.trust_region import TrustRegionProblem, objective, solve as tr_solve
-from policy_oracle import policy_sum
+from policy_oracle import gram_cost, policy_sum
 
 
 def make_setup(seed=0, radius=0.9):
@@ -101,7 +101,7 @@ def test_every_generator_checks_its_budget_when_built():
             lambda: sinusoid_generator(sys, cw, W_max, T=10),
         ] + [
             lambda update=update: AdaptiveCdgGenerator(
-                sys, cw, hinf, update=update, T=10, H=2, D_M=0.3, W_max=W_max, residual_bias=True, seed=0
+                sys, cw, hinf, update=update, T=10, H=2, D_M=0.3, W_max=W_max, seed=0
             )
             for update in ("motr", "oga")
         ]
@@ -280,7 +280,7 @@ def test_generator_call_order_enforced():
 def test_motr_zero_residual_path_recovers_equilibrium():
     sys, cw, hinf = make_setup(seed=4)
     motr = AdaptiveCdgGenerator(
-        sys, cw, hinf, update="motr", T=40, H=3, D_M=0.3, W_max=1.0, residual_bias=True, seed=7
+        sys, cw, hinf, update="motr", T=40, H=3, D_M=0.3, W_max=1.0, seed=7
     )
     ref = HinfGenerator(hinf, 1.0)
     x = np.random.default_rng(0).standard_normal(4)
@@ -297,7 +297,7 @@ def test_motr_zero_residual_path_recovers_equilibrium():
 def test_motr_small_ball_limit_matches_equilibrium_generator():
     sys, cw, hinf = make_setup(seed=5)
     motr = AdaptiveCdgGenerator(
-        sys, cw, hinf, update="motr", T=40, H=2, D_M=1e-8, W_max=1.0, residual_bias=True, seed=3
+        sys, cw, hinf, update="motr", T=40, H=2, D_M=1e-8, W_max=1.0, seed=3
     )
     ref = HinfGenerator(hinf, 1.0)
     ctrl = lqr_controller(sys, cw)
@@ -319,7 +319,7 @@ def test_motr_deterministic_and_budgeted():
 
     def run():
         gen = AdaptiveCdgGenerator(
-            sys, cw, hinf, update="motr", T=60, H=3, D_M=0.3, W_max=1.0, residual_bias=True, seed=11
+            sys, cw, hinf, update="motr", T=60, H=3, D_M=0.3, W_max=1.0, seed=11
         )
         ws = drive(sys, gen, ctrl.act, 60, x0)
         return ws, gen
@@ -334,7 +334,7 @@ def test_motr_deterministic_and_budgeted():
 def test_oga_generator_budgeted_and_in_ball():
     sys, cw, hinf = make_setup(seed=7)
     gen = AdaptiveCdgGenerator(
-        sys, cw, hinf, update="oga", T=60, H=3, D_M=0.3, W_max=1.0, residual_bias=True, seed=13
+        sys, cw, hinf, update="oga", T=60, H=3, D_M=0.3, W_max=1.0, seed=13
     )
     ctrl = lqr_controller(sys, cw)
     x0 = np.random.default_rng(3).standard_normal(4)
@@ -353,7 +353,7 @@ def test_motr_oga_share_paths_when_frozen():
     outs, policies = [], []
     for update in ("motr", "oga"):
         gen = AdaptiveCdgGenerator(
-            sys, cw, hinf, update=update, T=50, H=3, D_M=0.3, W_max=1.0, residual_bias=True, seed=17
+            sys, cw, hinf, update=update, T=50, H=3, D_M=0.3, W_max=1.0, seed=17
         )
         assert gen.name == update
         policies.append(gen.M)
@@ -362,13 +362,12 @@ def test_motr_oga_share_paths_when_frozen():
     assert np.array_equal(outs[0], outs[1])
     with pytest.raises(ValueError):
         AdaptiveCdgGenerator(
-            sys, cw, hinf, update="none", T=5, H=3, D_M=0.3, W_max=1.0, residual_bias=True, seed=0
+            sys, cw, hinf, update="none", T=5, H=3, D_M=0.3, W_max=1.0, seed=0
         )
 
 
 @pytest.mark.parametrize("update", ["motr", "oga"])
-@pytest.mark.parametrize("residual_bias", [True, False])
-def test_round_emits_the_policy_of_the_recorded_residuals(update, residual_bias):
+def test_round_emits_the_policy_of_the_recorded_residuals(update):
     # Every round emits W_max w/||w|| for w = sum_i M[i] r_{t-1-i} + W x_t,
     # recomputed here from the policy's blocks and the residuals
     # r = K x + u the test records, and every update leaves M in the D_M
@@ -376,30 +375,25 @@ def test_round_emits_the_policy_of_the_recorded_residuals(update, residual_bias)
     sys, cw, hinf = make_setup(seed=12, radius=0.8)
     H, D_M, W_max = 3, 0.3, 1.0
     gen = AdaptiveCdgGenerator(
-        sys, cw, hinf, update=update, T=40, H=H, D_M=D_M, W_max=W_max, eta=1.0,
-        residual_bias=residual_bias, seed=21,
+        sys, cw, hinf, update=update, T=40, H=H, D_M=D_M, W_max=W_max, eta=1.0, seed=21,
     )
     ctrl = lqr_controller(sys, cw)
     rng = np.random.default_rng(9)
-    K = hinf.K if residual_bias else np.zeros((2, 4))
     x, residuals, moved = rng.standard_normal(4), [], 0
     for _ in range(40):
         blocks = gen.M
         with pytest.raises(ValueError):
             blocks[0, 0, 0] = 1.0
         played = blocks.copy()
-        w_hat = policy_sum(blocks, residuals[::-1])
-        if residual_bias:
-            w_hat = w_hat + hinf.W @ x
+        w_hat = policy_sum(blocks, residuals[::-1]) + hinf.W @ x
         u = ctrl.act(x) + 0.1 * rng.standard_normal(2)
         w = gen.emit(x)
-        norm = np.linalg.norm(w_hat)  # 0 in the first round without the bias
-        expected = W_max * w_hat / norm if norm > 0.0 else np.zeros(2)
+        expected = W_max * w_hat / np.linalg.norm(w_hat)
         np.testing.assert_allclose(w, expected, rtol=0.0, atol=1e-12)
         gen.observe(u)
         np.testing.assert_array_equal(blocks, played)
         moved += not np.array_equal(gen.M, played)
-        residuals.append(K @ x + u)
+        residuals.append(hinf.K @ x + u)
         x = step(sys, x, u, w)
         assert np.linalg.norm(gen.M) <= D_M * (1.0 + 1e-12)
     assert moved > 0
@@ -411,7 +405,7 @@ def test_motr_against_the_equilibrium_controller_decomposes_once(monkeypatch):
     # all of an episode's plays.
     sys, cw, hinf = make_setup(seed=4)
     gen = AdaptiveCdgGenerator(
-        sys, cw, hinf, update="motr", T=40, H=3, D_M=0.3, W_max=1.0, eta=1.0, residual_bias=True, seed=7
+        sys, cw, hinf, update="motr", T=40, H=3, D_M=0.3, W_max=1.0, eta=1.0, seed=7
     )
     calls = []
     real_eigh = np.linalg.eigh
@@ -427,7 +421,7 @@ def test_motr_against_the_equilibrium_controller_decomposes_once(monkeypatch):
 def test_motr_regret_pair_hindsight_dominates():
     sys, cw, hinf = make_setup(seed=9)
     gen = AdaptiveCdgGenerator(
-        sys, cw, hinf, update="motr", T=80, H=3, D_M=0.3, W_max=1.0, residual_bias=True, seed=19
+        sys, cw, hinf, update="motr", T=80, H=3, D_M=0.3, W_max=1.0, seed=19
     )
     ctrl = lqr_controller(sys, cw)
     x0 = np.random.default_rng(5).standard_normal(4)
@@ -440,8 +434,9 @@ def test_motr_regret_pair_hindsight_dominates():
 
 def test_motr_plays_the_doubled_leader_of_the_audited_sums(monkeypatch):
     # Every MOTR play maximizes z'(2 sum P)z + (sum p - sigma)'z over the
-    # D_M ball, where sum P and sum p add up the rollout quadratics of the
-    # rounds so far, and the regret audit maximizes z'(sum P)z + (sum p)'z.
+    # D_M ball, where sum P and sum p add up the blocks P = G[:-1, :-1] and
+    # p = 2 G[:-1, -1] of the rounds' rollout costs G so far, and the regret
+    # audit maximizes z'(sum P)z + (sum p)'z + sum G[-1, -1].
     import motrbench.generators as generators
     import motrbench.online as online
 
@@ -457,7 +452,7 @@ def test_motr_plays_the_doubled_leader_of_the_audited_sums(monkeypatch):
     monkeypatch.setattr(generators, "rollout_cost_quadratic", recording)
     sys, cw, hinf = make_setup(seed=4)
     gen = AdaptiveCdgGenerator(
-        sys, cw, hinf, update="motr", T=40, H=3, D_M=0.3, W_max=1.0, eta=1.0, residual_bias=True, seed=7
+        sys, cw, hinf, update="motr", T=40, H=3, D_M=0.3, W_max=1.0, eta=1.0, seed=7
     )
     assert gen.n == sigma.size
     ctrl = lqr_controller(sys, cw)
@@ -469,32 +464,13 @@ def test_motr_plays_the_doubled_leader_of_the_audited_sums(monkeypatch):
         x = step(sys, x, u, w)
         played = CdgPolicy.vec(gen.M)
         gen.observe(u)
-        achieved += seen[-1].evaluate(played)
-        P, p = sum(q.P for q in seen), sum(q.p for q in seen)
+        achieved += gram_cost(seen[-1], played)
+        P, p = sum(G[:-1, :-1] for G in seen), sum(2.0 * G[:-1, -1] for G in seen)
         leader = tr_solve(TrustRegionProblem(2.0 * P, p - sigma, gen.D_M))
         np.testing.assert_allclose(CdgPolicy.vec(gen.M), leader.z, rtol=0.0, atol=1e-12)
     audit = TrustRegionProblem(P, p, gen.D_M)
     best = objective(audit, tr_solve(audit).z)
     hind, ach = gen.regret_pair()
-    assert hind == pytest.approx(best + sum(q.const for q in seen), rel=1e-12)
+    assert hind == pytest.approx(best + sum(G[-1, -1] for G in seen), rel=1e-12)
     assert ach == pytest.approx(achieved, rel=1e-12)
 
-
-def test_pure_mode_requires_stability_and_runs():
-    sys = random_system(3, 2, 2, seed=10, target_radius=0.8)
-    cw = CostWeights(np.eye(3), np.eye(2))
-    hinf = hinf_bisection(sys, cw)
-    gen = AdaptiveCdgGenerator(
-        sys, cw, hinf, update="motr", T=30, H=2, D_M=0.2, W_max=1.0, residual_bias=False, seed=1
-    )
-    ctrl = lqr_controller(sys, cw)
-    ws = drive(sys, gen, ctrl.act, 30, np.random.default_rng(6).standard_normal(3))
-    assert np.all(np.linalg.norm(ws, axis=1) <= 1.0 + 1e-9)
-
-    unstable = LinearSystem(1.2 * np.eye(2), np.eye(2), np.eye(2))
-    cw2 = CostWeights(np.eye(2), np.eye(2))
-    hinf2 = hinf_bisection(unstable, cw2)
-    with pytest.raises(TransformError):
-        AdaptiveCdgGenerator(
-            unstable, cw2, hinf2, update="motr", T=10, H=1, D_M=0.3, W_max=1.0, residual_bias=False, seed=0
-        )

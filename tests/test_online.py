@@ -13,6 +13,11 @@ from motrbench.online import (
 from motrbench.trust_region import TrustRegionProblem, solve as tr_solve
 
 
+def gram(P, q, c):
+    """The Gram matrix [[P, q], [q', c]] of the reward z'Pz + 2q'z + c."""
+    return np.block([[P, q[:, None]], [q[None, :], np.array([[c]])]])
+
+
 def random_memory_quadratic(rng, d, H, R=1.0, const=0.0):
     n = d * H
     return MemoryQuadratic(rng.uniform(-R, R, (n, n)), rng.uniform(-R, R, n), const, d, H)
@@ -21,9 +26,11 @@ def random_memory_quadratic(rng, d, H, R=1.0, const=0.0):
 def test_collapse_single_slot_is_identity():
     rng = np.random.default_rng(0)
     mq = random_memory_quadratic(rng, 3, 1, const=2.5)
-    C, c = collapse(mq)
-    assert np.array_equal(C, mq.P)
-    assert np.array_equal(c, mq.p)
+    G = collapse(mq)
+    assert np.array_equal(G[:-1, :-1], mq.P)
+    assert np.array_equal(2.0 * G[:-1, -1], mq.p)
+    assert np.array_equal(G[-1, :-1], G[:-1, -1])
+    assert G[-1, -1] == 2.5
 
 
 def test_collapse_equal_blocks():
@@ -31,9 +38,9 @@ def test_collapse_equal_blocks():
     P = np.block([[B0, B0], [B0, B0]])
     p = np.concatenate([np.array([1.0, -1.0])] * 2)
     mq = MemoryQuadratic(P, p, 0.0, 2, 2)
-    C, c = collapse(mq)
-    assert np.allclose(C, 4.0 * B0)
-    assert np.allclose(c, [2.0, -2.0])
+    G = collapse(mq)
+    assert np.allclose(G[:-1, :-1], 4.0 * B0)
+    assert np.allclose(2.0 * G[:-1, -1], [2.0, -2.0])
 
 
 def test_collapse_matches_repeated_evaluation():
@@ -42,10 +49,11 @@ def test_collapse_matches_repeated_evaluation():
         d = rng.integers(1, 4)
         H = rng.integers(1, 5)
         mq = random_memory_quadratic(rng, d, H, const=float(rng.standard_normal()))
-        C, c = collapse(mq)
+        G = collapse(mq)
         z = rng.standard_normal(d)
         direct = mq.value([z] * H)
-        assert z @ C @ z + c @ z + mq.const == pytest.approx(direct, rel=1e-10, abs=1e-10)
+        z1 = np.append(z, 1.0)
+        assert z1 @ G @ z1 == pytest.approx(direct, rel=1e-10, abs=1e-10)
 
 
 def test_sample_perturbation_statistics():
@@ -73,46 +81,52 @@ def test_default_perturbation_rate():
 
 def test_observe_accumulates_and_cancels():
     state = OtrState(d=3, D=1.0, eta=1.0, seed=0)
-    state.observe(np.zeros((3, 3)), np.zeros(3), 0.0, 0.0)
-    assert np.all(state.P == 0.0) and np.all(state.p == 0.0)
+    state.observe(np.zeros((4, 4)), 0.0)
+    assert np.all(state.G == 0.0)
     rng = np.random.default_rng(5)
-    P, p = rng.standard_normal((3, 3)), rng.standard_normal(3)
-    state.observe(P, p, 1.0, 0.5)
-    state.observe(-P, -p, -1.0, -0.5)
-    assert np.max(np.abs(state.P)) < 1e-12
-    assert np.max(np.abs(state.p)) < 1e-12
-    assert state.const == 0.0 and state.achieved == 0.0
+    P, q = rng.standard_normal((3, 3)), rng.standard_normal(3)
+    state.observe(gram(P, q, 1.0), 0.5)
+    state.observe(gram(-P, -q, -1.0), -0.5)
+    assert np.max(np.abs(state.G[:-1])) < 1e-12
+    assert state.G[-1, -1] == 0.0 and state.achieved == 0.0
     assert state.rounds == 3
 
 
 def test_observe_matches_batch_sum():
+    # The one sum G holds, bit for bit, the separately summed P, linear
+    # terms p = 2q and constants: doubling is exact, so the learner's
+    # 2 G[:-1, -1] is the sum of the rounds' 2q.
     rng = np.random.default_rng(6)
     state = OtrState(d=4, D=1.0, eta=1.0, seed=0)
     quads = [
         (rng.standard_normal((4, 4)), rng.standard_normal(4), float(rng.standard_normal()))
         for _ in range(17)
     ]
-    for P, p, const in quads:
-        state.observe(P, p, const, 2.0 * const)
-    assert np.allclose(state.P, np.sum([q[0] for q in quads], axis=0), atol=1e-12)
-    assert np.allclose(state.p, np.sum([q[1] for q in quads], axis=0), atol=1e-12)
-    assert state.const == pytest.approx(sum(q[2] for q in quads), abs=1e-12)
-    assert state.achieved == pytest.approx(2.0 * state.const, abs=1e-12)
+    P_sum, p_sum, const_sum = np.zeros((4, 4)), np.zeros(4), 0.0
+    for P, q, const in quads:
+        state.observe(gram(P, q, const), 2.0 * const)
+        P_sum += P
+        p_sum += 2.0 * q
+        const_sum += const
+    assert np.array_equal(state.G[:-1, :-1], P_sum)
+    assert np.array_equal(2.0 * state.G[:-1, -1], p_sum)
+    assert state.G[-1, -1] == const_sum
+    assert state.achieved == pytest.approx(2.0 * const_sum, abs=1e-12)
 
 
 def test_update_linear_leader_with_tiny_perturbation():
     state = OtrState(d=3, D=2.0, eta=1e9, seed=1)
-    state.observe(np.zeros((3, 3)), np.array([5.0, 0.0, 0.0]), 0.0)
+    state.observe(gram(np.zeros((3, 3)), np.array([2.5, 0.0, 0.0]), 0.0))
     z = state.update()
     assert np.allclose(z, [2.0, 0.0, 0.0], atol=1e-6)
 
 
 def test_update_degenerate_objective():
     state = OtrState(d=3, D=1.0, eta=1e9, seed=2)
-    state.observe(np.zeros((3, 3)), np.zeros(3), 0.0)
+    state.observe(np.zeros((4, 4)))
     z = state.update()
     assert np.linalg.norm(z) <= 1.0 + 1e-9
-    assert abs(z @ state.P @ z + state.p @ z) < 1e-6
+    assert abs(z @ state.G[:-1, :-1] @ z + 2.0 * state.G[:-1, -1] @ z) < 1e-6
 
 
 def test_update_with_forced_perturbation_matches_direct_solve():
@@ -120,10 +134,10 @@ def test_update_with_forced_perturbation_matches_direct_solve():
     rng = np.random.default_rng(3)
     state = OtrState(d=4, D=1.5, eta=1.0, seed=3)
     for _ in range(5):
-        state.observe(rng.standard_normal((4, 4)), rng.standard_normal(4), 0.0)
+        state.observe(gram(rng.standard_normal((4, 4)), rng.standard_normal(4), 0.0))
     sigma = np.abs(rng.standard_normal(4))
     z = state.update(sigma=sigma)
-    ref = tr_solve(TrustRegionProblem(2.0 * state.P, state.p - sigma, 1.5))
+    ref = tr_solve(TrustRegionProblem(2.0 * state.G[:-1, :-1], 2.0 * state.G[:-1, -1] - sigma, 1.5))
     assert np.allclose(z, ref.z, atol=1e-9)
 
 
@@ -134,27 +148,27 @@ def test_update_reuses_the_eigendecomposition_until_a_nonzero_round(monkeypatch)
     rng = np.random.default_rng(5)
     d, D = 5, 0.7
     state = OtrState(d=d, D=D, seed=5)
-    P_sum, p_sum = np.zeros((d, d)), np.zeros(d)
+    P_sum, q_sum = np.zeros((d, d)), np.zeros(d)
     calls = []
     real_eigh = np.linalg.eigh
     for t, nonzero in enumerate([False, False, True, False, False, True, True, False]):
         P = rng.standard_normal((d, d)) if nonzero else np.zeros((d, d))
-        p = rng.standard_normal(d)
-        state.observe(P, p, 0.0)
+        q = rng.standard_normal(d)
+        state.observe(gram(P, q, 0.0))
         P_sum += P
-        p_sum += p
+        q_sum += q
         sigma = np.abs(rng.standard_normal(d))
         monkeypatch.setattr(np.linalg, "eigh", lambda S: calls.append(t) or real_eigh(S))
         z = state.update(sigma=sigma)
         monkeypatch.setattr(np.linalg, "eigh", real_eigh)
-        direct = tr_solve(TrustRegionProblem(2.0 * P_sum, p_sum - sigma, D)).z
+        direct = tr_solve(TrustRegionProblem(2.0 * P_sum, 2.0 * q_sum - sigma, D)).z
         assert np.array_equal(z, direct), f"round {t}"
     assert calls == [0, 2, 5, 6]
 
 
 def test_update_needs_eta_unless_sigma_is_given():
     state = OtrState(d=2, D=1.0, seed=4)
-    state.observe(np.eye(2), np.ones(2), 0.0)
+    state.observe(gram(np.eye(2), np.ones(2), 0.0))
     with pytest.raises(ValueError, match="eta"):
         state.update()
     state.update(sigma=np.zeros(2))
@@ -188,7 +202,8 @@ def test_regret_audit_fixed_point():
     mq = random_memory_quadratic(rng, 3, 2)
     T = 50
     hist = [mq] * T
-    star = tr_solve(TrustRegionProblem(*collapse(mq), 1.0)).z
+    G = collapse(mq)
+    star = tr_solve(TrustRegionProblem(G[:-1, :-1], 2.0 * G[:-1, -1], 1.0)).z
     plays = [star] * T
     hind, ach = regret_audit(hist, plays, D=1.0)
     assert hind - ach <= 1e-6 * T
