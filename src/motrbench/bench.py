@@ -1,6 +1,11 @@
 """Experiment harness: (system x controller x generator x seed) episodes,
 cumulative-average costs, normalized aggregate tables, and regret curves.
 
+A config names its controllers and generators, from CONTROLLERS and
+GENERATORS.  A name is all there is to set: each is built from its
+system's bundle and the config's top-level fields, and every other value
+is a constant of its constructor.
+
 Everything downstream of the config is deterministic: per-episode seeds are
 stable hashes of (base_seed, system_index, seed_index, controller,
 generator), initial states depend only on (base_seed, system_index,
@@ -49,24 +54,9 @@ __all__ = [
 
 DIVERGENCE_LIMIT = 1e12
 
-# Every default of a controller or generator spec.  null is kept only
-# where the value is derived from other inputs: GPC's ball_radius from its
-# base gain and OGA's lr from D_M.  The adaptive generators' H and D_M are
-# the config's top-level fields.
-CONTROLLER_DEFAULTS = {
-    "lqr": {},
-    "hinf": {},
-    "gpc": {"h": 5, "lr": 0.5, "ball_radius": None},
-}
-
-GENERATOR_DEFAULTS = {
-    "motr": {},
-    "oga": {"lr": None},
-    "hinf": {},
-    "sine": {},
-    "gaussian": {},
-    "random": {},
-}
+# The names a config can list, in the default config's order.
+CONTROLLERS = ("lqr", "gpc", "hinf")
+GENERATORS = ("motr", "oga", "hinf", "random", "sine", "gaussian")
 
 
 class ConfigError(ValueError):
@@ -85,46 +75,28 @@ def _is_positive(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool) and 0.0 < v < math.inf
 
 
-# The valid values of the spec and top-level fields that are not positive
-# numbers; None passes only where the field's default is None.
+# The valid values of the fields that are not positive numbers.
 _INT_AT_LEAST_1 = ("an integer >= 1", lambda v: _is_int(v) and v >= 1)
 _FIELD_RANGES = {
-    **dict.fromkeys(("h", "H", "d_x", "d_u", "d_w", "T", "n_systems", "n_seeds"), _INT_AT_LEAST_1),
+    **dict.fromkeys(("H", "d_x", "d_u", "d_w", "T", "n_systems", "n_seeds"), _INT_AT_LEAST_1),
     "base_seed": ("an integer", _is_int),
     **dict.fromkeys(("controllers", "generators"), ("a non-empty list", lambda v: isinstance(v, list) and v != [])),
     "output_dir": ("a non-empty string", lambda v: isinstance(v, str) and v != ""),
 }
 
 
-def _check_field(where: str, key: str, value, nullable: bool = False) -> None:
-    if value is None and nullable:
-        return
+def _check_field(key: str, value) -> None:
     expected, valid = _FIELD_RANGES.get(key, ("a positive number", _is_positive))
     if not valid(value):
-        raise ConfigError(f"{where}: {key} must be {expected}, got {value!r}")
+        raise ConfigError(f"{key} must be {expected}, got {value!r}")
 
 
-def _materialize(spec, kind: str) -> dict:
-    """A controller or generator spec (a name, or an object with a 'name'
-    field) merged over the defaults for that name, with every field
-    range-checked; a bad name, field or value raises ConfigError."""
-    defaults = CONTROLLER_DEFAULTS if kind == "controller" else GENERATOR_DEFAULTS
-    if isinstance(spec, str):
-        spec = {"name": spec}
-    if not isinstance(spec, dict) or not isinstance(spec.get("name"), str):
-        raise ConfigError(f"{kind} spec must be a name or an object with a string 'name' field: {spec!r}")
-    name = spec["name"]
-    if name not in defaults:
-        raise ConfigError(f"unknown {kind} {name!r}; expected one of {sorted(defaults)}")
-    out = dict(defaults[name])
-    for key, value in spec.items():
-        if key != "name" and key not in out:
-            raise ConfigError(f"unknown field {key!r} in {kind} spec {name!r}")
-        out[key] = value
-    for key, default in defaults[name].items():
-        _check_field(f"{kind} {name!r}", key, out[key], default is None)
-    out["name"] = name
-    return out
+def _check_names(key: str, names: list, known: tuple) -> None:
+    for name in names:
+        if not (isinstance(name, str) and name in known):
+            raise ConfigError(f"{key} must be names from {list(known)}, got {name!r}")
+    if len(set(names)) != len(names):
+        raise ConfigError(f"duplicate {key} names")
 
 
 def stable_seed(*parts) -> int:
@@ -140,7 +112,9 @@ def _fingerprint(*parts) -> str:
 @dataclass
 class ExperimentConfig:
     """Benchmark definition; every field has an explicit value after load,
-    and every value is range-checked then (ConfigError).
+    and every value is range-checked then (ConfigError).  controllers and
+    generators are non-empty lists of distinct names from CONTROLLERS and
+    GENERATORS.
 
     H and D_M are the memory length and policy ball of both adaptive
     generators; MOTR calibrates its perturbation rate eta at runtime, on
@@ -158,32 +132,15 @@ class ExperimentConfig:
     W_max: float = 1.0
     D_M: float = 0.3
     H: int = 3
-    controllers: list = field(
-        default_factory=lambda: [{"name": "lqr"}, {"name": "gpc"}, {"name": "hinf"}]
-    )
-    generators: list = field(
-        default_factory=lambda: [
-            {"name": "motr"},
-            {"name": "oga"},
-            {"name": "hinf"},
-            {"name": "random"},
-            {"name": "sine"},
-            {"name": "gaussian"},
-        ]
-    )
+    controllers: list = field(default_factory=lambda: list(CONTROLLERS))
+    generators: list = field(default_factory=lambda: list(GENERATORS))
     output_dir: str = "out"
 
     def __post_init__(self):
         for f in fields(self):
-            _check_field("config", f.name, getattr(self, f.name))
-        self.controllers = [_materialize(s, "controller") for s in self.controllers]
-        self.generators = [_materialize(s, "generator") for s in self.generators]
-        names = [s["name"] for s in self.controllers]
-        if len(set(names)) != len(names):
-            raise ConfigError("duplicate controller names")
-        names = [s["name"] for s in self.generators]
-        if len(set(names)) != len(names):
-            raise ConfigError("duplicate generator names")
+            _check_field(f.name, getattr(self, f.name))
+        _check_names("controllers", self.controllers, CONTROLLERS)
+        _check_names("generators", self.generators, GENERATORS)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -289,24 +246,22 @@ def build_bundle(config: ExperimentConfig, index: int) -> SystemBundle:
     return SystemBundle(index=index, system=sys, cw=cw, lqr_K=K, hinf=hinf)
 
 
-def _build_controller(spec: dict, bundle: SystemBundle):
-    """The controller of a spec checked and merged by _materialize."""
-    name = spec["name"]
+def _build_controller(name: str, bundle: SystemBundle):
+    """The controller named name (one of CONTROLLERS)."""
     if name == "lqr":
         return LinearFeedback(bundle.lqr_K, "lqr")
     if name == "hinf":
         return LinearFeedback(bundle.hinf.K, "hinf")
-    return GpcController(bundle.system, bundle.cw, bundle.lqr_K, **_fields_of(spec))
+    return GpcController(bundle.system, bundle.cw, bundle.lqr_K)
 
 
-def _build_generator(spec: dict, bundle: SystemBundle, config: ExperimentConfig, T: int, seed: int):
-    """The generator of a spec checked and merged by _materialize, for
-    episodes of T rounds."""
-    name, W_max = spec["name"], config.W_max
+def _build_generator(name: str, bundle: SystemBundle, config: ExperimentConfig, T: int, seed: int):
+    """The generator named name (one of GENERATORS), for episodes of T rounds."""
+    W_max = config.W_max
     if name in ("motr", "oga"):
         return AdaptiveCdgGenerator(
             bundle.system, bundle.cw, bundle.hinf, update=name, T=T, H=config.H, D_M=config.D_M,
-            W_max=W_max, seed=seed, **_fields_of(spec),
+            W_max=W_max, seed=seed,
         )
     if name == "hinf":
         return HinfGenerator(bundle.hinf, W_max)
@@ -315,10 +270,6 @@ def _build_generator(spec: dict, bundle: SystemBundle, config: ExperimentConfig,
     if name == "gaussian":
         return GaussianGenerator(bundle.system.d_w, W_max, seed)
     return RandomDirectionGenerator(bundle.system.d_w, W_max, seed)
-
-
-def _fields_of(spec: dict) -> dict:
-    return {k: v for k, v in spec.items() if k != "name"}
 
 
 def run_episode(
@@ -411,21 +362,21 @@ def _built(build, *args):
 
 
 def _episode_task(args):
-    config, index, bundle, sine, ctrl_spec, gen_spec, seed_index = args
+    config, index, bundle, sine, ctrl_name, gen_name, seed_index = args
     if isinstance(bundle, Exception):
         raise bundle.with_traceback(None)
-    episode_seed = stable_seed(config.base_seed, index, seed_index, ctrl_spec["name"], gen_spec["name"])
+    episode_seed = stable_seed(config.base_seed, index, seed_index, ctrl_name, gen_name)
     x0_rng = np.random.default_rng(stable_seed(config.base_seed, "x0", index, seed_index))
     x0 = x0_rng.standard_normal(config.d_x)
-    controller = _build_controller(ctrl_spec, bundle)
-    if gen_spec["name"] == "sine":
+    controller = _build_controller(ctrl_name, bundle)
+    if gen_name == "sine":
         if isinstance(sine, Exception):
             raise sine.with_traceback(None)
         # The sine draws no random numbers, so one prototype per system
         # serves every episode; it never plays, so its copy starts at round 0.
         generator = copy.copy(sine)
     else:
-        generator = _build_generator(gen_spec, bundle, config, config.T, episode_seed)
+        generator = _build_generator(gen_name, bundle, config, config.T, episode_seed)
     return run_episode(
         bundle.system,
         bundle.cw,
@@ -435,7 +386,7 @@ def _episode_task(args):
         x0,
         system_index=index,
         seed_index=seed_index,
-        rng_fingerprint=_fingerprint(config.base_seed, index, seed_index, ctrl_spec["name"], gen_spec["name"]),
+        rng_fingerprint=_fingerprint(config.base_seed, index, seed_index, ctrl_name, gen_name),
     )
 
 
@@ -446,27 +397,23 @@ def run_grid(config: ExperimentConfig, jobs: int = 1, log=None):
     string) pairs for episodes that raised.  A system whose synthesis
     fails fails each of its episodes; the other systems still run.
     """
-    sine_spec = next((spec for spec in config.generators if spec["name"] == "sine"), None)
     tasks = []
     for index in range(config.n_systems):
         bundle = _built(build_bundle, config, index)
         sine = None
-        if sine_spec is not None and not isinstance(bundle, Exception):
-            sine = _built(_build_generator, sine_spec, bundle, config, config.T, None)
+        if "sine" in config.generators and not isinstance(bundle, Exception):
+            sine = _built(_build_generator, "sine", bundle, config, config.T, None)
         for seed_index in range(config.n_seeds):
-            for ctrl_spec in config.controllers:
-                for gen_spec in config.generators:
-                    tasks.append((config, index, bundle, sine, ctrl_spec, gen_spec, seed_index))
+            for ctrl_name in config.controllers:
+                for gen_name in config.generators:
+                    tasks.append((config, index, bundle, sine, ctrl_name, gen_name, seed_index))
     records, failures = [], []
 
     def collect(results):
         # One zero-argument call per task, in task order, giving its record.
         for task, result in zip(tasks, results):
-            _, index, _, _, ctrl_spec, gen_spec, seed_index = task
-            describe = (
-                f"system={index} seed={seed_index} "
-                f"controller={ctrl_spec['name']} generator={gen_spec['name']}"
-            )
+            _, index, _, _, ctrl_name, gen_name, seed_index = task
+            describe = f"system={index} seed={seed_index} controller={ctrl_name} generator={gen_name}"
             try:
                 records.append(result())
             except Exception as exc:  # noqa: BLE001 - harness must keep going
@@ -622,8 +569,8 @@ def regret_curve(config: ExperimentConfig, system_index: int, controller: str, T
     """Mean surrogate regret of MOTR against the named controller of the
     config on its system system_index, at each horizon.
 
-    MOTR is the config's motr spec, or the default motr spec when the
-    config lists none, built as run_grid builds it.  An unknown
+    MOTR is built as run_grid builds it, from the config's H, D_M and
+    W_max, whether or not the config's generators list it.  An unknown
     controller, a system_index outside [0, n_systems), a T_grid that is
     not strictly increasing from 1 or more, or n_seeds < 1 raises
     ConfigError; a system whose synthesis fails raises SynthesisError.
@@ -637,20 +584,16 @@ def regret_curve(config: ExperimentConfig, system_index: int, controller: str, T
         raise ConfigError("T_grid must be strictly increasing from >= 1, and n_seeds >= 1")
     if not (_is_int(system_index) and 0 <= system_index < config.n_systems):
         raise ConfigError(f"system_index must be in [0, {config.n_systems}), got {system_index!r}")
-    ctrl_spec = next((c for c in config.controllers if c["name"] == controller), None)
-    if ctrl_spec is None:
+    if controller not in config.controllers:
         raise ConfigError(f"controller {controller!r} not in config")
-    motr_spec = next((g for g in config.generators if g["name"] == "motr"), None)
-    if motr_spec is None:
-        motr_spec = _materialize("motr", "generator")
     bundle = build_bundle(config, system_index)
     rows = []
     for T in T_grid:
         regs = []
         for s in range(n_seeds):
             seed = stable_seed(config.base_seed, "regret", T, s)
-            gen = _build_generator(motr_spec, bundle, config, T, seed)
-            ctrl = _build_controller(ctrl_spec, bundle)
+            gen = _build_generator("motr", bundle, config, T, seed)
+            ctrl = _build_controller(controller, bundle)
             x0 = np.random.default_rng(stable_seed(config.base_seed, "regret-x0", s)).standard_normal(
                 bundle.system.d_x
             )

@@ -179,7 +179,7 @@ def main(argv=None) -> int:
     p_table.add_argument("--out", help="directory for the CSV tables")
     p_table.set_defaults(func=_cmd_table)
 
-    p_regret = sub.add_parser("regret", help="regret curve of the config's motr generator")
+    p_regret = sub.add_parser("regret", help="regret curve of MOTR against a controller of the config")
     p_regret.add_argument("--config", help="config JSON path")
     p_regret.add_argument("--controller", default="lqr")
     p_regret.add_argument("--system-index", type=int, default=0)

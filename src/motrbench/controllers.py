@@ -230,7 +230,9 @@ class GpcController:
     state and control the current N would have produced.  lr scales the
     normalized step length lr/sqrt(t), so by the end of a T-round episode
     the step size is of order lr/sqrt(T); ball_radius None derives the
-    projection radius 10 ||K_base||, and the radius must be positive.
+    projection radius 10 ||K_base||, and the radius must be positive.  The
+    defaults h = 5, lr = 0.5 and ball_radius None are the benchmark's GPC,
+    which a config cannot change.
 
     The policy is one stacked (d_u, h d_x) matrix [N[0] | ... | N[h-1]]
     (cdg's one policy encoding), rebound by each update and never written
@@ -251,8 +253,8 @@ class GpcController:
         cw: CostWeights,
         K_base: np.ndarray,
         *,
-        h: int,
-        lr: float,
+        h: int = 5,
+        lr: float = 0.5,
         ball_radius: Optional[float] = None,
     ):
         K_base = np.array(K_base, dtype=float)

@@ -35,12 +35,11 @@ import numpy as np
 
 from .cdg import CdgPolicy, project_frobenius, rollout_cost_quadratic, unroll_map
 from .controllers import HinfSolution
-from .lds import CostWeights, LinearSystem, spectral_radius
+from .lds import CostWeights, LinearSystem
 from .online import OtrState, ball_point, default_perturbation_rate
 
 __all__ = [
     "GeneratorError",
-    "TransformError",
     "DisturbanceGenerator",
     "AdaptiveCdgGenerator",
     "HinfGenerator",
@@ -59,10 +58,6 @@ TIE_REL_TOL = 1e-12
 
 class GeneratorError(RuntimeError):
     """Failure inside a generator round; the message carries the round index."""
-
-
-class TransformError(RuntimeError):
-    """The residual-coordinate state map is not stable."""
 
 
 def _check_budget(W_max) -> float:
@@ -265,13 +260,9 @@ class SinusoidGenerator(DisturbanceGenerator):
 
 
 def transform_residual(sys: LinearSystem, hinf: HinfSolution) -> LinearSystem:
-    """Residual-coordinate plant (A - B K, B, C); raises TransformError if
-    the transformed state map is not strictly stable."""
-    Abar = sys.A - sys.B @ hinf.K
-    rho = spectral_radius(Abar)
-    if rho >= 1.0:
-        raise TransformError(f"residual state map has spectral radius {rho:.6g} >= 1")
-    return LinearSystem(Abar, sys.B, sys.C)
+    """Residual-coordinate plant (A - B K, B, C).  Its stability is checked
+    where it is unrolled (cdg.plant_powers raises InstabilityError)."""
+    return LinearSystem(sys.A - sys.B @ hinf.K, sys.B, sys.C)
 
 
 class AdaptiveCdgGenerator(DisturbanceGenerator):
@@ -284,9 +275,11 @@ class AdaptiveCdgGenerator(DisturbanceGenerator):
     updated from it.  update is "motr" (perturbed-leader trust-region step
     on the running sum of the matrices, OtrState) or "oga" (one projected
     gradient-ascent step at the current policy).  H and D_M are the
-    config's top-level fields of those names and lr the one field of an
-    oga spec, whose default and range bench.py holds; eta, which no config
-    sets, fixes MOTR's perturbation rate instead of calibrating it.
+    config's top-level fields of those names.  OGA's step scale is the
+    constant lr = 0.1 D_M; MOTR calibrates its perturbation rate eta on the
+    coefficient scale of the first _warmup_rounds + 1 quadratics and only
+    then starts to play.  A residual plant A - B K that is not strictly
+    stable raises InstabilityError (cdg.unroll_map).
 
     The policy is the learner's vector vec(M), so the round reads, updates
     and projects it without conversions.  A round rebinds the vector and
@@ -308,8 +301,6 @@ class AdaptiveCdgGenerator(DisturbanceGenerator):
         D_M: float,
         W_max: float,
         seed: int,
-        eta: Optional[float] = None,
-        lr: Optional[float] = None,
     ):
         super().__init__()
         if update not in ("motr", "oga"):
@@ -321,15 +312,11 @@ class AdaptiveCdgGenerator(DisturbanceGenerator):
         self._unroll = unroll_map(transform_residual(sys, hinf), H, self.W)
         self.d_x, self.d_u, self.d_w = sys.d_x, sys.d_u, sys.d_w
         self.n = H * self.d_w * self.d_u
-        # None derives the value: OGA's step scale lr = 0.1 D_M, and eta as
-        # described below.
-        self.lr = lr if lr is not None else 0.1 * D_M
+        self.lr = 0.1 * D_M
         self.rng = np.random.default_rng(seed)
         # The episode's one running sum of the round Gram matrices: MOTR's
-        # leader and the regret audit of both update rules.  Without a given
-        # eta, MOTR calibrates it on the coefficient scale of the first
-        # _warmup_rounds + 1 quadratics and only then starts to play.
-        self._state = OtrState(self.n, D_M, seed + 1, eta)
+        # leader and the regret audit of both update rules.
+        self._state = OtrState(self.n, D_M, seed + 1)
         self._coeff_max = 0.0
         self._warmup_rounds = min(2 * H + 1, max(1, T - 1))
         self._v = ball_point(self.rng, self.n, D_M)

@@ -92,8 +92,8 @@ def small_config(**kw):
         n_systems=2,
         n_seeds=2,
         T=30,
-        controllers=[{"name": "lqr"}],
-        generators=[{"name": "random"}, {"name": "hinf"}],
+        controllers=["lqr"],
+        generators=["random", "hinf"],
     )
     base.update(kw)
     return ExperimentConfig(**base)
@@ -229,7 +229,7 @@ def test_run_episode_matches_per_round_arithmetic(case):
         if case == "lqr-random":
             return LinearFeedback(K, "lqr"), RandomDirectionGenerator(2, 1.0, seed=3)
         if case == "gpc-hinf":
-            return GpcController(sys, cw, K, h=5, lr=0.5), HinfGenerator(hinf, 1.0)
+            return GpcController(sys, cw, K), HinfGenerator(hinf, 1.0)
         if case == "blowup":
             return BlowupController(), RandomDirectionGenerator(2, 1.0, seed=3)
         fault = np.nan if case == "nan-control" else np.inf
@@ -263,46 +263,45 @@ def test_run_record_json_round_trip_excludes_wall_time():
     assert back.to_json_line() == line
 
 
-def test_config_materializes_defaults_and_rejects_unknown():
+def test_config_takes_known_names_and_rejects_the_rest():
     cfg = ExperimentConfig()
-    motr = next(s for s in cfg.generators if s["name"] == "motr")
-    assert motr == {"name": "motr"}
-    gpc = next(s for s in cfg.controllers if s["name"] == "gpc")
-    assert gpc["h"] == 5 and gpc["lr"] == 0.5
+    assert cfg.controllers == ["lqr", "gpc", "hinf"] == list(bench.CONTROLLERS)
+    assert cfg.generators == ["motr", "oga", "hinf", "random", "sine", "gaussian"] == list(bench.GENERATORS)
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"bogus": 1})
-    with pytest.raises(ConfigError):
-        ExperimentConfig(controllers=[{"name": "nope"}])
-    with pytest.raises(ConfigError):
-        ExperimentConfig(generators=[{"name": "motr", "typo": 2}])
-    for spec in ({"name": "sine", "n_random_directions": -3}, {"name": "sine", "n_random_directions": 8},
-                 {"name": "motr", "eps": 1e-3}, {"name": "oga", "eps": None},
-                 *({"name": name, key: value} for name in ("motr", "oga")
-                   for key, value in (("H", 3), ("D_M", 0.3), ("eta", None), ("eta", 0.5),
-                                      ("residual_bias", True), ("residual_bias", False)))):
-        with pytest.raises(ConfigError, match="unknown field"):
-            ExperimentConfig(generators=[spec])
     for fields in ({"eps": 0.1}, {"eta": None}, {"eta": 0.5}):
         with pytest.raises(ConfigError, match="unknown config fields"):
             ExperimentConfig.from_dict(fields)
-    # Every spec value is range-checked at load, before any episode runs.
+    # A controller or generator is a name; a spec object, with or without
+    # fields, is malformed like an unknown name, and the message names it.
+    for fields, named in (
+        ({"controllers": ["nope"]}, "'nope'"),
+        ({"controllers": [{"name": "lqr"}]}, "{'name': 'lqr'}"),
+        ({"controllers": ["lqr", {"name": "gpc", "h": 5}]}, "{'name': 'gpc', 'h': 5}"),
+        ({"generators": [{"name": "motr"}]}, "{'name': 'motr'}"),
+        ({"generators": [{"name": "oga", "lr": None}]}, "{'name': 'oga', 'lr': None}"),
+        ({"generators": ["random", ["motr"]]}, "['motr']"),
+        ({"generators": ["gpc"]}, "'gpc'"),
+        ({"controllers": [None]}, "None"),
+    ):
+        with pytest.raises(ConfigError, match="must be names from") as err:
+            ExperimentConfig(**fields)
+        assert str(err.value).endswith(f"got {named}"), err.value
+    for fields in ({"controllers": ["lqr", "lqr"]}, {"generators": ["sine", "motr", "sine"]}):
+        with pytest.raises(ConfigError, match="duplicate"):
+            ExperimentConfig(**fields)
+    # Every value is range-checked at load, before any episode runs.
     for fields in (
         {"D_M": -1},
         {"H": 2.5},
         {"T": "200"},
         {"d_w": 0},
-        {"generators": [{"name": "oga", "lr": -0.5}]},
         {"controllers": 5},
         {"controllers": []},
         {"generators": []},
         {"generators": "motr"},
-        {"generators": [{"name": ["motr"]}]},
-        {"controllers": [{"name": None}]},
         {"output_dir": 5},
         {"output_dir": ""},
-        {"controllers": [{"name": "gpc", "h": 0}]},
-        {"controllers": [{"name": "gpc", "lr": -1}]},
-        {"controllers": [{"name": "gpc", "ball_radius": float("nan")}]},
     ):
         with pytest.raises(ConfigError, match="must be"):
             ExperimentConfig(**fields)
@@ -338,8 +337,7 @@ def test_run_grid_deterministic_and_parallel_equivalent(tmp_path):
 
 
 def test_run_grid_builds_the_sine_once_per_system(monkeypatch):
-    cfg = small_config(controllers=[{"name": "lqr"}, {"name": "hinf"}],
-                       generators=[{"name": "sine"}, {"name": "random"}])
+    cfg = small_config(controllers=["lqr", "hinf"], generators=["sine", "random"])
     calls = []
     monkeypatch.setattr(bench, "sinusoid_generator", lambda *a, **k: calls.append(a) or sinusoid_generator(*a, **k))
     records, failures = run_grid(cfg, jobs=1)
@@ -371,7 +369,7 @@ def test_run_grid_sine_build_error_fails_only_the_sine_episodes(monkeypatch):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     monkeypatch.setattr(bench, "sinusoid_generator", broken)
-    cfg = small_config(generators=[{"name": "sine"}, {"name": "random"}])
+    cfg = small_config(generators=["sine", "random"])
     records, failures = run_grid(cfg, jobs=1)
     assert [r.generator for r in records] == ["random"] * 4
     assert len(failures) == 4
@@ -381,7 +379,7 @@ def test_run_grid_sine_build_error_fails_only_the_sine_episodes(monkeypatch):
 
 
 def test_run_grid_synthesis_error_fails_only_that_systems_episodes(fail_synthesis):
-    cfg = small_config(n_systems=3, generators=[{"name": "sine"}, {"name": "random"}])
+    cfg = small_config(n_systems=3, generators=["sine", "random"])
     clean, failures = run_grid(cfg, jobs=1)
     assert not failures
     fail_synthesis(cfg, 1)

@@ -62,7 +62,22 @@ def test_no_file_is_written_when_head_cannot_be_resolved(snapshot, tmp_path):
 
 
 def test_settable_values_counts_config_and_spec_fields(snapshot):
-    # 14 config fields, gpc's h, lr and ball_radius, and oga's lr.
+    # The 14 config fields: controllers and generators are bare names.
     commands = []
-    assert snapshot.settable_values(os.path.dirname(TOOLS), commands) == 18
+    assert snapshot.settable_values(os.path.dirname(TOOLS), commands) == 14
     assert len(commands) == 1 and commands[0].startswith("python3 -c ")
+
+
+def test_settable_values_counts_the_spec_fields_of_an_older_checkout(snapshot, tmp_path):
+    # --root still measures checkouts whose specs had fields, listed in
+    # their default tables: 2 config fields plus 3 spec fields.
+    package = tmp_path / "src" / "motrbench"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "bench.py").write_text(
+        "import dataclasses\n\n\n"
+        "@dataclasses.dataclass\nclass ExperimentConfig:\n    T: int = 200\n    controllers: list = None\n\n\n"
+        "CONTROLLER_DEFAULTS = {'lqr': {}, 'gpc': {'h': 5, 'lr': 0.5}}\n"
+        "GENERATOR_DEFAULTS = {'motr': {}, 'oga': {'lr': None}}\n"
+    )
+    assert snapshot.settable_values(str(tmp_path), []) == 5

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from motrbench.bench import CONTROLLER_DEFAULTS, GENERATOR_DEFAULTS, ExperimentConfig, RunRecord
+from motrbench.bench import CONTROLLERS, GENERATORS, ExperimentConfig, RunRecord
 from motrbench.cli import main
 from motrbench.lds import random_system
 
@@ -30,8 +30,8 @@ def small_config_dict():
         "n_systems": 2,
         "n_seeds": 2,
         "T": 25,
-        "controllers": [{"name": "lqr"}],
-        "generators": [{"name": "random"}, {"name": "hinf"}],
+        "controllers": ["lqr"],
+        "generators": ["random", "hinf"],
     }
 
 
@@ -41,9 +41,12 @@ def test_run_and_table_round_trip(tmp_path, capsys):
     assert main(["run", "--config", cfg_path, "--out", out_dir]) == 0
     assert os.path.exists(os.path.join(out_dir, "runs.jsonl"))
     assert os.path.exists(os.path.join(out_dir, "config.snapshot.json"))
+    # The snapshot holds every value, names included, and reloads to the
+    # config that ran.
     snapshot = json.load(open(os.path.join(out_dir, "config.snapshot.json")))
-    assert snapshot["T"] == 25
-    assert all("name" in s for s in snapshot["generators"])
+    assert snapshot["T"] == 25 and snapshot["generators"] == ["random", "hinf"]
+    reloaded = ExperimentConfig.from_json_file(os.path.join(out_dir, "config.snapshot.json"))
+    assert reloaded == ExperimentConfig.from_dict({**small_config_dict(), "output_dir": out_dir})
 
     assert main(["table", "--runs", os.path.join(out_dir, "runs.jsonl")]) == 0
     out = capsys.readouterr().out
@@ -168,29 +171,39 @@ def test_malformed_config_exit_code(tmp_path, capsys, monkeypatch):
     assert main(["run", "--config", unknown]) == 2
 
     # A value out of range fails at load, before any episode runs.
-    out_of_range = write_json(
-        tmp_path / "range.json", {**small_config_dict(), "generators": [{"name": "oga", "lr": -1}]}
-    )
+    out_of_range = write_json(tmp_path / "range.json", {**small_config_dict(), "D_M": -1})
     out_dir = tmp_path / "out"
     assert main(["run", "--config", out_of_range, "--out", str(out_dir)]) == 2
-    assert "lr must be a positive number" in capsys.readouterr().err
+    assert "D_M must be a positive number" in capsys.readouterr().err
     assert not (out_dir / "runs.jsonl").exists()
 
-    # H, D_M and eta are no spec fields, and eta no config field: a config
-    # or an old snapshot that carries them names the field.
-    for fields, named in (({"eta": None}, "'eta'"), ({"generators": [{"name": "motr", "H": 3}]}, "'H'"),
-                          ({"generators": [{"name": "oga", "D_M": 0.3}]}, "'D_M'"),
-                          ({"generators": [{"name": "motr", "eta": None}]}, "'eta'")):
+    # eta is no config field: a config or an old snapshot that carries it
+    # names the field.
+    path = write_json(tmp_path / "old.json", {**small_config_dict(), "eta": None})
+    assert main(["run", "--config", path, "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: unknown") and "'eta'" in err, err
+    assert not (out_dir / "runs.jsonl").exists()
+
+    # Controllers and generators are names.  An old snapshot, whose specs
+    # are {"name": ...} objects, exits 2 with one line naming the first one.
+    old_snapshot = {
+        **small_config_dict(),
+        "controllers": [{"name": "lqr"}, {"name": "gpc", "h": 5, "lr": 0.5, "ball_radius": None}],
+        "generators": [{"name": "motr"}, {"name": "oga", "lr": None}, {"name": "hinf"}],
+    }
+    for fields, named in ((old_snapshot, "{'name': 'lqr'}"),
+                          ({"generators": ["random", {"name": "oga", "lr": None}]}, "{'name': 'oga', 'lr': None}")):
         path = write_json(tmp_path / "old.json", {**small_config_dict(), **fields})
-        assert main(["run", "--config", path, "--out", str(out_dir)]) == 2, fields
+        assert main(["run", "--config", path, "--out", str(out_dir)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: unknown") and named in err, err
+        assert err.startswith("config error: ") and err.count("\n") == 1 and named in err, err
         assert not (out_dir / "runs.jsonl").exists()
 
     # So does a malformed shape: no traceback, and no empty run.
     monkeypatch.chdir(tmp_path)
-    for fields in ({"controllers": 5}, {"generators": [{"name": ["motr"]}]}, {"generators": []},
-                   {"output_dir": 5}, {"generators": [{"name": "sine", "n_random_directions": 8}]}):
+    for fields in ({"controllers": 5}, {"generators": [["motr"]]}, {"generators": []},
+                   {"output_dir": 5}, {"generators": ["sine", "sine"]}):
         path = write_json(tmp_path / "shape.json", {**small_config_dict(), **fields})
         assert main(["run", "--config", path]) == 2, fields
         assert capsys.readouterr().err.startswith("config error:")
@@ -307,7 +320,7 @@ def test_regret_on_one_horizon_reports_no_slope(tmp_path, capsys):
     assert len(lines) == 2 and lines[1].endswith(",nan")
 
 
-def test_regret_uses_the_configs_motr_spec(tmp_path, capsys):
+def test_regret_runs_motr_whatever_the_generators_list(tmp_path, capsys):
     def regret_lines(generators, name, **top_level):
         cfg_path = write_json(
             tmp_path / f"{name}.json",
@@ -319,17 +332,18 @@ def test_regret_uses_the_configs_motr_spec(tmp_path, capsys):
         ]) == 0
         return [line for line in capsys.readouterr().out.splitlines() if line.startswith("T=")]
 
-    default = regret_lines([{"name": "motr"}], "default")
-    assert regret_lines(["random"], "absent") == default
-    changed = regret_lines([{"name": "motr"}], "changed", H=1)
-    assert len(changed) == len(default) == 2
-    assert changed[0] != default[0] and changed[1] != default[1]
+    listed = regret_lines(["motr"], "listed")
+    assert regret_lines(["random"], "absent") == listed
+    # MOTR's settings are the config's top level: H moves every row.
+    changed = regret_lines(["random"], "changed", H=1)
+    assert len(changed) == len(listed) == 2
+    assert changed[0] != listed[0] and changed[1] != listed[1]
 
 
 def test_readme_config_schema_matches_the_code():
     # The README's "Config schema" section lists exactly the config's fields
-    # and names every controller, generator and spec field, so a knob that
-    # is removed or added cannot leave the documentation behind.
+    # and names every controller and generator, so a knob or name that is
+    # removed or added cannot leave the documentation behind.
     with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
         readme = fh.read()
     section = readme.split("### Config schema", 1)[1].split("\n#", 1)[0]
@@ -338,6 +352,4 @@ def test_readme_config_schema_matches_the_code():
                   for name in cell.split(", ")]
     assert sorted(documented) == sorted(f.name for f in dataclasses.fields(ExperimentConfig))
     named = set(re.findall(r"`([^`]*)`", section))
-    for defaults in (CONTROLLER_DEFAULTS, GENERATOR_DEFAULTS):
-        for name, spec in defaults.items():
-            assert {name, *spec} <= named, name
+    assert {*CONTROLLERS, *GENERATORS} <= named

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from motrbench.bench import CONTROLLER_DEFAULTS
 from motrbench.cdg import CdgPolicy, affine_state_map, unroll_map
 from motrbench.controllers import (
     BracketingError,
@@ -16,7 +15,6 @@ from motrbench.lds import CostWeights, LinearSystem, random_system, stage_cost, 
 from policy_oracle import policy_sum
 
 CW2 = CostWeights(np.eye(2), np.eye(2))
-GPC = CONTROLLER_DEFAULTS["gpc"]  # the benchmark's GPC: h, lr, ball_radius
 
 
 def scalar_system(a, b=1.0, c=1.0):
@@ -192,7 +190,7 @@ def test_gpc_stays_at_base_policy_without_disturbances():
     sys = random_system(3, 2, 2, seed=13, target_radius=0.8)
     cw = CostWeights(np.eye(3), np.eye(2))
     _, K = solve_dare(sys, cw)
-    gpc = GpcController(sys, cw, K, **GPC)
+    gpc = GpcController(sys, cw, K)
     x = np.array([1.0, 0.0, -1.0])
     for _ in range(20):
         u = gpc.act(x)
@@ -212,7 +210,7 @@ def test_gpc_beats_lqr_under_constant_disturbance():
         wbar /= np.linalg.norm(wbar)
         gen = lambda t, x: wbar  # noqa: E731
         c_lqr = episode_cost(sys, cw, lqr_controller(sys, cw), gen, T, np.zeros(4))
-        c_gpc = episode_cost(sys, cw, GpcController(sys, cw, K, **GPC), gen, T, np.zeros(4))
+        c_gpc = episode_cost(sys, cw, GpcController(sys, cw, K), gen, T, np.zeros(4))
         assert c_gpc <= c_lqr
 
 
@@ -224,7 +222,7 @@ def test_gpc_policy_norm_bounded_and_deterministic():
     ws = [rng.standard_normal(2) for _ in range(100)]
 
     def run():
-        gpc = GpcController(sys, cw, K, **{**GPC, "h": 4})
+        gpc = GpcController(sys, cw, K, h=4)
         x = np.zeros(4)
         outs = []
         for t in range(100):
@@ -272,7 +270,7 @@ def test_gpc_gradient_matches_finite_differences():
     for weights in ("diagonal", "dense"):
         cw = gpc_weights(weights, 3, 2)
         _, K = solve_dare(sys, cw)
-        gpc = GpcController(sys, cw, K, h=h, lr=0.5, ball_radius=100.0)
+        gpc = GpcController(sys, cw, K, h=h, ball_radius=100.0)
         rng = np.random.default_rng(5)
         window = rng.standard_normal((2 * h + 1, 3))
         Abar = sys.A - sys.B @ K
@@ -308,7 +306,7 @@ def test_gpc_matrix_free_round_matches_the_unroll(h):
     for weights in ("diagonal", "dense"):
         cw = gpc_weights(weights, d_x, d_u)
         _, K = solve_dare(sys, cw)
-        gpc = GpcController(sys, cw, K, h=h, lr=0.5, ball_radius=100.0)
+        gpc = GpcController(sys, cw, K, h=h, ball_radius=100.0)
         unroll = unroll_map(LinearSystem(sys.A - sys.B @ K, np.eye(d_x), sys.B), h)
         rng = np.random.default_rng(h)
         for _ in range(5):
@@ -343,7 +341,7 @@ def test_gpc_episode_plays_its_policy_within_the_ball():
     cw = CostWeights(np.eye(4), np.eye(2))
     _, K = solve_dare(sys, cw)
     h = 3
-    gpc = GpcController(sys, cw, K, h=h, lr=0.5, ball_radius=0.3)
+    gpc = GpcController(sys, cw, K, h=h, ball_radius=0.3)
     rng = np.random.default_rng(8)
     x = np.zeros(4)
     w_hats, norms, moved = [], [], 0
@@ -372,11 +370,11 @@ def test_gpc_requires_stabilizing_base():
     sys = scalar_system(1.5)
     cw = CostWeights(np.eye(1), np.eye(1))
     with pytest.raises(ValueError):
-        GpcController(sys, cw, np.zeros((1, 1)), **GPC)
+        GpcController(sys, cw, np.zeros((1, 1)))
     # Nor does it build with a projection radius <= 0 or NaN, given or
     # derived as 10 ||K_base|| from K_base = 0 on a stable plant.
     sys = LinearSystem(np.diag([0.5, 0.3]), np.eye(2), np.eye(2))
     cw = CostWeights(np.eye(2), np.eye(2))
     for ball_radius in (None, 0.0, -1.0, float("nan")):
         with pytest.raises(ValueError, match="radius"):
-            GpcController(sys, cw, np.zeros((2, 2)), h=2, lr=0.5, ball_radius=ball_radius)
+            GpcController(sys, cw, np.zeros((2, 2)), h=2, ball_radius=ball_radius)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from motrbench.bench import ExperimentConfig, stable_seed
-from motrbench.cdg import CdgPolicy
+from motrbench.cdg import CdgPolicy, InstabilityError
 from motrbench.controllers import hinf_bisection, lqr_controller
 from motrbench.generators import (
     AdaptiveCdgGenerator,
@@ -12,7 +12,6 @@ from motrbench.generators import (
     GeneratorError,
     HinfGenerator,
     RandomDirectionGenerator,
-    TransformError,
     _sinusoid_gram,
     scale_to_budget,
     sinusoid_generator,
@@ -68,12 +67,19 @@ def test_transform_residual():
     res = transform_residual(scalar, FakeSol())
     assert res.A[0, 0] == pytest.approx(0.5)
 
+    # A residual plant that is not strictly stable builds, and the
+    # generator that would unroll it refuses it.
     class BadSol:
         K = np.array([[0.0]])
         W = np.array([[0.0]])
 
-    with pytest.raises(TransformError):
-        transform_residual(scalar, BadSol())
+    assert transform_residual(scalar, BadSol()).A[0, 0] == 1.5
+    for update in ("motr", "oga"):
+        with pytest.raises(InstabilityError, match="spectral radius 1.5 >= 1"):
+            AdaptiveCdgGenerator(
+                scalar, CostWeights(np.eye(1), np.eye(1)), BadSol(), update=update,
+                T=10, H=2, D_M=0.3, W_max=1.0, seed=0,
+            )
 
 
 def test_hinf_generator_direction_and_budget():
@@ -232,7 +238,7 @@ def test_sinusoid_takes_the_exact_best_direction():
         chosen = open_loop_scores(sys, cw, cfg.W_max, cfg.T, v[None, :], [gen.omega], [gen.phase])
         assert gen.score == pytest.approx(chosen[0, 0, 0], rel=1e-12, abs=0.0)
         dirs = np.vstack([
-            sampled_sine_directions(cfg.d_w, stable_seed(cfg.base_seed, index, s, c["name"], "sine"))
+            sampled_sine_directions(cfg.d_w, stable_seed(cfg.base_seed, index, s, c, "sine"))
             for s in range(cfg.n_seeds) for c in cfg.controllers
         ])
         sampled = gram_scores(sys, cw, cfg.W_max, cfg.T, dirs, freqs, phases)
@@ -375,7 +381,7 @@ def test_round_emits_the_policy_of_the_recorded_residuals(update):
     sys, cw, hinf = make_setup(seed=12, radius=0.8)
     H, D_M, W_max = 3, 0.3, 1.0
     gen = AdaptiveCdgGenerator(
-        sys, cw, hinf, update=update, T=40, H=H, D_M=D_M, W_max=W_max, eta=1.0, seed=21,
+        sys, cw, hinf, update=update, T=40, H=H, D_M=D_M, W_max=W_max, seed=21,
     )
     ctrl = lqr_controller(sys, cw)
     rng = np.random.default_rng(9)
@@ -405,7 +411,7 @@ def test_motr_against_the_equilibrium_controller_decomposes_once(monkeypatch):
     # all of an episode's plays.
     sys, cw, hinf = make_setup(seed=4)
     gen = AdaptiveCdgGenerator(
-        sys, cw, hinf, update="motr", T=40, H=3, D_M=0.3, W_max=1.0, eta=1.0, seed=7
+        sys, cw, hinf, update="motr", T=40, H=3, D_M=0.3, W_max=1.0, seed=7
     )
     calls = []
     real_eigh = np.linalg.eigh
@@ -433,10 +439,11 @@ def test_motr_regret_pair_hindsight_dominates():
 
 
 def test_motr_plays_the_doubled_leader_of_the_audited_sums(monkeypatch):
-    # Every MOTR play maximizes z'(2 sum P)z + (sum p - sigma)'z over the
-    # D_M ball, where sum P and sum p add up the blocks P = G[:-1, :-1] and
-    # p = 2 G[:-1, -1] of the rounds' rollout costs G so far, and the regret
-    # audit maximizes z'(sum P)z + (sum p)'z + sum G[-1, -1].
+    # MOTR keeps its first play while it calibrates eta.  From round
+    # _warmup_rounds on, every play maximizes z'(2 sum P)z + (sum p - sigma)'z
+    # over the D_M ball, where sum P and sum p add up the blocks
+    # P = G[:-1, :-1] and p = 2 G[:-1, -1] of the rounds' rollout costs G so
+    # far, and the regret audit maximizes z'(sum P)z + (sum p)'z + sum G[-1, -1].
     import motrbench.generators as generators
     import motrbench.online as online
 
@@ -452,13 +459,14 @@ def test_motr_plays_the_doubled_leader_of_the_audited_sums(monkeypatch):
     monkeypatch.setattr(generators, "rollout_cost_quadratic", recording)
     sys, cw, hinf = make_setup(seed=4)
     gen = AdaptiveCdgGenerator(
-        sys, cw, hinf, update="motr", T=40, H=3, D_M=0.3, W_max=1.0, eta=1.0, seed=7
+        sys, cw, hinf, update="motr", T=40, H=3, D_M=0.3, W_max=1.0, seed=7
     )
-    assert gen.n == sigma.size
+    assert gen.n == sigma.size and gen._warmup_rounds < 25
+    first = CdgPolicy.vec(gen.M)
     ctrl = lqr_controller(sys, cw)
     x = np.random.default_rng(8).standard_normal(4)
     achieved = 0.0
-    for _ in range(25):
+    for t in range(25):
         u = ctrl.act(x)
         w = gen.emit(x)
         x = step(sys, x, u, w)
@@ -466,6 +474,9 @@ def test_motr_plays_the_doubled_leader_of_the_audited_sums(monkeypatch):
         gen.observe(u)
         achieved += gram_cost(seen[-1], played)
         P, p = sum(G[:-1, :-1] for G in seen), sum(2.0 * G[:-1, -1] for G in seen)
+        if t < gen._warmup_rounds:
+            np.testing.assert_array_equal(CdgPolicy.vec(gen.M), first)
+            continue
         leader = tr_solve(TrustRegionProblem(2.0 * P, p - sigma, gen.D_M))
         np.testing.assert_allclose(CdgPolicy.vec(gen.M), leader.z, rtol=0.0, atol=1e-12)
     audit = TrustRegionProblem(P, p, gen.D_M)

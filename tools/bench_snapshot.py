@@ -12,7 +12,8 @@ passes' trust-region certificate lines); the wall time of the full default grid
 (`motrbench run`, one process, raw seconds) with the SHA-256 of its
 `runs.jsonl` and both score tables from `motrbench table`; the line count
 of src/motrbench/*.py; the number of values a config can set (the
-ExperimentConfig fields plus every controller and generator spec field);
+ExperimentConfig fields, plus every controller and generator spec field
+in checkouts that have spec fields);
 and every command that produced these figures, in the order they ran.
 Schema 2 is schema 1 (BENCH_1 to BENCH_5) plus settable_values.
 """
@@ -35,10 +36,13 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 # The benchmark and the grid run with one BLAS thread, as perfbench/run.py
 # runs its workers.
 BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+# Checkouts before controllers and generators became bare names also hold
+# the spec fields of their CONTROLLER_DEFAULTS and GENERATOR_DEFAULTS tables.
 SETTABLE_VALUES = (
-    "import dataclasses; from motrbench.bench import CONTROLLER_DEFAULTS, GENERATOR_DEFAULTS, ExperimentConfig; "
-    "print(len(dataclasses.fields(ExperimentConfig))"
-    " + sum(len(spec) for specs in (CONTROLLER_DEFAULTS, GENERATOR_DEFAULTS) for spec in specs.values()))"
+    "import dataclasses; import motrbench.bench as b; "
+    "print(len(dataclasses.fields(b.ExperimentConfig))"
+    " + sum(len(spec) for table in ('CONTROLLER_DEFAULTS', 'GENERATOR_DEFAULTS')"
+    " for spec in getattr(b, table, {}).values()))"
 )
 
 
