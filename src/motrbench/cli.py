@@ -4,7 +4,8 @@ Subcommands: run (execute a config grid), table (aggregate runs.jsonl into
 the normalized score tables), regret (regret curve for the adaptive
 generator), solve-tr (trust-region debug solve), synth (print LQR and
 H-infinity gains for a system).  Exit codes: 0 success, 1 partial run or
-aggregation failure, 2 malformed config/input.
+aggregation failure, 2 malformed config or input, or input a solver
+rejects.
 """
 
 import argparse
@@ -26,7 +27,7 @@ from .bench import (
 )
 from .controllers import SynthesisError, hinf_bisection, solve_dare
 from .lds import CostWeights, LinearSystem
-from .trust_region import TrustRegionProblem, objective, solve as tr_solve
+from .trust_region import TrustRegionError, TrustRegionProblem, objective, solve as tr_solve
 
 
 def _cmd_run(args) -> int:
@@ -124,9 +125,15 @@ def _cmd_solve_tr(args) -> int:
         prob = TrustRegionProblem(
             np.array(obj["P"], dtype=float), np.array(obj["p"], dtype=float), float(obj["D"])
         )
-        sol = tr_solve(prob)
+        # An overflow ends in the solver's one-line error below, not in
+        # numpy's warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            sol = tr_solve(prob)
     except (OSError, KeyError, TypeError, ValueError) as exc:
         print(f"bad problem input: {exc}", file=_sys.stderr)
+        return 2
+    except TrustRegionError as exc:
+        print(f"solver error: {exc}", file=_sys.stderr)
         return 2
     print(json.dumps({
         "z": sol.z.tolist(),
@@ -140,10 +147,12 @@ def _cmd_solve_tr(args) -> int:
 
 def _cmd_synth(args) -> int:
     try:
-        sys_obj = _read_json_arg(args.system)
-        system = LinearSystem.from_json(sys_obj)
+        system = LinearSystem.from_json(_read_json_arg(args.system))
         if args.cost:
             cw = CostWeights.from_json(_read_json_arg(args.cost))
+            if (cw.d_x, cw.d_u) != (system.d_x, system.d_u):
+                raise ValueError(f"the cost's (d_x, d_u) {(cw.d_x, cw.d_u)} are not the system's "
+                                 f"{(system.d_x, system.d_u)}")
         else:
             cw = CostWeights(np.eye(system.d_x), np.eye(system.d_u))
     except (OSError, KeyError, TypeError, ValueError) as exc:
@@ -152,6 +161,9 @@ def _cmd_synth(args) -> int:
     try:
         P, K = solve_dare(system, cw)
         hinf = hinf_bisection(system, cw)
+    except ValueError as exc:  # input the solvers reject, say a singular R
+        print(f"bad system input: {exc}", file=_sys.stderr)
+        return 2
     except SynthesisError as exc:
         print(f"synthesis error: {exc}", file=_sys.stderr)
         return 2

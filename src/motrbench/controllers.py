@@ -109,13 +109,15 @@ def solve_hinf_game(
     cw: CostWeights,
     gamma: float,
     tol: float = 1e-11,
-    max_iter: int = 20000,
+    max_iter: int = 5000,
 ) -> Optional[HinfSolution]:
     """Value iteration for the disturbance game at attenuation level gamma.
 
     Returns None when gamma is infeasible: the concavity certificate
     gamma^2 I - C'PC loses positive definiteness, or the value iteration
-    blows up.  Raises SynthesisError only on numerical breakdown.
+    blows up or has not converged within max_iter steps.  The default cap
+    of 5000 steps is the one hinf_bisection, and so the pipeline, runs.
+    Raises SynthesisError only on numerical breakdown.
     """
     if not (gamma > 0.0):
         raise ValueError("gamma must be positive")
@@ -174,29 +176,29 @@ def hinf_bisection(
     hi: float = 1e6,
     rel_tol: float = 1e-3,
     safety: float = 1.01,
-    max_iter: int = 5000,
 ) -> HinfSolution:
     """Smallest feasible attenuation level within rel_tol, returned at a 1.01
-    safety factor above the bisected infimum."""
-    if solve_hinf_game(sys, cw, hi, max_iter=max_iter) is None:
+    safety factor above the bisected infimum.  Each level is tried by
+    solve_hinf_game under its default cap of 5000 value-iteration steps."""
+    if solve_hinf_game(sys, cw, hi) is None:
         raise BracketingError(f"gamma = {hi:.4g} is infeasible; enlarge the bracket")
     for _ in range(60):
-        if solve_hinf_game(sys, cw, lo, max_iter=max_iter) is None:
+        if solve_hinf_game(sys, cw, lo) is None:
             break
         lo /= 4.0
     else:
         # Feasible essentially down to zero: disturbances cannot hurt.
-        sol = solve_hinf_game(sys, cw, lo * safety, max_iter=max_iter)
+        sol = solve_hinf_game(sys, cw, lo * safety)
         if sol is None:
             raise SynthesisError("feasibility is not monotone near zero attenuation")
         return sol
     while hi / lo > 1.0 + rel_tol:
         mid = float(np.sqrt(lo * hi))
-        if solve_hinf_game(sys, cw, mid, max_iter=max_iter) is None:
+        if solve_hinf_game(sys, cw, mid) is None:
             lo = mid
         else:
             hi = mid
-    sol = solve_hinf_game(sys, cw, hi * safety, max_iter=max_iter)
+    sol = solve_hinf_game(sys, cw, hi * safety)
     if sol is None:
         raise SynthesisError("safety-factored gamma unexpectedly infeasible")
     return sol

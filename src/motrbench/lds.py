@@ -7,7 +7,6 @@ spectral radius rho, decay margin gamma = 1 - rho, and a certificate
 constant kappa with ||A^k|| <= kappa * rho^k for diagonalizable A.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -42,14 +41,10 @@ class GenerationError(RuntimeError):
     controllability check."""
 
 
-def _as_float_array(value, shape, name):
-    arr = np.array(value, dtype=float)
-    if arr.shape != shape:
-        raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
-    arr.setflags(write=False)
-    return arr
+def _check_declared(obj: dict, sizes: dict) -> None:
+    declared = {name: int(obj[name]) for name in sizes}
+    if declared != sizes:
+        raise ValueError(f"declared sizes {declared} do not match the matrices' {sizes}")
 
 
 @dataclass(frozen=True)
@@ -103,14 +98,11 @@ class LinearSystem:
 
     @classmethod
     def from_json(cls, obj: dict) -> "LinearSystem":
-        d_x, d_u, d_w = int(obj["d_x"]), int(obj["d_u"]), int(obj["d_w"])
-        A = _as_float_array(obj["A"], (d_x, d_x), "A")
-        B = _as_float_array(obj["B"], (d_x, d_u), "B")
-        C = _as_float_array(obj["C"], (d_x, d_w), "C")
-        return cls(A, B, C)
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json())
+        """The system of a to_json object: the constructor checks the
+        matrices, and the declared d_x, d_u and d_w must be their sizes."""
+        sys = cls(obj["A"], obj["B"], obj["C"])
+        _check_declared(obj, {"d_x": sys.d_x, "d_u": sys.d_u, "d_w": sys.d_w})
+        return sys
 
 
 @dataclass(frozen=True)
@@ -161,10 +153,11 @@ class CostWeights:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CostWeights":
-        d_x, d_u = int(obj["d_x"]), int(obj["d_u"])
-        Q = _as_float_array(obj["Q"], (d_x, d_x), "Q")
-        R = _as_float_array(obj["R"], (d_u, d_u), "R")
-        return cls(Q, R)
+        """The weights of a to_json object, checked as LinearSystem.from_json
+        checks a system."""
+        cw = cls(obj["Q"], obj["R"])
+        _check_declared(obj, {"d_x": cw.d_x, "d_u": cw.d_u})
+        return cw
 
 
 @dataclass(frozen=True)

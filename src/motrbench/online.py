@@ -1,15 +1,15 @@
 """Follow-the-perturbed-leader over quadratic rewards with memory.
 
-Each round t reveals a quadratic reward of the last H plays.  Collapsing
-the reward onto a single repeated play gives a per-round quadratic
-g_t(z) = [z; 1]' G_t [z; 1], encoded, like the generators' rollout cost,
-by its (d+1, d+1) Gram matrix G_t alone.  The learner keeps one running
-sum G of these matrices (OtrState); with its blocks P = G[:-1, :-1],
-q = G[:-1, -1] and c = G[-1, -1], the summed reward is z'Pz + 2q'z + c.
-The next play maximizes the sum, its quadratic part doubled, minus a
-random linear perturbation with Exp(eta) coordinates, and the regret
-audit maximizes the sum itself.  Both are ball-constrained problems
-handled exactly by the trust-region solver.
+Every quadratic here is, like the generators' rollout cost, a Gram matrix
+G read through its blocks P = G[:-1, :-1], q = G[:-1, -1] and
+c = G[-1, -1] as [z; 1]' G [z; 1] = z'Pz + 2q'z + c.  Each round t
+reveals a reward of the stacked last H plays (MemoryQuadratic).
+Collapsing it onto a single repeated play gives a per-round (d+1, d+1)
+Gram matrix G_t, and the learner keeps one running sum G of these
+(OtrState).  The next play maximizes the sum, its quadratic part doubled,
+minus a random linear perturbation with Exp(eta) coordinates, and the
+regret audit maximizes the sum itself.  Both are ball-constrained
+problems handled exactly by the trust-region solver.
 """
 
 import math
@@ -34,56 +34,48 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MemoryQuadratic:
-    """Reward z'Pz + p'z + const over the stacked last-H plays.
+    """Reward [z; 1]' G [z; 1] = z'Pz + 2q'z + c over the stacked last-H plays
+    z, encoded by its (dH+1, dH+1) Gram matrix G.
 
-    The stacking is oldest play first: slot 0 holds z_{t-H+1}, slot H-1
-    holds z_t.
+    As in OtrState, only the blocks P = G[:-1, :-1], q = G[:-1, -1] and
+    c = G[-1, -1] are read.  The stacking is oldest play first: slot 0
+    holds z_{t-H+1}, slot H-1 holds z_t.
     """
 
-    P: np.ndarray
-    p: np.ndarray
-    const: float
+    G: np.ndarray
     d: int
     H: int
 
     def __post_init__(self):
         n = self.d * self.H
-        P = np.array(self.P, dtype=float)
-        p = np.array(self.p, dtype=float)
+        G = np.array(self.G, dtype=float)
         if self.d < 1 or self.H < 1:
             raise ValueError("d and H must be positive")
-        if P.shape != (n, n) or p.shape != (n,):
-            raise ValueError(f"expected P ({n},{n}) and p ({n},), got {P.shape}, {p.shape}")
-        if not (np.all(np.isfinite(P)) and np.all(np.isfinite(p)) and math.isfinite(self.const)):
+        if G.shape != (n + 1, n + 1):
+            raise ValueError(f"expected G ({n + 1},{n + 1}), got {G.shape}")
+        if not np.all(np.isfinite(G)):
             raise ValueError("coefficients must be finite")
-        P.setflags(write=False)
-        p.setflags(write=False)
-        object.__setattr__(self, "P", P)
-        object.__setattr__(self, "p", p)
-
-    def value_stacked(self, z: np.ndarray) -> float:
-        z = np.asarray(z, dtype=float)
-        if z.shape != (self.d * self.H,):
-            raise ValueError(f"stacked play must have shape ({self.d * self.H},)")
-        return float(z @ self.P @ z + self.p @ z + self.const)
+        G.setflags(write=False)
+        object.__setattr__(self, "G", G)
 
     def value(self, window) -> float:
         """Reward of a window of H plays, oldest first."""
-        if len(window) != self.H:
-            raise ValueError(f"window must contain {self.H} plays")
-        return self.value_stacked(np.concatenate([np.asarray(z, dtype=float) for z in window]))
+        z = np.concatenate(window, dtype=float)
+        if len(window) != self.H or z.shape != (self.d * self.H,):
+            raise ValueError(f"window must hold {self.H} plays of dimension {self.d}")
+        G = self.G
+        return float(z @ G[:-1, :-1] @ z + (2.0 * G[:-1, -1]) @ z + G[-1, -1])
 
 
 def collapse(mq: MemoryQuadratic) -> np.ndarray:
-    """The Gram matrix G of playing one point z in every slot: with C the
-    H x H blocks of P summed and c the H blocks of p summed, the reward
-    z'Cz + c'z + const is [z; 1]' G [z; 1] for G = [[C, c/2], [c'/2, const]]."""
-    d, H = mq.d, mq.H
-    G = np.empty((d + 1, d + 1))
-    G[:-1, :-1] = mq.P.reshape(H, d, H, d).sum(axis=(0, 2))
-    G[:-1, -1] = G[-1, :-1] = 0.5 * mq.p.reshape(H, d).sum(axis=0)
-    G[-1, -1] = mq.const
-    return G
+    """The Gram matrix of playing one point z in every slot: the H x H
+    blocks of P summed, the H blocks of q summed, and c."""
+    d, H, G = mq.d, mq.H, mq.G
+    C = np.empty((d + 1, d + 1))
+    C[:-1, :-1] = G[:-1, :-1].reshape(H, d, H, d).sum(axis=(0, 2))
+    C[:-1, -1] = C[-1, :-1] = G[:-1, -1].reshape(H, d).sum(axis=0)
+    C[-1, -1] = G[-1, -1]
+    return C
 
 
 def sample_perturbation(eta: float, d: int, rng: np.random.Generator) -> np.ndarray:
@@ -150,17 +142,11 @@ class OtrState:
         self.achieved += achieved
         self.rounds += 1
 
-    def update(self, sigma: Optional[np.ndarray] = None) -> np.ndarray:
-        """Draw a perturbation (unless one is supplied) and replay the
-        perturbed leader."""
-        if sigma is None:
-            if self.eta is None:
-                raise ValueError("eta must be set before drawing a perturbation")
-            sigma = sample_perturbation(self.eta, self.d, self.rng)
-        else:
-            sigma = np.asarray(sigma, dtype=float)
-            if sigma.shape != (self.d,):
-                raise ValueError(f"sigma must have shape ({self.d},)")
+    def update(self) -> np.ndarray:
+        """Draw a perturbation and replay the perturbed leader."""
+        if self.eta is None:
+            raise ValueError("eta must be set before drawing a perturbation")
+        sigma = sample_perturbation(self.eta, self.d, self.rng)
         # The leader's quadratic part is 2P, for symmetric P the Hessian
         # P + P' of the summed reward, while hindsight audits P itself: the
         # learner maximizes z'(2P)z + (2q - sigma)'z.  The benchmark's

@@ -102,9 +102,10 @@ def objective(prob: TrustRegionProblem, z: np.ndarray) -> float:
 def _make_solution(prob, z, multiplier, hard_case):
     norm = math.sqrt(z @ z)
     if not math.isfinite(norm):
-        # Only a non-finite P or p gets here; the learner's per-round
-        # problems are not checked on construction.
-        raise TrustRegionError("non-finite solution: P or p is not finite")
+        # A non-finite P or p gets here (the learner's per-round problems
+        # are not checked on construction), and so do finite entries whose
+        # products overflow.
+        raise TrustRegionError("non-finite solution: P or p is not finite, or the solve overflowed")
     D = prob.D
     # Snap near-boundary iterates exactly onto the sphere; keeps ||z|| <= D.
     if norm > D or abs(norm - D) <= 1e-9 * D:

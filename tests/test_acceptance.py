@@ -24,9 +24,9 @@ from motrbench.lds import (
     step,
     truncation_horizon,
 )
-from motrbench.online import MemoryQuadratic, default_perturbation_rate, play_sequence, regret_audit
+from motrbench.online import default_perturbation_rate, play_sequence, regret_audit
 from motrbench.trust_region import TrustRegionProblem, brute_force, objective, solve as tr_solve
-from policy_oracle import gram_cost, policy_sum
+from policy_oracle import gram_cost, memory_quadratic, policy_sum
 
 
 def report(criterion: int, ok: bool, detail: str):
@@ -276,7 +276,7 @@ def test_criterion_6_otr_regret():
         for s in range(10):
             rng = np.random.default_rng(1000 + s)
             hist = [
-                MemoryQuadratic(rng.uniform(-R, R, (n, n)), rng.uniform(-R, R, n), 0.0, d, H)
+                memory_quadratic(rng.uniform(-R, R, (n, n)), rng.uniform(-R, R, n), 0.0, d, H)
                 for _ in range(T)
             ]
             eta = default_perturbation_rate(R, d, D, H, T)
@@ -369,7 +369,7 @@ def test_criterion_9_determinism(benchmark_results, tmp_path):
     def one_otr():
         r = np.random.default_rng(2024)
         hist = [
-            MemoryQuadratic(r.uniform(-1, 1, (12, 12)), r.uniform(-1, 1, 12), 0.0, 4, 3)
+            memory_quadratic(r.uniform(-1, 1, (12, 12)), r.uniform(-1, 1, 12), 0.0, 4, 3)
             for _ in range(250)
         ]
         plays = play_sequence(hist, 1.0, 0.01, seed=9)

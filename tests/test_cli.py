@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -88,6 +89,28 @@ def test_table_bad_input_exit_code(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("bad runs input: ") and expected in err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_table_on_an_incomplete_grid_exit_code(tmp_path, capsys):
+    # Two records of different generators on different systems leave two
+    # cells of the grid empty: one line on stderr, exit 1, no tables.
+    good = run_record_line()
+    other = dict(json.loads(good), system_index=1, generator="random")
+    runs = tmp_path / "runs.jsonl"
+    runs.write_text(good + "\n" + json.dumps(other) + "\n")
+    assert main(["table", "--runs", str(runs)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("aggregation error: incomplete grid") and captured.err.count("\n") == 1
+    assert not (tmp_path / "table_ratio.csv").exists()
+
+
+def test_run_seed_overrides_the_base_seed(tmp_path):
+    cfg_path = write_json(tmp_path / "cfg.json", {**small_config_dict(), "n_systems": 1, "n_seeds": 1})
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", cfg_path, "--seed", "3", "--out", str(out_dir)]) == 0
+    snapshot = json.loads((out_dir / "config.snapshot.json").read_text())
+    assert snapshot["base_seed"] == 3
 
 
 def test_run_rerun_byte_identical(tmp_path):
@@ -256,6 +279,18 @@ def test_solve_tr_subcommand(tmp_path, capsys):
         assert err.startswith("bad problem input:") and err.count("\n") == 1
 
 
+def test_solve_tr_reports_a_solver_failure(tmp_path, capsys):
+    # Finite entries whose products overflow: the solver finds no finite
+    # solution and says so in one line, without numpy's overflow warnings.
+    prob = write_json(tmp_path / "prob.json", {"P": [[1e308, 0.0], [0.0, 1e308]], "p": [1e308, 0.0], "D": 1e300})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve-tr", "--problem", prob]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("solver error:") and captured.err.count("\n") == 1
+
+
 def test_synth_subcommand(tmp_path, capsys):
     sys = random_system(3, 2, 2, seed=4, target_radius=0.9)
     sys_path = write_json(tmp_path / "sys.json", sys.to_json())
@@ -282,6 +317,31 @@ def test_synth_subcommand(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("synthesis error:") and captured.err.count("\n") == 1
+
+
+def synth_exit(argv, capsys):
+    """(exit code, stdout, stderr) of one synth call."""
+    code = main(["synth", *argv])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_synth_rejects_a_cost_of_other_sizes(tmp_path, capsys):
+    sys_path = write_json(tmp_path / "sys.json", random_system(3, 2, 2, seed=4).to_json())
+    cost = {"d_x": 2, "d_u": 2, "Q": np.eye(2).tolist(), "R": np.eye(2).tolist()}
+    code, out, err = synth_exit(["--system", sys_path, "--cost", write_json(tmp_path / "cost.json", cost)], capsys)
+    assert code == 2 and out == ""
+    assert err == "bad system input: the cost's (d_x, d_u) (2, 2) are not the system's (3, 2)\n" and err.count("\n") == 1
+
+
+def test_synth_rejects_a_singular_R(tmp_path, capsys):
+    # R = [[0]] is PSD, so CostWeights takes it; the Riccati solver needs it
+    # positive definite.
+    sys_path = write_json(tmp_path / "sys.json", random_system(1, 1, 1, seed=0).to_json())
+    cost = {"d_x": 1, "d_u": 1, "Q": [[1.0]], "R": [[0.0]]}
+    code, out, err = synth_exit(["--system", sys_path, "--cost", write_json(tmp_path / "cost.json", cost)], capsys)
+    assert code == 2 and out == ""
+    assert err == "bad system input: R must be positive definite\n"
 
 
 def test_regret_subcommand(tmp_path, capsys):

@@ -163,7 +163,7 @@ def test_truncation_horizon_values():
 
 def test_system_json_round_trip():
     sys = random_system(4, 2, 2, seed=13)
-    back = LinearSystem.from_json(json.loads(sys.dumps()))
+    back = LinearSystem.from_json(json.loads(json.dumps(sys.to_json())))
     assert np.array_equal(back.A, sys.A)
     assert np.array_equal(back.B, sys.B)
     assert np.array_equal(back.C, sys.C)
@@ -171,3 +171,8 @@ def test_system_json_round_trip():
     back_cw = CostWeights.from_json(cw.to_json())
     assert np.array_equal(back_cw.Q, cw.Q)
     assert back_cw.xi == cw.xi
+    # The declared sizes must be the matrices' sizes.
+    with pytest.raises(ValueError, match="declared sizes"):
+        LinearSystem.from_json({**sys.to_json(), "d_u": 3})
+    with pytest.raises(ValueError, match="declared sizes"):
+        CostWeights.from_json({**cw.to_json(), "d_x": 2})

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
+from motrbench import online
 from motrbench.online import (
-    MemoryQuadratic,
     OtrState,
     collapse,
     default_perturbation_rate,
@@ -11,6 +11,7 @@ from motrbench.online import (
     sample_perturbation,
 )
 from motrbench.trust_region import TrustRegionProblem, solve as tr_solve
+from policy_oracle import memory_quadratic
 
 
 def gram(P, q, c):
@@ -20,16 +21,14 @@ def gram(P, q, c):
 
 def random_memory_quadratic(rng, d, H, R=1.0, const=0.0):
     n = d * H
-    return MemoryQuadratic(rng.uniform(-R, R, (n, n)), rng.uniform(-R, R, n), const, d, H)
+    return memory_quadratic(rng.uniform(-R, R, (n, n)), rng.uniform(-R, R, n), const, d, H)
 
 
 def test_collapse_single_slot_is_identity():
     rng = np.random.default_rng(0)
     mq = random_memory_quadratic(rng, 3, 1, const=2.5)
     G = collapse(mq)
-    assert np.array_equal(G[:-1, :-1], mq.P)
-    assert np.array_equal(2.0 * G[:-1, -1], mq.p)
-    assert np.array_equal(G[-1, :-1], G[:-1, -1])
+    assert np.array_equal(G, mq.G)
     assert G[-1, -1] == 2.5
 
 
@@ -37,7 +36,7 @@ def test_collapse_equal_blocks():
     B0 = np.array([[1.0, 2.0], [3.0, 4.0]])
     P = np.block([[B0, B0], [B0, B0]])
     p = np.concatenate([np.array([1.0, -1.0])] * 2)
-    mq = MemoryQuadratic(P, p, 0.0, 2, 2)
+    mq = memory_quadratic(P, p, 0.0, 2, 2)
     G = collapse(mq)
     assert np.allclose(G[:-1, :-1], 4.0 * B0)
     assert np.allclose(2.0 * G[:-1, -1], [2.0, -2.0])
@@ -129,14 +128,15 @@ def test_update_degenerate_objective():
     assert abs(z @ state.G[:-1, :-1] @ z + 2.0 * state.G[:-1, -1] @ z) < 1e-6
 
 
-def test_update_with_forced_perturbation_matches_direct_solve():
+def test_update_with_forced_perturbation_matches_direct_solve(monkeypatch):
     # The leader's quadratic part is twice the summed one (OtrState.update).
     rng = np.random.default_rng(3)
     state = OtrState(d=4, D=1.5, eta=1.0, seed=3)
     for _ in range(5):
         state.observe(gram(rng.standard_normal((4, 4)), rng.standard_normal(4), 0.0))
     sigma = np.abs(rng.standard_normal(4))
-    z = state.update(sigma=sigma)
+    monkeypatch.setattr(online, "sample_perturbation", lambda eta, d, rng: sigma)
+    z = state.update()
     ref = tr_solve(TrustRegionProblem(2.0 * state.G[:-1, :-1], 2.0 * state.G[:-1, -1] - sigma, 1.5))
     assert np.allclose(z, ref.z, atol=1e-9)
 
@@ -147,7 +147,7 @@ def test_update_reuses_the_eigendecomposition_until_a_nonzero_round(monkeypatch)
     # decomposed again only after a round that changed it.
     rng = np.random.default_rng(5)
     d, D = 5, 0.7
-    state = OtrState(d=d, D=D, seed=5)
+    state = OtrState(d=d, D=D, seed=5, eta=1.0)
     P_sum, q_sum = np.zeros((d, d)), np.zeros(d)
     calls = []
     real_eigh = np.linalg.eigh
@@ -158,20 +158,20 @@ def test_update_reuses_the_eigendecomposition_until_a_nonzero_round(monkeypatch)
         P_sum += P
         q_sum += q
         sigma = np.abs(rng.standard_normal(d))
+        monkeypatch.setattr(online, "sample_perturbation", lambda eta, d, rng: sigma)
         monkeypatch.setattr(np.linalg, "eigh", lambda S: calls.append(t) or real_eigh(S))
-        z = state.update(sigma=sigma)
+        z = state.update()
         monkeypatch.setattr(np.linalg, "eigh", real_eigh)
         direct = tr_solve(TrustRegionProblem(2.0 * P_sum, 2.0 * q_sum - sigma, D)).z
         assert np.array_equal(z, direct), f"round {t}"
     assert calls == [0, 2, 5, 6]
 
 
-def test_update_needs_eta_unless_sigma_is_given():
+def test_update_needs_eta():
     state = OtrState(d=2, D=1.0, seed=4)
     state.observe(gram(np.eye(2), np.ones(2), 0.0))
     with pytest.raises(ValueError, match="eta"):
         state.update()
-    state.update(sigma=np.zeros(2))
     state.eta = 2.0
     state.update()
 
@@ -188,7 +188,7 @@ def test_plays_bounded_and_deterministic():
 
 def test_regret_audit_single_round_linear():
     p = np.array([3.0, 4.0])
-    mq = MemoryQuadratic(np.zeros((2, 2)), p, 0.0, 2, 1)
+    mq = memory_quadratic(np.zeros((2, 2)), p, 0.0, 2, 1)
     play = np.array([0.1, 0.0])
     hind, ach = regret_audit([mq], [play], D=2.0)
     assert hind == pytest.approx(2.0 * 5.0)
@@ -228,7 +228,7 @@ def test_empirical_regret_sublinear():
             rng = np.random.default_rng(1000 + s)
             n = d * H
             hist = [
-                MemoryQuadratic(rng.uniform(-R, R, (n, n)), rng.uniform(-R, R, n), 0.0, d, H)
+                memory_quadratic(rng.uniform(-R, R, (n, n)), rng.uniform(-R, R, n), 0.0, d, H)
                 for _ in range(T)
             ]
             eta = default_perturbation_rate(R, d, D, H, T)
@@ -252,5 +252,6 @@ def test_gradient_sup_norm_bound():
         z = rng.standard_normal(n)
         z *= D / max(1.0, np.linalg.norm(z) / 1.0)
         z = z / np.linalg.norm(z) * D * rng.random()
-        grad = (mq.P + mq.P.T) @ z + mq.p
+        P, p = mq.G[:-1, :-1], 2.0 * mq.G[:-1, -1]
+        grad = (P + P.T) @ z + p
         assert np.max(np.abs(grad)) <= 2.0 * n * R * D + R + 1e-9
