@@ -23,9 +23,9 @@ Conventions (pinned by the calibration tests against direct simulation):
           + sum_{k=0}^{H} sum_{m=1}^{H} A^k C M[m-1] window[k+m]
 
 * The powers A^k B and A^k C (k = 0..H) depend only on the plant and H;
-  plant_powers computes them once, after checking that the plant is
-  strictly stable.  unroll_map lays them out as E, once per plant and
-  horizon.  Given a state gain W, E also maps the last H+1 states to the
+  plant_powers builds them, after checking once that A is strictly
+  stable.  unroll_map lays them out as E, once per plant and horizon.
+  Given a state gain W, E also maps the last H+1 states to the
   bias sum_a A^a C W x_{t-1-a} they add to b: the residual bias of the
   MOTR/OGA generators, whose round keeps its controls and states in one
   history vector h and builds its round's G from one product h @ E.
@@ -93,33 +93,23 @@ def project_frobenius(M: np.ndarray, bound: float) -> np.ndarray:
     return M * (bound / norm)
 
 
-@dataclass(frozen=True)
-class PlantPowers:
-    """A^k B and A^k C for k = 0..H of a strictly stable plant: all that
-    the truncated unroll of horizon H needs from the plant."""
-
-    H: int
-    AkB: np.ndarray  # (H+1, d_x, d_u), AkB[k] = A^k B
-    AkC: np.ndarray  # (H+1, d_x, d_w), AkC[k] = A^k C
-
-
-def plant_powers(sys: LinearSystem, H: int) -> PlantPowers:
-    """Powers of the plant for horizon H; raises InstabilityError unless
-    the state map is strictly stable."""
+def plant_powers(A: np.ndarray, H: int, *inputs: np.ndarray) -> list:
+    """For each input M, the (H+1, d_x, m) stack of A^k M for k = 0..H;
+    raises InstabilityError unless A is strictly stable.  unroll_map asks
+    it for A^k B and A^k C, GPC for (A - BK)^k and (A - BK)^k B."""
     if H < 1:
         raise ValueError("H must be >= 1")
-    rho = spectral_radius(sys.A)
+    rho = spectral_radius(A)
     if rho >= 1.0:
         raise InstabilityError(f"state map has spectral radius {rho:.6g} >= 1")
-    A = sys.A
-    AkB = np.empty((H + 1, sys.d_x, sys.d_u))
-    AkC = np.empty((H + 1, sys.d_x, sys.d_w))
-    AkB[0] = sys.B
-    AkC[0] = sys.C
-    for k in range(1, H + 1):
-        AkB[k] = A @ AkB[k - 1]
-        AkC[k] = A @ AkC[k - 1]
-    return PlantPowers(H, AkB, AkC)
+    stacks = []
+    for M in inputs:
+        AkM = np.empty((H + 1, *M.shape))
+        AkM[0] = M
+        for k in range(1, H + 1):
+            AkM[k] = A @ AkM[k - 1]
+        stacks.append(AkM)
+    return stacks
 
 
 @dataclass(frozen=True)
@@ -144,7 +134,7 @@ def unroll_map(sys: LinearSystem, H: int, W: Optional[np.ndarray] = None) -> Unr
     W, a (d_w, d_x) state-feedback gain, adds the states to the history:
     their contribution sum_a A^a C W x_{t-1-a} (a = 0..H) to b.
     """
-    powers = plant_powers(sys, H)
+    AkB, AkC = plant_powers(sys.A, H, sys.B, sys.C)
     d_x, d_u, d_w = sys.d_x, sys.d_u, sys.d_w
     n, R = H * d_w * d_u, (2 * H + 1) * d_u
     E = np.zeros((R if W is None else R + (H + 1) * d_x, d_x, n + 1))
@@ -152,12 +142,12 @@ def unroll_map(sys: LinearSystem, H: int, W: Optional[np.ndarray] = None) -> Unr
     ET = np.zeros((2 * H + 1, d_u, d_x, d_u, H, d_w))
     for m in range(H):
         for l in range(d_u):
-            ET[m + 1 : m + H + 2, l, :, l, m, :] = powers.AkC
+            ET[m + 1 : m + H + 2, l, :, l, m, :] = AkC
     E[:R, :, :n] = ET.reshape(R, d_x, n)
     # b = sum_k A^k B window[k] (+ sum_a A^a C W x_{t-1-a}).
-    E[: (H + 1) * d_u, :, n] = powers.AkB.transpose(0, 2, 1).reshape(-1, d_x)
+    E[: (H + 1) * d_u, :, n] = AkB.transpose(0, 2, 1).reshape(-1, d_x)
     if W is not None:
-        E[R:, :, n] = (powers.AkC @ W).transpose(0, 2, 1).reshape(-1, d_x)
+        E[R:, :, n] = (AkC @ W).transpose(0, 2, 1).reshape(-1, d_x)
     return UnrollMap(H, d_u, d_x, E.reshape(E.shape[0], -1))
 
 

@@ -159,8 +159,11 @@ def _cmd_synth(args) -> int:
         print(f"bad system input: {exc}", file=_sys.stderr)
         return 2
     try:
-        P, K = solve_dare(system, cw)
-        hinf = hinf_bisection(system, cw)
+        # An overflow ends in the solvers' one-line error below, not in
+        # numpy's warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            P, K = solve_dare(system, cw)
+            hinf = hinf_bisection(system, cw)
     except ValueError as exc:  # input the solvers reject, say a singular R
         print(f"bad system input: {exc}", file=_sys.stderr)
         return 2

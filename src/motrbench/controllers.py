@@ -24,7 +24,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .cdg import InstabilityError, plant_powers, project_frobenius
-from .lds import CostWeights, LinearSystem, spectral_radius
+from .lds import CostWeights, LinearSystem, spectral_radius, uncontrollable
 
 __all__ = [
     "SynthesisError",
@@ -47,26 +47,21 @@ class BracketingError(SynthesisError):
     """The bisection bracket does not contain the feasibility boundary."""
 
 
-def _check_stabilizable(A: np.ndarray, B: np.ndarray) -> None:
-    # PBH test on the unstable eigenvalues.
-    d_x = A.shape[0]
-    for lam in np.linalg.eigvals(A):
-        if abs(lam) >= 1.0 - 1e-9:
-            M = np.hstack([A - lam * np.eye(d_x), B])
-            if np.linalg.matrix_rank(M) < d_x:
-                raise SynthesisError(f"(A, B) not stabilizable: eigenvalue {lam:.4g} uncontrollable")
-
-
 def solve_dare(sys: LinearSystem, cw: CostWeights, tol: float = 1e-12, max_iter: int = 100000):
     """Value matrix and gain of the infinite-horizon LQR.
 
     Returns (P, K) with the closed loop A - BK stable.  tol bounds the
-    relative entrywise change between successive iterates.
+    relative entrywise change between successive iterates.  Raises
+    SynthesisError when an eigenvalue on or outside the unit circle is
+    uncontrollable (the PBH test), on the first non-finite iterate, or
+    without convergence in max_iter steps.
     """
     if np.linalg.eigvalsh(cw.R).min() <= 0.0:
         raise ValueError("R must be positive definite")
-    _check_stabilizable(sys.A, sys.B)
     A, B, Q, R = sys.A, sys.B, cw.Q, cw.R
+    for lam in np.linalg.eigvals(A):
+        if abs(lam) >= 1.0 - 1e-9 and uncontrollable(A, B, lam):
+            raise SynthesisError(f"(A, B) not stabilizable: eigenvalue {lam:.4g} uncontrollable")
     P = Q.copy()
     for _ in range(max_iter):
         G = R + B.T @ P @ B
@@ -74,6 +69,8 @@ def solve_dare(sys: LinearSystem, cw: CostWeights, tol: float = 1e-12, max_iter:
         Pn = Q + A.T @ P @ A - A.T @ P @ B @ K
         Pn = 0.5 * (Pn + Pn.T)
         delta = float(np.max(np.abs(Pn - P)))
+        if not math.isfinite(delta):
+            raise SynthesisError("Riccati iteration produced non-finite values")
         P = Pn
         if delta < tol * (1.0 + float(np.max(np.abs(P)))):
             break
@@ -244,9 +241,10 @@ class GpcController:
     S, one read-only view of that window made once, has as row j the h
     disturbances (w_hat_{t-j}, ..., w_hat_{t-j-h+1}) flattened.  The
     counterfactual state and the gradient's left factor are linear in z,
-    so two maps built once from the closed loop's powers give them:
-    y = Y z and c = L z (see _gradient).  They stand in for the unroll
-    matrix of cdg.affine_state_map, which is never formed.
+    so two maps built once from the closed loop's powers (A-BK)^k and
+    (A-BK)^k B (cdg.plant_powers, which checks that K_base stabilizes the
+    plant) give them: y = Y z and c = L z (see _gradient).  They stand in
+    for the unroll matrix of cdg.affine_state_map, which is never formed.
     """
 
     def __init__(
@@ -262,9 +260,8 @@ class GpcController:
         K_base = np.array(K_base, dtype=float)
         # Counterfactual plant: recovered disturbances drive the state
         # directly, the policy output enters through B.
-        mirror = LinearSystem(sys.A - sys.B @ K_base, np.eye(sys.d_x), sys.B)
         try:
-            powers = plant_powers(mirror, h)
+            Ak, AkB = plant_powers(sys.A - sys.B @ K_base, h, np.eye(sys.d_x), sys.B)
         except InstabilityError as exc:
             raise ValueError(f"K_base must stabilize the plant: {exc}") from exc
         self.name = "gpc"
@@ -288,10 +285,10 @@ class GpcController:
         # so it follows the in-place shifts; self._win is never rebound.
         self._S = sliding_window_view(self._win.ravel(), h * d_x)[::d_x]
         # y = sum_k (A-BK)^k B ZS[k+1] + sum_k (A-BK)^k w_hat_{t-k}, k = 0..h.
-        AkB = powers.AkC.transpose(1, 0, 2).reshape(d_x, (h + 1) * d_u)
+        AkB = AkB.transpose(1, 0, 2).reshape(d_x, (h + 1) * d_u)
         self._Y = np.zeros((d_x, self._z.size))
         self._Y[:, d_u:n_zs] = AkB
-        self._Y[:, n_zs : n_zs + (h + 1) * d_x] = powers.AkB.transpose(1, 0, 2).reshape(d_x, -1)
+        self._Y[:, n_zs : n_zs + (h + 1) * d_x] = Ak.transpose(1, 0, 2).reshape(d_x, -1)
         # v = ZS[0] - K y, and c = 2 [R v; ((A-BK)^k B)'(Q y - K'R v)].
         V = -K_base @ self._Y
         V[:, :d_u] += np.eye(d_u)

@@ -261,7 +261,8 @@ class SinusoidGenerator(DisturbanceGenerator):
 
 def transform_residual(sys: LinearSystem, hinf: HinfSolution) -> LinearSystem:
     """Residual-coordinate plant (A - B K, B, C).  Its stability is checked
-    where it is unrolled (cdg.plant_powers raises InstabilityError)."""
+    once, where cdg.unroll_map builds its powers (cdg.plant_powers raises
+    InstabilityError)."""
     return LinearSystem(sys.A - sys.B @ hinf.K, sys.B, sys.C)
 
 

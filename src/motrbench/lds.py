@@ -2,9 +2,12 @@
 and random benchmark systems.
 
 The plant is x_{t+1} = A x_t + B u_t + C w_t with quadratic stage cost
-x'Qx + u'Ru.  Stability diagnostics summarize the geometric decay of A:
-spectral radius rho, decay margin gamma = 1 - rho, and a certificate
-constant kappa with ||A^k|| <= kappa * rho^k for diagonalizable A.
+x'Qx + u'Ru.  LinearSystem and CostWeights check their matrices once, at
+construction; every dimension is at least 1.  Stability diagnostics
+summarize the geometric decay of A: spectral radius rho, decay margin
+gamma = 1 - rho, and a certificate constant kappa with
+||A^k|| <= kappa * rho^k for diagonalizable A.  uncontrollable is the one
+rank test of (A, B).
 """
 
 import math
@@ -16,12 +19,12 @@ __all__ = [
     "LinearSystem",
     "CostWeights",
     "StabilityReport",
-    "StabilityError",
     "GenerationError",
     "step",
     "spectral_radius",
     "stage_cost",
     "analyze_stability",
+    "uncontrollable",
     "random_system",
     "truncation_horizon",
 ]
@@ -30,10 +33,6 @@ __all__ = [
 # in practice"; kappa then falls back to a direct sup_k ||A^k|| / rho^k estimate.
 DIAGONALIZATION_COND_LIMIT = 1e8
 _LYAPUNOV_POWERS = 200
-
-
-class StabilityError(RuntimeError):
-    """Eigensolver failure during stability analysis."""
 
 
 class GenerationError(RuntimeError):
@@ -57,15 +56,16 @@ class LinearSystem:
 
     def __post_init__(self):
         A = np.array(self.A, dtype=float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ValueError(f"A must be square, got shape {A.shape}")
+        if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
+            raise ValueError(f"A must be square and non-empty, got shape {A.shape}")
         d_x = A.shape[0]
         B = np.array(self.B, dtype=float)
         C = np.array(self.C, dtype=float)
-        if B.ndim != 2 or B.shape[0] != d_x:
-            raise ValueError(f"B must have {d_x} rows, got shape {B.shape}")
-        if C.ndim != 2 or C.shape[0] != d_x:
-            raise ValueError(f"C must have {d_x} rows, got shape {C.shape}")
+        for name, arr in (("B", B), ("C", C)):
+            if arr.ndim != 2 or arr.shape[0] != d_x or arr.size == 0:
+                raise ValueError(
+                    f"{name} must have {d_x} rows and at least one column, got shape {arr.shape}"
+                )
         for name, arr in (("A", A), ("B", B), ("C", C)):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite entries")
@@ -109,31 +109,33 @@ class LinearSystem:
 class CostWeights:
     """Quadratic stage-cost weights: cost(x, u) = x'Qx + u'Ru.
 
-    Q and R must be symmetric PSD.  xi is the larger of their spectral
-    norms, used by the truncation-horizon and coefficient-bound formulas.
+    Q and R must be non-empty, symmetric and PSD.
     """
 
     Q: np.ndarray
     R: np.ndarray
-    xi: float = 0.0
 
     def __post_init__(self):
         Q = np.array(self.Q, dtype=float)
         R = np.array(self.R, dtype=float)
         for name, M in (("Q", Q), ("R", R)):
-            if M.ndim != 2 or M.shape[0] != M.shape[1]:
-                raise ValueError(f"{name} must be square, got shape {M.shape}")
+            if M.ndim != 2 or M.shape[0] != M.shape[1] or M.size == 0:
+                raise ValueError(f"{name} must be square and non-empty, got shape {M.shape}")
             if not np.all(np.isfinite(M)):
                 raise ValueError(f"{name} contains non-finite entries")
             if np.max(np.abs(M - M.T)) > 1e-10 * (1.0 + np.max(np.abs(M))):
                 raise ValueError(f"{name} is not symmetric within tolerance")
-            if M.size and np.linalg.eigvalsh(M).min() < -1e-10:
+            if np.linalg.eigvalsh(M).min() < -1e-10:
                 raise ValueError(f"{name} is not positive semidefinite")
             M.setflags(write=False)
-        xi = max(_spectral_norm(Q), _spectral_norm(R))
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "R", R)
-        object.__setattr__(self, "xi", float(xi))
+
+    @property
+    def xi(self) -> float:
+        """The larger of the spectral norms of Q and R, used by the
+        truncation-horizon and coefficient-bound formulas."""
+        return max(_spectral_norm(self.Q), _spectral_norm(self.R))
 
     @property
     def d_x(self) -> int:
@@ -182,8 +184,6 @@ def spectral_radius(A: np.ndarray) -> float:
 
 
 def _spectral_norm(M: np.ndarray) -> float:
-    if M.size == 0:
-        return 0.0
     return float(np.linalg.norm(M, 2))
 
 
@@ -220,11 +220,8 @@ def analyze_stability(sys: LinearSystem) -> StabilityReport:
     """
     A = sys.A
     beta = max(_spectral_norm(sys.A), _spectral_norm(sys.B), _spectral_norm(sys.C))
-    try:
-        eigvals, V = np.linalg.eig(A)
-    except np.linalg.LinAlgError as exc:
-        raise StabilityError(f"eigendecomposition failed: {exc}") from exc
-    rho = float(np.max(np.abs(eigvals))) if eigvals.size else 0.0
+    eigvals, V = np.linalg.eig(A)
+    rho = float(np.max(np.abs(eigvals)))
     gamma = min(1.0, max(0.0, 1.0 - rho))
 
     cond = np.inf
@@ -256,19 +253,15 @@ def analyze_stability(sys: LinearSystem) -> StabilityReport:
     )
 
 
-def controllability_rank(A: np.ndarray, B: np.ndarray, rel_tol: float = 1e-8) -> int:
-    """Rank of [B, AB, ..., A^{d_x-1}B] by singular values above rel_tol * s_max."""
+def uncontrollable(A: np.ndarray, B: np.ndarray, lam: complex) -> bool:
+    """The PBH (Popov-Belevitch-Hautus) test: whether the eigenvalue lam of
+    A is uncontrollable from B, rank [A - lam I, B] < d_x.  random_system
+    asks it at every eigenvalue, solve_dare at those with |lam| >= 1."""
     d_x = A.shape[0]
-    blocks = []
-    M = B
-    for _ in range(d_x):
-        blocks.append(M)
-        M = A @ M
-    ctrb = np.hstack(blocks)
-    svals = np.linalg.svd(ctrb, compute_uv=False)
-    if svals.size == 0 or svals[0] == 0.0:
-        return 0
-    return int(np.sum(svals > rel_tol * svals[0]))
+    M = np.hstack([A - lam * np.eye(d_x), B])
+    # [[Re M, -Im M], [Im M, Re M]] has twice the rank of M.  The real SVD
+    # it takes spares the process loading complex LAPACK (0.5 MB of RSS).
+    return bool(np.linalg.matrix_rank(np.block([[M.real, -M.imag], [M.imag, M.real]])) < 2 * d_x)
 
 
 def random_system(
@@ -280,7 +273,7 @@ def random_system(
     max_attempts: int = 100,
 ) -> LinearSystem:
     """Random plant with standard-normal entries, A rescaled to the target
-    spectral radius, resampled until (A, B) passes the controllability check.
+    spectral radius, resampled until (A, B) is controllable.
 
     Deterministic in seed.
     """
@@ -297,7 +290,7 @@ def random_system(
         A *= target_radius / rho
         B = rng.standard_normal((d_x, d_u))
         C = rng.standard_normal((d_x, d_w))
-        if controllability_rank(A, B) == d_x:
+        if not any(uncontrollable(A, B, lam) for lam in np.linalg.eigvals(A)):
             return LinearSystem(A, B, C)
     raise GenerationError(
         f"no controllable system after {max_attempts} attempts (seed={seed})"

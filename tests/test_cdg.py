@@ -39,30 +39,30 @@ def simulate_unroll(sys, x_past, policy, window, W=None, states=None):
     return x
 
 
-def unrolled_state(sys, policy, window, W=None, states=None):
+def affine_state(sys, policy, window, W=None, states=None):
     """Truncated-rollout state y = T vec(M) + b from affine_state_map."""
     T, b = affine_state_map(unroll_map(sys, len(policy), W), np.asarray(window, dtype=float), states)
     return T @ CdgPolicy.vec(policy) + b
 
 
-def test_transfer_stack_pure_control_ladder():
+def test_affine_state_map_pure_control_ladder():
     # Zero policy: the map's constant part is the control ladder A^i B.
     sys = LinearSystem(np.array([[0.5]]), np.array([[1.0]]), np.array([[1.0]]))
     H = 2
     zero = np.zeros((H, 1, 1))
-    ladder = [float(unrolled_state(sys, zero, np.eye(2 * H + 1)[i][:, None])[0]) for i in range(2 * H + 1)]
+    ladder = [float(affine_state(sys, zero, np.eye(2 * H + 1)[i][:, None])[0]) for i in range(2 * H + 1)]
     assert ladder == pytest.approx([1.0, 0.5, 0.25, 0.0, 0.0])
 
 
-def test_transfer_stack_single_block_position():
+def test_affine_state_map_single_block_position():
     sys = LinearSystem(np.array([[0.0]]), np.array([[1.0]]), np.array([[1.0]]))
     m = 0.7
     pol = np.array([[[m]]])
-    response = [float(unrolled_state(sys, pol, np.eye(3)[i][:, None])[0]) for i in range(3)]
+    response = [float(affine_state(sys, pol, np.eye(3)[i][:, None])[0]) for i in range(3)]
     assert response == pytest.approx([1.0, m, 0.0])
 
 
-def test_transfer_stack_affine_in_blocks():
+def test_affine_state_map_affine_in_blocks():
     rng = np.random.default_rng(0)
     sys = random_system(3, 2, 2, seed=1, target_radius=0.8)
     H = 2
@@ -71,9 +71,9 @@ def test_transfer_stack_affine_in_blocks():
     p1 = random_policy(rng, H, 2, 2)
     p2 = random_policy(rng, H, 2, 2)
     p_sum = p1 + p2
-    y0 = unrolled_state(sys, zero, window)
-    lhs = unrolled_state(sys, p_sum, window) - y0
-    rhs = (unrolled_state(sys, p1, window) - y0) + (unrolled_state(sys, p2, window) - y0)
+    y0 = affine_state(sys, zero, window)
+    lhs = affine_state(sys, p_sum, window) - y0
+    rhs = (affine_state(sys, p1, window) - y0) + (affine_state(sys, p2, window) - y0)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
@@ -87,7 +87,7 @@ def test_unrolled_state_calibration_against_simulation():
         sys = random_system(int(d_x), int(d_u), int(d_w), seed=int(case), target_radius=0.85)
         policy = random_policy(rng, H, sys.d_w, sys.d_u)
         window = rng.standard_normal((2 * H + 1, sys.d_u))
-        got = unrolled_state(sys, policy, window)
+        got = affine_state(sys, policy, window)
         ref = simulate_unroll(sys, np.zeros(sys.d_x), policy, window)
         denom = max(1.0, np.linalg.norm(ref))
         assert np.linalg.norm(got - ref) / denom < 1e-9
@@ -99,7 +99,7 @@ def test_unrolled_state_calibration_against_simulation():
         window = rng.standard_normal((2 * H + 1, d_u))
         W, states = rng.standard_normal((d_w, d_x)), rng.standard_normal((H + 1, d_x))
         for bias in ((), (W, states)):
-            got = unrolled_state(sys, policy, window, *bias)
+            got = affine_state(sys, policy, window, *bias)
             ref = simulate_unroll(sys, np.zeros(d_x), policy, window, *bias)
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
@@ -107,7 +107,7 @@ def test_unrolled_state_calibration_against_simulation():
 def test_unrolled_state_zero_inputs():
     sys = random_system(3, 2, 2, seed=5)
     rng = np.random.default_rng(1)
-    out = unrolled_state(sys, random_policy(rng, 2, 2, 2), np.zeros((5, 2)))
+    out = affine_state(sys, random_policy(rng, 2, 2, 2), np.zeros((5, 2)))
     assert np.allclose(out, 0.0)
 
 
@@ -117,7 +117,7 @@ def test_unrolled_state_zero_policies_reduce_to_control_convolution():
     H = 2
     zero = np.zeros((H, 2, 2))
     window = rng.standard_normal((2 * H + 1, 2))
-    got = unrolled_state(sys, zero, window)
+    got = affine_state(sys, zero, window)
     ref = np.zeros(3)
     for i in range(H + 1):
         ref = ref + np.linalg.matrix_power(sys.A, i) @ sys.B @ window[i]
@@ -132,7 +132,7 @@ def test_window_length_validated():
     with pytest.raises(ValueError):
         affine_state_map(unroll, np.zeros((3, 2)))
     with pytest.raises(ValueError):
-        plant_powers(sys, 0)
+        plant_powers(sys.A, 0)
     # The states go with a map built with a state gain, and only with one.
     with pytest.raises(ValueError):
         affine_state_map(unroll, np.zeros((3, 1)), np.zeros((2, 2)))
@@ -143,7 +143,7 @@ def test_window_length_validated():
         affine_state_map(biased, np.zeros((3, 1)), np.zeros((3, 2)))
 
 
-def test_approx_state_equals_unrolled_with_zero_start():
+def test_affine_state_map_with_state_gain_matches_simulation():
     rng = np.random.default_rng(3)
     sys = random_system(3, 2, 2, seed=8, target_radius=0.8)
     H = 2
@@ -155,7 +155,7 @@ def test_approx_state_equals_unrolled_with_zero_start():
     assert np.allclose(T @ CdgPolicy.vec(policy) + b, ref, atol=1e-10)
 
 
-def test_approx_state_linear_in_each_control():
+def test_affine_state_map_linear_in_each_control():
     rng = np.random.default_rng(4)
     sys = random_system(3, 2, 2, seed=9, target_radius=0.8)
     H = 1
@@ -167,12 +167,12 @@ def test_approx_state_linear_in_each_control():
         plus[k] += delta
         minus = base.copy()
         minus[k] -= delta
-        lhs = unrolled_state(sys, policy, plus) + unrolled_state(sys, policy, minus)
-        rhs = 2.0 * unrolled_state(sys, policy, base)
+        lhs = affine_state(sys, policy, plus) + affine_state(sys, policy, minus)
+        rhs = 2.0 * affine_state(sys, policy, base)
         assert np.allclose(lhs, rhs, atol=1e-10)
 
 
-def test_approx_state_truncation_error_bound():
+def test_affine_state_map_truncation_error_bound():
     # Stationary policy, bounded controls, H from the horizon formula:
     # the gap to the true state stays within kappa * C_x * exp(-gamma * H).
     from motrbench.lds import step, truncation_horizon
@@ -198,11 +198,11 @@ def test_approx_state_truncation_error_bound():
         bound = rep.kappa * C_x * np.exp(-rep.gamma * H)
         t = T  # compare at the last state
         window = [controls[t - 1 - i] if t - 1 - i >= 0 else np.zeros(2) for i in range(2 * H + 1)]
-        y = unrolled_state(sys, pol, window)
+        y = affine_state(sys, pol, window)
         assert np.linalg.norm(xs[t] - y) <= bound * (1.0 + 1e-9)
 
 
-def test_approx_cost_delegates_to_stage_cost():
+def test_rollout_cost_quadratic_is_stage_cost_at_rollout_state():
     # The rollout quadratic is the stage cost at the truncated-rollout state.
     rng = np.random.default_rng(12)
     sys = random_system(3, 2, 2, seed=17, target_radius=0.8)
@@ -212,7 +212,7 @@ def test_approx_cost_delegates_to_stage_cost():
     u_now = rng.standard_normal(2)
     pol = random_policy(rng, H, 2, 2)
     G = rollout_cost_quadratic(unroll_map(sys, H), cw, window.ravel(), u_now)
-    y = unrolled_state(sys, pol, window)
+    y = affine_state(sys, pol, window)
     assert gram_cost(G, CdgPolicy.vec(pol)) == pytest.approx(stage_cost(cw, y, u_now), rel=1e-12)
 
 
@@ -274,7 +274,7 @@ def test_rollout_quadratic_rejects_unstable_plant():
     # The stability check runs once, where the plant's powers are built.
     sys = LinearSystem(1.1 * np.eye(2), np.eye(2), np.eye(2))
     with pytest.raises(InstabilityError):
-        plant_powers(sys, 1)
+        plant_powers(sys.A, 1, sys.B, sys.C)
     with pytest.raises(InstabilityError):
         unroll_map(sys, 1)
 

@@ -334,6 +334,28 @@ def test_synth_rejects_a_cost_of_other_sizes(tmp_path, capsys):
     assert err == "bad system input: the cost's (d_x, d_u) (2, 2) are not the system's (3, 2)\n" and err.count("\n") == 1
 
 
+def test_synth_rejects_an_empty_matrix(tmp_path, capsys):
+    # d_u = 0 or d_w = 0: one line naming the empty matrix, not numpy's
+    # message from deep inside a solver.
+    one = {"d_x": 1, "d_u": 1, "d_w": 1, "A": [[0.5]], "B": [[1.0]], "C": [[1.0]]}
+    for name, size in (("B", "d_u"), ("C", "d_w")):
+        path = write_json(tmp_path / f"empty_{name}.json", {**one, size: 0, name: [[]]})
+        code, out, err = synth_exit(["--system", path], capsys)
+        assert code == 2 and out == ""
+        assert err == f"bad system input: {name} must have 1 rows and at least one column, got shape (1, 0)\n"
+
+
+def test_synth_stops_on_the_first_non_finite_riccati_iterate(tmp_path, capsys):
+    # Finite entries whose products overflow: the Riccati iteration stops at
+    # once and says so in one line, without numpy's overflow warnings.
+    path = write_json(tmp_path / "sys.json", {"d_x": 1, "d_u": 1, "d_w": 1, "A": [[1e200]], "B": [[1e200]], "C": [[1.0]]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = synth_exit(["--system", path], capsys)
+    assert code == 2 and out == ""
+    assert err == "synthesis error: Riccati iteration produced non-finite values\n"
+
+
 def test_synth_rejects_a_singular_R(tmp_path, capsys):
     # R = [[0]] is PSD, so CostWeights takes it; the Riccati solver needs it
     # positive definite.

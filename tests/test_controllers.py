@@ -11,7 +11,7 @@ from motrbench.controllers import (
     solve_dare,
     solve_hinf_game,
 )
-from motrbench.lds import CostWeights, LinearSystem, random_system, stage_cost, step
+from motrbench.lds import CostWeights, LinearSystem, random_system, stage_cost, step, uncontrollable
 from policy_oracle import policy_sum
 
 CW2 = CostWeights(np.eye(2), np.eye(2))
@@ -61,6 +61,16 @@ def test_dare_residual_and_stability():
         ) - P
         assert np.max(np.abs(resid)) <= 10.0 * tol * (1.0 + np.max(np.abs(P)))
         assert np.max(np.abs(np.linalg.eigvals(sys.A - sys.B @ K))) < 1.0
+
+
+def test_dare_stabilizable_but_uncontrollable():
+    # The stable mode 0.5 is uncontrollable, the unstable mode 1.5 is not:
+    # the PBH test flags only the first, and the solver stabilizes the pair.
+    A, B = np.diag([1.5, 0.5]), np.array([[1.0], [0.0]])
+    assert not uncontrollable(A, B, 1.5)
+    assert uncontrollable(A, B, 0.5)
+    _, K = solve_dare(LinearSystem(A, B, np.eye(2)), CostWeights(np.eye(2), np.eye(1)))
+    assert np.max(np.abs(np.linalg.eigvals(A - B @ K))) < 1.0
 
 
 def test_dare_rejects_singular_r():

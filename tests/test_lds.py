@@ -82,6 +82,24 @@ def test_cost_weights_validation():
         CostWeights(np.diag([1.0, -0.5]), np.eye(2))
     cw = CostWeights(np.diag([3.0, 1.0]), np.diag([0.5, 0.5]))
     assert cw.xi == pytest.approx(3.0)
+    # xi is derived from Q and R, never passed in.
+    with pytest.raises(TypeError):
+        CostWeights(np.diag([3.0, 1.0]), np.diag([0.5, 0.5]), 5.0)
+
+
+def test_empty_matrices_rejected_at_construction():
+    # Every dimension is at least 1, and the message names the empty matrix.
+    one = np.eye(1)
+    for kwargs, name in (
+        ({"A": np.zeros((0, 0)), "B": np.zeros((0, 1)), "C": np.zeros((0, 1))}, "A"),
+        ({"A": one, "B": [[]], "C": one}, "B"),
+        ({"A": one, "B": one, "C": [[]]}, "C"),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            LinearSystem(**kwargs)
+    for Q, R, name in ((np.zeros((0, 0)), one, "Q"), (one, [[]], "R")):
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            CostWeights(Q, R)
 
 
 def test_analyze_stability_scaled_identity():
