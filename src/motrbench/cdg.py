@@ -172,8 +172,12 @@ def affine_state_map(unroll: UnrollMap, window: np.ndarray, states: Optional[np.
 
 
 def rollout_cost_quadratic(
-    unroll: UnrollMap, cw: CostWeights, history: np.ndarray, u_now: np.ndarray
-) -> np.ndarray:
+    unroll: UnrollMap,
+    cw: CostWeights,
+    history: np.ndarray,
+    u_now: np.ndarray,
+    q_root: Optional[np.ndarray] = None,
+):
     """The truncated-rollout cost y'Qy + u'Ru as its Gram matrix G.
 
     history is the map's flat history vector (UnrollMap), which the
@@ -183,8 +187,14 @@ def rollout_cost_quadratic(
     in the corner) is (n+1, n+1), and the cost of the policy v = vec(M) is
     [v; 1]' G [v; 1] = v'Pv + 2 q'v + c for its blocks P = G[:-1, :-1] =
     T'QT, q = G[:-1, -1] = T'Qb and c = G[-1, -1] = b'Qb + u'Ru.
+
+    q_root, a (k, d_x) matrix L' with L L' = Q, asks for the factor of P
+    as well: the function then returns (G, F) with F = L'T, so P = F'F up
+    to rounding, from the same product h @ E.
     """
     Tb = (history @ unroll.E).reshape(unroll.d_x, -1)
     G = Tb.T @ (cw.Q @ Tb)
     G[-1, -1] += u_now @ cw.R @ u_now
-    return G
+    if q_root is None:
+        return G
+    return G, q_root @ Tb[:, :-1]

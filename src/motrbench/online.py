@@ -9,7 +9,10 @@ Gram matrix G_t, and the learner keeps one running sum G of these
 (OtrState).  The next play maximizes the sum, its quadratic part doubled,
 minus a random linear perturbation with Exp(eta) coordinates, and the
 regret audit maximizes the sum itself.  Both are ball-constrained
-problems handled exactly by the trust-region solver.
+problems handled exactly by the trust-region solver.  At dimension
+LOW_RANK_MIN_DIM and above, a round that comes with a factor of its P
+block is solved on the leader's kept eigendecomposition instead of a new
+one (OtrState).
 """
 
 import math
@@ -21,6 +24,7 @@ import numpy as np
 from .trust_region import TrustRegionProblem, objective, solve as tr_solve, symmetric_eig
 
 __all__ = [
+    "LOW_RANK_MIN_DIM",
     "MemoryQuadratic",
     "OtrState",
     "collapse",
@@ -30,6 +34,12 @@ __all__ = [
     "regret_audit",
     "play_sequence",
 ]
+
+
+# The smallest dimension at which OtrState solves factored rounds on its
+# kept eigendecomposition: below it one eigh costs less than the low-rank
+# solves it saves (CHANGES.md has the measured crossover).
+LOW_RANK_MIN_DIM = 32
 
 
 @dataclass(frozen=True)
@@ -110,10 +120,21 @@ class OtrState:
     radius D; hindsight maximizes the same sum without a perturbation, so
     the regret audit is exact up to the solver tolerance.  Each is one
     trust-region solve.  eta may stay None until it is calibrated; only
-    update draws a perturbation.  The leader's quadratic part and its
-    eigendecomposition are kept until a round adds a nonzero P: against a
-    controller that leaves the adaptive generator's rewards at zero, one
-    decomposition serves every play.
+    update draws a perturbation.
+
+    The leader's quadratic part 2P and its last eigendecomposition
+    S0 = V diag(lam) V' are kept.  A round that adds a nonzero P drops the
+    quadratic part and, unless it comes with a factor, the decomposition:
+    against a controller that leaves the adaptive generator's rewards at
+    zero, one decomposition serves every play.  In low-rank mode
+    (low_rank, which holds for d >= LOW_RANK_MIN_DIM), a round's factor F,
+    with its P = F'F, adds the rows sqrt(2) F V to W, so that the leader's
+    2P is V (diag(lam) + W'W) V', and update hands W to the trust-region
+    solve (its low_rank) instead of decomposing 2P again.  Once W would
+    pass d // 2 rows, the round drops the decomposition, and the next
+    update decomposes 2P afresh and starts an empty W.  Below
+    LOW_RANK_MIN_DIM factors are ignored and the plays are those of an
+    unfactored state, bit for bit.
     """
 
     def __init__(self, d: int, D: float, seed: int, eta: Optional[float] = None):
@@ -131,13 +152,27 @@ class OtrState:
         self.achieved = 0.0
         self.rounds = 0
         self.current_z = ball_point(self.rng, d, self.D)
-        self._leader = None  # (2 P, symmetric_eig(2 P)), or None once P has changed
+        self.low_rank = d >= LOW_RANK_MIN_DIM
+        self._P2 = None  # the leader's 2P, or None once P has changed
+        self._eig = None  # (lam, V) of the last decomposed 2P, or None
+        self._W = np.empty((d // 2, d)) if self.low_rank else None
+        self._rank = 0  # rows of _W in use
 
-    def observe(self, G: np.ndarray, achieved: float = 0.0) -> None:
+    def observe(self, G: np.ndarray, achieved: float = 0.0, factor: Optional[np.ndarray] = None) -> None:
         """Add one round's (d+1, d+1) Gram matrix and the value the plays
-        got in that round (left at 0 where nothing audits the plays)."""
-        if self._leader is not None and G[:-1, :-1].any():
-            self._leader = None
+        got in that round (left at 0 where nothing audits the plays).
+        factor, an (r, d) matrix F with G[:-1, :-1] = F'F up to rounding,
+        lets a low-rank state keep its decomposition."""
+        if self._eig is not None and G[:-1, :-1].any():
+            self._P2 = None
+            r = 0 if factor is None or not self.low_rank else len(factor)
+            if 0 < r <= len(self._W) - self._rank:
+                rows = self._W[self._rank : self._rank + r]
+                np.matmul(factor, self._eig[1], out=rows)
+                rows *= math.sqrt(2.0)
+                self._rank += r
+            else:
+                self._eig = None
         self.G += G
         self.achieved += achieved
         self.rounds += 1
@@ -153,12 +188,14 @@ class OtrState:
         # numbers are made with this factor; the decision on it belongs to
         # ROADMAP item 1.
         G = self.G
-        if self._leader is None:
-            P2 = 2.0 * G[:-1, :-1]
-            self._leader = (P2, symmetric_eig(P2))
-        P2, eig = self._leader
-        prob = TrustRegionProblem._unchecked(P2, 2.0 * G[:-1, -1] - sigma, self.D)
-        self.current_z = tr_solve(prob, eig=eig).z
+        if self._P2 is None:
+            self._P2 = 2.0 * G[:-1, :-1]
+        if self._eig is None:
+            self._eig = symmetric_eig(self._P2)
+            self._rank = 0
+        prob = TrustRegionProblem._unchecked(self._P2, 2.0 * G[:-1, -1] - sigma, self.D)
+        W = self._W[: self._rank] if self._rank else None
+        self.current_z = tr_solve(prob, eig=self._eig, low_rank=W).z
         return self.current_z
 
     def randomize_play(self) -> np.ndarray:

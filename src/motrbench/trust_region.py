@@ -6,8 +6,11 @@ The objective may be indefinite; global solutions are still computable.
 The solver symmetrizes P, eigendecomposes, and solves the secular equation
 ||z(nu)|| = D for the boundary multiplier with a safeguarded Newton
 iteration, applying an explicit eigenvector correction in the hard case
-(linear term orthogonal to the extreme eigenspace).  A slow but simple
-direction-sampling oracle is provided for testing.
+(linear term orthogonal to the extreme eigenspace).  A caller whose
+quadratic part grew by PSD low-rank terms since its last decomposition can
+solve on that decomposition instead, through the Sherman-Morrison-Woodbury
+identity (solve's low_rank).  A slow but simple direction-sampling oracle
+is provided for testing.
 """
 
 import math
@@ -128,16 +131,47 @@ def symmetric_eig(P: np.ndarray):
         raise TrustRegionError(f"eigendecomposition failed: {exc}") from exc
 
 
-def solve(prob: TrustRegionProblem, *, eig=None) -> TrustRegionSolution:
+def _newton_step(nu, norm, dnorm2, lo, hi, D):
+    """The next multiplier: the Newton step for the reciprocal-norm form of
+    the secular equation at nu, where ||z|| = norm and
+    dnorm2 = z' (nu I - S)^-1 z, safeguarded by bisection on (lo, hi)."""
+    if dnorm2 > 0.0 and norm > 0.0:
+        nu_next = nu + (norm * norm / dnorm2) * ((norm - D) / D)
+    else:
+        nu_next = 0.5 * (lo + hi)
+    if not (lo < nu_next < hi):
+        nu_next = 0.5 * (lo + hi)
+    return nu_next
+
+
+def solve(prob: TrustRegionProblem, *, eig=None, low_rank=None) -> TrustRegionSolution:
     """Globally maximize z'Pz + p'z over the ball of radius D.
 
     The solution is accurate to near machine precision: the secular
     equation stops once ||z|| is within SECULAR_REL_TOL D of the radius.
     A boundary solution satisfies the KKT system 2 S z + p = 2 nu z with
-    nu >= max(0, lambda_max(S)) for S = (P + P')/2.  eig, if given, is
-    symmetric_eig(prob.P), which solve otherwise computes; the result is
-    the same bit for bit.
+    nu >= max(0, lambda_max(S)) for S = (P + P')/2.  eig, if given alone,
+    is symmetric_eig(prob.P), which solve otherwise computes; the result
+    is the same bit for bit.
+
+    low_rank, given with eig = (lam, V) the decomposition of an earlier
+    S0, is an (r, n) matrix W with S = V (diag(lam) + W'W) V' up to
+    rounding: the kept decomposition plus PSD terms of total rank r, in
+    its eigenbasis.  solve then runs the same safeguarded Newton iteration
+    without decomposing S: z(nu) comes from the r x r capacitance matrix
+    C(nu) = I - W (nu I - diag(lam))^-1 W' (Sherman-Morrison-Woodbury),
+    and a Cholesky factorization of C certifies nu > lambda_max(S) at
+    every iterate.  Where C cannot be certified at the top of the bracket,
+    the bracket collapses (the hard and near-hard cases) or S0 has no
+    nonnegative eigenvalue, solve decomposes prob.P afresh and takes the
+    eig-free path, so the solution agrees with it to rounding, not bit
+    for bit.  prob.P is still the whole quadratic part.
     """
+    if low_rank is not None:
+        sol = _solve_low_rank(prob, *eig, low_rank)
+        if sol is not None:
+            return sol
+        eig = None
     D = prob.D
     lam, V = symmetric_eig(prob.P) if eig is None else eig
     lam_max = float(lam[-1])
@@ -195,15 +229,7 @@ def solve(prob: TrustRegionProblem, *, eig=None) -> TrustRegionSolution:
             # near-hard instance.  Finish with the eigenvector correction.
             near_hard = True
             break
-        # Newton step for the reciprocal-norm form of the secular equation,
-        # safeguarded by bisection on the bracket.
-        dnorm2 = float((w * w / gap).sum())
-        if dnorm2 > 0.0 and norm > 0.0:
-            nu_next = nu + (norm * norm / dnorm2) * ((norm - D) / D)
-        else:
-            nu_next = 0.5 * (lo + hi)
-        if not (lo < nu_next < hi):
-            nu_next = 0.5 * (lo + hi)
+        nu_next = _newton_step(nu, norm, float((w * w / gap).sum()), lo, hi, D)
         if nu_next == nu:
             near_hard = abs(norm - D) > stop
             break
@@ -231,6 +257,57 @@ def solve(prob: TrustRegionProblem, *, eig=None) -> TrustRegionSolution:
         return _make_solution(prob, V @ w, nu, hard_case=True)
 
     return _make_solution(prob, V @ w, nu, hard_case=False)
+
+
+def _solve_low_rank(prob, lam, V, W):
+    """The boundary solution for S = V (diag(lam) + W'W) V' (solve's
+    low_rank), or None where it must decompose prob.P afresh."""
+    D = prob.D
+    lam_max = float(lam[-1])
+    p_norm = math.sqrt(prob.p @ prob.p)
+    if lam_max < 0.0 or p_norm == 0.0:
+        return None
+    # ||W||_F^2 bounds lambda_max(W'W), so at hi ||z|| <= D as in solve.
+    top = lam_max + float(np.einsum("ij,ij->", W, W))
+    scale = max(1.0, -float(lam[0]), top)
+    lo = lam_max
+    hi = top + p_norm / (2.0 * D) + 1e-12 * scale
+    half_q = 0.5 * (V.T @ prob.p)
+    eye = np.eye(W.shape[0])
+    stop = SECULAR_REL_TOL * D
+    nu = hi
+    for _ in range(_SECULAR_MAX_ITER):
+        g = 1.0 / (nu - lam)
+        Wg = W * g
+        try:
+            # C(nu) is positive definite iff nu > lambda_max(S).
+            L = np.linalg.cholesky(eye - Wg @ W.T)
+        except np.linalg.LinAlgError:
+            if nu == hi:
+                return None
+            lo = nu
+            nu = 0.5 * (lo + hi)
+            continue
+        # (nu I - S)^-1 = G + G W' C^-1 W G = G + B'B for
+        # G = (nu I - diag(lam))^-1, C = L L' and B = L^-1 W G.
+        B = np.linalg.inv(L) @ Wg
+        w = half_q * g + (B @ half_q) @ B
+        norm = math.sqrt(w @ w)
+        if abs(norm - D) <= stop:
+            return _make_solution(prob, V @ w, nu, hard_case=False)
+        if norm > D:
+            lo = nu
+        else:
+            hi = nu
+        if hi - lo <= 64.0 * _EPS * max(1.0, abs(hi)):
+            return None
+        # w' (nu I - S)^-1 w by the same identity.
+        e = B @ w
+        nu_next = _newton_step(nu, norm, float(w @ (g * w) + e @ e), lo, hi, D)
+        if nu_next == nu:
+            return None
+        nu = nu_next
+    return None
 
 
 def _sphere_directions(d: int, samples: int) -> np.ndarray:

@@ -216,6 +216,22 @@ def test_rollout_cost_quadratic_is_stage_cost_at_rollout_state():
     assert gram_cost(G, CdgPolicy.vec(pol)) == pytest.approx(stage_cost(cw, y, u_now), rel=1e-12)
 
 
+def test_rollout_cost_quadratic_factor_of_p():
+    # Given a root L' of Q (L L' = Q), the rollout also returns F = L'T,
+    # the factor of G's P block, from the same product, and G unchanged.
+    rng = np.random.default_rng(13)
+    sys = random_system(3, 2, 2, seed=19, target_radius=0.8)
+    cw = CostWeights(np.diag([2.0, 1.0, 0.5]), np.diag([1.0, 3.0]))
+    H = 2
+    unroll = unroll_map(sys, H)
+    window, u_now = rng.standard_normal((2 * H + 1) * 2), rng.standard_normal(2)
+    G = rollout_cost_quadratic(unroll, cw, window, u_now)
+    G_again, F = rollout_cost_quadratic(unroll, cw, window, u_now, np.sqrt(cw.Q))
+    assert np.array_equal(G_again, G)
+    assert F.shape == (3, H * 2 * 2)
+    np.testing.assert_allclose(F.T @ F, G[:-1, :-1], rtol=1e-12, atol=1e-14)
+
+
 def rollout_cost(sys, cw, window, u_now, H, policy, W=None, states=None):
     """Independent oracle: cost of the H+1-step truncated rollout."""
     z = simulate_unroll(sys, np.zeros(sys.d_x), policy, window, W, states)

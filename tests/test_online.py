@@ -167,6 +167,45 @@ def test_update_reuses_the_eigendecomposition_until_a_nonzero_round(monkeypatch)
     assert calls == [0, 2, 5, 6]
 
 
+def factored_plays(d, k, factored, rounds=12, seed=9):
+    """The plays of an OtrState fed rounds P = F'F for random (k, d)
+    factors F, handed the factors or not, and its eigh count."""
+    rng = np.random.default_rng(seed)
+    state = OtrState(d=d, D=1.0, seed=seed, eta=1.0)
+    plays, calls = [], []
+    real_eigh = np.linalg.eigh
+    np.linalg.eigh = lambda S: calls.append(1) or real_eigh(S)
+    try:
+        for _ in range(rounds):
+            F = rng.standard_normal((k, d)) / np.sqrt(d)
+            state.observe(gram(F.T @ F, rng.standard_normal(d), 0.0), 0.0, F if factored else None)
+            plays.append(state.update().copy())
+    finally:
+        np.linalg.eigh = real_eigh
+    return plays, len(calls)
+
+
+def test_factored_rounds_play_the_same_points_at_n64():
+    # Rank-8 rounds at n = 64: four of every five plays are solved on the
+    # kept decomposition (rank 8 to 32 = n/2), and every play is the
+    # unfactored state's to 1e-9.
+    assert OtrState(64, 1.0, 0).low_rank
+    plain, plain_eighs = factored_plays(64, 8, factored=False)
+    low_rank, low_rank_eighs = factored_plays(64, 8, factored=True)
+    assert plain_eighs == 12 and low_rank_eighs == 3
+    for t, (a, b) in enumerate(zip(plain, low_rank)):
+        assert np.linalg.norm(a - b) <= 1e-9, f"round {t}"
+
+
+def test_factored_rounds_below_the_crossover_are_bit_identical():
+    # n = 12 is below online.LOW_RANK_MIN_DIM: the factors are ignored.
+    assert 12 < online.LOW_RANK_MIN_DIM and not OtrState(12, 1.0, 0).low_rank
+    plain, _ = factored_plays(12, 4, factored=False)
+    factored, _ = factored_plays(12, 4, factored=True)
+    for t, (a, b) in enumerate(zip(plain, factored)):
+        assert np.array_equal(a, b), f"round {t}"
+
+
 def test_update_needs_eta():
     state = OtrState(d=2, D=1.0, seed=4)
     state.observe(gram(np.eye(2), np.ones(2), 0.0))

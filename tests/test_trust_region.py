@@ -257,3 +257,66 @@ def test_solve_with_given_eigendecomposition_hard_case():
     assert reference.hard_case
     assert same_solution(solve(prob, eig=symmetric_eig(prob.P)), reference)
     assert same_solution(solve(prob, eig=np.linalg.eigh(0.5 * (prob.P + prob.P.T))), reference)
+
+
+def low_rank_instance(rng, n, r):
+    """(problem, eig of S0, W) for S = S0 + F'F, S0 random PSD of rank n/2
+    and F an (r, n) factor: solve's low_rank input W = F V."""
+    A = rng.standard_normal((n, n // 2)) / np.sqrt(n)
+    S0 = A @ A.T
+    F = rng.standard_normal((r, n)) / np.sqrt(n)
+    lam, V = symmetric_eig(S0)
+    prob = TrustRegionProblem(S0 + F.T @ F, rng.standard_normal(n), 1.0)
+    return prob, (lam, V), F @ V
+
+
+def counting_decompositions(monkeypatch):
+    """A list that gets one entry per symmetric_eig call inside solve."""
+    import motrbench.trust_region as tr
+
+    calls = []
+    real = tr.symmetric_eig
+    monkeypatch.setattr(tr, "symmetric_eig", lambda P: calls.append(P) or real(P))
+    return calls
+
+
+@pytest.mark.parametrize("r", [8, 16, 32])
+def test_low_rank_solve_matches_a_fresh_decomposition(perfbench, monkeypatch, r):
+    # On the kept decomposition of S0 plus the rows W, solve decomposes
+    # nothing and agrees with the solve that decomposes S0 + W'W itself, to
+    # 1e-10 relative in z and in the multiplier, and passes the More-Sorensen
+    # certificate the benchmark applies.
+    import checks
+
+    n = 64
+    for seed in range(3):
+        prob, eig, W = low_rank_instance(np.random.default_rng(seed), n, r)
+        fresh = solve(prob)
+        calls = counting_decompositions(monkeypatch)
+        sol = solve(prob, eig=eig, low_rank=W)
+        monkeypatch.undo()
+        assert calls == [], f"seed={seed}: the low-rank solve fell back"
+        assert not sol.hard_case and sol.on_boundary
+        assert np.linalg.norm(sol.z - fresh.z) <= 1e-10 * np.linalg.norm(fresh.z)
+        assert abs(sol.multiplier - fresh.multiplier) <= 1e-10 * abs(fresh.multiplier)
+        problem, residual = checks.certificate(prob.P, prob.p, prob.D, sol.z, sol.multiplier)
+        assert problem is None, f"seed={seed}: {problem}"
+        assert residual <= 1e-12
+
+
+def test_low_rank_solve_falls_back_in_the_hard_case(monkeypatch):
+    # p orthogonal to the top eigenvector of S = S0 + W'W, with the
+    # complement's solution inside the ball: the low-rank iteration cannot
+    # certify a multiplier above lambda_max(S), so solve decomposes prob.P
+    # afresh and returns the eig-free path's solution, bit for bit.
+    n = 64
+    prob, eig, W = low_rank_instance(np.random.default_rng(7), n, 16)
+    lam_S, U = symmetric_eig(prob.P)
+    p = U[:, :-1] @ (1e-3 * np.random.default_rng(8).standard_normal(n - 1))
+    prob = TrustRegionProblem(prob.P, p, 10.0)
+    reference = solve(prob)
+    assert reference.hard_case
+    calls = counting_decompositions(monkeypatch)
+    sol = solve(prob, eig=eig, low_rank=W)
+    assert len(calls) == 1
+    assert same_solution(sol, reference)
