@@ -104,8 +104,14 @@ def _cmd_regret(args) -> int:
     return 0
 
 
+def _json_numbers(value) -> bool:
+    """Whether a value parsed from JSON is a number or nested lists of them."""
+    return type(value) in (int, float) or (type(value) is list and all(map(_json_numbers, value)))
+
+
 def _read_json_arg(path: str) -> dict:
-    """The JSON object at path (- for stdin); ValueError if it is not one."""
+    """The JSON object at path (- for stdin); ValueError if it is not one
+    or if a field holds anything but numbers (no bool, no string)."""
     if path == "-":
         obj = json.load(_sys.stdin)
     else:
@@ -113,6 +119,9 @@ def _read_json_arg(path: str) -> dict:
             obj = json.load(fh)
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: expected a JSON object, got {type(obj).__name__}")
+    for name, value in obj.items():
+        if not _json_numbers(value):
+            raise ValueError(f"{name} must hold JSON numbers only")
     return obj
 
 

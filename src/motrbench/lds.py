@@ -41,9 +41,9 @@ class GenerationError(RuntimeError):
 
 
 def _check_declared(obj: dict, sizes: dict) -> None:
-    declared = {name: int(obj[name]) for name in sizes}
-    if declared != sizes:
-        raise ValueError(f"declared sizes {declared} do not match the matrices' {sizes}")
+    for name, size in sizes.items():
+        if type(obj[name]) is not int or obj[name] != size:
+            raise ValueError(f"declared sizes: {name} is {obj[name]!r}, not the integer {size}")
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,7 @@ class LinearSystem:
     @classmethod
     def from_json(cls, obj: dict) -> "LinearSystem":
         """The system of a to_json object: the constructor checks the
-        matrices, and the declared d_x, d_u and d_w must be their sizes."""
+        matrices, and the declared d_x, d_u and d_w must be their sizes, as ints."""
         sys = cls(obj["A"], obj["B"], obj["C"])
         _check_declared(obj, {"d_x": sys.d_x, "d_u": sys.d_u, "d_w": sys.d_w})
         return sys

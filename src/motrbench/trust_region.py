@@ -3,14 +3,15 @@
     maximize  z'Pz + p'z   subject to  ||z|| <= D
 
 The objective may be indefinite; global solutions are still computable.
-The solver symmetrizes P, eigendecomposes, and solves the secular equation
-||z(nu)|| = D for the boundary multiplier with a safeguarded Newton
-iteration, applying an explicit eigenvector correction in the hard case
-(linear term orthogonal to the extreme eigenspace).  A caller whose
-quadratic part grew by PSD low-rank terms since its last decomposition can
-solve on that decomposition instead, through the Sherman-Morrison-Woodbury
-identity (solve's low_rank).  A slow but simple direction-sampling oracle
-is provided for testing.
+The boundary multiplier nu solves the secular equation ||z(nu)|| = D,
+z(nu) = (nu I - S)^-1 p / 2 for S = (P + P')/2, by one safeguarded Newton
+iteration (_secular) over one of two evaluations of z(nu): in the
+eigenbasis of S, or, for a caller whose S grew by PSD low-rank terms since
+its last decomposition, on that decomposition through the
+Sherman-Morrison-Woodbury identity (solve's low_rank).  The hard and
+near-hard cases (p nearly orthogonal to the top eigenspace) end in one
+finish along a top eigenvector.  A slow but simple direction-sampling
+oracle is provided for testing.
 """
 
 import math
@@ -131,53 +132,116 @@ def symmetric_eig(P: np.ndarray):
         raise TrustRegionError(f"eigendecomposition failed: {exc}") from exc
 
 
-def _newton_step(nu, norm, dnorm2, lo, hi, D):
-    """The next multiplier: the Newton step for the reciprocal-norm form of
-    the secular equation at nu, where ||z|| = norm and
-    dnorm2 = z' (nu I - S)^-1 z, safeguarded by bisection on (lo, hi)."""
-    if dnorm2 > 0.0 and norm > 0.0:
-        nu_next = nu + (norm * norm / dnorm2) * ((norm - D) / D)
-    else:
-        nu_next = 0.5 * (lo + hi)
-    if not (lo < nu_next < hi):
-        nu_next = 0.5 * (lo + hi)
-    return nu_next
+def _secular(z_of, lo, hi, D):
+    """The multiplier nu in (lo, hi] with ||z(nu)|| = D, given ||z(hi)|| <= D,
+    by More & Sorensen's (1983) safeguarded Newton iteration on
+    1/||z(nu)|| = 1/D.  z_of(nu) is (w, w'(nu I - S)^-1 w), both in solve's
+    eigenbasis V, for w = V'z(nu); or None where nu is not certified above
+    lambda_max(S), which raises lo to nu.  Returns (status, nu, w):
+    "converged" once ||w|| is within SECULAR_REL_TOL D of D; "collapsed",
+    with nu = hi, where the bracket is exhausted, the step stalls or hi is
+    not certified (the hard and near-hard cases); "capped" after
+    _SECULAR_MAX_ITER evaluations, with the last w and the nu after it.
+    """
+    stop = SECULAR_REL_TOL * D
+    nu = hi
+    for _ in range(_SECULAR_MAX_ITER):
+        step = z_of(nu)
+        if step is None:
+            if nu == hi:
+                return "collapsed", hi, None
+            lo, nu = nu, 0.5 * (nu + hi)
+            continue
+        w, dnorm2 = step
+        norm = math.sqrt(w @ w)
+        if abs(norm - D) <= stop:
+            return "converged", nu, w
+        if norm > D:
+            lo = nu
+        else:
+            hi = nu
+        if hi - lo <= 64.0 * _EPS * max(1.0, abs(hi)):
+            return "collapsed", hi, w
+        nu_next = nu + (norm * norm / dnorm2) * ((norm - D) / D) if dnorm2 > 0.0 and norm > 0.0 else lo
+        if not (lo < nu_next < hi):
+            nu_next = 0.5 * (lo + hi)
+        if nu_next == nu:
+            return "collapsed", hi, w
+        nu = nu_next
+    return "capped", nu, w
+
+
+def _top_finish(prob, lam, V, q, top, nu, sign, limit=math.inf):
+    """The hard-case solution at multiplier nu: z(nu) off the top eigenspace
+    (the mask top), scaled into the ball, plus the rest of the radius along
+    the top eigenvector with the given sign; None if that part's norm >= limit."""
+    D = prob.D
+    w = np.zeros_like(q)
+    w[~top] = q[~top] / (2.0 * (nu - lam[~top]))
+    rest = math.sqrt(w @ w)
+    if rest >= limit:
+        return None
+    if rest > D:  # and no radius is left for the top eigenvector
+        w *= D / rest
+    w[-1] = sign * math.sqrt(max(0.0, D * D - rest * rest))
+    return _make_solution(prob, V @ w, nu, hard_case=True)
 
 
 def solve(prob: TrustRegionProblem, *, eig=None, low_rank=None) -> TrustRegionSolution:
     """Globally maximize z'Pz + p'z over the ball of radius D.
 
-    The solution is accurate to near machine precision: the secular
-    equation stops once ||z|| is within SECULAR_REL_TOL D of the radius.
     A boundary solution satisfies the KKT system 2 S z + p = 2 nu z with
-    nu >= max(0, lambda_max(S)) for S = (P + P')/2.  eig, if given alone,
-    is symmetric_eig(prob.P), which solve otherwise computes; the result
-    is the same bit for bit.
+    nu >= max(0, lambda_max(S)) for S = (P + P')/2, and ||z|| is within
+    SECULAR_REL_TOL D of D.  eig, if given alone, is symmetric_eig(prob.P),
+    which solve otherwise computes; the result is the same bit for bit.
 
-    low_rank, given with eig = (lam, V) the decomposition of an earlier
-    S0, is an (r, n) matrix W with S = V (diag(lam) + W'W) V' up to
-    rounding: the kept decomposition plus PSD terms of total rank r, in
-    its eigenbasis.  solve then runs the same safeguarded Newton iteration
-    without decomposing S: z(nu) comes from the r x r capacitance matrix
+    low_rank, given with eig = (lam, V) the decomposition of an earlier S0,
+    is an (r, n) matrix W with S = V (diag(lam) + W'W) V' up to rounding:
+    PSD terms of total rank r added since, in that eigenbasis.  The secular
+    iteration then evaluates z(nu) on the r x r capacitance matrix
     C(nu) = I - W (nu I - diag(lam))^-1 W' (Sherman-Morrison-Woodbury),
-    and a Cholesky factorization of C certifies nu > lambda_max(S) at
-    every iterate.  Where C cannot be certified at the top of the bracket,
-    the bracket collapses (the hard and near-hard cases) or S0 has no
-    nonnegative eigenvalue, solve decomposes prob.P afresh and takes the
-    eig-free path, so the solution agrees with it to rounding, not bit
-    for bit.  prob.P is still the whole quadratic part.
+    whose Cholesky factorization certifies nu > lambda_max(S).  Every exit
+    but convergence decomposes prob.P (still the whole quadratic part)
+    afresh and takes the eig-free path; convergence matches it to rounding.
     """
-    if low_rank is not None:
-        sol = _solve_low_rank(prob, *eig, low_rank)
-        if sol is not None:
-            return sol
-        eig = None
     D = prob.D
+    p_norm = math.sqrt(prob.p @ prob.p)
+    if low_rank is not None:
+        lam, V = eig
+        lam_max = float(lam[-1])
+        if not (lam_max < 0.0 or p_norm == 0.0):
+            W = low_rank
+            half_q = 0.5 * (V.T @ prob.p)
+            eye = np.eye(W.shape[0])
+
+            def woodbury(nu):
+                g = 1.0 / (nu - lam)
+                Wg = W * g
+                try:
+                    # C(nu) is positive definite iff nu > lambda_max(S).
+                    L = np.linalg.cholesky(eye - Wg @ W.T)
+                except np.linalg.LinAlgError:
+                    return None
+                # (nu I - S)^-1 = G + G W' C^-1 W G = G + B'B for
+                # G = (nu I - diag(lam))^-1, C = L L' and B = L^-1 W G.
+                B = np.linalg.inv(L) @ Wg
+                w = half_q * g + (B @ half_q) @ B
+                e = B @ w
+                return w, float(w @ (g * w) + e @ e)
+
+            # ||W||_F^2 bounds lambda_max(W'W), so at hi ||z|| <= D.
+            bound = lam_max + float(np.einsum("ij,ij->", W, W))
+            hi = bound + p_norm / (2.0 * D) + 1e-12 * max(1.0, -float(lam[0]), bound)
+            status, nu, w = _secular(woodbury, lam_max, hi, D)
+            if status == "converged":
+                return _make_solution(prob, V @ w, nu, hard_case=False)
+        eig = None
     lam, V = symmetric_eig(prob.P) if eig is None else eig
     lam_max = float(lam[-1])
     q = V.T @ prob.p
     # lam is sorted, so max |lam| is at one of its ends.
     scale = max(1.0, -float(lam[0]), lam_max)
+    top = lam >= lam_max - 1e-12 * scale
 
     # Interior stationary point 2 S z + p = 0, optimal iff S is negative
     # definite and the point lies inside the ball.
@@ -186,128 +250,30 @@ def solve(prob: TrustRegionProblem, *, eig=None, low_rank=None) -> TrustRegionSo
         if math.sqrt(z0 @ z0) <= D:
             return _make_solution(prob, z0, 0.0, hard_case=False)
         nu_lo = 0.0
-        singular_at_lo = False
     else:
         nu_lo = max(lam_max, 0.0)
-        singular_at_lo = True
-
-    p_norm = math.sqrt(prob.p @ prob.p)
-    top = lam >= lam_max - 1e-12 * scale
-
-    if singular_at_lo:
         q_top = q[top]
         if p_norm == 0.0 or math.sqrt(q_top @ q_top) < HARD_CASE_REL_TOL * p_norm:
-            # Hard case: solve on the complement of the top eigenspace and
-            # spend the remaining radius along a top eigenvector.
-            z_e = np.zeros_like(q)
-            z_e[~top] = q[~top] / (2.0 * (nu_lo - lam[~top]))
-            base_norm = math.sqrt(z_e @ z_e)
-            if base_norm < D * (1.0 - 1e-12):
-                z_e[-1] = np.sqrt(max(0.0, D * D - base_norm * base_norm))
-                return _make_solution(prob, V @ z_e, nu_lo, hard_case=True)
+            # Hard case: if z(nu_lo) off the top eigenspace lies inside the
+            # ball, spend the rest of the radius along a top eigenvector.
+            sol = _top_finish(prob, lam, V, q, top, nu_lo, 1.0, limit=D * (1.0 - 1e-12))
+            if sol is not None:
+                return sol
 
-    # Secular equation: nu > nu_lo with ||z(nu)|| = D, z(nu)_i in the
-    # eigenbasis being q_i / (2 (nu - lambda_i)).
-    lo = nu_lo
-    hi = nu_lo + p_norm / (2.0 * D) + 1e-12 * scale
-    stop = SECULAR_REL_TOL * D
-    nu = hi
-    w = None
-    near_hard = False
-    for _ in range(_SECULAR_MAX_ITER):
+    def eigenbasis(nu):
         gap = nu - lam
         w = q / (2.0 * gap)
-        norm = math.sqrt(w @ w)
-        if abs(norm - D) <= stop:
-            break
-        if norm > D:
-            lo = nu
-        else:
-            hi = nu
-        if hi - lo <= 64.0 * _EPS * max(1.0, abs(hi)):
-            # Bracket exhausted without meeting the norm tolerance: a
-            # near-hard instance.  Finish with the eigenvector correction.
-            near_hard = True
-            break
-        nu_next = _newton_step(nu, norm, float((w * w / gap).sum()), lo, hi, D)
-        if nu_next == nu:
-            near_hard = abs(norm - D) > stop
-            break
-        nu = nu_next
-    else:
-        raise TrustRegionError(
-            "secular iteration did not converge",
-            best=_make_solution(prob, V @ w, nu, hard_case=False),
-        )
+        return w, float((w * w / gap).sum())
 
-    if near_hard:
-        # The norm is hypersensitive in nu only through the top-eigenspace
-        # coordinates.  Evaluate the well-conditioned rest at the bracket,
-        # then spend the remaining radius along the top eigenvector, keeping
-        # the sign the vanishing coordinate was heading toward.
-        nu = max(hi, nu)
-        w = q / (2.0 * (nu - lam))
-        sign = 1.0 if q[-1] >= 0.0 else -1.0
-        w[top] = 0.0
-        rest = math.sqrt(w @ w)
-        if rest > D:
-            w *= D / rest
-            rest = D
-        w[-1] = sign * np.sqrt(max(0.0, D * D - rest * rest))
-        return _make_solution(prob, V @ w, nu, hard_case=True)
-
-    return _make_solution(prob, V @ w, nu, hard_case=False)
-
-
-def _solve_low_rank(prob, lam, V, W):
-    """The boundary solution for S = V (diag(lam) + W'W) V' (solve's
-    low_rank), or None where it must decompose prob.P afresh."""
-    D = prob.D
-    lam_max = float(lam[-1])
-    p_norm = math.sqrt(prob.p @ prob.p)
-    if lam_max < 0.0 or p_norm == 0.0:
-        return None
-    # ||W||_F^2 bounds lambda_max(W'W), so at hi ||z|| <= D as in solve.
-    top = lam_max + float(np.einsum("ij,ij->", W, W))
-    scale = max(1.0, -float(lam[0]), top)
-    lo = lam_max
-    hi = top + p_norm / (2.0 * D) + 1e-12 * scale
-    half_q = 0.5 * (V.T @ prob.p)
-    eye = np.eye(W.shape[0])
-    stop = SECULAR_REL_TOL * D
-    nu = hi
-    for _ in range(_SECULAR_MAX_ITER):
-        g = 1.0 / (nu - lam)
-        Wg = W * g
-        try:
-            # C(nu) is positive definite iff nu > lambda_max(S).
-            L = np.linalg.cholesky(eye - Wg @ W.T)
-        except np.linalg.LinAlgError:
-            if nu == hi:
-                return None
-            lo = nu
-            nu = 0.5 * (lo + hi)
-            continue
-        # (nu I - S)^-1 = G + G W' C^-1 W G = G + B'B for
-        # G = (nu I - diag(lam))^-1, C = L L' and B = L^-1 W G.
-        B = np.linalg.inv(L) @ Wg
-        w = half_q * g + (B @ half_q) @ B
-        norm = math.sqrt(w @ w)
-        if abs(norm - D) <= stop:
-            return _make_solution(prob, V @ w, nu, hard_case=False)
-        if norm > D:
-            lo = nu
-        else:
-            hi = nu
-        if hi - lo <= 64.0 * _EPS * max(1.0, abs(hi)):
-            return None
-        # w' (nu I - S)^-1 w by the same identity.
-        e = B @ w
-        nu_next = _newton_step(nu, norm, float(w @ (g * w) + e @ e), lo, hi, D)
-        if nu_next == nu:
-            return None
-        nu = nu_next
-    return None
+    status, nu, w = _secular(eigenbasis, nu_lo, nu_lo + p_norm / (2.0 * D) + 1e-12 * scale, D)
+    if status == "collapsed":
+        # Near-hard: ||z(nu)|| is hypersensitive only through the top
+        # coordinates; keep the sign the vanishing one was heading toward.
+        return _top_finish(prob, lam, V, q, top, nu, 1.0 if q[-1] >= 0.0 else -1.0)
+    sol = _make_solution(prob, V @ w, nu, hard_case=False)
+    if status == "capped":
+        raise TrustRegionError("secular iteration did not converge", best=sol)
+    return sol
 
 
 def _sphere_directions(d: int, samples: int) -> np.ndarray:

@@ -435,3 +435,39 @@ def test_readme_config_schema_matches_the_code():
     assert sorted(documented) == sorted(f.name for f in dataclasses.fields(ExperimentConfig))
     named = set(re.findall(r"`([^`]*)`", section))
     assert {*CONTROLLERS, *GENERATORS} <= named
+
+
+def test_json_input_takes_json_numbers_only(tmp_path, capsys):
+    # A size given as a float, a string or a bool, and a matrix entry or
+    # radius given as a bool or a string, end in one line that names the
+    # field: numpy's float conversion would otherwise read them as numbers.
+    one = {"d_x": 1, "d_u": 1, "d_w": 1, "A": [[0.5]], "B": [[1.0]], "C": [[1.0]]}
+    cost = {"d_x": 1, "d_u": 1, "Q": [[1.0]], "R": [[1.0]]}
+    sys_path = write_json(tmp_path / "one.json", one)
+    assert synth_exit(["--system", sys_path], capsys)[0] == 0
+    for value, message in (
+        (1.7, "declared sizes: d_x is 1.7, not the integer 1"),
+        (1.0, "declared sizes: d_x is 1.0, not the integer 1"),
+        ("1", "d_x must hold JSON numbers only"),
+        (True, "d_x must hold JSON numbers only"),
+    ):
+        code, out, err = synth_exit(["--system", write_json(tmp_path / "sys.json", {**one, "d_x": value})], capsys)
+        assert (code, out, err) == (2, "", f"bad system input: {message}\n")
+    for field, value in (("A", [[True]]), ("C", [["1"]]), ("d_w", None)):
+        code, out, err = synth_exit(["--system", write_json(tmp_path / "sys.json", {**one, field: value})], capsys)
+        assert (code, out, err) == (2, "", f"bad system input: {field} must hold JSON numbers only\n")
+    for field, value, message in (
+        ("Q", [[True]], "Q must hold JSON numbers only"),
+        ("R", [["1"]], "R must hold JSON numbers only"),
+        ("d_u", 1.0, "declared sizes: d_u is 1.0, not the integer 1"),
+    ):
+        argv = ["--system", sys_path, "--cost", write_json(tmp_path / "cost.json", {**cost, field: value})]
+        assert synth_exit(argv, capsys) == (2, "", f"bad system input: {message}\n")
+
+    prob = {"P": [[1.0]], "p": [1.0], "D": 1.0}
+    assert main(["solve-tr", "--problem", write_json(tmp_path / "prob.json", prob)]) == 0
+    capsys.readouterr()
+    for field, value in (("P", [[True]]), ("p", ["1"]), ("D", True), ("D", "1")):
+        assert main(["solve-tr", "--problem", write_json(tmp_path / "prob.json", {**prob, field: value})]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"bad problem input: {field} must hold JSON numbers only\n")

@@ -194,3 +194,8 @@ def test_system_json_round_trip():
         LinearSystem.from_json({**sys.to_json(), "d_u": 3})
     with pytest.raises(ValueError, match="declared sizes"):
         CostWeights.from_json({**cw.to_json(), "d_x": 2})
+    # int() would read 2.0 as 2, and True as 1.
+    with pytest.raises(ValueError, match="declared sizes: d_u is 2.0, not the integer 2"):
+        LinearSystem.from_json({**sys.to_json(), "d_u": 2.0})
+    with pytest.raises(ValueError, match="declared sizes: d_u is True, not the integer 1"):
+        CostWeights.from_json({**CostWeights(np.eye(1), np.eye(1)).to_json(), "d_u": True})

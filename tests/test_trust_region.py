@@ -320,3 +320,101 @@ def test_low_rank_solve_falls_back_in_the_hard_case(monkeypatch):
     sol = solve(prob, eig=eig, low_rank=W)
     assert len(calls) == 1
     assert same_solution(sol, reference)
+
+
+def counting_choleskys(monkeypatch):
+    """A list that gets True or False per Cholesky factorization inside
+    solve: whether it certified its nu."""
+    outcomes = []
+    real = np.linalg.cholesky
+
+    def cholesky(C):
+        try:
+            L = real(C)
+        except np.linalg.LinAlgError:
+            outcomes.append(False)
+            raise
+        outcomes.append(True)
+        return L
+
+    monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+    return outcomes
+
+
+def wide_low_rank_instance(seed, r, D=10.0):
+    """low_rank_instance with a radius of 10: nu then lies near lambda_max(S),
+    where the Woodbury iteration's first Newton steps can leave the region
+    its Cholesky factorization certifies."""
+    prob, eig, W = low_rank_instance(np.random.default_rng(seed), 64, r)
+    return TrustRegionProblem(prob.P, prob.p, D), eig, W
+
+
+def test_low_rank_solve_converges_after_an_uncertified_iterate(perfbench, monkeypatch):
+    # A Newton step below lambda_max(S) fails the Cholesky factorization,
+    # which raises the bracket's lower end to that nu and bisects; the
+    # iteration then converges without decomposing prob.P.
+    import checks
+
+    for seed in range(3):
+        prob, eig, W = wide_low_rank_instance(seed, 16)
+        fresh = solve(prob)
+        calls = counting_decompositions(monkeypatch)
+        choleskys = counting_choleskys(monkeypatch)
+        sol = solve(prob, eig=eig, low_rank=W)
+        monkeypatch.undo()
+        assert calls == [], f"seed={seed}: the low-rank solve fell back"
+        assert choleskys[0] and not all(choleskys), f"seed={seed}: no uncertified iterate"
+        assert not sol.hard_case and sol.on_boundary
+        assert np.linalg.norm(sol.z - fresh.z) <= 1e-10 * np.linalg.norm(fresh.z)
+        assert abs(sol.multiplier - fresh.multiplier) <= 1e-10 * abs(fresh.multiplier)
+        problem, residual = checks.certificate(prob.P, prob.p, prob.D, sol.z, sol.multiplier)
+        assert problem is None, f"seed={seed}: {problem}"
+        assert residual <= 1e-12
+
+
+def test_low_rank_solve_falls_back_on_an_exhausted_bracket(monkeypatch):
+    # A near-hard instance: the bracket closes on lambda_max(S) before ||z||
+    # meets the radius.  The Woodbury iteration, certified at the top of its
+    # bracket, gives up there; solve decomposes prob.P once and returns the
+    # eig-free path's near-hard solution, bit for bit.
+    prob, eig, W = wide_low_rank_instance(12, 16)
+    reference = solve(prob)
+    assert reference.hard_case
+    calls = counting_decompositions(monkeypatch)
+    choleskys = counting_choleskys(monkeypatch)
+    sol = solve(prob, eig=eig, low_rank=W)
+    assert choleskys[0], "the top of the bracket was not certified"
+    assert len(calls) == 1
+    assert same_solution(sol, reference)
+
+
+def test_low_rank_solve_at_the_iteration_cap(monkeypatch):
+    # The Woodbury iteration starts higher than the eig-free one and takes
+    # more steps.  With a cap that the eig-free iteration meets and the
+    # Woodbury one does not, solve falls back and returns the eig-free
+    # solution bit for bit; with a cap neither meets, it raises the
+    # eig-free path's error with its best iterate.
+    import motrbench.trust_region as tr
+
+    prob, eig, W = wide_low_rank_instance(0, 16)
+
+    def converges(cap):
+        monkeypatch.setattr(tr, "_SECULAR_MAX_ITER", cap)
+        try:
+            solve(prob)
+        except tr.TrustRegionError:
+            return False
+        return True
+
+    cap = next(cap for cap in range(1, tr._SECULAR_MAX_ITER) if converges(cap))
+    monkeypatch.setattr(tr, "_SECULAR_MAX_ITER", cap)
+    reference = solve(prob)
+    calls = counting_decompositions(monkeypatch)
+    assert same_solution(solve(prob, eig=eig, low_rank=W), reference)
+    assert len(calls) == 1
+
+    monkeypatch.setattr(tr, "_SECULAR_MAX_ITER", 1)
+    with pytest.raises(tr.TrustRegionError, match="did not converge") as info:
+        solve(prob, eig=eig, low_rank=W)
+    assert len(calls) == 2
+    assert np.linalg.norm(info.value.best.z) <= prob.D * (1.0 + 1e-12)
