@@ -501,8 +501,9 @@ class AggregateTable:
                 lines.append(f"{ctrl},{gen},{mean:.6f},{std:.6f}")
         return lines
 
-    def format_text(self, kind: str = "ratio") -> str:
-        table = {"ratio": self.ratio, "minmax": self.minmax}[kind]
+    def format_text(self) -> str:
+        """The ratio table as aligned text, mean ± std per cell."""
+        table = self.ratio
         width = max(len(g) for g in self.generators) + 2
         header = " " * width + "".join(f"{c:>20}" for c in self.controllers)
         lines = [header]

@@ -72,7 +72,7 @@ def _cmd_table(args) -> int:
         path = os.path.join(out_dir, f"table_{kind}.csv")
         with open(path, "w") as fh:
             fh.write("\n".join(table.csv_lines(kind)) + "\n")
-    print(table.format_text("ratio"))
+    print(table.format_text())
     print(f"\n({table.n_systems} systems, {table.n_seeds} seeds, {table.n_diverged} diverged runs;"
           " scores are ratios to the best generator, std across systems)")
     return 0

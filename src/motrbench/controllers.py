@@ -47,14 +47,30 @@ class BracketingError(SynthesisError):
     """The bisection bracket does not contain the feasibility boundary."""
 
 
-def solve_dare(sys: LinearSystem, cw: CostWeights, tol: float = 1e-12, max_iter: int = 100000):
+# The value iterations stop once the largest entrywise change of P is
+# below TOL (1 + max|P|), and give up after MAX_ITER steps.
+DARE_TOL = 1e-12
+DARE_MAX_ITER = 100_000
+GAME_TOL = 1e-11
+GAME_MAX_ITER = 5000
+# max|P| past which the game's value iteration counts as blown up.
+GAME_BLOWUP = 1e12
+# hinf_bisection's first lower end of the gamma bracket, and the factor
+# above the bisected infimum at which it returns the solution.
+GAMMA_LO = 1e-3
+GAMMA_SAFETY = 1.01
+# GpcController's step scale: round t's step moves N at most GPC_LR/sqrt(t).
+GPC_LR = 0.5
+
+
+def solve_dare(sys: LinearSystem, cw: CostWeights):
     """Value matrix and gain of the infinite-horizon LQR.
 
-    Returns (P, K) with the closed loop A - BK stable.  tol bounds the
-    relative entrywise change between successive iterates.  Raises
-    SynthesisError when an eigenvalue on or outside the unit circle is
-    uncontrollable (the PBH test), on the first non-finite iterate, or
-    without convergence in max_iter steps.
+    Returns (P, K) with the closed loop A - BK stable.  The iteration stops
+    once the largest entrywise change is below DARE_TOL (1 + max|P|).
+    Raises SynthesisError when an eigenvalue on or outside the unit circle
+    is uncontrollable (the PBH test), on the first non-finite iterate, or
+    without convergence in DARE_MAX_ITER steps.
     """
     if np.linalg.eigvalsh(cw.R).min() <= 0.0:
         raise ValueError("R must be positive definite")
@@ -63,7 +79,7 @@ def solve_dare(sys: LinearSystem, cw: CostWeights, tol: float = 1e-12, max_iter:
         if abs(lam) >= 1.0 - 1e-9 and uncontrollable(A, B, lam):
             raise SynthesisError(f"(A, B) not stabilizable: eigenvalue {lam:.4g} uncontrollable")
     P = Q.copy()
-    for _ in range(max_iter):
+    for _ in range(DARE_MAX_ITER):
         G = R + B.T @ P @ B
         K = np.linalg.solve(G, B.T @ P @ A)
         Pn = Q + A.T @ P @ A - A.T @ P @ B @ K
@@ -72,10 +88,10 @@ def solve_dare(sys: LinearSystem, cw: CostWeights, tol: float = 1e-12, max_iter:
         if not math.isfinite(delta):
             raise SynthesisError("Riccati iteration produced non-finite values")
         P = Pn
-        if delta < tol * (1.0 + float(np.max(np.abs(P)))):
+        if delta < DARE_TOL * (1.0 + float(np.max(np.abs(P)))):
             break
     else:
-        raise SynthesisError(f"Riccati iteration did not converge in {max_iter} steps")
+        raise SynthesisError(f"Riccati iteration did not converge in {DARE_MAX_ITER} steps")
     K = np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)
     if spectral_radius(A - B @ K) >= 1.0:
         raise SynthesisError("LQR closed loop is not stable")
@@ -101,82 +117,70 @@ class HinfSolution:
         }
 
 
-def solve_hinf_game(
-    sys: LinearSystem,
-    cw: CostWeights,
-    gamma: float,
-    tol: float = 1e-11,
-    max_iter: int = 5000,
-) -> Optional[HinfSolution]:
+def solve_hinf_game(sys: LinearSystem, cw: CostWeights, gamma: float) -> Optional[HinfSolution]:
     """Value iteration for the disturbance game at attenuation level gamma.
 
     Returns None when gamma is infeasible: the concavity certificate
-    gamma^2 I - C'PC loses positive definiteness, or the value iteration
-    blows up or has not converged within max_iter steps.  The default cap
-    of 5000 steps is the one hinf_bisection, and so the pipeline, runs.
-    Raises SynthesisError only on numerical breakdown.
+    gamma^2 I - C'PC, tested on every iterate, loses positive
+    definiteness; or the value iteration blows up past max|P| =
+    GAME_BLOWUP, or has not converged (a change below
+    GAME_TOL (1 + max|P|)) within GAME_MAX_ITER steps.  Raises
+    SynthesisError only on numerical breakdown.
     """
     if not (gamma > 0.0):
         raise ValueError("gamma must be positive")
     if np.linalg.eigvalsh(cw.R).min() <= 0.0:
         raise ValueError("R must be positive definite")
     A, B, C, Q, R = sys.A, sys.B, sys.C, cw.Q, cw.R
-    d_x, d_u = sys.d_x, sys.d_u
-    I = np.eye(d_x)
-    Mg = B @ np.linalg.solve(R, B.T) - (C @ C.T) / gamma**2
+    At, Bt, Ct = A.T, B.T, C.T
+    g2I = gamma**2 * np.eye(sys.d_w)
+    I = np.eye(sys.d_x)
+    Mg = B @ np.linalg.solve(R, Bt) - (C @ Ct) / gamma**2
     P = Q.copy()
     converged = False
-    for _ in range(max_iter):
-        if np.linalg.eigvalsh(gamma**2 * np.eye(sys.d_w) - C.T @ P @ C).min() <= 0.0:
+    for k in range(GAME_MAX_ITER + 1):
+        if np.linalg.eigvalsh(g2I - Ct @ P @ C).min() <= 0.0:
+            return None
+        if converged:
+            break
+        if k == GAME_MAX_ITER:
             return None
         try:
             Z = np.linalg.solve(I + Mg @ P, A)
         except np.linalg.LinAlgError:
             return None
-        Pn = Q + A.T @ P @ Z
+        Pn = Q + At @ P @ Z
         Pn = 0.5 * (Pn + Pn.T)
-        if not np.all(np.isfinite(Pn)):
+        big = float(np.max(np.abs(Pn)))
+        if not math.isfinite(big):
             raise SynthesisError("H-infinity value iteration produced non-finite values")
-        if float(np.max(np.abs(Pn))) > 1e12:
+        if big > GAME_BLOWUP:
             return None
-        delta = float(np.max(np.abs(Pn - P)))
+        converged = float(np.max(np.abs(Pn - P))) < GAME_TOL * (1.0 + big)
         P = Pn
-        if delta < tol * (1.0 + float(np.max(np.abs(P)))):
-            converged = True
-            break
-    if not converged:
-        return None
-    if np.linalg.eigvalsh(gamma**2 * np.eye(sys.d_w) - C.T @ P @ C).min() <= 0.0:
-        return None
 
     # Gains from the joint stationarity of the one-step saddle.
     G = np.block([
-        [R + B.T @ P @ B, B.T @ P @ C],
-        [C.T @ P @ B, C.T @ P @ C - gamma**2 * np.eye(sys.d_w)],
+        [R + Bt @ P @ B, Bt @ P @ C],
+        [Ct @ P @ B, Ct @ P @ C - g2I],
     ])
-    rhs = np.vstack([B.T @ P @ A, C.T @ P @ A])
+    rhs = np.vstack([Bt @ P @ A, Ct @ P @ A])
     try:
         sol = np.linalg.solve(G, rhs)
     except np.linalg.LinAlgError as exc:
         raise SynthesisError(f"saddle system is singular: {exc}") from exc
-    K = sol[:d_u]
-    W = -sol[d_u:]
+    K, W = sol[: sys.d_u], -sol[sys.d_u :]
     if spectral_radius(A - B @ K + C @ W) >= 1.0:
         raise SynthesisError("game closed loop is not stable at the computed gains")
     return HinfSolution(P=P, K=K, W=W, gamma_star=float(gamma))
 
 
-def hinf_bisection(
-    sys: LinearSystem,
-    cw: CostWeights,
-    lo: float = 1e-3,
-    hi: float = 1e6,
-    rel_tol: float = 1e-3,
-    safety: float = 1.01,
-) -> HinfSolution:
-    """Smallest feasible attenuation level within rel_tol, returned at a 1.01
-    safety factor above the bisected infimum.  Each level is tried by
-    solve_hinf_game under its default cap of 5000 value-iteration steps."""
+def hinf_bisection(sys: LinearSystem, cw: CostWeights, *, hi: float = 1e6, rel_tol: float = 1e-3) -> HinfSolution:
+    """Smallest feasible attenuation level within rel_tol, returned at the
+    GAMMA_SAFETY factor above the bisected infimum.  The bracket starts at
+    [GAMMA_LO, hi], and its lower end is divided by 4 until infeasible.
+    Each level is tried by solve_hinf_game."""
+    lo = GAMMA_LO
     if solve_hinf_game(sys, cw, hi) is None:
         raise BracketingError(f"gamma = {hi:.4g} is infeasible; enlarge the bracket")
     for _ in range(60):
@@ -185,7 +189,7 @@ def hinf_bisection(
         lo /= 4.0
     else:
         # Feasible essentially down to zero: disturbances cannot hurt.
-        sol = solve_hinf_game(sys, cw, lo * safety)
+        sol = solve_hinf_game(sys, cw, lo * GAMMA_SAFETY)
         if sol is None:
             raise SynthesisError("feasibility is not monotone near zero attenuation")
         return sol
@@ -195,7 +199,7 @@ def hinf_bisection(
             lo = mid
         else:
             hi = mid
-    sol = solve_hinf_game(sys, cw, hi * safety)
+    sol = solve_hinf_game(sys, cw, hi * GAMMA_SAFETY)
     if sol is None:
         raise SynthesisError("safety-factored gamma unexpectedly infeasible")
     return sol
@@ -226,12 +230,12 @@ class GpcController:
     presumes knowledge of A and B).  After each recovered disturbance, N
     takes one projected gradient step on the counterfactual cost of a
     truncated rollout driven by the recent disturbances, evaluated at the
-    state and control the current N would have produced.  lr scales the
-    normalized step length lr/sqrt(t), so by the end of a T-round episode
-    the step size is of order lr/sqrt(T); ball_radius None derives the
-    projection radius 10 ||K_base||, and the radius must be positive.  The
-    defaults h = 5, lr = 0.5 and ball_radius None are the benchmark's GPC,
-    which a config cannot change.
+    state and control the current N would have produced.  GPC_LR scales
+    the normalized step length GPC_LR/sqrt(t), so by the end of a T-round
+    episode the step size is of order GPC_LR/sqrt(T); ball_radius None
+    derives the projection radius 10 ||K_base||, and the radius must be
+    positive.  The defaults h = 5 and ball_radius None are the benchmark's
+    GPC, which a config cannot change.
 
     The policy is one stacked (d_u, h d_x) matrix [N[0] | ... | N[h-1]]
     (cdg's one policy encoding), rebound by each update and never written
@@ -254,7 +258,6 @@ class GpcController:
         K_base: np.ndarray,
         *,
         h: int = 5,
-        lr: float = 0.5,
         ball_radius: Optional[float] = None,
     ):
         K_base = np.array(K_base, dtype=float)
@@ -270,7 +273,6 @@ class GpcController:
         self.K = K_base
         self._neg_K = -K_base
         self.h = h
-        self.lr = float(lr)
         self.ball = float(ball_radius) if ball_radius is not None else 10.0 * float(
             np.linalg.norm(K_base)
         )
@@ -330,10 +332,10 @@ class GpcController:
         gnorm = math.sqrt(flat @ flat)
         N = self._Nst
         if gnorm > 0.0:
-            # Rate lr, but capped so one step never moves farther than
-            # lr/sqrt(t): vanishing gradients get a plain gradient step while
-            # badly conditioned rounds cannot fling N to the projection ball.
-            rate = min(self.lr, self.lr / (math.sqrt(self._t + 1.0) * gnorm))
+            # Rate GPC_LR, but capped so one step never moves farther than
+            # GPC_LR/sqrt(t): vanishing gradients get a plain gradient step
+            # while badly conditioned rounds cannot fling N to the projection ball.
+            rate = min(GPC_LR, GPC_LR / (math.sqrt(self._t + 1.0) * gnorm))
             N = N - rate * grad
         self._Nst = project_frobenius(N, self.ball)
 

@@ -54,6 +54,9 @@ GAUSSIAN_BUDGET_FACTOR = 1.05
 # Sinusoid candidates scoring within this relative distance of the best
 # are tied (see SinusoidGenerator).
 TIE_REL_TOL = 1e-12
+# The sinusoid's frequency grid: 16 points on [0, pi].
+SINE_FREQS = np.linspace(0.0, np.pi, 16)
+SINE_FREQS.setflags(write=False)
 
 
 class GeneratorError(RuntimeError):
@@ -196,8 +199,8 @@ def _sinusoid_gram(sys, cw, T, freqs) -> np.ndarray:
 class SinusoidGenerator(DisturbanceGenerator):
     """Sinusoid w_t = W_max sin(omega t + phase) v, with (omega, phase, v)
     chosen offline to maximize the open-loop (u = 0) cumulative cost over
-    the horizon among every unit direction v and every (omega, phase) on
-    the grids.
+    the horizon among every unit direction v, every frequency omega in
+    SINE_FREQS and every phase on the phase grid.
 
     With c = cos(phase), s = sin(phase) and the blocks G11, G12, G22 of the
     Gram matrix G(omega) (_sinusoid_gram), the cost of v is W_max^2 v'Mv
@@ -226,32 +229,28 @@ class SinusoidGenerator(DisturbanceGenerator):
         W_max: float,
         T: int,
         *,
-        freqs: Optional[np.ndarray] = None,
         phases: Optional[np.ndarray] = None,
     ):
         super().__init__()
         W_max = _check_budget(W_max)
-        if freqs is None:
-            freqs = np.linspace(0.0, np.pi, 16)
         if phases is None:
             phases = 2.0 * np.pi * np.arange(4) / 8.0
-        freqs = np.asarray(freqs, dtype=float)
         phases = np.asarray(phases, dtype=float)
-        if freqs.ndim != 1 or phases.ndim != 1 or freqs.size == 0 or phases.size == 0:
-            raise ValueError("frequency and phase grids must be non-empty 1-D arrays")
+        if phases.ndim != 1 or phases.size == 0:
+            raise ValueError("the phase grid must be a non-empty 1-D array")
         d_w = sys.d_w
-        G = _sinusoid_gram(sys, cw, T, freqs)[:, None]  # (frequency, 1, 2 d_w, 2 d_w)
+        G = _sinusoid_gram(sys, cw, T, SINE_FREQS)[:, None]  # (frequency, 1, 2 d_w, 2 d_w)
         G12 = G[..., :d_w, d_w:]
         c, s = np.cos(phases)[:, None, None], np.sin(phases)[:, None, None]
         M = c * c * G[..., :d_w, :d_w] + c * s * (G12 + G12.swapaxes(-1, -2)) + s * s * G[..., d_w:, d_w:]
         neg_lam, V = np.linalg.eigh(-M)  # (frequency, phase, ...)
         J = -W_max**2 * neg_lam[..., 0].ravel()
         best = int(np.flatnonzero(J >= J.max() - TIE_REL_TOL * abs(J.max()))[0])
-        f, p = np.unravel_index(best, (freqs.size, phases.size))
+        f, p = np.unravel_index(best, (SINE_FREQS.size, phases.size))
         v = V[f, p, :, 0]
         self.W_max = W_max
         self.score = float(J[best])  # the chosen sinusoid's open-loop cost
-        self.omega = float(freqs[f])
+        self.omega = float(SINE_FREQS[f])
         self.phase = float(phases[p])
         self.direction = v if v[np.argmax(np.abs(v))] > 0 else -v
 
@@ -408,5 +407,5 @@ class AdaptiveCdgGenerator(DisturbanceGenerator):
         return self._state.hindsight()
 
 
-def sinusoid_generator(sys: LinearSystem, cw: CostWeights, W_max: float, T: int, **grid) -> SinusoidGenerator:
-    return SinusoidGenerator(sys, cw, W_max, T, **grid)
+def sinusoid_generator(sys: LinearSystem, cw: CostWeights, W_max: float, T: int, *, phases=None) -> SinusoidGenerator:
+    return SinusoidGenerator(sys, cw, W_max, T, phases=phases)

@@ -33,6 +33,8 @@ __all__ = [
 # in practice"; kappa then falls back to a direct sup_k ||A^k|| / rho^k estimate.
 DIAGONALIZATION_COND_LIMIT = 1e8
 _LYAPUNOV_POWERS = 200
+# Draws random_system makes before it raises GenerationError.
+SYSTEM_ATTEMPTS = 100
 
 
 class GenerationError(RuntimeError):
@@ -264,16 +266,10 @@ def uncontrollable(A: np.ndarray, B: np.ndarray, lam: complex) -> bool:
     return bool(np.linalg.matrix_rank(np.block([[M.real, -M.imag], [M.imag, M.real]])) < 2 * d_x)
 
 
-def random_system(
-    d_x: int,
-    d_u: int,
-    d_w: int,
-    seed: int,
-    target_radius: float = 0.9,
-    max_attempts: int = 100,
-) -> LinearSystem:
+def random_system(d_x: int, d_u: int, d_w: int, seed: int, target_radius: float = 0.9) -> LinearSystem:
     """Random plant with standard-normal entries, A rescaled to the target
-    spectral radius, resampled until (A, B) is controllable.
+    spectral radius, resampled until (A, B) is controllable; GenerationError
+    after SYSTEM_ATTEMPTS draws.
 
     Deterministic in seed.
     """
@@ -282,7 +278,7 @@ def random_system(
     if not (target_radius > 0.0):
         raise ValueError("target_radius must be positive")
     rng = np.random.default_rng(seed)
-    for _ in range(max_attempts):
+    for _ in range(SYSTEM_ATTEMPTS):
         A = rng.standard_normal((d_x, d_x))
         rho = spectral_radius(A)
         if rho < 1e-12:
@@ -293,7 +289,7 @@ def random_system(
         if not any(uncontrollable(A, B, lam) for lam in np.linalg.eigvals(A)):
             return LinearSystem(A, B, C)
     raise GenerationError(
-        f"no controllable system after {max_attempts} attempts (seed={seed})"
+        f"no controllable system after {SYSTEM_ATTEMPTS} attempts (seed={seed})"
     )
 
 

@@ -141,7 +141,7 @@ def _secular(z_of, lo, hi, D):
     "converged" once ||w|| is within SECULAR_REL_TOL D of D; "collapsed",
     with nu = hi, where the bracket is exhausted, the step stalls or hi is
     not certified (the hard and near-hard cases); "capped" after
-    _SECULAR_MAX_ITER evaluations, with the last w and the nu after it.
+    _SECULAR_MAX_ITER evaluations, with the last w and the nu of that w.
     """
     stop = SECULAR_REL_TOL * D
     nu = hi
@@ -167,8 +167,8 @@ def _secular(z_of, lo, hi, D):
             nu_next = 0.5 * (lo + hi)
         if nu_next == nu:
             return "collapsed", hi, w
-        nu = nu_next
-    return "capped", nu, w
+        nu_w, nu = nu, nu_next
+    return "capped", nu_w, w
 
 
 def _top_finish(prob, lam, V, q, top, nu, sign, limit=math.inf):

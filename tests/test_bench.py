@@ -532,7 +532,7 @@ def test_aggregate_csv_shape(tmp_path):
     lines = table.csv_lines("ratio")
     assert lines[0] == "controller,generator,score,std"
     assert len(lines) == 1 + len(table.controllers) * len(table.generators)
-    text = table.format_text("ratio")
+    text = table.format_text()
     assert "lqr" in text and "random" in text
 
 

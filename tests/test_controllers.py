@@ -3,6 +3,7 @@ import pytest
 
 from motrbench.cdg import CdgPolicy, affine_state_map, unroll_map
 from motrbench.controllers import (
+    DARE_TOL,
     BracketingError,
     GpcController,
     LinearFeedback,
@@ -53,13 +54,12 @@ def test_dare_residual_and_stability():
     for seed in range(5):
         sys = random_system(4, 2, 2, seed=seed, target_radius=0.9)
         cw = CostWeights(np.eye(4), np.eye(2))
-        tol = 1e-12
-        P, K = solve_dare(sys, cw, tol=tol)
+        P, K = solve_dare(sys, cw)
         G = cw.R + sys.B.T @ P @ sys.B
         resid = cw.Q + sys.A.T @ P @ sys.A - sys.A.T @ P @ sys.B @ np.linalg.solve(
             G, sys.B.T @ P @ sys.A
         ) - P
-        assert np.max(np.abs(resid)) <= 10.0 * tol * (1.0 + np.max(np.abs(P)))
+        assert np.max(np.abs(resid)) <= 10.0 * DARE_TOL * (1.0 + np.max(np.abs(P)))
         assert np.max(np.abs(np.linalg.eigvals(sys.A - sys.B @ K))) < 1.0
 
 

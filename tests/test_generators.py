@@ -11,6 +11,7 @@ from motrbench.generators import (
     GaussianGenerator,
     GeneratorError,
     HinfGenerator,
+    SINE_FREQS,
     RandomDirectionGenerator,
     _sinusoid_gram,
     scale_to_budget,
@@ -226,7 +227,7 @@ def test_sinusoid_takes_the_exact_best_direction():
     # every candidate of a sampled search over the same grids, with the
     # directions each of the default grid's sine episodes would draw.
     cfg = ExperimentConfig()
-    freqs, phases = np.linspace(0.0, np.pi, 16), 2.0 * np.pi * np.arange(4) / 8.0
+    phases = 2.0 * np.pi * np.arange(4) / 8.0
     for index in range(cfg.n_systems):
         seed = stable_seed(cfg.base_seed, "system", index)
         sys = random_system(cfg.d_x, cfg.d_u, cfg.d_w, seed=seed, target_radius=cfg.target_radius)
@@ -241,7 +242,7 @@ def test_sinusoid_takes_the_exact_best_direction():
             sampled_sine_directions(cfg.d_w, stable_seed(cfg.base_seed, index, s, c, "sine"))
             for s in range(cfg.n_seeds) for c in cfg.controllers
         ])
-        sampled = gram_scores(sys, cw, cfg.W_max, cfg.T, dirs, freqs, phases)
+        sampled = gram_scores(sys, cw, cfg.W_max, cfg.T, dirs, SINE_FREQS, phases)
         assert gen.score >= sampled.max() * (1.0 - 1e-12), f"system {index}"
 
 
@@ -264,13 +265,12 @@ def test_sinusoid_finds_resonance():
     )
     sys = LinearSystem(0.97 * rot, np.eye(2), np.eye(2))
     cw = CostWeights(np.eye(2), np.eye(2))
-    freqs = np.linspace(0.0, np.pi, 16)
     gen = sinusoid_generator(sys, cw, W_max=1.0, T=400)
     # Oracle: densely sweep frequencies with the steady-state amplification
     # of the resolvent and pick the best grid point.
-    amps = [np.linalg.norm(np.linalg.inv(np.exp(1j * om) * np.eye(2) - sys.A)) for om in freqs]
-    assert gen.omega == pytest.approx(freqs[int(np.argmax(amps))])
-    assert abs(gen.omega - theta) <= (freqs[1] - freqs[0])
+    amps = [np.linalg.norm(np.linalg.inv(np.exp(1j * om) * np.eye(2) - sys.A)) for om in SINE_FREQS]
+    assert gen.omega == pytest.approx(SINE_FREQS[int(np.argmax(amps))])
+    assert abs(gen.omega - theta) <= (SINE_FREQS[1] - SINE_FREQS[0])
 
 
 def test_generator_call_order_enforced():

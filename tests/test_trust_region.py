@@ -211,8 +211,14 @@ def test_secular_failure_raises_with_best_iterate(monkeypatch):
     monkeypatch.setattr(tr, "_SECULAR_MAX_ITER", 1)
     with pytest.raises(tr.TrustRegionError, match="did not converge") as info:
         solve(prob)
-    assert info.value.best is not None
-    assert np.linalg.norm(info.value.best.z) <= prob.D * (1.0 + 1e-12)
+    best = info.value.best
+    assert best is not None
+    assert np.linalg.norm(best.z) <= prob.D * (1.0 + 1e-12)
+    # The best iterate is z(nu) with the multiplier nu it was evaluated at,
+    # so it satisfies the stationarity part of the KKT system.
+    S = 0.5 * (prob.P + prob.P.T)
+    kkt = np.linalg.norm(2.0 * S @ best.z + prob.p - 2.0 * best.multiplier * best.z)
+    assert kkt <= 1e-12 * (np.linalg.norm(S, 2) * prob.D + np.linalg.norm(prob.p))
 
 
 def test_non_finite_coefficients_raise_instead_of_returning_nan():
