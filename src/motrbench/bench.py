@@ -307,7 +307,7 @@ def run_episode(
     u_shape, w_shape = (sys.d_u,), (sys.d_w,)
     X, U = np.empty((T, sys.d_x)), np.empty((T, sys.d_u))
     sq_norms = np.empty(T + 1)  # ||x||^2 of x_0 and of each state reached
-    sq_norms[0] = x @ x
+    sq_norms[0] = x.dot(x)
     rounds, diverged = T, False
     for t in range(T):
         u = np.asarray(controller.act(x), dtype=float)
@@ -319,7 +319,7 @@ def run_episode(
         X[t], U[t] = x, u
         x = step(sys, x, u, w)
         generator.observe(u)
-        sq_norms[t + 1] = sq = x @ x
+        sq_norms[t + 1] = sq = x.dot(x)
         # ||x|| as np.linalg.norm computes it; NaN once x is not finite.
         if not math.sqrt(sq) <= DIVERGENCE_LIMIT:
             rounds, diverged = t + 1, True

@@ -87,7 +87,7 @@ def project_frobenius(M: np.ndarray, bound: float) -> np.ndarray:
     bound: M itself when it lies within the ball up to rounding.  Each
     radius is checked positive where it is built, not here."""
     flat = M.ravel()
-    norm = math.sqrt(flat @ flat)
+    norm = math.sqrt(flat.dot(flat))
     if norm <= bound * (1.0 + 1e-12):
         return M
     return M * (bound / norm)
@@ -192,9 +192,9 @@ def rollout_cost_quadratic(
     as well: the function then returns (G, F) with F = L'T, so P = F'F up
     to rounding, from the same product h @ E.
     """
-    Tb = (history @ unroll.E).reshape(unroll.d_x, -1)
-    G = Tb.T @ (cw.Q @ Tb)
-    G[-1, -1] += u_now @ cw.R @ u_now
+    Tb = history.dot(unroll.E).reshape(unroll.d_x, -1)
+    G = Tb.T.dot(cw.Q.dot(Tb))
+    G[-1, -1] += u_now.dot(cw.R).dot(u_now)
     if q_root is None:
         return G
-    return G, q_root @ Tb[:, :-1]
+    return G, q_root.dot(Tb[:, :-1])

@@ -80,15 +80,15 @@ def solve_dare(sys: LinearSystem, cw: CostWeights):
             raise SynthesisError(f"(A, B) not stabilizable: eigenvalue {lam:.4g} uncontrollable")
     P = Q.copy()
     for _ in range(DARE_MAX_ITER):
-        G = R + B.T @ P @ B
-        K = np.linalg.solve(G, B.T @ P @ A)
-        Pn = Q + A.T @ P @ A - A.T @ P @ B @ K
+        G = R + B.T.dot(P).dot(B)
+        K = np.linalg.solve(G, B.T.dot(P).dot(A))
+        Pn = Q + A.T.dot(P).dot(A) - A.T.dot(P).dot(B).dot(K)
         Pn = 0.5 * (Pn + Pn.T)
-        delta = float(np.max(np.abs(Pn - P)))
+        delta = float(np.abs(Pn - P).max())
         if not math.isfinite(delta):
             raise SynthesisError("Riccati iteration produced non-finite values")
         P = Pn
-        if delta < DARE_TOL * (1.0 + float(np.max(np.abs(P)))):
+        if delta < DARE_TOL * (1.0 + float(np.abs(P).max())):
             break
     else:
         raise SynthesisError(f"Riccati iteration did not converge in {DARE_MAX_ITER} steps")
@@ -139,24 +139,24 @@ def solve_hinf_game(sys: LinearSystem, cw: CostWeights, gamma: float) -> Optiona
     P = Q.copy()
     converged = False
     for k in range(GAME_MAX_ITER + 1):
-        if np.linalg.eigvalsh(g2I - Ct @ P @ C).min() <= 0.0:
+        if np.linalg.eigvalsh(g2I - Ct.dot(P).dot(C)).min() <= 0.0:
             return None
         if converged:
             break
         if k == GAME_MAX_ITER:
             return None
         try:
-            Z = np.linalg.solve(I + Mg @ P, A)
+            Z = np.linalg.solve(I + Mg.dot(P), A)
         except np.linalg.LinAlgError:
             return None
-        Pn = Q + At @ P @ Z
+        Pn = Q + At.dot(P).dot(Z)
         Pn = 0.5 * (Pn + Pn.T)
-        big = float(np.max(np.abs(Pn)))
+        big = float(np.abs(Pn).max())
         if not math.isfinite(big):
             raise SynthesisError("H-infinity value iteration produced non-finite values")
         if big > GAME_BLOWUP:
             return None
-        converged = float(np.max(np.abs(Pn - P))) < GAME_TOL * (1.0 + big)
+        converged = float(np.abs(Pn - P).max()) < GAME_TOL * (1.0 + big)
         P = Pn
 
     # Gains from the joint stationarity of the one-step saddle.
@@ -179,7 +179,11 @@ def hinf_bisection(sys: LinearSystem, cw: CostWeights, *, hi: float = 1e6, rel_t
     """Smallest feasible attenuation level within rel_tol, returned at the
     GAMMA_SAFETY factor above the bisected infimum.  The bracket starts at
     [GAMMA_LO, hi], and its lower end is divided by 4 until infeasible.
-    Each level is tried by solve_hinf_game."""
+    Each level is tried by solve_hinf_game.  rel_tol must be finite with
+    1 + rel_tol > 1, so that the bisection's stop hi/lo <= 1 + rel_tol is
+    reachable in floats; otherwise ValueError."""
+    if not (math.isfinite(rel_tol) and 1.0 + rel_tol > 1.0):
+        raise ValueError(f"rel_tol must be a finite number with 1 + rel_tol > 1, got {rel_tol!r}")
     lo = GAMMA_LO
     if solve_hinf_game(sys, cw, hi) is None:
         raise BracketingError(f"gamma = {hi:.4g} is infeasible; enlarge the bracket")
@@ -210,11 +214,11 @@ class LinearFeedback:
 
     def __init__(self, K: np.ndarray, name: str):
         self.K = np.array(K, dtype=float)
-        self._neg_K = -self.K  # -K @ x parses as (-K) @ x: the same bits, negated once
+        self._neg_K = -self.K  # (-K) x: the same bits as -(K x), negated once
         self.name = name
 
     def act(self, x: np.ndarray) -> np.ndarray:
-        return self._neg_K @ x
+        return self._neg_K.dot(x)
 
 
 def lqr_controller(sys: LinearSystem, cw: CostWeights) -> LinearFeedback:
@@ -324,12 +328,12 @@ class GpcController:
         """
         S = self._S
         np.matmul(S, self._Nst.T, out=self._ZS)
-        return (self._L @ self._z).reshape(self._ZS.shape).T @ S
+        return self._L.dot(self._z).reshape(self._ZS.shape).T @ S
 
     def _update(self) -> None:
         grad = self._gradient()
         flat = grad.ravel()
-        gnorm = math.sqrt(flat @ flat)
+        gnorm = math.sqrt(flat.dot(flat))
         N = self._Nst
         if gnorm > 0.0:
             # Rate GPC_LR, but capped so one step never moves farther than
@@ -344,9 +348,9 @@ class GpcController:
         if self._t:
             win = self._win
             win[1:] = win[:-1]
-            np.subtract(x, self._AB @ xu, out=win[0])
+            np.subtract(x, self._AB.dot(xu), out=win[0])
             self._update()
-        u = self._neg_K @ x + self._Nst @ self._S[0]
+        u = self._neg_K.dot(x) + self._Nst.dot(self._S[0])
         xu[: self.sys.d_x] = x
         xu[self.sys.d_x :] = u
         self._t += 1

@@ -79,7 +79,7 @@ def scale_to_budget(w: np.ndarray, W_max: float) -> np.ndarray:
     stabilized state decays, and every comparison against persistent noise
     would be vacuous.  Each generator checks W_max when it is built.
     """
-    norm = math.sqrt(w @ w)
+    norm = math.sqrt(w.dot(w))
     if norm == 0.0:
         return np.zeros_like(w)
     return w * (W_max / norm)
@@ -128,7 +128,7 @@ class HinfGenerator(DisturbanceGenerator):
         self.W_max = _check_budget(W_max)
 
     def _emit(self, x):
-        return scale_to_budget(self.W @ x, self.W_max)
+        return scale_to_budget(self.W.dot(x), self.W_max)
 
 
 class GaussianGenerator(DisturbanceGenerator):
@@ -162,10 +162,10 @@ class RandomDirectionGenerator(DisturbanceGenerator):
 
     def _emit(self, x):
         v = self.rng.standard_normal(self.d_w)
-        norm = math.sqrt(v @ v)  # np.linalg.norm's arithmetic
+        norm = math.sqrt(v.dot(v))  # np.linalg.norm's arithmetic
         while norm == 0.0:
             v = self.rng.standard_normal(self.d_w)
-            norm = math.sqrt(v @ v)
+            norm = math.sqrt(v.dot(v))
         return self.W_max * v / norm
 
 
@@ -346,14 +346,14 @@ class AdaptiveCdgGenerator(DisturbanceGenerator):
         # sum_i M[i] r_{t-1-i}: the vector's index col*(H d_w) + i*d_w + row
         # is row col*H + i of the (d_u H, d_w) view, and the window's first
         # H rows flattened column-major are ordered the same way.
-        w = self._r_win[: self.H].ravel(order="F") @ self._v.reshape(-1, self.d_w)
-        w += self.W @ x
+        w = self._r_win[: self.H].ravel(order="F").dot(self._v.reshape(-1, self.d_w))
+        w += self.W.dot(x)
         self._pending_x = x
         return scale_to_budget(w, self.W_max)
 
     def _observe(self, u):
         x = self._pending_x
-        r = self.K @ x + u
+        r = self.K.dot(x) + u
         v = self._v
         try:
             if self._q_root is None:
@@ -361,15 +361,15 @@ class AdaptiveCdgGenerator(DisturbanceGenerator):
             else:
                 G, F = rollout_cost_quadratic(self._unroll, self.cw, self._h, r, self._q_root)
             P, q = G[:-1, :-1], G[:-1, -1]
-            Pv = P @ v
-            self._state.observe(G, float(v @ (Pv + 2.0 * q) + G[-1, -1]), F)
+            Pv = P.dot(v)
+            self._state.observe(G, float(v.dot(Pv + 2.0 * q) + G[-1, -1]), F)
             if self.name == "motr":
                 v = self._motr_step(P, q)
             else:
                 # The gradient (P + P')v + 2q, with P = T'QT symmetric up to
                 # rounding for the symmetric Q of a CostWeights.
                 g = 2.0 * (Pv + q)
-                gnorm = math.sqrt(g @ g)
+                gnorm = math.sqrt(g.dot(g))
                 if gnorm > 0.0:
                     v = v + (self.lr / math.sqrt(self._round + 1.0) / gnorm) * g
         except (ValueError, RuntimeError) as exc:

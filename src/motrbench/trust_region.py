@@ -104,7 +104,7 @@ def objective(prob: TrustRegionProblem, z: np.ndarray) -> float:
 
 
 def _make_solution(prob, z, multiplier, hard_case):
-    norm = math.sqrt(z @ z)
+    norm = math.sqrt(z.dot(z))
     if not math.isfinite(norm):
         # A non-finite P or p gets here (the learner's per-round problems
         # are not checked on construction), and so do finite entries whose
@@ -153,7 +153,7 @@ def _secular(z_of, lo, hi, D):
             lo, nu = nu, 0.5 * (nu + hi)
             continue
         w, dnorm2 = step
-        norm = math.sqrt(w @ w)
+        norm = math.sqrt(w.dot(w))
         if abs(norm - D) <= stop:
             return "converged", nu, w
         if norm > D:
@@ -178,13 +178,13 @@ def _top_finish(prob, lam, V, q, top, nu, sign, limit=math.inf):
     D = prob.D
     w = np.zeros_like(q)
     w[~top] = q[~top] / (2.0 * (nu - lam[~top]))
-    rest = math.sqrt(w @ w)
+    rest = math.sqrt(w.dot(w))
     if rest >= limit:
         return None
     if rest > D:  # and no radius is left for the top eigenvector
         w *= D / rest
     w[-1] = sign * math.sqrt(max(0.0, D * D - rest * rest))
-    return _make_solution(prob, V @ w, nu, hard_case=True)
+    return _make_solution(prob, V.dot(w), nu, hard_case=True)
 
 
 def solve(prob: TrustRegionProblem, *, eig=None, low_rank=None) -> TrustRegionSolution:
@@ -205,13 +205,13 @@ def solve(prob: TrustRegionProblem, *, eig=None, low_rank=None) -> TrustRegionSo
     afresh and takes the eig-free path; convergence matches it to rounding.
     """
     D = prob.D
-    p_norm = math.sqrt(prob.p @ prob.p)
+    p_norm = math.sqrt(prob.p.dot(prob.p))
     if low_rank is not None:
         lam, V = eig
         lam_max = float(lam[-1])
         if not (lam_max < 0.0 or p_norm == 0.0):
             W = low_rank
-            half_q = 0.5 * (V.T @ prob.p)
+            half_q = 0.5 * V.T.dot(prob.p)
             eye = np.eye(W.shape[0])
 
             def woodbury(nu):
@@ -219,26 +219,26 @@ def solve(prob: TrustRegionProblem, *, eig=None, low_rank=None) -> TrustRegionSo
                 Wg = W * g
                 try:
                     # C(nu) is positive definite iff nu > lambda_max(S).
-                    L = np.linalg.cholesky(eye - Wg @ W.T)
+                    L = np.linalg.cholesky(eye - Wg.dot(W.T))
                 except np.linalg.LinAlgError:
                     return None
                 # (nu I - S)^-1 = G + G W' C^-1 W G = G + B'B for
                 # G = (nu I - diag(lam))^-1, C = L L' and B = L^-1 W G.
-                B = np.linalg.inv(L) @ Wg
-                w = half_q * g + (B @ half_q) @ B
-                e = B @ w
-                return w, float(w @ (g * w) + e @ e)
+                B = np.linalg.inv(L).dot(Wg)
+                w = half_q * g + B.dot(half_q).dot(B)
+                e = B.dot(w)
+                return w, float(w.dot(g * w) + e.dot(e))
 
             # ||W||_F^2 bounds lambda_max(W'W), so at hi ||z|| <= D.
             bound = lam_max + float(np.einsum("ij,ij->", W, W))
             hi = bound + p_norm / (2.0 * D) + 1e-12 * max(1.0, -float(lam[0]), bound)
             status, nu, w = _secular(woodbury, lam_max, hi, D)
             if status == "converged":
-                return _make_solution(prob, V @ w, nu, hard_case=False)
+                return _make_solution(prob, V.dot(w), nu, hard_case=False)
         eig = None
     lam, V = symmetric_eig(prob.P) if eig is None else eig
     lam_max = float(lam[-1])
-    q = V.T @ prob.p
+    q = V.T.dot(prob.p)
     # lam is sorted, so max |lam| is at one of its ends.
     scale = max(1.0, -float(lam[0]), lam_max)
     top = lam >= lam_max - 1e-12 * scale
@@ -246,14 +246,14 @@ def solve(prob: TrustRegionProblem, *, eig=None, low_rank=None) -> TrustRegionSo
     # Interior stationary point 2 S z + p = 0, optimal iff S is negative
     # definite and the point lies inside the ball.
     if lam_max < -1e-14 * scale:
-        z0 = V @ (q / (-2.0 * lam))
-        if math.sqrt(z0 @ z0) <= D:
+        z0 = V.dot(q / (-2.0 * lam))
+        if math.sqrt(z0.dot(z0)) <= D:
             return _make_solution(prob, z0, 0.0, hard_case=False)
         nu_lo = 0.0
     else:
         nu_lo = max(lam_max, 0.0)
         q_top = q[top]
-        if p_norm == 0.0 or math.sqrt(q_top @ q_top) < HARD_CASE_REL_TOL * p_norm:
+        if p_norm == 0.0 or math.sqrt(q_top.dot(q_top)) < HARD_CASE_REL_TOL * p_norm:
             # Hard case: if z(nu_lo) off the top eigenspace lies inside the
             # ball, spend the rest of the radius along a top eigenvector.
             sol = _top_finish(prob, lam, V, q, top, nu_lo, 1.0, limit=D * (1.0 - 1e-12))
@@ -270,7 +270,7 @@ def solve(prob: TrustRegionProblem, *, eig=None, low_rank=None) -> TrustRegionSo
         # Near-hard: ||z(nu)|| is hypersensitive only through the top
         # coordinates; keep the sign the vanishing one was heading toward.
         return _top_finish(prob, lam, V, q, top, nu, 1.0 if q[-1] >= 0.0 else -1.0)
-    sol = _make_solution(prob, V @ w, nu, hard_case=False)
+    sol = _make_solution(prob, V.dot(w), nu, hard_case=False)
     if status == "capped":
         raise TrustRegionError("secular iteration did not converge", best=sol)
     return sol

@@ -81,3 +81,16 @@ def test_settable_values_counts_the_spec_fields_of_an_older_checkout(snapshot, t
         "GENERATOR_DEFAULTS = {'motr': {}, 'oga': {'lr': None}}\n"
     )
     assert snapshot.settable_values(str(tmp_path), []) == 5
+
+
+@pytest.mark.parametrize("value, expected", [(None, False), ("", False), ("0", False), ("1", True), ("x", True)])
+def test_machine_records_the_bytecode_setting(snapshot, monkeypatch, value, expected):
+    # Python reads PYTHONDONTWRITEBYTECODE as set when it is a positive
+    # integer or a non-empty string other than an integer.
+    if value is None:
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", value)
+    block = snapshot.machine()
+    assert block["dont_write_bytecode"] is expected
+    assert set(block) == {"python", "numpy", "cpus", "platform", "dont_write_bytecode"}

@@ -169,6 +169,15 @@ def test_hinf_bisection_feasible_and_bracketing_error():
         hinf_bisection(sys, CostWeights(np.eye(4), np.eye(2)), hi=1e-6)
 
 
+@pytest.mark.parametrize("rel_tol", [0.0, float("nan"), -1e-3, float("inf"), 1e-17])
+def test_hinf_bisection_refuses_an_unreachable_tolerance(rel_tol):
+    # 0 and 1e-17 (1 + 1e-17 == 1) would never stop once lo and hi are
+    # adjacent floats; NaN would skip the bisection and return 1.01 hi.
+    sys = random_system(4, 2, 2, seed=60, target_radius=0.9)
+    with pytest.raises(ValueError, match="rel_tol"):
+        hinf_bisection(sys, CostWeights(np.eye(4), np.eye(2)), rel_tol=rel_tol)
+
+
 def test_linear_feedback_handles():
     sys = random_system(3, 2, 2, seed=12, target_radius=0.9)
     cw = CostWeights(np.eye(3), np.eye(2))

@@ -14,8 +14,12 @@ passes' trust-region certificate lines); the wall time of the full default grid
 of src/motrbench/*.py; the number of values a config can set (the
 ExperimentConfig fields, plus every controller and generator spec field
 in checkouts that have spec fields);
+the machine: Python and numpy versions, CPU count, platform, and whether
+PYTHONDONTWRITEBYTECODE was set, in which case every benchmark process
+compiles src/ from source, its set-up and warm-up passes included;
 and every command that produced these figures, in the order they ran.
-Schema 2 is schema 1 (BENCH_1 to BENCH_5) plus settable_values.
+Schema 2 is schema 1 (BENCH_1 to BENCH_5) plus settable_values; schema 3
+adds machine.dont_write_bytecode.
 """
 
 import argparse
@@ -31,7 +35,7 @@ import time
 
 import numpy
 
-SCHEMA = 2
+SCHEMA = 3
 HERE = os.path.dirname(os.path.abspath(__file__))
 # The benchmark and the grid run with one BLAS thread, as perfbench/run.py
 # runs its workers.
@@ -79,6 +83,24 @@ def settable_values(root, commands):
     """The number of values a config of the checkout at root can set."""
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
     return int(_run([sys.executable, "-c", SETTABLE_VALUES], root, commands, env))
+
+
+def machine():
+    """The machine block.  dont_write_bytecode is sys.dont_write_bytecode of
+    a child interpreter with this environment, as the benchmark's processes
+    get it: when PYTHONDONTWRITEBYTECODE sets it, no compiled bytecode is
+    cached, so each process pays the compile and its memory."""
+    child = subprocess.run(
+        [sys.executable, "-c", "import sys; print(sys.dont_write_bytecode)"],
+        stdout=subprocess.PIPE, text=True, check=True,
+    )
+    return {
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "cpus": os.cpu_count(),
+        "platform": platform.platform(),
+        "dont_write_bytecode": child.stdout.strip() == "True",
+    }
 
 
 def _sha256(path):
@@ -149,12 +171,7 @@ def main(argv=None):
         "schema": SCHEMA,
         "command": f"python3 tools/bench_snapshot.py {os.path.basename(args.out)} --root CHECKOUT",
         "git_head": head.stdout.strip(),
-        "machine": {
-            "python": platform.python_version(),
-            "numpy": numpy.__version__,
-            "cpus": os.cpu_count(),
-            "platform": platform.platform(),
-        },
+        "machine": machine(),
         "perfbench_seconds": seconds,
         "perfbench": perfbench,
         "full_grid": full_grid,
