@@ -293,7 +293,8 @@ def run_episode(
     shapes are checked every round; a wrong shape raises ValueError.  The
     controller, the generator and the plant step therefore see float
     vectors and convert nothing.  A round is act, emit, step, observe and
-    one x @ x for the divergence test; x_t and u_t go into preallocated
+    one x.dot(x) for the divergence test (act, emit and observe are bound
+    once per episode); x_t and u_t go into preallocated
     arrays, and the stage costs, the largest ||u_t|| and the largest ||x_t||
     (x_0 and every state reached) are computed from them once, after the
     loop, with the same bits as per-round arithmetic.  State blowup past
@@ -309,16 +310,17 @@ def run_episode(
     sq_norms = np.empty(T + 1)  # ||x||^2 of x_0 and of each state reached
     sq_norms[0] = x.dot(x)
     rounds, diverged = T, False
+    act, emit, observe = controller.act, generator.emit, generator.observe
     for t in range(T):
-        u = np.asarray(controller.act(x), dtype=float)
-        w = np.asarray(generator.emit(x), dtype=float)
+        u = np.asarray(act(x), dtype=float)
+        w = np.asarray(emit(x), dtype=float)
         if u.shape != u_shape:
             raise ValueError(f"controller {controller.name!r} returned u of shape {u.shape}, expected {u_shape}")
         if w.shape != w_shape:
             raise ValueError(f"generator {generator.name!r} returned w of shape {w.shape}, expected {w_shape}")
         X[t], U[t] = x, u
         x = step(sys, x, u, w)
-        generator.observe(u)
+        observe(u)
         sq_norms[t + 1] = sq = x.dot(x)
         # ||x|| as np.linalg.norm computes it; NaN once x is not finite.
         if not math.sqrt(sq) <= DIVERGENCE_LIMIT:
@@ -353,28 +355,35 @@ def run_episode(
 
 def _built(build, *args):
     """build(*args), or the error it raised.  A build that serves many
-    episodes (a system's bundle, its sine) returns its error instead of
-    raising it, so that the error fails those episodes and no other."""
+    episodes (a system's bundle, its sine, its GPC) returns its error
+    instead of raising it, so that the error fails those episodes and no
+    other."""
     try:
         return build(*args)
     except Exception as exc:  # noqa: BLE001 - raised again by each episode that needs it
         return exc
 
 
+def _copy_of(prototype):
+    """A copy of a per-system prototype, or the error its build raised.
+    A prototype never plays, so its copy starts at round 0."""
+    if isinstance(prototype, Exception):
+        raise prototype.with_traceback(None)
+    return copy.copy(prototype)
+
+
 def _episode_task(args):
-    config, index, bundle, sine, ctrl_name, gen_name, seed_index = args
+    config, index, bundle, sine, gpc, ctrl_name, gen_name, seed_index = args
     if isinstance(bundle, Exception):
         raise bundle.with_traceback(None)
     episode_seed = stable_seed(config.base_seed, index, seed_index, ctrl_name, gen_name)
     x0_rng = np.random.default_rng(stable_seed(config.base_seed, "x0", index, seed_index))
     x0 = x0_rng.standard_normal(config.d_x)
-    controller = _build_controller(ctrl_name, bundle)
+    # The sine draws no random numbers and GPC's maps depend only on the
+    # system, so one prototype of each per system serves every episode.
+    controller = _copy_of(gpc) if ctrl_name == "gpc" else _build_controller(ctrl_name, bundle)
     if gen_name == "sine":
-        if isinstance(sine, Exception):
-            raise sine.with_traceback(None)
-        # The sine draws no random numbers, so one prototype per system
-        # serves every episode; it never plays, so its copy starts at round 0.
-        generator = copy.copy(sine)
+        generator = _copy_of(sine)
     else:
         generator = _build_generator(gen_name, bundle, config, config.T, episode_seed)
     return run_episode(
@@ -395,24 +404,32 @@ def run_grid(config: ExperimentConfig, jobs: int = 1, log=None):
 
     Returns (records, failures); failures are (task description, error
     string) pairs for episodes that raised.  A system whose synthesis
-    fails fails each of its episodes; the other systems still run.
+    fails fails each of its episodes, and one whose sine or GPC build
+    fails fails the episodes that play it; the others still run.
     """
     tasks = []
     for index in range(config.n_systems):
         bundle = _built(build_bundle, config, index)
-        sine = None
-        if "sine" in config.generators and not isinstance(bundle, Exception):
-            sine = _built(_build_generator, "sine", bundle, config, config.T, None)
+        sine = gpc = None
+        if not isinstance(bundle, Exception):
+            if "sine" in config.generators:
+                sine = _built(_build_generator, "sine", bundle, config, config.T, None)
+            if "gpc" in config.controllers:
+                gpc = _built(_build_controller, "gpc", bundle)
         for seed_index in range(config.n_seeds):
             for ctrl_name in config.controllers:
                 for gen_name in config.generators:
-                    tasks.append((config, index, bundle, sine, ctrl_name, gen_name, seed_index))
+                    # A task carries only the prototypes it plays: a pool
+                    # pickles each task, and a GPC pickles to about 13 KB.
+                    own_sine = sine if gen_name == "sine" else None
+                    own_gpc = gpc if ctrl_name == "gpc" else None
+                    tasks.append((config, index, bundle, own_sine, own_gpc, ctrl_name, gen_name, seed_index))
     records, failures = [], []
 
     def collect(results):
         # One zero-argument call per task, in task order, giving its record.
         for task, result in zip(tasks, results):
-            _, index, _, _, ctrl_name, gen_name, seed_index = task
+            _, index, _, _, _, ctrl_name, gen_name, seed_index = task
             describe = f"system={index} seed={seed_index} controller={ctrl_name} generator={gen_name}"
             try:
                 records.append(result())

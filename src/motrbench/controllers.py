@@ -253,6 +253,12 @@ class GpcController:
     (A-BK)^k B (cdg.plant_powers, which checks that K_base stabilizes the
     plant) give them: y = Y z and c = L z (see _gradient).  They stand in
     for the unroll matrix of cdg.affine_state_map, which is never formed.
+
+    Those maps are read-only, and copy.copy of a controller shares them:
+    the copy starts at round 0 with buffers of its own, so one prototype
+    that never plays serves many episodes.  The buffers and the views a
+    round writes through (the window's shift, its newest slot, S[0] and
+    the halves of the last [x; u]) are made once, by _new_round_state.
     """
 
     def __init__(
@@ -284,12 +290,7 @@ class GpcController:
             raise ValueError(f"the projection radius must be positive, got {self.ball}")
         d_x, d_u = sys.d_x, sys.d_u
         n_zs = (h + 2) * d_u
-        self._z = np.zeros(n_zs + (2 * h + 1) * d_x)
-        self._ZS = self._z[:n_zs].reshape(h + 2, d_u)
-        self._win = self._z[n_zs:].reshape(2 * h + 1, d_x)  # recovered disturbances, most recent first
-        # Row j = 0..h+1 is window rows j..j+h-1, flattened.  It is a view,
-        # so it follows the in-place shifts; self._win is never rebound.
-        self._S = sliding_window_view(self._win.ravel(), h * d_x)[::d_x]
+        self._new_round_state()
         # y = sum_k (A-BK)^k B ZS[k+1] + sum_k (A-BK)^k w_hat_{t-k}, k = 0..h.
         AkB = AkB.transpose(1, 0, 2).reshape(d_x, (h + 1) * d_u)
         self._Y = np.zeros((d_x, self._z.size))
@@ -301,9 +302,39 @@ class GpcController:
         RV = cw.R @ V
         self._L = 2.0 * np.vstack([RV, AkB.T @ (cw.Q @ self._Y - K_base.T @ RV)])
         self._AB = np.hstack([sys.A, sys.B])
+        # Copies share these maps, so nothing may write to them.
+        for shared in (self.K, self._neg_K, self._Y, self._L, self._AB):
+            shared.setflags(write=False)
+
+    def _new_round_state(self) -> None:
+        """Round 0: zero buffers, zero policy, and the views a round writes
+        through, each made here next to the buffer it views."""
+        h, d_x, d_u = self.h, self.sys.d_x, self.sys.d_u
+        n_zs = (h + 2) * d_u
+        self._z = np.zeros(n_zs + (2 * h + 1) * d_x)
+        self._ZS = self._z[:n_zs].reshape(h + 2, d_u)
+        self._win = self._z[n_zs:].reshape(2 * h + 1, d_x)  # recovered disturbances, most recent first
+        # The in-place shift win[1:] = win[:-1] and the newest slot win[0].
+        self._win_older, self._win_newer = self._win[1:], self._win[:-1]
+        self._w_hat = self._win[0]
+        # Row j = 0..h+1 is window rows j..j+h-1, flattened.  It is a view,
+        # so it follows the in-place shifts; self._win is never rebound.
+        self._S = sliding_window_view(self._win.ravel(), h * d_x)[::d_x]
+        self._S0 = self._S[0]
         self._xu = np.zeros(d_x + d_u)  # the last round's [x; u]
+        self._x, self._u = self._xu[:d_x], self._xu[d_x:]
         self._Nst = np.zeros((d_u, h * d_x))  # [N[0] | ... | N[h-1]]
         self._t = 0
+
+    def __copy__(self) -> "GpcController":
+        """A controller at round 0 that shares this one's read-only maps
+        (K, the Y and L maps, [A | B], the radius) and has round buffers of
+        its own.  Copying a prototype that never played thus gives what a
+        fresh build gives, without rebuilding the maps."""
+        new = object.__new__(type(self))
+        new.__dict__.update(self.__dict__)
+        new._new_round_state()
+        return new
 
     @property
     def N(self) -> np.ndarray:
@@ -344,14 +375,12 @@ class GpcController:
         self._Nst = project_frobenius(N, self.ball)
 
     def act(self, x: np.ndarray) -> np.ndarray:
-        xu = self._xu
         if self._t:
-            win = self._win
-            win[1:] = win[:-1]
-            np.subtract(x, self._AB.dot(xu), out=win[0])
+            self._win_older[...] = self._win_newer
+            np.subtract(x, self._AB.dot(self._xu), out=self._w_hat)
             self._update()
-        u = self._neg_K.dot(x) + self._Nst.dot(self._S[0])
-        xu[: self.sys.d_x] = x
-        xu[self.sys.d_x :] = u
+        u = self._neg_K.dot(x) + self._Nst.dot(self._S0)
+        self._x[...] = x
+        self._u[...] = u
         self._t += 1
         return u

@@ -29,6 +29,7 @@ eigenvector of a d_w x d_w matrix built from _sinusoid_gram.
 """
 
 import math
+import numbers
 from typing import Optional
 
 import numpy as np
@@ -51,6 +52,8 @@ __all__ = [
 ]
 
 GAUSSIAN_BUDGET_FACTOR = 1.05
+# The noise generators draw their normals this many rounds' worth at a time.
+NOISE_BLOCK = 64
 # Sinusoid candidates scoring within this relative distance of the best
 # are tied (see SinusoidGenerator).
 TIE_REL_TOL = 1e-12
@@ -131,40 +134,73 @@ class HinfGenerator(DisturbanceGenerator):
         return scale_to_budget(self.W.dot(x), self.W_max)
 
 
-class GaussianGenerator(DisturbanceGenerator):
+class _NoiseGenerator(DisturbanceGenerator):
+    """Base of the two noise generators: d_w standard normals per draw from
+    the seeded rng.  They are drawn on first need in blocks of NOISE_BLOCK
+    rows, one row per draw, so rng runs up to one block ahead of the draws
+    handed out.  Generator.standard_normal fills a block in order, so its
+    rows are the numbers that one call per draw would give.  A refill
+    allocates a new block: a row handed out is never overwritten."""
+
+    def __init__(self, d_w: int, seed: int):
+        super().__init__()
+        if not (isinstance(d_w, numbers.Integral) and not isinstance(d_w, bool) and d_w >= 1):
+            raise ValueError(f"d_w must be an integer >= 1, got {d_w!r}")
+        self.d_w = int(d_w)
+        self.rng = np.random.default_rng(seed)
+        self._rows = np.empty((0, self.d_w))
+        self._next = 0
+
+    def _block(self, z: np.ndarray) -> np.ndarray:
+        """The rows to hand out, from a block z of standard normals."""
+        return z
+
+    def _draw(self) -> np.ndarray:
+        i = self._next
+        if i == len(self._rows):
+            self._rows = self._block(self.rng.standard_normal((NOISE_BLOCK, self.d_w)))
+            i = 0
+        self._next = i + 1
+        return self._rows[i]
+
+
+class GaussianGenerator(_NoiseGenerator):
     """i.i.d. normal disturbances scaled so the mean norm is slightly above
-    the shared budget (the one unclipped baseline)."""
+    the shared budget (the one unclipped baseline).  Each block of normals
+    is scaled once, the same elementwise product as scaling each draw."""
 
     name = "gaussian"
 
     def __init__(self, d_w: int, W_max: float, seed: int):
-        super().__init__()
         W_max = _check_budget(W_max)
-        self.d_w = d_w
-        self.rng = np.random.default_rng(seed)
+        super().__init__(d_w, seed)
+        d_w = self.d_w
         mean_norm = math.sqrt(2.0) * math.gamma((d_w + 1) / 2.0) / math.gamma(d_w / 2.0)
         self.scale = GAUSSIAN_BUDGET_FACTOR * W_max / mean_norm
 
+    def _block(self, z):
+        return self.scale * z
+
     def _emit(self, x):
-        return self.scale * self.rng.standard_normal(self.d_w)
+        return self._draw()
 
 
-class RandomDirectionGenerator(DisturbanceGenerator):
-    """Uniform random direction at full budget each round."""
+class RandomDirectionGenerator(_NoiseGenerator):
+    """Uniform random direction at full budget each round: the next draw
+    of normals, scaled to norm W_max.  A draw of norm zero is skipped for
+    the next one."""
 
     name = "random"
 
     def __init__(self, d_w: int, W_max: float, seed: int):
-        super().__init__()
-        self.d_w = d_w
         self.W_max = _check_budget(W_max)
-        self.rng = np.random.default_rng(seed)
+        super().__init__(d_w, seed)
 
     def _emit(self, x):
-        v = self.rng.standard_normal(self.d_w)
+        v = self._draw()
         norm = math.sqrt(v.dot(v))  # np.linalg.norm's arithmetic
         while norm == 0.0:
-            v = self.rng.standard_normal(self.d_w)
+            v = self._draw()
             norm = math.sqrt(v.dot(v))
         return self.W_max * v / norm
 

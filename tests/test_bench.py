@@ -391,6 +391,37 @@ def test_run_grid_synthesis_error_fails_only_that_systems_episodes(fail_synthesi
     assert {error for _, error in failures} == {"SynthesisError: Riccati iteration did not converge in 500 steps"}
 
 
+def test_run_grid_gpc_build_error_fails_only_that_systems_gpc_episodes(monkeypatch):
+    # GPC is built once per system; a build that raises fails exactly that
+    # system's GPC episodes, with the error an episode's own build gives.
+    cfg = small_config(n_systems=3, controllers=["lqr", "gpc"], generators=["random", "hinf"])
+    clean, failures = run_grid(cfg, jobs=1)
+    assert not failures and len(clean) == 24
+    target = build_bundle(cfg, 1)
+    unstable = np.full_like(target.lqr_K, 1e3)
+    with pytest.raises(ValueError) as expected:
+        GpcController(target.system, target.cw, unstable)
+
+    builds = []
+
+    def build(sys, cw, K_base):
+        builds.append(sys)
+        if np.array_equal(sys.A, target.system.A):
+            K_base = unstable
+        return GpcController(sys, cw, K_base)
+
+    monkeypatch.setattr(bench, "GpcController", build)
+    records, failures = run_grid(cfg, jobs=1)
+    assert len(builds) == 3  # one per system, not one per episode
+    assert [r.to_json_line() for r in records] == [
+        r.to_json_line() for r in clean if not (r.system_index == 1 and r.controller == "gpc")
+    ]
+    assert [task for task, _ in failures] == [
+        f"system=1 seed={seed} controller=gpc generator={gen}" for seed in (0, 1) for gen in ("random", "hinf")
+    ]
+    assert {error for _, error in failures} == {f"ValueError: {expected.value}"}
+
+
 def test_normalize_scores_singleton_and_two_point():
     single = [record(0, 0, "lqr", "only", 3.0)]
     table = normalize_scores(single)

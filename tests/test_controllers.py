@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -383,6 +386,58 @@ def test_gpc_episode_plays_its_policy_within_the_ball():
         x = x_next
     assert max(norms) >= gpc.ball * (1.0 - 1e-12)  # the projection was active
     assert moved > 0
+
+
+def gpc_play(gpc, sys, seed, T):
+    """The controls of T closed-loop rounds driven by normal disturbances."""
+    rng = np.random.default_rng(seed)
+    x, us = rng.standard_normal(sys.d_x), []
+    for _ in range(T):
+        us.append(gpc.act(x))
+        x = step(sys, x, us[-1], rng.standard_normal(sys.d_w))
+    return us
+
+
+def assert_same_play(us, ref):
+    assert len(us) == len(ref)
+    for u, r in zip(us, ref):
+        assert u.tobytes() == r.tobytes()
+
+
+def test_gpc_copy_of_a_prototype_plays_like_a_fresh_build():
+    sys = random_system(4, 2, 2, seed=21, target_radius=0.9)
+    cw = CostWeights(np.eye(4), np.eye(2))
+    _, K = solve_dare(sys, cw)
+    prototype = GpcController(sys, cw, K, h=3, ball_radius=0.3)
+    fresh = GpcController(sys, cw, K, h=3, ball_radius=0.3)
+    ref = gpc_play(fresh, sys, 7, 60)
+
+    copy_ = copy.copy(prototype)
+    assert copy_._Y is prototype._Y and copy_._L is prototype._L and copy_._AB is prototype._AB
+    assert_same_play(gpc_play(copy_, sys, 7, 60), ref)
+    assert copy_.N.tobytes() == fresh.N.tobytes()
+
+    # Pickling, as a prototype travels to a worker process, keeps no view;
+    # a copy of the unpickled prototype rebuilds its own.
+    travelled = copy.copy(pickle.loads(pickle.dumps(prototype)))
+    assert_same_play(gpc_play(travelled, sys, 7, 60), ref)
+
+    # Two copies played round by round in turn do not disturb each other,
+    # and the prototype stays at round 0.
+    a, b = copy.copy(prototype), copy.copy(prototype)
+    ref_b = gpc_play(GpcController(sys, cw, K, h=3, ball_radius=0.3), sys, 8, 60)
+    rng_a, rng_b = np.random.default_rng(7), np.random.default_rng(8)
+    x_a, x_b = rng_a.standard_normal(4), rng_b.standard_normal(4)
+    us_a, us_b = [], []
+    for _ in range(60):
+        us_a.append(a.act(x_a))
+        us_b.append(b.act(x_b))
+        x_a = step(sys, x_a, us_a[-1], rng_a.standard_normal(2))
+        x_b = step(sys, x_b, us_b[-1], rng_b.standard_normal(2))
+    assert_same_play(us_a, ref)
+    assert_same_play(us_b, ref_b)
+    assert not prototype.N.any() and not prototype._win.any() and prototype._t == 0
+    assert not prototype._xu.any()
 
 
 def test_gpc_requires_stabilizing_base():

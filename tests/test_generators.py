@@ -11,6 +11,7 @@ from motrbench.generators import (
     GaussianGenerator,
     GeneratorError,
     HinfGenerator,
+    NOISE_BLOCK,
     SINE_FREQS,
     RandomDirectionGenerator,
     _sinusoid_gram,
@@ -139,6 +140,68 @@ def test_random_direction_generator():
     a = RandomDirectionGenerator(3, 1.0, seed=9).emit(np.zeros(1))
     b = RandomDirectionGenerator(3, 1.0, seed=9).emit(np.zeros(1))
     assert np.array_equal(a, b)
+
+
+def test_noise_generators_check_d_w_when_built():
+    # An empty draw has norm 0, so a random direction with d_w = 0 would
+    # resample forever at its first emit; both noise generators refuse a
+    # d_w that is not an integer >= 1 when they are built.
+    for d_w in (0, -1, 2.0, True, "2", None):
+        for build in (GaussianGenerator, RandomDirectionGenerator):
+            with pytest.raises(ValueError, match="d_w must be an integer >= 1"):
+                build(d_w, 1.0, seed=0)
+
+
+def emitted(gen, rounds):
+    ws = []
+    for _ in range(rounds):
+        ws.append(gen.emit(np.zeros(1)))
+        gen.observe(np.zeros(1))
+    return ws
+
+
+@pytest.mark.parametrize("seed", [0, 5, 9])
+@pytest.mark.parametrize("d_w", [1, 2, 3])
+def test_noise_generators_emit_the_per_round_stream(seed, d_w):
+    # Normals drawn in blocks are those of one draw of d_w per round, bit
+    # for bit, across block boundaries: every emitted w, and no row handed
+    # out is overwritten by a later refill.
+    rounds = 3 * NOISE_BLOCK + 7
+    gauss = GaussianGenerator(d_w, 2.0, seed)
+    rng = np.random.default_rng(seed)
+    expected = [gauss.scale * rng.standard_normal(d_w) for _ in range(rounds)]
+    ws = emitted(gauss, rounds)
+    for w, e in zip(ws, expected):
+        assert w.tobytes() == e.tobytes()
+
+    ws = emitted(RandomDirectionGenerator(d_w, 1.5, seed), rounds)
+    rng = np.random.default_rng(seed)
+    for w in ws:
+        z = rng.standard_normal(d_w)
+        assert w.tobytes() == (1.5 * z / math.sqrt(z.dot(z))).tobytes()
+
+
+class FlatStream:
+    """An rng stand-in serving one fixed flat stream of numbers, shaped as asked."""
+
+    def __init__(self, values):
+        self.values, self.used = values, 0
+
+    def standard_normal(self, size):
+        n = int(np.prod(size))
+        out = self.values[self.used : self.used + n].reshape(size)
+        self.used += n
+        return out
+
+
+@pytest.mark.parametrize("d_w", [1, 2, 3])
+def test_random_direction_resamples_a_zero_draw_from_the_next(d_w):
+    values = np.concatenate([np.zeros(d_w), np.random.default_rng(d_w).standard_normal(999 * d_w)])
+    gen = RandomDirectionGenerator(d_w, 2.0, seed=0)
+    gen.rng = FlatStream(values)
+    first, second = emitted(gen, 2)
+    for w, z in ((first, values[d_w : 2 * d_w]), (second, values[2 * d_w : 3 * d_w])):
+        assert w.tobytes() == (2.0 * z / math.sqrt(z.dot(z))).tobytes()
 
 
 def test_sinusoid_tie_break_takes_first_candidate():
