@@ -55,12 +55,18 @@ GAME_TOL = 1e-11
 GAME_MAX_ITER = 5000
 # max|P| past which the game's value iteration counts as blown up.
 GAME_BLOWUP = 1e12
-# hinf_bisection's first lower end of the gamma bracket, and the factor
-# above the bisected infimum at which it returns the solution.
+# hinf_bisection's gamma bracket starts at [GAMMA_LO, GAMMA_HI] and is
+# bisected until hi/lo <= 1 + GAMMA_REL_TOL; the solution is returned at
+# GAMMA_SAFETY times the bisected infimum.
 GAMMA_LO = 1e-3
+GAMMA_HI = 1e6
+GAMMA_REL_TOL = 1e-3
 GAMMA_SAFETY = 1.01
-# GpcController's step scale: round t's step moves N at most GPC_LR/sqrt(t).
+# GpcController's policy length h, its step scale (round t's step moves N
+# at most GPC_LR/sqrt(t)) and its projection radius GPC_BALL_GAIN ||K_base||_F.
+GPC_H = 5
 GPC_LR = 0.5
+GPC_BALL_GAIN = 10.0
 
 
 def solve_dare(sys: LinearSystem, cw: CostWeights):
@@ -175,18 +181,14 @@ def solve_hinf_game(sys: LinearSystem, cw: CostWeights, gamma: float) -> Optiona
     return HinfSolution(P=P, K=K, W=W, gamma_star=float(gamma))
 
 
-def hinf_bisection(sys: LinearSystem, cw: CostWeights, *, hi: float = 1e6, rel_tol: float = 1e-3) -> HinfSolution:
-    """Smallest feasible attenuation level within rel_tol, returned at the
-    GAMMA_SAFETY factor above the bisected infimum.  The bracket starts at
-    [GAMMA_LO, hi], and its lower end is divided by 4 until infeasible.
-    Each level is tried by solve_hinf_game.  rel_tol must be finite with
-    1 + rel_tol > 1, so that the bisection's stop hi/lo <= 1 + rel_tol is
-    reachable in floats; otherwise ValueError."""
-    if not (math.isfinite(rel_tol) and 1.0 + rel_tol > 1.0):
-        raise ValueError(f"rel_tol must be a finite number with 1 + rel_tol > 1, got {rel_tol!r}")
-    lo = GAMMA_LO
+def hinf_bisection(sys: LinearSystem, cw: CostWeights) -> HinfSolution:
+    """Smallest feasible attenuation level within GAMMA_REL_TOL, returned at
+    the GAMMA_SAFETY factor above the bisected infimum.  The bracket starts
+    at [GAMMA_LO, GAMMA_HI], and its lower end is divided by 4 until
+    infeasible.  Each level is tried by solve_hinf_game."""
+    lo, hi = GAMMA_LO, GAMMA_HI
     if solve_hinf_game(sys, cw, hi) is None:
-        raise BracketingError(f"gamma = {hi:.4g} is infeasible; enlarge the bracket")
+        raise BracketingError(f"gamma = GAMMA_HI = {hi:.4g} is infeasible")
     for _ in range(60):
         if solve_hinf_game(sys, cw, lo) is None:
             break
@@ -197,7 +199,7 @@ def hinf_bisection(sys: LinearSystem, cw: CostWeights, *, hi: float = 1e6, rel_t
         if sol is None:
             raise SynthesisError("feasibility is not monotone near zero attenuation")
         return sol
-    while hi / lo > 1.0 + rel_tol:
+    while hi / lo > 1.0 + GAMMA_REL_TOL:
         mid = float(np.sqrt(lo * hi))
         if solve_hinf_game(sys, cw, mid) is None:
             lo = mid
@@ -236,10 +238,9 @@ class GpcController:
     truncated rollout driven by the recent disturbances, evaluated at the
     state and control the current N would have produced.  GPC_LR scales
     the normalized step length GPC_LR/sqrt(t), so by the end of a T-round
-    episode the step size is of order GPC_LR/sqrt(T); ball_radius None
-    derives the projection radius 10 ||K_base||, and the radius must be
-    positive.  The defaults h = 5 and ball_radius None are the benchmark's
-    GPC, which a config cannot change.
+    episode the step size is of order GPC_LR/sqrt(T).  N has h = GPC_H
+    blocks and is projected onto the Frobenius ball of radius
+    GPC_BALL_GAIN ||K_base||_F, which must be positive (K_base = 0 gives 0).
 
     The policy is one stacked (d_u, h d_x) matrix [N[0] | ... | N[h-1]]
     (cdg's one policy encoding), rebound by each update and never written
@@ -261,16 +262,9 @@ class GpcController:
     the halves of the last [x; u]) are made once, by _new_round_state.
     """
 
-    def __init__(
-        self,
-        sys: LinearSystem,
-        cw: CostWeights,
-        K_base: np.ndarray,
-        *,
-        h: int = 5,
-        ball_radius: Optional[float] = None,
-    ):
+    def __init__(self, sys: LinearSystem, cw: CostWeights, K_base: np.ndarray):
         K_base = np.array(K_base, dtype=float)
+        h = GPC_H
         # Counterfactual plant: recovered disturbances drive the state
         # directly, the policy output enters through B.
         try:
@@ -283,9 +277,7 @@ class GpcController:
         self.K = K_base
         self._neg_K = -K_base
         self.h = h
-        self.ball = float(ball_radius) if ball_radius is not None else 10.0 * float(
-            np.linalg.norm(K_base)
-        )
+        self.ball = GPC_BALL_GAIN * float(np.linalg.norm(K_base))
         if not (self.ball > 0.0):
             raise ValueError(f"the projection radius must be positive, got {self.ball}")
         d_x, d_u = sys.d_x, sys.d_u

@@ -57,9 +57,14 @@ NOISE_BLOCK = 64
 # Sinusoid candidates scoring within this relative distance of the best
 # are tied (see SinusoidGenerator).
 TIE_REL_TOL = 1e-12
-# The sinusoid's frequency grid: 16 points on [0, pi].
+# The sinusoid's frequency grid, 16 points on [0, pi], and its phase grid,
+# 2 pi k / 8 for k = 0..3 (half the circle, see SinusoidGenerator).
 SINE_FREQS = np.linspace(0.0, np.pi, 16)
 SINE_FREQS.setflags(write=False)
+SINE_PHASES = 2.0 * np.pi * np.arange(4) / 8.0
+SINE_PHASES.setflags(write=False)
+# OGA's step scale is OGA_LR_GAIN D_M.
+OGA_LR_GAIN = 0.1
 
 
 class GeneratorError(RuntimeError):
@@ -236,58 +241,44 @@ class SinusoidGenerator(DisturbanceGenerator):
     """Sinusoid w_t = W_max sin(omega t + phase) v, with (omega, phase, v)
     chosen offline to maximize the open-loop (u = 0) cumulative cost over
     the horizon among every unit direction v, every frequency omega in
-    SINE_FREQS and every phase on the phase grid.
+    SINE_FREQS and every phase in SINE_PHASES.
 
     With c = cos(phase), s = sin(phase) and the blocks G11, G12, G22 of the
     Gram matrix G(omega) (_sinusoid_gram), the cost of v is W_max^2 v'Mv
     for M = c^2 G11 + c s (G12 + G12') + s^2 G22, so the best v is a top
     eigenvector of M and scores W_max^2 lambda_max; one batched eigh
-    solves the 64 default (omega, phase) candidates.  The eigenvector is
+    solves the 64 (omega, phase) candidates.  The eigenvector is
     column 0 of eigh(-M), so a degenerate top eigenspace (zero cost, say)
     gives e_1, and its sign makes its largest-magnitude entry (the first
     on a tie) positive: v and -v tie open loop but not from a nonzero x_0.
 
     Phase and phase + pi negate the whole open-loop trajectory and so give
-    the same cost in exact arithmetic; the default phase grid 2 pi k / 8,
-    k = 0..3, therefore covers [0, pi) only.  Candidates are ordered by
-    frequency, then phase.  Scores within a relative TIE_REL_TOL of the
-    best count as tied, and ties break to the first candidate in that
-    order, so rounding does not decide between twins on a grid that holds
-    both.
+    the same cost in exact arithmetic; SINE_PHASES therefore covers
+    [0, pi) only.  Candidates are ordered by frequency, then phase.
+    Scores within a relative TIE_REL_TOL of the best count as tied, and
+    ties break to the first candidate in that order, so rounding does not
+    decide between twins on a grid that holds both.
     """
 
     name = "sine"
 
-    def __init__(
-        self,
-        sys: LinearSystem,
-        cw: CostWeights,
-        W_max: float,
-        T: int,
-        *,
-        phases: Optional[np.ndarray] = None,
-    ):
+    def __init__(self, sys: LinearSystem, cw: CostWeights, W_max: float, T: int):
         super().__init__()
         W_max = _check_budget(W_max)
-        if phases is None:
-            phases = 2.0 * np.pi * np.arange(4) / 8.0
-        phases = np.asarray(phases, dtype=float)
-        if phases.ndim != 1 or phases.size == 0:
-            raise ValueError("the phase grid must be a non-empty 1-D array")
         d_w = sys.d_w
         G = _sinusoid_gram(sys, cw, T, SINE_FREQS)[:, None]  # (frequency, 1, 2 d_w, 2 d_w)
         G12 = G[..., :d_w, d_w:]
-        c, s = np.cos(phases)[:, None, None], np.sin(phases)[:, None, None]
+        c, s = np.cos(SINE_PHASES)[:, None, None], np.sin(SINE_PHASES)[:, None, None]
         M = c * c * G[..., :d_w, :d_w] + c * s * (G12 + G12.swapaxes(-1, -2)) + s * s * G[..., d_w:, d_w:]
         neg_lam, V = np.linalg.eigh(-M)  # (frequency, phase, ...)
         J = -W_max**2 * neg_lam[..., 0].ravel()
         best = int(np.flatnonzero(J >= J.max() - TIE_REL_TOL * abs(J.max()))[0])
-        f, p = np.unravel_index(best, (SINE_FREQS.size, phases.size))
+        f, p = np.unravel_index(best, (SINE_FREQS.size, SINE_PHASES.size))
         v = V[f, p, :, 0]
         self.W_max = W_max
         self.score = float(J[best])  # the chosen sinusoid's open-loop cost
         self.omega = float(SINE_FREQS[f])
-        self.phase = float(phases[p])
+        self.phase = float(SINE_PHASES[p])
         self.direction = v if v[np.argmax(np.abs(v))] > 0 else -v
 
     def _emit(self, x):
@@ -311,8 +302,8 @@ class AdaptiveCdgGenerator(DisturbanceGenerator):
     updated from it.  update is "motr" (perturbed-leader trust-region step
     on the running sum of the matrices, OtrState) or "oga" (one projected
     gradient-ascent step at the current policy).  H and D_M are the
-    config's top-level fields of those names.  OGA's step scale is the
-    constant lr = 0.1 D_M; MOTR calibrates its perturbation rate eta on the
+    config's top-level fields of those names.  OGA's step scale is
+    lr = OGA_LR_GAIN D_M; MOTR calibrates its perturbation rate eta on the
     coefficient scale of the first _warmup_rounds + 1 quadratics and only
     then starts to play.  A residual plant A - B K that is not strictly
     stable raises InstabilityError (cdg.unroll_map).  At policy dimensions
@@ -353,7 +344,7 @@ class AdaptiveCdgGenerator(DisturbanceGenerator):
         self._unroll = unroll_map(transform_residual(sys, hinf), H, self.W)
         self.d_x, self.d_u, self.d_w = sys.d_x, sys.d_u, sys.d_w
         self.n = H * self.d_w * self.d_u
-        self.lr = 0.1 * D_M
+        self.lr = OGA_LR_GAIN * D_M
         self.rng = np.random.default_rng(seed)
         # The episode's one running sum of the round Gram matrices: MOTR's
         # leader and the regret audit of both update rules.
@@ -443,5 +434,5 @@ class AdaptiveCdgGenerator(DisturbanceGenerator):
         return self._state.hindsight()
 
 
-def sinusoid_generator(sys: LinearSystem, cw: CostWeights, W_max: float, T: int, *, phases=None) -> SinusoidGenerator:
-    return SinusoidGenerator(sys, cw, W_max, T, phases=phases)
+def sinusoid_generator(sys: LinearSystem, cw: CostWeights, W_max: float, T: int) -> SinusoidGenerator:
+    return SinusoidGenerator(sys, cw, W_max, T)

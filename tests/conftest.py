@@ -4,7 +4,9 @@ import sys
 import numpy as np
 import pytest
 
-PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
+TOOLS = os.path.join(ROOT, "tools")
 
 
 @pytest.fixture(scope="session")
@@ -15,6 +17,18 @@ def perfbench():
         yield PERFBENCH
     finally:
         sys.path.remove(PERFBENCH)
+
+
+@pytest.fixture(scope="session")
+def drift_report():
+    """tools/drift_report.py as a module."""
+    sys.path.insert(0, TOOLS)
+    try:
+        import drift_report
+
+        yield drift_report
+    finally:
+        sys.path.remove(TOOLS)
 
 
 @pytest.fixture

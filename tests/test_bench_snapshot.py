@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 TOOLS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools")
@@ -93,4 +94,20 @@ def test_machine_records_the_bytecode_setting(snapshot, monkeypatch, value, expe
         monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", value)
     block = snapshot.machine()
     assert block["dont_write_bytecode"] is expected
-    assert set(block) == {"python", "numpy", "cpus", "platform", "dont_write_bytecode"}
+    assert set(block) == {"python", "numpy", "cpus", "platform", "dont_write_bytecode", "blas"}
+
+
+@pytest.mark.parametrize("coretype", [None, "Prescott"])
+def test_machine_records_the_blas_kernel_setting(snapshot, monkeypatch, coretype):
+    # A runs.jsonl hash holds for one BLAS kernel: the block records the
+    # override of OpenBLAS's pick and numpy's OpenBLAS build string.
+    if coretype is None:
+        monkeypatch.delenv("OPENBLAS_CORETYPE", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_CORETYPE", coretype)
+    blas = snapshot.machine()["blas"]
+    numpy_blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert blas == {
+        "openblas_coretype": coretype,
+        "openblas_configuration": numpy_blas.get("openblas configuration"),
+    }

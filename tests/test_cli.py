@@ -1,12 +1,16 @@
+import ast
 import dataclasses
+import importlib
 import json
 import os
+import pkgutil
 import re
 import warnings
 
 import numpy as np
 import pytest
 
+import motrbench
 from motrbench.bench import CONTROLLERS, GENERATORS, ExperimentConfig, RunRecord
 from motrbench.cli import main
 from motrbench.lds import random_system
@@ -432,9 +436,44 @@ def test_readme_config_schema_matches_the_code():
     rows = [line for line in section.splitlines() if line.startswith("| `")]
     documented = [name for row in rows for cell in re.findall(r"`([^`]*)`", row.split("|")[1])
                   for name in cell.split(", ")]
-    assert sorted(documented) == sorted(f.name for f in dataclasses.fields(ExperimentConfig))
-    named = set(re.findall(r"`([^`]*)`", section))
-    assert {*CONTROLLERS, *GENERATORS} <= named
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert sorted(documented) == sorted(fields)
+    spans = re.findall(r"`([^`]*)`", section)
+    assert {*CONTROLLERS, *GENERATORS} <= set(spans)
+    # Every upper-case constant the section names exists in a motrbench
+    # module (the one its dotted path names, if it has one), and one written
+    # `NAME = value` has that value.
+    modules = [importlib.import_module(f"motrbench.{m.name}") for m in pkgutil.iter_modules(motrbench.__path__)]
+    constants = 0
+    for span in spans:
+        match = re.fullmatch(r"(motrbench\.(\w+)\.)?([A-Z][A-Z0-9_]+)(?: = (.+))?", span)
+        if match is None or match[3] in fields:
+            continue
+        constants += 1
+        owners = [importlib.import_module(f"motrbench.{match[2]}")] if match[1] else modules
+        values = [vars(m)[match[3]] for m in owners if match[3] in vars(m)]
+        assert values, f"README names {match[3]}, which no motrbench module defines"
+        if match[4] is not None:
+            assert ast.literal_eval(match[4]) in values, span
+    assert constants >= 16
+
+
+def readme_quickstart():
+    """The python block of README's Quickstart section."""
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+        section = fh.read().split("## Quickstart", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, re.S)
+    assert len(blocks) == 1
+    return blocks[0]
+
+
+def test_readme_quickstart_runs(capsys):
+    # The example runs as written against the current API, and prints the
+    # solution and the episode's cost and regret pair.
+    exec(compile(readme_quickstart(), "README.md Quickstart", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    assert np.isfinite(float(lines[1].split()[0]))
 
 
 def test_json_input_takes_json_numbers_only(tmp_path, capsys):

@@ -4,6 +4,7 @@ import pickle
 import numpy as np
 import pytest
 
+from motrbench import controllers
 from motrbench.cdg import CdgPolicy, affine_state_map, unroll_map
 from motrbench.controllers import (
     DARE_TOL,
@@ -100,12 +101,13 @@ def test_hinf_game_infeasible_below_infimum():
     assert solve_hinf_game(sys, cw, sol.gamma_star / 4.0) is None
 
 
-def test_hinf_game_saddle_point():
+def test_hinf_game_saddle_point(monkeypatch):
+    monkeypatch.setattr(controllers, "GAMMA_REL_TOL", 1e-4)
     rng = np.random.default_rng(0)
     for seed in range(5):
         sys = random_system(3, 2, 2, seed=40 + seed, target_radius=0.8)
         cw = CostWeights(np.eye(3), np.eye(2))
-        sol = hinf_bisection(sys, cw, rel_tol=1e-4)
+        sol = hinf_bisection(sys, cw)
         g2 = sol.gamma_star**2
 
         def game_value(x, u, w):
@@ -137,11 +139,12 @@ def test_hinf_value_matrix_fixed_point():
     assert np.max(np.abs(rhs - sol.P)) < 1e-6 * (1.0 + np.max(np.abs(sol.P)))
 
 
-def test_hinf_bisection_scalar_matches_sweep():
+def test_hinf_bisection_scalar_matches_sweep(monkeypatch):
+    monkeypatch.setattr(controllers, "GAMMA_REL_TOL", 1e-4)
     sys = scalar_system(0.5)
     cw = CostWeights(np.eye(1), np.eye(1))
-    sol_a = hinf_bisection(sys, cw, rel_tol=1e-4)
-    sol_b = hinf_bisection(sys, cw, rel_tol=1e-4)
+    sol_a = hinf_bisection(sys, cw)
+    sol_b = hinf_bisection(sys, cw)
     assert sol_a.gamma_star == sol_b.gamma_star
     infimum = sol_a.gamma_star / 1.01
     grid = np.linspace(0.5 * infimum, 1.5 * infimum, 81)
@@ -161,24 +164,16 @@ def test_hinf_bisection_monotone_in_disturbance_gain():
     assert g_half <= g_full * (1.0 + 1e-6)
 
 
-def test_hinf_bisection_feasible_and_bracketing_error():
+def test_hinf_bisection_feasible_and_bracketing_error(monkeypatch):
     for seed in range(5):
         sys = random_system(4, 2, 2, seed=60 + seed, target_radius=0.9)
         cw = CostWeights(np.eye(4), np.eye(2))
         sol = hinf_bisection(sys, cw)
         assert solve_hinf_game(sys, cw, sol.gamma_star) is not None
     sys = random_system(4, 2, 2, seed=60, target_radius=0.9)
+    monkeypatch.setattr(controllers, "GAMMA_HI", 1e-6)
     with pytest.raises(BracketingError):
-        hinf_bisection(sys, CostWeights(np.eye(4), np.eye(2)), hi=1e-6)
-
-
-@pytest.mark.parametrize("rel_tol", [0.0, float("nan"), -1e-3, float("inf"), 1e-17])
-def test_hinf_bisection_refuses_an_unreachable_tolerance(rel_tol):
-    # 0 and 1e-17 (1 + 1e-17 == 1) would never stop once lo and hi are
-    # adjacent floats; NaN would skip the bisection and return 1.01 hi.
-    sys = random_system(4, 2, 2, seed=60, target_radius=0.9)
-    with pytest.raises(ValueError, match="rel_tol"):
-        hinf_bisection(sys, CostWeights(np.eye(4), np.eye(2)), rel_tol=rel_tol)
+        hinf_bisection(sys, CostWeights(np.eye(4), np.eye(2)))
 
 
 def test_linear_feedback_handles():
@@ -236,7 +231,8 @@ def test_gpc_beats_lqr_under_constant_disturbance():
         assert c_gpc <= c_lqr
 
 
-def test_gpc_policy_norm_bounded_and_deterministic():
+def test_gpc_policy_norm_bounded_and_deterministic(monkeypatch):
+    monkeypatch.setattr(controllers, "GPC_H", 4)
     sys = random_system(4, 2, 2, seed=14, target_radius=0.9)
     cw = CostWeights(np.eye(4), np.eye(2))
     _, K = solve_dare(sys, cw)
@@ -244,7 +240,7 @@ def test_gpc_policy_norm_bounded_and_deterministic():
     ws = [rng.standard_normal(2) for _ in range(100)]
 
     def run():
-        gpc = GpcController(sys, cw, K, h=4)
+        gpc = GpcController(sys, cw, K)
         x = np.zeros(4)
         outs = []
         for t in range(100):
@@ -282,17 +278,18 @@ def gpc_weights(kind, d_x, d_u):
     return CostWeights(spd(d_x, 100 + d_x), spd(d_u, 200 + d_u))
 
 
-def test_gpc_gradient_matches_finite_differences():
+def test_gpc_gradient_matches_finite_differences(monkeypatch):
     # The gradient _update steps along is that of the truncated
     # counterfactual cost y'Qy + v'Rv: y is the H+1-step rollout of the
     # plant closed by K, driven from zero by the recent w_hat with the policy
     # output entering through B, and v = sum_i N[i] w_hat_{t-i} - K y.
     sys = random_system(3, 2, 2, seed=21, target_radius=0.9)
     h = 3
+    monkeypatch.setattr(controllers, "GPC_H", h)
     for weights in ("diagonal", "dense"):
         cw = gpc_weights(weights, 3, 2)
         _, K = solve_dare(sys, cw)
-        gpc = GpcController(sys, cw, K, h=h, ball_radius=100.0)
+        gpc = GpcController(sys, cw, K)
         rng = np.random.default_rng(5)
         window = rng.standard_normal((2 * h + 1, 3))
         Abar = sys.A - sys.B @ K
@@ -318,17 +315,18 @@ def test_gpc_gradient_matches_finite_differences():
 
 
 @pytest.mark.parametrize("h", [1, 3, 5])
-def test_gpc_matrix_free_round_matches_the_unroll(h):
+def test_gpc_matrix_free_round_matches_the_unroll(h, monkeypatch):
     # GPC's state y = Y z and gradient, computed from its history buffer z
     # and two maps built once, without the unroll matrix, equal
     # cdg.affine_state_map's y = Ty vec(N) + by and the gradient
     # 2 Ty'(Q y - K'R v) + 2 vec((R v) w_hat') formed from it.
     d_x, d_u = 4, 2
     sys = random_system(d_x, d_u, 2, seed=30 + h, target_radius=0.9)
+    monkeypatch.setattr(controllers, "GPC_H", h)
     for weights in ("diagonal", "dense"):
         cw = gpc_weights(weights, d_x, d_u)
         _, K = solve_dare(sys, cw)
-        gpc = GpcController(sys, cw, K, h=h, ball_radius=100.0)
+        gpc = GpcController(sys, cw, K)
         unroll = unroll_map(LinearSystem(sys.A - sys.B @ K, np.eye(d_x), sys.B), h)
         rng = np.random.default_rng(h)
         for _ in range(5):
@@ -354,7 +352,14 @@ def test_gpc_matrix_free_round_matches_the_unroll(h):
             )
 
 
-def test_gpc_episode_plays_its_policy_within_the_ball():
+def patch_gpc_constants(monkeypatch, h, K, radius):
+    """Make GpcController build with h blocks and a projection radius of
+    about radius for the base gain K."""
+    monkeypatch.setattr(controllers, "GPC_H", h)
+    monkeypatch.setattr(controllers, "GPC_BALL_GAIN", radius / np.linalg.norm(K))
+
+
+def test_gpc_episode_plays_its_policy_within_the_ball(monkeypatch):
     # Every round of an episode plays u = -K x + sum_i N[i] w_hat_{t-i},
     # with w_hat recomputed from the recorded transitions and N read from
     # the controller after the round's update, and N stays in the ball.
@@ -362,8 +367,8 @@ def test_gpc_episode_plays_its_policy_within_the_ball():
     sys = random_system(4, 2, 2, seed=15, target_radius=0.9)
     cw = CostWeights(np.eye(4), np.eye(2))
     _, K = solve_dare(sys, cw)
-    h = 3
-    gpc = GpcController(sys, cw, K, h=h, ball_radius=0.3)
+    patch_gpc_constants(monkeypatch, 3, K, 0.3)
+    gpc = GpcController(sys, cw, K)
     rng = np.random.default_rng(8)
     x = np.zeros(4)
     w_hats, norms, moved = [], [], 0
@@ -404,12 +409,13 @@ def assert_same_play(us, ref):
         assert u.tobytes() == r.tobytes()
 
 
-def test_gpc_copy_of_a_prototype_plays_like_a_fresh_build():
+def test_gpc_copy_of_a_prototype_plays_like_a_fresh_build(monkeypatch):
     sys = random_system(4, 2, 2, seed=21, target_radius=0.9)
     cw = CostWeights(np.eye(4), np.eye(2))
     _, K = solve_dare(sys, cw)
-    prototype = GpcController(sys, cw, K, h=3, ball_radius=0.3)
-    fresh = GpcController(sys, cw, K, h=3, ball_radius=0.3)
+    patch_gpc_constants(monkeypatch, 3, K, 0.3)
+    prototype = GpcController(sys, cw, K)
+    fresh = GpcController(sys, cw, K)
     ref = gpc_play(fresh, sys, 7, 60)
 
     copy_ = copy.copy(prototype)
@@ -425,7 +431,7 @@ def test_gpc_copy_of_a_prototype_plays_like_a_fresh_build():
     # Two copies played round by round in turn do not disturb each other,
     # and the prototype stays at round 0.
     a, b = copy.copy(prototype), copy.copy(prototype)
-    ref_b = gpc_play(GpcController(sys, cw, K, h=3, ball_radius=0.3), sys, 8, 60)
+    ref_b = gpc_play(GpcController(sys, cw, K), sys, 8, 60)
     rng_a, rng_b = np.random.default_rng(7), np.random.default_rng(8)
     x_a, x_b = rng_a.standard_normal(4), rng_b.standard_normal(4)
     us_a, us_b = [], []
@@ -445,10 +451,8 @@ def test_gpc_requires_stabilizing_base():
     cw = CostWeights(np.eye(1), np.eye(1))
     with pytest.raises(ValueError):
         GpcController(sys, cw, np.zeros((1, 1)))
-    # Nor does it build with a projection radius <= 0 or NaN, given or
-    # derived as 10 ||K_base|| from K_base = 0 on a stable plant.
+    # Nor does it build with the projection radius GPC_BALL_GAIN ||K_base||
+    # = 0 that K_base = 0 gives on a stable plant.
     sys = LinearSystem(np.diag([0.5, 0.3]), np.eye(2), np.eye(2))
-    cw = CostWeights(np.eye(2), np.eye(2))
-    for ball_radius in (None, 0.0, -1.0, float("nan")):
-        with pytest.raises(ValueError, match="radius"):
-            GpcController(sys, cw, np.zeros((2, 2)), h=2, ball_radius=ball_radius)
+    with pytest.raises(ValueError, match="radius"):
+        GpcController(sys, CostWeights(np.eye(2), np.eye(2)), np.zeros((2, 2)))

@@ -12,17 +12,6 @@ import pytest
 TOOLS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools")
 
 
-@pytest.fixture(scope="module")
-def drift_report():
-    sys.path.insert(0, TOOLS)
-    try:
-        import drift_report
-
-        yield drift_report
-    finally:
-        sys.path.remove(TOOLS)
-
-
 def record(ctrl, gen, seed, cost, stages, regret=(None, None)):
     return {
         "system_index": 0, "seed_index": seed, "controller": ctrl, "generator": gen, "T": len(stages),

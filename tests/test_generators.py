@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from motrbench import generators
 from motrbench.bench import ExperimentConfig, stable_seed
 from motrbench.cdg import CdgPolicy, InstabilityError
 from motrbench.controllers import hinf_bisection, lqr_controller
@@ -13,6 +14,7 @@ from motrbench.generators import (
     HinfGenerator,
     NOISE_BLOCK,
     SINE_FREQS,
+    SINE_PHASES,
     RandomDirectionGenerator,
     _sinusoid_gram,
     scale_to_budget,
@@ -261,15 +263,15 @@ def test_sinusoid_scores_match_open_loop_simulation():
         np.testing.assert_allclose(J, ref, rtol=1e-12, atol=1e-12 * ref.max())
 
 
-def test_sinusoid_tie_between_phase_and_phase_plus_pi_takes_first():
+def test_sinusoid_tie_between_phase_and_phase_plus_pi_takes_first(monkeypatch):
     # phase and phase + pi negate the whole open-loop trajectory, so their
     # scores tie in exact arithmetic.  On this plant the best pair is
     # (pi / 2, 3 pi / 2) at omega = 0.6 pi, and the tie must go to pi / 2.
-    # The default grid holds no twins, so the test passes the full circle.
+    # SINE_PHASES holds no twins, so the test sets the full circle.
     sys = random_system(4, 2, 2, seed=0)
     cw = CostWeights(np.eye(4), np.eye(2))
-    phases = 2.0 * np.pi * np.arange(8) / 8.0
-    gen = sinusoid_generator(sys, cw, W_max=1.0, T=200, phases=phases)
+    monkeypatch.setattr(generators, "SINE_PHASES", 2.0 * np.pi * np.arange(8) / 8.0)
+    gen = sinusoid_generator(sys, cw, W_max=1.0, T=200)
     assert gen.omega == pytest.approx(0.6 * np.pi)
     assert gen.phase == pytest.approx(0.5 * np.pi)
     dirs = gen.direction[None, :]
@@ -290,7 +292,6 @@ def test_sinusoid_takes_the_exact_best_direction():
     # every candidate of a sampled search over the same grids, with the
     # directions each of the default grid's sine episodes would draw.
     cfg = ExperimentConfig()
-    phases = 2.0 * np.pi * np.arange(4) / 8.0
     for index in range(cfg.n_systems):
         seed = stable_seed(cfg.base_seed, "system", index)
         sys = random_system(cfg.d_x, cfg.d_u, cfg.d_w, seed=seed, target_radius=cfg.target_radius)
@@ -305,7 +306,7 @@ def test_sinusoid_takes_the_exact_best_direction():
             sampled_sine_directions(cfg.d_w, stable_seed(cfg.base_seed, index, s, c, "sine"))
             for s in range(cfg.n_seeds) for c in cfg.controllers
         ])
-        sampled = gram_scores(sys, cw, cfg.W_max, cfg.T, dirs, SINE_FREQS, phases)
+        sampled = gram_scores(sys, cw, cfg.W_max, cfg.T, dirs, SINE_FREQS, SINE_PHASES)
         assert gen.score >= sampled.max() * (1.0 - 1e-12), f"system {index}"
 
 

@@ -14,12 +14,13 @@ passes' trust-region certificate lines); the wall time of the full default grid
 of src/motrbench/*.py; the number of values a config can set (the
 ExperimentConfig fields, plus every controller and generator spec field
 in checkouts that have spec fields);
-the machine: Python and numpy versions, CPU count, platform, and whether
+the machine: Python and numpy versions, CPU count, platform, whether
 PYTHONDONTWRITEBYTECODE was set, in which case every benchmark process
-compiles src/ from source, its set-up and warm-up passes included;
-and every command that produced these figures, in the order they ran.
-Schema 2 is schema 1 (BENCH_1 to BENCH_5) plus settable_values; schema 3
-adds machine.dont_write_bytecode.
+compiles src/ from source, its set-up and warm-up passes included, and
+the BLAS kernel settings, since runs.jsonl's hash holds for one kernel
+only; and every command that produced these figures, in the order they
+ran.  Schema 2 is schema 1 (BENCH_1 to BENCH_5) plus settable_values;
+schema 3 adds machine.dont_write_bytecode, and schema 4 machine.blas.
 """
 
 import argparse
@@ -35,7 +36,7 @@ import time
 
 import numpy
 
-SCHEMA = 3
+SCHEMA = 4
 HERE = os.path.dirname(os.path.abspath(__file__))
 # The benchmark and the grid run with one BLAS thread, as perfbench/run.py
 # runs its workers.
@@ -89,17 +90,25 @@ def machine():
     """The machine block.  dont_write_bytecode is sys.dont_write_bytecode of
     a child interpreter with this environment, as the benchmark's processes
     get it: when PYTHONDONTWRITEBYTECODE sets it, no compiled bytecode is
-    cached, so each process pays the compile and its memory."""
+    cached, so each process pays the compile and its memory.  blas holds
+    OPENBLAS_CORETYPE as those processes get it (None: OpenBLAS picks the
+    kernel for the CPU) and numpy's OpenBLAS configuration string (None
+    for another BLAS)."""
     child = subprocess.run(
         [sys.executable, "-c", "import sys; print(sys.dont_write_bytecode)"],
         stdout=subprocess.PIPE, text=True, check=True,
     )
+    blas = numpy.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     return {
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "cpus": os.cpu_count(),
         "platform": platform.platform(),
         "dont_write_bytecode": child.stdout.strip() == "True",
+        "blas": {
+            "openblas_coretype": os.environ.get("OPENBLAS_CORETYPE"),
+            "openblas_configuration": blas.get("openblas configuration"),
+        },
     }
 
 
