@@ -6,10 +6,11 @@ GENERATORS.  A name is all there is to set: each is built from its
 system's bundle and the config's top-level fields, and every other value
 is a constant of its constructor.
 
-Everything downstream of the config is deterministic: per-episode seeds are
-stable hashes of (base_seed, system_index, seed_index, controller,
-generator), initial states depend only on (base_seed, system_index,
-seed_index), and aggregation is a pure function of the run records.
+Everything downstream of the config is deterministic: one hash of
+(base_seed, system_index, seed_index, controller, generator) gives an
+episode's seed and its rng_fingerprint, initial states depend only on
+(base_seed, system_index, seed_index), and aggregation is a pure function
+of the run records.
 """
 
 import copy
@@ -99,14 +100,16 @@ def _check_names(key: str, names: list, known: tuple) -> None:
         raise ConfigError(f"duplicate {key} names")
 
 
+def _seed_and_fingerprint(*parts):
+    """The first 8 bytes of the SHA-256 of the parts' string forms, as a
+    63-bit seed (shifted right by 1) and in hex."""
+    head = hashlib.sha256("|".join(str(p) for p in parts).encode()).digest()[:8]
+    return int.from_bytes(head, "big") >> 1, head.hex()
+
+
 def stable_seed(*parts) -> int:
     """Deterministic 63-bit seed from the string forms of the parts."""
-    digest = hashlib.sha256("|".join(str(p) for p in parts).encode()).digest()
-    return int.from_bytes(digest[:8], "big") >> 1
-
-
-def _fingerprint(*parts) -> str:
-    return hashlib.sha256("|".join(str(p) for p in parts).encode()).hexdigest()[:16]
+    return _seed_and_fingerprint(*parts)[0]
 
 
 @dataclass
@@ -248,11 +251,9 @@ def build_bundle(config: ExperimentConfig, index: int) -> SystemBundle:
 
 def _build_controller(name: str, bundle: SystemBundle):
     """The controller named name (one of CONTROLLERS)."""
-    if name == "lqr":
-        return LinearFeedback(bundle.lqr_K, "lqr")
-    if name == "hinf":
-        return LinearFeedback(bundle.hinf.K, "hinf")
-    return GpcController(bundle.system, bundle.cw, bundle.lqr_K)
+    if name == "gpc":
+        return GpcController(bundle.system, bundle.cw, bundle.lqr_K)
+    return LinearFeedback(bundle.lqr_K if name == "lqr" else bundle.hinf.K, name)
 
 
 def _build_generator(name: str, bundle: SystemBundle, config: ExperimentConfig, T: int, seed: int):
@@ -355,9 +356,9 @@ def run_episode(
 
 def _built(build, *args):
     """build(*args), or the error it raised.  A build that serves many
-    episodes (a system's bundle, its sine, its GPC) returns its error
-    instead of raising it, so that the error fails those episodes and no
-    other."""
+    episodes (a system's bundle, or a component built once per system)
+    returns its error instead of raising it, so that the error fails those
+    episodes and no other."""
     try:
         return build(*args)
     except Exception as exc:  # noqa: BLE001 - raised again by each episode that needs it
@@ -372,65 +373,58 @@ def _copy_of(prototype):
     return copy.copy(prototype)
 
 
+# The generators that draw random numbers; each episode builds its own
+# from its seed.  Every other component is built once per system.
+_SEEDED_GENERATORS = ("motr", "oga", "random", "gaussian")
+
+
 def _episode_task(args):
-    config, index, bundle, sine, gpc, ctrl_name, gen_name, seed_index = args
-    if isinstance(bundle, Exception):
-        raise bundle.with_traceback(None)
-    episode_seed = stable_seed(config.base_seed, index, seed_index, ctrl_name, gen_name)
-    x0_rng = np.random.default_rng(stable_seed(config.base_seed, "x0", index, seed_index))
-    x0 = x0_rng.standard_normal(config.d_x)
-    # The sine draws no random numbers and GPC's maps depend only on the
-    # system, so one prototype of each per system serves every episode.
-    controller = _copy_of(gpc) if ctrl_name == "gpc" else _build_controller(ctrl_name, bundle)
-    if gen_name == "sine":
-        generator = _copy_of(sine)
-    else:
-        generator = _build_generator(gen_name, bundle, config, config.T, episode_seed)
-    return run_episode(
-        bundle.system,
-        bundle.cw,
-        controller,
-        generator,
-        config.T,
-        x0,
-        system_index=index,
-        seed_index=seed_index,
-        rng_fingerprint=_fingerprint(config.base_seed, index, seed_index, ctrl_name, gen_name),
-    )
+    """The record of one episode, played by copies of its per-system
+    prototypes; a seeded generator comes by name and is built with its seed."""
+    config, index, seed_index, bundle, x0, controller, generator, seed, fingerprint = args
+    controller = _copy_of(controller)
+    generator = (_build_generator(generator, bundle, config, config.T, seed) if isinstance(generator, str)
+                 else _copy_of(generator))
+    return run_episode(bundle.system, bundle.cw, controller, generator, config.T, x0,
+                       system_index=index, seed_index=seed_index, rng_fingerprint=fingerprint)
 
 
 def run_grid(config: ExperimentConfig, jobs: int = 1, log=None):
     """All episodes of the config grid, in deterministic order.
 
     Returns (records, failures); failures are (task description, error
-    string) pairs for episodes that raised.  A system whose synthesis
-    fails fails each of its episodes, and one whose sine or GPC build
-    fails fails the episodes that play it; the others still run.
+    string) pairs for episodes that raised.  Per system, each listed
+    component that draws no random numbers is built once, and its episodes
+    play copies.  A build that fails, the system's synthesis included,
+    fails the episodes that play it; the others still run.
     """
     tasks = []
     for index in range(config.n_systems):
         bundle = _built(build_bundle, config, index)
-        sine = gpc = None
-        if not isinstance(bundle, Exception):
-            if "sine" in config.generators:
-                sine = _built(_build_generator, "sine", bundle, config, config.T, None)
-            if "gpc" in config.controllers:
-                gpc = _built(_build_controller, "gpc", bundle)
+        if isinstance(bundle, Exception):
+            controllers = dict.fromkeys(config.controllers, bundle)
+            generators = dict.fromkeys(config.generators, bundle)
+        else:
+            controllers = {name: _built(_build_controller, name, bundle) for name in config.controllers}
+            generators = {name: name if name in _SEEDED_GENERATORS
+                          else _built(_build_generator, name, bundle, config, config.T, None)
+                          for name in config.generators}
         for seed_index in range(config.n_seeds):
+            x0_rng = np.random.default_rng(stable_seed(config.base_seed, "x0", index, seed_index))
+            x0 = x0_rng.standard_normal(config.d_x)
             for ctrl_name in config.controllers:
                 for gen_name in config.generators:
+                    describe = f"system={index} seed={seed_index} controller={ctrl_name} generator={gen_name}"
+                    seed, fingerprint = _seed_and_fingerprint(config.base_seed, index, seed_index, ctrl_name, gen_name)
                     # A task carries only the prototypes it plays: a pool
                     # pickles each task, and a GPC pickles to about 13 KB.
-                    own_sine = sine if gen_name == "sine" else None
-                    own_gpc = gpc if ctrl_name == "gpc" else None
-                    tasks.append((config, index, bundle, own_sine, own_gpc, ctrl_name, gen_name, seed_index))
+                    tasks.append((describe, (config, index, seed_index, bundle, x0, controllers[ctrl_name],
+                                             generators[gen_name], seed, fingerprint)))
     records, failures = [], []
 
     def collect(results):
         # One zero-argument call per task, in task order, giving its record.
-        for task, result in zip(tasks, results):
-            _, index, _, _, _, ctrl_name, gen_name, seed_index = task
-            describe = f"system={index} seed={seed_index} controller={ctrl_name} generator={gen_name}"
+        for (describe, _), result in zip(tasks, results):
             try:
                 records.append(result())
             except Exception as exc:  # noqa: BLE001 - harness must keep going
@@ -439,12 +433,12 @@ def run_grid(config: ExperimentConfig, jobs: int = 1, log=None):
                 log(f"{describe}: done ({len(records)}/{len(tasks)})")
 
     if jobs <= 1:
-        collect(functools.partial(_episode_task, task) for task in tasks)
+        collect(functools.partial(_episode_task, args) for _, args in tasks)
     else:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            collect([pool.submit(_episode_task, task).result for task in tasks])
+            collect([pool.submit(_episode_task, args).result for _, args in tasks])
     return records, failures
 
 
@@ -583,6 +577,16 @@ def normalize_scores(records) -> AggregateTable:
                           n_systems=len(systems), n_seeds=len(seeds), n_diverged=int(diverged.sum()))
 
 
+def _check_regret_args(config: ExperimentConfig, system_index: int, controller: str, T_grid, n_seeds: int):
+    """ConfigError unless regret_curve takes these arguments (T_grid a list)."""
+    if not T_grid or T_grid[0] < 1 or n_seeds < 1 or any(b <= a for a, b in zip(T_grid, T_grid[1:])):
+        raise ConfigError("T_grid must be strictly increasing from >= 1, and n_seeds >= 1")
+    if not (_is_int(system_index) and 0 <= system_index < config.n_systems):
+        raise ConfigError(f"system_index must be in [0, {config.n_systems}), got {system_index!r}")
+    if controller not in config.controllers:
+        raise ConfigError(f"controller {controller!r} not in config")
+
+
 def regret_curve(config: ExperimentConfig, system_index: int, controller: str, T_grid, n_seeds: int):
     """Mean surrogate regret of MOTR against the named controller of the
     config on its system system_index, at each horizon.
@@ -598,32 +602,21 @@ def regret_curve(config: ExperimentConfig, system_index: int, controller: str, T
     is non-positive).
     """
     T_grid = list(T_grid)
-    if not T_grid or T_grid[0] < 1 or n_seeds < 1 or any(b <= a for a, b in zip(T_grid, T_grid[1:])):
-        raise ConfigError("T_grid must be strictly increasing from >= 1, and n_seeds >= 1")
-    if not (_is_int(system_index) and 0 <= system_index < config.n_systems):
-        raise ConfigError(f"system_index must be in [0, {config.n_systems}), got {system_index!r}")
-    if controller not in config.controllers:
-        raise ConfigError(f"controller {controller!r} not in config")
+    _check_regret_args(config, system_index, controller, T_grid, n_seeds)
     bundle = build_bundle(config, system_index)
+    prototype = _build_controller(controller, bundle)
     rows = []
     for T in T_grid:
         regs = []
         for s in range(n_seeds):
-            seed = stable_seed(config.base_seed, "regret", T, s)
-            gen = _build_generator("motr", bundle, config, T, seed)
-            ctrl = _build_controller(controller, bundle)
-            x0 = np.random.default_rng(stable_seed(config.base_seed, "regret-x0", s)).standard_normal(
-                bundle.system.d_x
-            )
-            run_episode(bundle.system, bundle.cw, ctrl, gen, T, x0)
+            gen = _build_generator("motr", bundle, config, T, stable_seed(config.base_seed, "regret", T, s))
+            x0_rng = np.random.default_rng(stable_seed(config.base_seed, "regret-x0", s))
+            x0 = x0_rng.standard_normal(bundle.system.d_x)
+            run_episode(bundle.system, bundle.cw, copy.copy(prototype), gen, T, x0)
             hind, ach = gen.regret_pair()
             regs.append(hind - ach)
         mean = float(np.mean(regs))
         rows.append((T, mean, mean / T))
-    if len(rows) > 1 and all(r[1] > 0 for r in rows):
-        slope = float(
-            np.polyfit(np.log([r[0] for r in rows]), np.log([r[1] for r in rows]), 1)[0]
-        )
-    else:
-        slope = float("nan")
+    fits = len(rows) > 1 and all(r[1] > 0 for r in rows)
+    slope = float(np.polyfit(np.log(T_grid), np.log([r[1] for r in rows]), 1)[0]) if fits else math.nan
     return rows, slope

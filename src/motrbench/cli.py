@@ -4,8 +4,8 @@ Subcommands: run (execute a config grid), table (aggregate runs.jsonl into
 the normalized score tables), regret (regret curve for the adaptive
 generator), solve-tr (trust-region debug solve), synth (print LQR and
 H-infinity gains for a system).  Exit codes: 0 success, 1 partial run or
-aggregation failure, 2 malformed config or input, or input a solver
-rejects.
+aggregation failure, 2 malformed config or input, input a solver
+rejects, or an output directory that cannot be made.
 """
 
 import argparse
@@ -17,6 +17,7 @@ import numpy as np
 
 from .bench import (
     AggregationError,
+    _check_regret_args,
     ConfigError,
     ExperimentConfig,
     load_records,
@@ -30,20 +31,35 @@ from .lds import CostWeights, LinearSystem
 from .trust_region import TrustRegionError, TrustRegionProblem, objective, solve as tr_solve
 
 
+def _fail(what: str, detail, code: int = 2) -> int:
+    """Print one `what: detail` line to stderr and return the exit code."""
+    print(f"{what}: {detail}", file=_sys.stderr)
+    return code
+
+
+def _bad_output_dir(path: str) -> bool:
+    """Make the output directory path if it is missing; True, after one line
+    saying why, when it cannot be made (say path is a regular file)."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        _fail("bad output directory", exc)
+        return True
+    return False
+
+
 def _cmd_run(args) -> int:
     try:
-        config = (
-            ExperimentConfig.from_json_file(args.config) if args.config else ExperimentConfig()
-        )
+        config = ExperimentConfig.from_json_file(args.config) if args.config else ExperimentConfig()
         if args.seed is not None:
             config.base_seed = args.seed
         if args.out:
             config.output_dir = args.out
     except ConfigError as exc:
-        print(f"config error: {exc}", file=_sys.stderr)
-        return 2
+        return _fail("config error", exc)
     if args.jobs < 1:
-        print(f"bad --jobs: {args.jobs}; it must be at least 1", file=_sys.stderr)
+        return _fail("bad --jobs", f"{args.jobs}; it must be at least 1")
+    if _bad_output_dir(config.output_dir):
         return 2
     log = (lambda msg: print(msg, file=_sys.stderr)) if args.verbose else None
     records, failures = run_grid(config, jobs=args.jobs, log=log)
@@ -59,18 +75,16 @@ def _cmd_table(args) -> int:
     try:
         records = load_records(args.runs)
     except (OSError, ValueError) as exc:
-        print(f"bad runs input: {exc}", file=_sys.stderr)
+        return _fail("bad runs input", exc)
+    out_dir = args.out or os.path.dirname(os.path.abspath(args.runs))
+    if _bad_output_dir(out_dir):
         return 2
     try:
         table = normalize_scores(records)
     except AggregationError as exc:
-        print(f"aggregation error: {exc}", file=_sys.stderr)
-        return 1
-    out_dir = args.out or os.path.dirname(os.path.abspath(args.runs))
-    os.makedirs(out_dir, exist_ok=True)
+        return _fail("aggregation error", exc, 1)
     for kind in ("ratio", "minmax"):
-        path = os.path.join(out_dir, f"table_{kind}.csv")
-        with open(path, "w") as fh:
+        with open(os.path.join(out_dir, f"table_{kind}.csv"), "w") as fh:
             fh.write("\n".join(table.csv_lines(kind)) + "\n")
     print(table.format_text())
     print(f"\n({table.n_systems} systems, {table.n_seeds} seeds, {table.n_diverged} diverged runs;"
@@ -80,25 +94,22 @@ def _cmd_table(args) -> int:
 
 def _cmd_regret(args) -> int:
     try:
-        config = (
-            ExperimentConfig.from_json_file(args.config) if args.config else ExperimentConfig()
-        )
+        config = ExperimentConfig.from_json_file(args.config) if args.config else ExperimentConfig()
+        _check_regret_args(config, args.system_index, args.controller, args.T_grid, args.seeds)
+        out_dir = args.out or config.output_dir
+        if _bad_output_dir(out_dir):
+            return 2
         rows, slope = regret_curve(config, args.system_index, args.controller, args.T_grid, args.seeds)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=_sys.stderr)
-        return 2
+        return _fail("config error", exc)
     except SynthesisError as exc:
-        print(f"synthesis error: {exc}", file=_sys.stderr)
-        return 2
-    out_dir = args.out or config.output_dir
-    os.makedirs(out_dir, exist_ok=True)
+        return _fail("synthesis error", exc)
     path = os.path.join(out_dir, "regret.csv")
     with open(path, "w") as fh:
         fh.write("T,regret,regret_per_round,loglog_slope\n")
         for T, reg, per in rows:
             fh.write(f"{T},{reg:.9g},{per:.9g},{slope:.6f}\n")
-    for T, reg, per in rows:
-        print(f"T={T:6d}  regret={reg:12.4f}  regret/T={per:.6f}")
+            print(f"T={T:6d}  regret={reg:12.4f}  regret/T={per:.6f}")
     print(f"fitted log-log slope: {slope:.3f}")
     print(f"wrote {path}")
     return 0
@@ -139,11 +150,9 @@ def _cmd_solve_tr(args) -> int:
         with np.errstate(over="ignore", invalid="ignore"):
             sol = tr_solve(prob)
     except (OSError, KeyError, TypeError, ValueError) as exc:
-        print(f"bad problem input: {exc}", file=_sys.stderr)
-        return 2
+        return _fail("bad problem input", exc)
     except TrustRegionError as exc:
-        print(f"solver error: {exc}", file=_sys.stderr)
-        return 2
+        return _fail("solver error", exc)
     print(json.dumps({
         "z": sol.z.tolist(),
         "value": objective(prob, sol.z),
@@ -165,8 +174,7 @@ def _cmd_synth(args) -> int:
         else:
             cw = CostWeights(np.eye(system.d_x), np.eye(system.d_u))
     except (OSError, KeyError, TypeError, ValueError) as exc:
-        print(f"bad system input: {exc}", file=_sys.stderr)
-        return 2
+        return _fail("bad system input", exc)
     try:
         # An overflow ends in the solvers' one-line error below, not in
         # numpy's warnings.
@@ -174,11 +182,9 @@ def _cmd_synth(args) -> int:
             P, K = solve_dare(system, cw)
             hinf = hinf_bisection(system, cw)
     except ValueError as exc:  # input the solvers reject, say a singular R
-        print(f"bad system input: {exc}", file=_sys.stderr)
-        return 2
+        return _fail("bad system input", exc)
     except SynthesisError as exc:
-        print(f"synthesis error: {exc}", file=_sys.stderr)
-        return 2
+        return _fail("synthesis error", exc)
     print(json.dumps({
         "lqr": {"P": P.tolist(), "K": K.tolist()},
         "hinf": hinf.to_json(),

@@ -31,6 +31,24 @@ def drift_report():
         sys.path.remove(TOOLS)
 
 
+@pytest.fixture(scope="session")
+def dynamic_openblas():
+    """Skips the test unless OPENBLAS_CORETYPE can swap numpy's BLAS
+    kernel: numpy's BLAS must be an OpenBLAS with DYNAMIC_ARCH on x86-64."""
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:
+        pytest.skip("numpy cannot report its build configuration")
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    cpu = config.get("Machine Information", {}).get("host", {}).get("cpu")
+    if "openblas" not in str(blas.get("name", "")).lower():
+        pytest.skip(f"numpy's BLAS is {blas.get('name')!r}, not OpenBLAS")
+    if "DYNAMIC_ARCH" not in str(blas.get("openblas configuration", "")).split():
+        pytest.skip("numpy's OpenBLAS is built without DYNAMIC_ARCH")
+    if cpu != "x86_64":
+        pytest.skip(f"the CPU is {cpu!r}, not x86_64")
+
+
 @pytest.fixture
 def fail_synthesis(monkeypatch):
     """fail_synthesis(config, index) makes bench's H-infinity synthesis

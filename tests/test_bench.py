@@ -336,32 +336,41 @@ def test_run_grid_deterministic_and_parallel_equivalent(tmp_path):
     assert again == lines_a
 
 
-def test_run_grid_builds_the_sine_once_per_system(monkeypatch):
-    cfg = small_config(controllers=["lqr", "hinf"], generators=["sine", "random"])
-    calls = []
-    monkeypatch.setattr(bench, "sinusoid_generator", lambda *a, **k: calls.append(a) or sinusoid_generator(*a, **k))
-    records, failures = run_grid(cfg, jobs=1)
-    assert not failures and len(records) == 16
-    assert len(calls) == 2  # 2 systems; not one per (seed, controller) episode
+# The generators that draw random numbers.  Every other component is
+# deterministic, so run_grid builds it once per system and plays copies.
+SEEDED_GENERATORS = ("motr", "oga", "random", "gaussian")
 
-    # Each sine record equals that of an episode with a sine of its own.
-    sines = [r for r in records if r.generator == "sine"]
-    assert len(sines) == 8
-    for rec in sines:
-        bundle = build_bundle(cfg, rec.system_index)
-        K = bundle.lqr_K if rec.controller == "lqr" else bundle.hinf.K
+
+@pytest.mark.parametrize("kind, name", [pytest.param("controller", c, id=f"controller-{c}") for c in bench.CONTROLLERS]
+                         + [pytest.param("generator", g, id=f"generator-{g}") for g in bench.GENERATORS])
+def test_run_grid_builds_each_deterministic_component_once_per_system(monkeypatch, kind, name):
+    if kind == "controller":
+        cfg = small_config(controllers=[name], generators=["hinf", "random"])
+    else:
+        cfg = small_config(controllers=["lqr", "gpc"], generators=[name])
+    build_controller, build_generator = bench._build_controller, bench._build_generator
+    builds = []
+    real = getattr(bench, f"_build_{kind}")
+    monkeypatch.setattr(bench, f"_build_{kind}", lambda n, *args: builds.append(n) or real(n, *args))
+    records, failures = run_grid(cfg, jobs=1)
+    assert not failures and len(records) == 8  # 2 systems x 2 seeds x 2 partners
+    per_run = len(records) if name in SEEDED_GENERATORS else cfg.n_systems
+    assert builds == [name] * per_run
+
+    # Each record equals that of an episode with components of its own, and
+    # its rng_fingerprint is the hash its seed comes from.
+    bundles = [build_bundle(cfg, index) for index in range(cfg.n_systems)]
+    for rec in records:
+        bundle = bundles[rec.system_index]
+        seed = stable_seed(cfg.base_seed, rec.system_index, rec.seed_index, rec.controller, rec.generator)
+        assert seed == int(rec.rng_fingerprint, 16) >> 1 and len(rec.rng_fingerprint) == 16
         x0 = np.random.default_rng(stable_seed(cfg.base_seed, "x0", rec.system_index, rec.seed_index))
         own = run_episode(
-            bundle.system, bundle.cw, LinearFeedback(K, rec.controller),
-            sinusoid_generator(bundle.system, bundle.cw, cfg.W_max, cfg.T), cfg.T,
+            bundle.system, bundle.cw, build_controller(rec.controller, bundle),
+            build_generator(rec.generator, bundle, cfg, cfg.T, seed), cfg.T,
             x0.standard_normal(cfg.d_x), rec.system_index, rec.seed_index, rec.rng_fingerprint,
         )
         assert own.to_json_line() == rec.to_json_line()
-
-    # A config that lists no sine builds none.
-    del calls[:]
-    run_grid(small_config(), jobs=1)
-    assert calls == []
 
 
 def test_run_grid_sine_build_error_fails_only_the_sine_episodes(monkeypatch):

@@ -110,4 +110,14 @@ def test_machine_records_the_blas_kernel_setting(snapshot, monkeypatch, coretype
     assert blas == {
         "openblas_coretype": coretype,
         "openblas_configuration": numpy_blas.get("openblas configuration"),
+        "openblas_corename": snapshot.openblas_corename(),
     }
+
+
+def test_openblas_corename_names_the_kernel_that_runs(dynamic_openblas):
+    # The configuration string names the build target; the kernel that
+    # runs is the one OPENBLAS_CORETYPE names, here in a child process.
+    env = dict(os.environ, PYTHONPATH=TOOLS, OPENBLAS_CORETYPE="Nehalem")
+    child = subprocess.run([sys.executable, "-c", "import bench_snapshot; print(bench_snapshot.openblas_corename())"],
+                           env=env, stdout=subprocess.PIPE, text=True, check=True)
+    assert child.stdout == "Nehalem\n"

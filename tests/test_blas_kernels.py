@@ -3,12 +3,16 @@
 numpy's OpenBLAS, built with DYNAMIC_ARCH, picks a kernel for the CPU it
 loads on, and OPENBLAS_CORETYPE overrides the pick.  Kernels round some
 products differently, so runs.jsonl is byte-identical only under one
-kernel.  This module runs the benchmark's `grid` workload config
-(perfbench/workloads.py, base seed 0) under Nehalem and Prescott, two
-kernels that every x86-64 CPU can run, matches the records as
-tools/drift_report.py does, and bounds the relative change of every pair
-that does not amplify rounding.  The chaotic pairs are listed with the
-ROADMAP item that owns each; they run as expected failures.
+kernel; an unknown name silently runs the default kernel, and a known
+one may run another (this numpy's OpenBLAS runs Prescott and Core2 as its
+Katmai kernel).  This module runs the benchmark's `grid` workload config
+(perfbench/workloads.py, base seed 0) under OPENBLAS_CORETYPE Nehalem and
+Prescott, kernels that every x86-64 CPU can run, checks through
+tools/bench_snapshot.py's openblas_corename that each child ran a kernel
+other than the default, matches the records as tools/drift_report.py
+does, and bounds the relative change of every pair that does not amplify
+rounding.  The chaotic pairs are listed with the ROADMAP item that owns
+each; they run as expected failures.
 """
 
 import json
@@ -16,12 +20,15 @@ import os
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 from motrbench.bench import CONTROLLERS, GENERATORS
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PYTHONPATH = os.pathsep.join(os.path.join(ROOT, d) for d in ("src", "tools"))
+# Prints the kernel that runs; CHILD then runs the motrbench command line.
+CORENAME = "import bench_snapshot; print(bench_snapshot.openblas_corename())"
+CHILD = CORENAME + "; import sys; from motrbench.cli import main; sys.exit(main(sys.argv[1:]))"
 KERNELS = ("Nehalem", "Prescott")
 # Fixed before the first run, from a full-grid probe under four kernels in
 # which these pairs agreed to 1.1e-14 and 1.9e-12.
@@ -38,32 +45,11 @@ CHAOTIC = {
 PAIRS = [(c, g) for c in CONTROLLERS for g in GENERATORS]
 
 
-def _skip_reason():
-    """Why this machine cannot swap kernels, or None when it can: numpy's
-    BLAS must be an OpenBLAS with DYNAMIC_ARCH on x86-64."""
-    try:
-        config = np.show_config(mode="dicts")
-    except TypeError:
-        return "numpy cannot report its build configuration"
-    blas = config.get("Build Dependencies", {}).get("blas", {})
-    cpu = config.get("Machine Information", {}).get("host", {}).get("cpu")
-    if "openblas" not in str(blas.get("name", "")).lower():
-        return f"numpy's BLAS is {blas.get('name')!r}, not OpenBLAS"
-    if "DYNAMIC_ARCH" not in str(blas.get("openblas configuration", "")).split():
-        return "numpy's OpenBLAS is built without DYNAMIC_ARCH"
-    if cpu != "x86_64":
-        return f"the CPU is {cpu!r}, not x86_64"
-    return None
-
-
-SKIP = _skip_reason()
-pytestmark = pytest.mark.skipif(SKIP is not None, reason=str(SKIP))
-
-
 @pytest.fixture(scope="module")
-def kernel_runs(perfbench, drift_report, tmp_path_factory):
-    """The grid workload's records under each kernel, loaded by
-    drift_report.load; the two runs go side by side in child processes."""
+def kernel_children(dynamic_openblas, perfbench, drift_report, tmp_path_factory):
+    """(kernel that ran, the grid workload's records as drift_report.load
+    gives them) under each KERNELS setting; the two runs go side by side in
+    child processes, and a third child names the default kernel."""
     from workloads import WORKLOADS
 
     tmp = tmp_path_factory.mktemp("kernels")
@@ -71,14 +57,31 @@ def kernel_runs(perfbench, drift_report, tmp_path_factory):
     config.write_text(json.dumps(WORKLOADS["grid"]))
     children = []
     for kernel in KERNELS:
-        env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"), OPENBLAS_CORETYPE=kernel,
-                   OPENBLAS_NUM_THREADS="1")
-        cmd = [sys.executable, "-m", "motrbench.cli", "run", "--config", str(config), "--out", str(tmp / kernel)]
-        children.append(subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True))
+        env = dict(os.environ, PYTHONPATH=PYTHONPATH, OPENBLAS_CORETYPE=kernel, OPENBLAS_NUM_THREADS="1")
+        cmd = [sys.executable, "-c", CHILD, "run", "--config", str(config), "--out", str(tmp / kernel)]
+        children.append(subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True))
+    runs = []
     for kernel, child in zip(KERNELS, children):
-        _, err = child.communicate()
+        out, err = child.communicate()
         assert child.returncode == 0, f"{kernel}: {err}"
-    return [drift_report.load(str(tmp / kernel / "runs.jsonl")) for kernel in KERNELS]
+        runs.append((out.splitlines()[0], drift_report.load(str(tmp / kernel / "runs.jsonl"))))
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = PYTHONPATH
+    default = subprocess.run([sys.executable, "-c", CORENAME], env=env, stdout=subprocess.PIPE, text=True, check=True)
+    return default.stdout.strip(), runs
+
+
+@pytest.fixture(scope="module")
+def kernel_runs(kernel_children):
+    return [records for _, records in kernel_children[1]]
+
+
+def test_each_child_runs_a_kernel_other_than_the_default(kernel_children):
+    # OpenBLAS runs its default kernel for a name it does not know, and
+    # then the bounds below would compare the default with itself.
+    default, runs = kernel_children
+    ran = [kernel for kernel, _ in runs]
+    assert default != "None" and default not in ran, (default, ran)
 
 
 def test_the_kernel_swap_changes_the_records(kernel_runs, drift_report):

@@ -161,6 +161,30 @@ def test_run_jobs_verbose_logs_every_episode(tmp_path, capsys):
     assert bytes_a == bytes_b
 
 
+@pytest.mark.parametrize("command", ["run", "table", "regret"])
+def test_an_output_directory_that_cannot_be_made_exits_2_before_any_work(tmp_path, capsys, monkeypatch, command):
+    import motrbench.bench as bench
+
+    episodes = []
+    monkeypatch.setattr(bench, "run_episode", lambda *args, **kwargs: episodes.append(args))
+    cfg_path = write_json(tmp_path / "cfg.json", small_config_dict())
+    runs = tmp_path / "runs.jsonl"
+    runs.write_text(run_record_line() + "\n")
+    args = {
+        "run": ["run", "--config", cfg_path],
+        "table": ["table", "--runs", str(runs)],
+        "regret": ["regret", "--config", cfg_path, "--T-grid", "5,10", "--seeds", "1"],
+    }[command]
+    taken = tmp_path / "taken"
+    taken.write_text("a file\n")
+    for out in (taken, taken / "sub"):
+        assert main(args + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("bad output directory: ") and err.count("\n") == 1, err
+    assert episodes == []
+    assert taken.read_text() == "a file\n"
+
+
 def test_partial_run_exit_code_and_manifest(tmp_path, monkeypatch):
     import motrbench.bench as bench
 
@@ -393,6 +417,10 @@ def test_regret_subcommand(tmp_path, capsys):
     for index in ("7", "-3", "1"):
         assert main(["regret", "--config", cfg_path, "--system-index", index, "--T-grid", "40"]) == 2
         assert "system_index must be in [0, 1)" in capsys.readouterr().err
+    # A rejected argument makes no output directory.
+    never = tmp_path / "never"
+    assert main(["regret", "--config", cfg_path, "--controller", "gpc", "--out", str(never)]) == 2
+    assert not never.exists()
 
 
 def test_regret_on_one_horizon_reports_no_slope(tmp_path, capsys):

@@ -17,13 +17,16 @@ in checkouts that have spec fields);
 the machine: Python and numpy versions, CPU count, platform, whether
 PYTHONDONTWRITEBYTECODE was set, in which case every benchmark process
 compiles src/ from source, its set-up and warm-up passes included, and
-the BLAS kernel settings, since runs.jsonl's hash holds for one kernel
-only; and every command that produced these figures, in the order they
-ran.  Schema 2 is schema 1 (BENCH_1 to BENCH_5) plus settable_values;
-schema 3 adds machine.dont_write_bytecode, and schema 4 machine.blas.
+the BLAS kernel settings and the kernel that ran, since runs.jsonl's
+hash holds for one kernel only; and every command that produced these
+figures, in the order they ran.  Schema 2 is schema 1 (BENCH_1 to
+BENCH_5) plus settable_values; schema 3 adds machine.dont_write_bytecode,
+schema 4 machine.blas, and schema 5 machine.blas.openblas_corename.
 """
 
 import argparse
+import ctypes
+import glob
 import hashlib
 import json
 import os
@@ -36,7 +39,7 @@ import time
 
 import numpy
 
-SCHEMA = 4
+SCHEMA = 5
 HERE = os.path.dirname(os.path.abspath(__file__))
 # The benchmark and the grid run with one BLAS thread, as perfbench/run.py
 # runs its workers.
@@ -86,14 +89,34 @@ def settable_values(root, commands):
     return int(_run([sys.executable, "-c", SETTABLE_VALUES], root, commands, env))
 
 
+def openblas_corename():
+    """The name of the kernel that numpy's bundled OpenBLAS runs (the one
+    OPENBLAS_CORETYPE names, or its pick for the CPU), read with ctypes
+    from the library under numpy.libs; None when there is no such library
+    or it exports no corename function."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(numpy.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename64_", "openblas_get_corename"):
+            corename = getattr(lib, symbol, None)
+            if corename is not None:
+                corename.argtypes, corename.restype = [], ctypes.c_char_p
+                return corename().decode()
+    return None
+
+
 def machine():
     """The machine block.  dont_write_bytecode is sys.dont_write_bytecode of
     a child interpreter with this environment, as the benchmark's processes
     get it: when PYTHONDONTWRITEBYTECODE sets it, no compiled bytecode is
     cached, so each process pays the compile and its memory.  blas holds
     OPENBLAS_CORETYPE as those processes get it (None: OpenBLAS picks the
-    kernel for the CPU) and numpy's OpenBLAS configuration string (None
-    for another BLAS)."""
+    kernel for the CPU), numpy's OpenBLAS configuration string (None for
+    another BLAS), which names the build target, and the kernel that runs
+    (openblas_corename)."""
     child = subprocess.run(
         [sys.executable, "-c", "import sys; print(sys.dont_write_bytecode)"],
         stdout=subprocess.PIPE, text=True, check=True,
@@ -108,6 +131,7 @@ def machine():
         "blas": {
             "openblas_coretype": os.environ.get("OPENBLAS_CORETYPE"),
             "openblas_configuration": blas.get("openblas configuration"),
+            "openblas_corename": openblas_corename(),
         },
     }
 
