@@ -5,70 +5,21 @@ controllers of linear systems with quadratic costs: an online
 trust-region learner with memory (MOTR) plus equilibrium, gradient,
 sinusoid and noise baselines, baseline controllers to attack, and a
 reproducible benchmark harness.
+
+The package exports each module's __all__; the command line (cli) is
+not imported here.
 """
 
-from .lds import (
-    CostWeights,
-    LinearSystem,
-    StabilityReport,
-    analyze_stability,
-    random_system,
-    spectral_radius,
-    stage_cost,
-    step,
-    truncation_horizon,
-)
-from .trust_region import (
-    TrustRegionProblem,
-    TrustRegionSolution,
-    brute_force,
-    solve,
-)
-from .online import (
-    MemoryQuadratic,
-    OtrState,
-    collapse,
-    default_perturbation_rate,
-    play_sequence,
-    regret_audit,
-    sample_perturbation,
-)
-from .cdg import (
-    CdgPolicy,
-    UnrollMap,
-    affine_state_map,
-    plant_powers,
-    project_frobenius,
-    rollout_cost_quadratic,
-    unroll_map,
-)
-from .controllers import (
-    GpcController,
-    HinfSolution,
-    LinearFeedback,
-    hinf_bisection,
-    lqr_controller,
-    solve_dare,
-    solve_hinf_game,
-)
-from .generators import (
-    AdaptiveCdgGenerator,
-    GaussianGenerator,
-    HinfGenerator,
-    RandomDirectionGenerator,
-    SinusoidGenerator,
-    sinusoid_generator,
-    transform_residual,
-)
-from .bench import (
-    AggregateTable,
-    ExperimentConfig,
-    RunRecord,
-    build_bundle,
-    normalize_scores,
-    regret_curve,
-    run_episode,
-    run_grid,
-)
+from . import bench, cdg, controllers, generators, lds, online, trust_region
+from .lds import *
+from .trust_region import *
+from .online import *
+from .cdg import *
+from .controllers import *
+from .generators import *
+from .bench import *
+
+__all__ = [name for module in (lds, trust_region, online, cdg, controllers, generators, bench)
+           for name in module.__all__]
 
 __version__ = "0.1.0"

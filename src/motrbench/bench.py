@@ -578,9 +578,13 @@ def normalize_scores(records) -> AggregateTable:
 
 
 def _check_regret_args(config: ExperimentConfig, system_index: int, controller: str, T_grid, n_seeds: int):
-    """ConfigError unless regret_curve takes these arguments (T_grid a list)."""
-    if not T_grid or T_grid[0] < 1 or n_seeds < 1 or any(b <= a for a, b in zip(T_grid, T_grid[1:])):
-        raise ConfigError("T_grid must be strictly increasing from >= 1, and n_seeds >= 1")
+    """ConfigError unless regret_curve takes these arguments (T_grid a list);
+    n_seeds and each horizon obey the rules of the config's n_seeds and T."""
+    _check_field("n_seeds", n_seeds)
+    for T in T_grid:
+        _check_field("T", T)
+    if not T_grid or any(b <= a for a, b in zip(T_grid, T_grid[1:])):
+        raise ConfigError(f"T_grid must be a non-empty, strictly increasing list, got {T_grid!r}")
     if not (_is_int(system_index) and 0 <= system_index < config.n_systems):
         raise ConfigError(f"system_index must be in [0, {config.n_systems}), got {system_index!r}")
     if controller not in config.controllers:
@@ -594,8 +598,9 @@ def regret_curve(config: ExperimentConfig, system_index: int, controller: str, T
     MOTR is built as run_grid builds it, from the config's H, D_M and
     W_max, whether or not the config's generators list it.  An unknown
     controller, a system_index outside [0, n_systems), a T_grid that is
-    not strictly increasing from 1 or more, or n_seeds < 1 raises
-    ConfigError; a system whose synthesis fails raises SynthesisError.
+    not a strictly increasing list of integers >= 1, or an n_seeds that is
+    not an integer >= 1 raises ConfigError; a system whose synthesis fails
+    raises SynthesisError.
     Returns (rows, slope): rows of (T, regret, regret/T) averaged over
     seeds, and the fitted log-log slope of regret versus T (nan when
     T_grid has one horizon, which fixes no slope, or when any mean regret

@@ -55,9 +55,10 @@ GAME_TOL = 1e-11
 GAME_MAX_ITER = 5000
 # max|P| past which the game's value iteration counts as blown up.
 GAME_BLOWUP = 1e12
-# hinf_bisection's gamma bracket starts at [GAMMA_LO, GAMMA_HI] and is
-# bisected until hi/lo <= 1 + GAMMA_REL_TOL; the solution is returned at
-# GAMMA_SAFETY times the bisected infimum.
+# hinf_bisection's gamma bracket starts at [GAMMA_LO, GAMMA_HI], moves down
+# while its lower end is feasible, and is bisected until
+# hi/lo <= 1 + GAMMA_REL_TOL; the solution is returned at GAMMA_SAFETY
+# times the bisected infimum.
 GAMMA_LO = 1e-3
 GAMMA_HI = 1e6
 GAMMA_REL_TOL = 1e-3
@@ -184,27 +185,25 @@ def solve_hinf_game(sys: LinearSystem, cw: CostWeights, gamma: float) -> Optiona
 def hinf_bisection(sys: LinearSystem, cw: CostWeights) -> HinfSolution:
     """Smallest feasible attenuation level within GAMMA_REL_TOL, returned at
     the GAMMA_SAFETY factor above the bisected infimum.  The bracket starts
-    at [GAMMA_LO, GAMMA_HI], and its lower end is divided by 4 until
-    infeasible.  Each level is tried by solve_hinf_game."""
+    at [GAMMA_LO, GAMMA_HI] and moves down by a factor 4 while its lower end
+    is feasible; it is bisected once that end is infeasible.  Each level is
+    tried by solve_hinf_game."""
     lo, hi = GAMMA_LO, GAMMA_HI
     if solve_hinf_game(sys, cw, hi) is None:
         raise BracketingError(f"gamma = GAMMA_HI = {hi:.4g} is infeasible")
+    # A plant still feasible after 60 moves (GAMMA_LO / 4**60, about 1e-39),
+    # as with C = 0, is one that disturbances cannot hurt: it is solved at
+    # the last level tried.
     for _ in range(60):
         if solve_hinf_game(sys, cw, lo) is None:
+            while hi / lo > 1.0 + GAMMA_REL_TOL:
+                mid = float(np.sqrt(lo * hi))
+                if solve_hinf_game(sys, cw, mid) is None:
+                    lo = mid
+                else:
+                    hi = mid
             break
-        lo /= 4.0
-    else:
-        # Feasible essentially down to zero: disturbances cannot hurt.
-        sol = solve_hinf_game(sys, cw, lo * GAMMA_SAFETY)
-        if sol is None:
-            raise SynthesisError("feasibility is not monotone near zero attenuation")
-        return sol
-    while hi / lo > 1.0 + GAMMA_REL_TOL:
-        mid = float(np.sqrt(lo * hi))
-        if solve_hinf_game(sys, cw, mid) is None:
-            lo = mid
-        else:
-            hi = mid
+        lo, hi = lo / 4.0, lo
     sol = solve_hinf_game(sys, cw, hi * GAMMA_SAFETY)
     if sol is None:
         raise SynthesisError("safety-factored gamma unexpectedly infeasible")

@@ -69,3 +69,22 @@ def fail_synthesis(monkeypatch):
         monkeypatch.setattr(bench, "hinf_bisection", synthesis)
 
     return install
+
+
+@pytest.fixture
+def fail_fifth_rollout_quadratic(monkeypatch):
+    """Makes the adaptive generators' rollout_cost_quadratic raise
+    ValueError("rollout quadratic is not finite") on its 5th call, the
+    observe of round 4 of the first episode that calls it."""
+    from motrbench import generators
+
+    calls = []
+    real = generators.rollout_cost_quadratic
+
+    def flaky(*args):
+        calls.append(None)
+        if len(calls) == 5:
+            raise ValueError("rollout quadratic is not finite")
+        return real(*args)
+
+    monkeypatch.setattr(generators, "rollout_cost_quadratic", flaky)

@@ -431,6 +431,21 @@ def test_run_grid_gpc_build_error_fails_only_that_systems_gpc_episodes(monkeypat
     assert {error for _, error in failures} == {f"ValueError: {expected.value}"}
 
 
+def test_run_grid_records_a_generators_failed_round(request):
+    # The motr episode's 5th rollout quadratic raises: that episode fails,
+    # named with its round, and the hinf episode's record is unchanged.
+    cfg = small_config(n_systems=1, n_seeds=1, generators=["motr", "hinf"])
+    clean, failures = run_grid(cfg, jobs=1)
+    assert not failures
+    request.getfixturevalue("fail_fifth_rollout_quadratic")
+    records, failures = run_grid(cfg, jobs=1)
+    assert failures == [(
+        "system=0 seed=0 controller=lqr generator=motr",
+        "GeneratorError: round 4: rollout quadratic is not finite",
+    )]
+    assert [r.to_json_line() for r in records] == [r.to_json_line() for r in clean if r.generator == "hinf"]
+
+
 def test_normalize_scores_singleton_and_two_point():
     single = [record(0, 0, "lqr", "only", 3.0)]
     table = normalize_scores(single)
@@ -599,6 +614,20 @@ def test_regret_curve_runs_and_validates():
     for index in (1, 7, -3):
         with pytest.raises(ConfigError, match="system_index"):
             regret_curve(cfg, index, "lqr", [50], 1)
+
+
+@pytest.mark.parametrize("T_grid, n_seeds, field", [
+    ([100.5], 1, "T"),
+    ([True, 50], 1, "T"),
+    ([50], 1.5, "n_seeds"),
+    ([50], True, "n_seeds"),
+])
+def test_regret_curve_takes_only_integer_counts(T_grid, n_seeds, field):
+    # Each horizon and n_seeds must be an integer >= 1, as the config's T
+    # and n_seeds are: a float or a bool is refused before any episode runs.
+    cfg = ExperimentConfig(n_systems=1, n_seeds=1, H=2)
+    with pytest.raises(ConfigError, match=f"^{field} must be an integer >= 1"):
+        regret_curve(cfg, 0, "lqr", T_grid, n_seeds)
 
 
 def test_regret_curve_fits_no_slope_to_one_horizon():

@@ -51,6 +51,29 @@ def test_checked_result_refuses_output_without_a_result_line(snapshot, out):
         snapshot._checked_result(out, "run.py")
 
 
+# perfbench/run.py's report of a --trace 1 run: untraced and traced passes.
+RUN_OUTPUT = """\
+untraced pass 0: wall_s 0.7201 (raw 0.7312, speed 1.015) setup_s 0.1104 (raw 0.1121, speed 1.015) \
+peak_rss_mb 61.2 runs.jsonl sha256 5e27
+untraced pass 1: wall_s 0.7372 (raw 0.7290, speed 0.989) setup_s 0.1098 (raw 0.1090, speed 0.993) \
+peak_rss_mb 61.3 runs.jsonl sha256 5e27
+traced pass 0: wall 1.0210 s raw (traced, not rescaled) setup_s 0.1101 (raw 0.1101, speed 1.000) \
+peak_rss_mb 63.0 runs.jsonl sha256 5e27
+adversary-n64 seed 0: 3 passes, 72 episodes attempted, 0 failed, correct True
+{"correct": true, "attempted": 72, "failed": 0, "metrics": {}}
+"""
+
+
+def test_untraced_wall_s_reads_every_untraced_pass(snapshot):
+    assert snapshot.untraced_wall_s(RUN_OUTPUT, "run.py") == [0.7201, 0.7372]
+
+
+def test_untraced_wall_s_refuses_output_without_an_untraced_pass(snapshot):
+    traced_only = "".join(line + "\n" for line in RUN_OUTPUT.splitlines() if not line.startswith("untraced"))
+    with pytest.raises(SystemExit):
+        snapshot.untraced_wall_s(traced_only, "run.py")
+
+
 def test_no_file_is_written_when_head_cannot_be_resolved(snapshot, tmp_path):
     # A fresh repository has a clean src/ but no HEAD: the script stops
     # before any pass runs.

@@ -164,6 +164,34 @@ def test_hinf_bisection_monotone_in_disturbance_gain():
     assert g_half <= g_full * (1.0 + 1e-6)
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_hinf_bisection_scales_with_the_disturbance_matrix(monkeypatch, seed):
+    # The game sees C only through C / gamma, so gamma*(eps C) = eps gamma*(C).
+    # At eps = 1e-4 the infimum lies below GAMMA_LO: the bracket moves down,
+    # and its bisection tries no level above GAMMA_LO.
+    sys = random_system(4, 2, 2, seed=seed)
+    cw = CostWeights(np.eye(4), np.eye(2))
+    gamma = hinf_bisection(sys, cw).gamma_star
+    tried = []
+    solve = controllers.solve_hinf_game
+    monkeypatch.setattr(controllers, "solve_hinf_game", lambda s, c, g: tried.append(g) or solve(s, c, g))
+    shrunk = hinf_bisection(LinearSystem(sys.A, sys.B, 1e-4 * sys.C), cw).gamma_star
+    ratio = shrunk / (1e-4 * gamma)
+    assert 1.0 / (1.0 + controllers.GAMMA_REL_TOL) <= ratio <= 1.0 + controllers.GAMMA_REL_TOL
+    assert tried[0] == controllers.GAMMA_HI and max(tried[1:-1]) <= controllers.GAMMA_LO
+
+
+def test_hinf_bisection_without_disturbance_is_lqr():
+    # C = 0: every level is feasible, the game is the LQR problem and the
+    # disturber's gain is zero.
+    sys = random_system(4, 2, 2, seed=3)
+    cw = CostWeights(np.eye(4), np.eye(2))
+    sol = hinf_bisection(LinearSystem(sys.A, sys.B, np.zeros((4, 2))), cw)
+    _, K = solve_dare(sys, cw)
+    np.testing.assert_allclose(sol.K, K, rtol=0.0, atol=1e-9)
+    assert not sol.W.any()
+
+
 def test_hinf_bisection_feasible_and_bracketing_error(monkeypatch):
     for seed in range(5):
         sys = random_system(4, 2, 2, seed=60 + seed, target_radius=0.9)

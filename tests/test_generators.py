@@ -401,6 +401,24 @@ def test_motr_deterministic_and_budgeted():
     assert np.linalg.norm(gen_a.M) <= 0.3 * (1.0 + 1e-9)
 
 
+def test_adaptive_generator_names_the_round_that_failed(fail_fifth_rollout_quadratic):
+    # A ValueError inside round 4's update comes out as a GeneratorError
+    # that names the round and keeps the ValueError as its cause.
+    sys, cw, hinf = make_setup(seed=6)
+    ctrl = lqr_controller(sys, cw)
+    gen = AdaptiveCdgGenerator(sys, cw, hinf, update="motr", T=60, H=3, D_M=0.3, W_max=1.0, seed=11)
+    x = np.random.default_rng(2).standard_normal(4)
+    for _ in range(4):
+        u = ctrl.act(x)
+        w = gen.emit(x)
+        gen.observe(u)
+        x = step(sys, x, u, w)
+    gen.emit(x)
+    with pytest.raises(GeneratorError, match="^round 4: rollout quadratic is not finite$") as failed:
+        gen.observe(ctrl.act(x))
+    assert isinstance(failed.value.__cause__, ValueError)
+
+
 def test_oga_generator_budgeted_and_in_ball():
     sys, cw, hinf = make_setup(seed=7)
     gen = AdaptiveCdgGenerator(

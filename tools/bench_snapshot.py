@@ -8,12 +8,13 @@ refuses a checkout whose src/ differs from HEAD, so git_head names the code
 measured.  The file holds, for every workload in CHECKOUT/BENCHMARK.json,
 the last JSON line of `perfbench/run.py --seconds <run_seconds>` (the
 benchmark's own run length) untraced and with `--trace 1` (plus the traced
-passes' trust-region certificate lines); the wall time of the full default grid
-(`motrbench run`, one process, raw seconds) with the SHA-256 of its
-`runs.jsonl` and both score tables from `motrbench table`; the line count
-of src/motrbench/*.py; the number of values a config can set (the
-ExperimentConfig fields, plus every controller and generator spec field
-in checkouts that have spec fields);
+passes' trust-region certificate lines), and the wall_s of every pass of
+the untraced run, whose median that line reports; the wall time of the
+full default grid (`motrbench run`, one process, raw seconds) with the
+SHA-256 of its `runs.jsonl` and both score tables from `motrbench table`;
+the line count of src/motrbench/*.py; the number of values a config can
+set (the ExperimentConfig fields, plus every controller and generator
+spec field in checkouts that have spec fields);
 the machine: Python and numpy versions, CPU count, platform, whether
 PYTHONDONTWRITEBYTECODE was set, in which case every benchmark process
 compiles src/ from source, its set-up and warm-up passes included, and
@@ -21,7 +22,13 @@ the BLAS kernel settings and the kernel that ran, since runs.jsonl's
 hash holds for one kernel only; and every command that produced these
 figures, in the order they ran.  Schema 2 is schema 1 (BENCH_1 to
 BENCH_5) plus settable_values; schema 3 adds machine.dont_write_bytecode,
-schema 4 machine.blas, and schema 5 machine.blas.openblas_corename.
+schema 4 machine.blas, schema 5 machine.blas.openblas_corename, and
+schema 6 each workload's untraced_wall_s.
+
+A pass's wall_s moves by a few percent from pass to pass on a shared
+machine, so two files, one median per workload each, do not resolve a
+change smaller than that spread: read it from untraced_wall_s, and
+compare interleaved runs of perfbench/run.py for a smaller change.
 """
 
 import argparse
@@ -39,7 +46,7 @@ import time
 
 import numpy
 
-SCHEMA = 5
+SCHEMA = 6
 HERE = os.path.dirname(os.path.abspath(__file__))
 # The benchmark and the grid run with one BLAS thread, as perfbench/run.py
 # runs its workers.
@@ -81,6 +88,15 @@ def _checked_result(out, what):
             "no BENCH file written"
         )
     return result
+
+
+def untraced_wall_s(out, what):
+    """The wall_s of every untraced pass in a perfbench/run.py output, in
+    pass order, from its `untraced pass i: wall_s ...` lines."""
+    walls = [float(v) for v in re.findall(r"^untraced pass \d+: wall_s (\S+) ", out, re.MULTILINE)]
+    if not walls:
+        raise SystemExit(f"{what}: no untraced pass line with a wall_s; no BENCH file written")
+    return walls
 
 
 def settable_values(root, commands):
@@ -170,7 +186,9 @@ def main(argv=None):
             out = _run(cmd, root, commands)
             lines = out.splitlines()
             entry["traced" if trace else "untraced"] = _checked_result(out, " ".join(cmd[1:]))
-            if trace:
+            if not trace:
+                entry["untraced_wall_s"] = untraced_wall_s(out, " ".join(cmd[1:]))
+            else:
                 entry["certificates"] = [
                     line.strip() for line in lines if re.search(r"solves certified", line)
                 ]
