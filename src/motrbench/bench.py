@@ -228,7 +228,6 @@ def _json_type_ok(kind, value) -> bool:
 class SystemBundle:
     """A benchmark system with its synthesized gains."""
 
-    index: int
     system: LinearSystem
     cw: CostWeights
     lqr_K: np.ndarray
@@ -246,7 +245,7 @@ def build_bundle(config: ExperimentConfig, index: int) -> SystemBundle:
     cw = CostWeights(np.eye(config.d_x), np.eye(config.d_u))
     _, K = solve_dare(sys, cw)
     hinf = hinf_bisection(sys, cw)
-    return SystemBundle(index=index, system=sys, cw=cw, lqr_K=K, hinf=hinf)
+    return SystemBundle(system=sys, cw=cw, lqr_K=K, hinf=hinf)
 
 
 def _build_controller(name: str, bundle: SystemBundle):

@@ -54,9 +54,6 @@ __all__ = [
 GAUSSIAN_BUDGET_FACTOR = 1.05
 # The noise generators draw their normals this many rounds' worth at a time.
 NOISE_BLOCK = 64
-# Sinusoid candidates scoring within this relative distance of the best
-# are tied (see SinusoidGenerator).
-TIE_REL_TOL = 1e-12
 # The sinusoid's frequency grid, 16 points on [0, pi], and its phase grid,
 # 2 pi k / 8 for k = 0..3 (half the circle, see SinusoidGenerator).
 SINE_FREQS = np.linspace(0.0, np.pi, 16)
@@ -72,9 +69,9 @@ class GeneratorError(RuntimeError):
 
 
 def _check_budget(W_max) -> float:
-    """W_max as a float; ValueError unless it is positive."""
-    if not (W_max > 0.0):
-        raise ValueError("W_max must be positive")
+    """W_max as a float; ValueError unless it is positive and finite."""
+    if not (0.0 < W_max < math.inf):
+        raise ValueError(f"W_max must be a positive number, got {W_max!r}")
     return float(W_max)
 
 
@@ -254,10 +251,8 @@ class SinusoidGenerator(DisturbanceGenerator):
 
     Phase and phase + pi negate the whole open-loop trajectory and so give
     the same cost in exact arithmetic; SINE_PHASES therefore covers
-    [0, pi) only.  Candidates are ordered by frequency, then phase.
-    Scores within a relative TIE_REL_TOL of the best count as tied, and
-    ties break to the first candidate in that order, so rounding does not
-    decide between twins on a grid that holds both.
+    [0, pi) only.  Candidates are ordered by frequency, then phase, and an
+    equal best score goes to the first of them.
     """
 
     name = "sine"
@@ -272,7 +267,7 @@ class SinusoidGenerator(DisturbanceGenerator):
         M = c * c * G[..., :d_w, :d_w] + c * s * (G12 + G12.swapaxes(-1, -2)) + s * s * G[..., d_w:, d_w:]
         neg_lam, V = np.linalg.eigh(-M)  # (frequency, phase, ...)
         J = -W_max**2 * neg_lam[..., 0].ravel()
-        best = int(np.flatnonzero(J >= J.max() - TIE_REL_TOL * abs(J.max()))[0])
+        best = int(np.argmax(J))
         f, p = np.unravel_index(best, (SINE_FREQS.size, SINE_PHASES.size))
         v = V[f, p, :, 0]
         self.W_max = W_max

@@ -3,7 +3,8 @@
 Every quadratic here is, like the generators' rollout cost, a Gram matrix
 G read through its blocks P = G[:-1, :-1], q = G[:-1, -1] and
 c = G[-1, -1] as [z; 1]' G [z; 1] = z'Pz + 2q'z + c.  Each round t
-reveals a reward of the stacked last H plays (MemoryQuadratic).
+reveals a memory reward: a (dH+1, dH+1) Gram matrix over the stacked last
+H plays z, oldest first (slot 0 holds z_{t-H+1}, slot H-1 holds z_t).
 Collapsing it onto a single repeated play gives a per-round (d+1, d+1)
 Gram matrix G_t, and the learner keeps one running sum G of these
 (OtrState).  The next play maximizes the sum, its quadratic part doubled,
@@ -12,11 +13,12 @@ regret audit maximizes the sum itself.  Both are ball-constrained
 problems handled exactly by the trust-region solver.  At dimension
 LOW_RANK_MIN_DIM and above, a round that comes with a factor of its P
 block is solved on the leader's kept eigendecomposition instead of a new
-one (OtrState).
+one (OtrState).  play_sequence and regret_audit run the learner and the
+audit over a whole reward sequence, which they check once on entry.
 """
 
 import math
-from dataclasses import dataclass
+import numbers
 from typing import Optional
 
 import numpy as np
@@ -25,7 +27,6 @@ from .trust_region import TrustRegionProblem, objective, solve as tr_solve, symm
 
 __all__ = [
     "LOW_RANK_MIN_DIM",
-    "MemoryQuadratic",
     "OtrState",
     "collapse",
     "sample_perturbation",
@@ -42,45 +43,11 @@ __all__ = [
 LOW_RANK_MIN_DIM = 32
 
 
-@dataclass(frozen=True)
-class MemoryQuadratic:
-    """Reward [z; 1]' G [z; 1] = z'Pz + 2q'z + c over the stacked last-H plays
-    z, encoded by its (dH+1, dH+1) Gram matrix G.
-
-    As in OtrState, only the blocks P = G[:-1, :-1], q = G[:-1, -1] and
-    c = G[-1, -1] are read.  The stacking is oldest play first: slot 0
-    holds z_{t-H+1}, slot H-1 holds z_t.
-    """
-
-    G: np.ndarray
-    d: int
-    H: int
-
-    def __post_init__(self):
-        n = self.d * self.H
-        G = np.array(self.G, dtype=float)
-        if self.d < 1 or self.H < 1:
-            raise ValueError("d and H must be positive")
-        if G.shape != (n + 1, n + 1):
-            raise ValueError(f"expected G ({n + 1},{n + 1}), got {G.shape}")
-        if not np.all(np.isfinite(G)):
-            raise ValueError("coefficients must be finite")
-        G.setflags(write=False)
-        object.__setattr__(self, "G", G)
-
-    def value(self, window) -> float:
-        """Reward of a window of H plays, oldest first."""
-        z = np.concatenate(window, dtype=float)
-        if len(window) != self.H or z.shape != (self.d * self.H,):
-            raise ValueError(f"window must hold {self.H} plays of dimension {self.d}")
-        G = self.G
-        return float(z @ G[:-1, :-1] @ z + (2.0 * G[:-1, -1]) @ z + G[-1, -1])
-
-
-def collapse(mq: MemoryQuadratic) -> np.ndarray:
-    """The Gram matrix of playing one point z in every slot: the H x H
-    blocks of P summed, the H blocks of q summed, and c."""
-    d, H, G = mq.d, mq.H, mq.G
+def collapse(G: np.ndarray, H: int) -> np.ndarray:
+    """The Gram matrix of playing one point z in every slot of the memory
+    reward G, a (dH+1, dH+1) array: the H x H blocks of P summed, the H
+    blocks of q summed, and c."""
+    d = (len(G) - 1) // H
     C = np.empty((d + 1, d + 1))
     C[:-1, :-1] = G[:-1, :-1].reshape(H, d, H, d).sum(axis=(0, 2))
     C[:-1, -1] = C[-1, :-1] = G[:-1, -1].reshape(H, d).sum(axis=0)
@@ -119,8 +86,9 @@ class OtrState:
     update plays the perturbed leader on the sum over the Euclidean ball of
     radius D; hindsight maximizes the same sum without a perturbation, so
     the regret audit is exact up to the solver tolerance.  Each is one
-    trust-region solve.  eta may stay None until it is calibrated; only
-    update draws a perturbation.
+    trust-region solve.  eta starts as None and is set by the caller once
+    it is calibrated; only update draws a perturbation.  current_z is the
+    uniform ball point drawn from rng at construction.
 
     The leader's quadratic part 2P and its last eigendecomposition
     S0 = V diag(lam) V' are kept.  A round that adds a nonzero P drops the
@@ -137,16 +105,14 @@ class OtrState:
     unfactored state, bit for bit.
     """
 
-    def __init__(self, d: int, D: float, seed: int, eta: Optional[float] = None):
+    def __init__(self, d: int, D: float, seed: int):
         if d < 1:
             raise ValueError("d must be positive")
-        if eta is not None and not (eta > 0.0):
-            raise ValueError("eta must be positive")
-        if not (D > 0.0):
-            raise ValueError("D must be positive")
+        if not (0.0 < D < math.inf):
+            raise ValueError(f"D must be a positive number, got {D!r}")
         self.d = d
         self.D = float(D)
-        self.eta = eta
+        self.eta: Optional[float] = None
         self.rng = np.random.default_rng(seed)
         self.G = np.zeros((d + 1, d + 1))
         self.achieved = 0.0
@@ -178,7 +144,7 @@ class OtrState:
         self.rounds += 1
 
     def update(self) -> np.ndarray:
-        """Draw a perturbation and replay the perturbed leader."""
+        """Draw a perturbation and return the perturbed leader's play."""
         if self.eta is None:
             raise ValueError("eta must be set before drawing a perturbation")
         sigma = sample_perturbation(self.eta, self.d, self.rng)
@@ -195,13 +161,7 @@ class OtrState:
             self._rank = 0
         prob = TrustRegionProblem._unchecked(self._P2, 2.0 * G[:-1, -1] - sigma, self.D)
         W = self._W[: self._rank] if self._rank else None
-        self.current_z = tr_solve(prob, eig=self._eig, low_rank=W).z
-        return self.current_z
-
-    def randomize_play(self) -> np.ndarray:
-        """Fresh uniform draw from the ball; used for the warmup plays."""
-        self.current_z = ball_point(self.rng, self.d, self.D)
-        return self.current_z
+        return tr_solve(prob, eig=self._eig, low_rank=W).z
 
     def hindsight(self):
         """(best fixed play's value on the sum, value achieved by the plays)."""
@@ -210,46 +170,74 @@ class OtrState:
         return objective(prob, tr_solve(prob).z) + float(G[-1, -1]), float(self.achieved)
 
 
-def play_sequence(history, D: float, eta: float, seed: int):
-    """Run the learner over a reward sequence and return its plays.
+def _memory_rewards(history, H):
+    """history stacked as a (T, n+1, n+1) float array, and the play
+    dimension d = n // H; ValueError unless H >= 1 is an integer dividing
+    n >= 1 and every coefficient is finite."""
+    if not (isinstance(H, numbers.Integral) and not isinstance(H, bool) and H >= 1):
+        raise ValueError(f"H must be an integer >= 1, got {H!r}")
+    try:
+        G = np.asarray(history, dtype=float)
+    except (TypeError, ValueError):
+        G = None
+    if G is None or G.ndim != 3 or G.shape[1] != G.shape[2] or G.shape[1] < 2:
+        raise ValueError("history must stack to a (T, n+1, n+1) array of memory rewards")
+    n = G.shape[1] - 1
+    if n % H:
+        raise ValueError(f"the reward size n = {n} must be a multiple of H = {H}")
+    if not np.all(np.isfinite(G)):
+        raise ValueError("coefficients must be finite")
+    return G, n // H
 
-    history is a sequence of MemoryQuadratic with common (d, H).  Rounds
-    before the first complete window are warmup: the play is drawn uniformly
-    from the ball and nothing is observed, mirroring the random
-    initialization of the first H plays.
+
+def play_sequence(history, H: int, D: float, eta: float, seed: int):
+    """Run the learner over a sequence of memory rewards with memory length
+    H and return its plays.
+
+    Rounds before the first complete window are warmup: the play is drawn
+    uniformly from the ball and nothing is observed, mirroring the random
+    initialization of the first H plays.  The first play is the state's
+    construction draw; the learner's eta is set as the MOTR generator sets
+    it.
     """
-    if not history:
+    if not len(history):
         return []
-    d, H = history[0].d, history[0].H
-    state = OtrState(d, D, seed, eta)
+    G, d = _memory_rewards(history, H)
+    state = OtrState(d, D, seed)
+    state.eta = eta
+    z = state.current_z
     plays = []
-    for t, mq in enumerate(history):
-        if mq.d != d or mq.H != H:
-            raise ValueError("history entries must share (d, H)")
-        plays.append(state.current_z)
+    for t, Gt in enumerate(G):
+        plays.append(z)
         if t >= H - 1:
-            state.observe(collapse(mq))
-            state.update()
+            state.observe(collapse(Gt, H))
+            z = state.update()
         else:
-            state.randomize_play()
+            z = ball_point(state.rng, d, state.D)
     return plays
 
 
-def regret_audit(history, plays, D: float):
-    """(best fixed play in hindsight, value achieved by the plays).
+def regret_audit(history, plays, H: int, D: float):
+    """(best fixed play in hindsight, value achieved by the plays) on a
+    sequence of memory rewards with memory length H.
 
     Both sums run over the rounds with a complete window (t >= H-1,
-    0-indexed); see OtrState.hindsight.
+    0-indexed), each round charged [z; 1]' G [z; 1] on its window z of H
+    plays, oldest first; see OtrState.hindsight.
     """
     if len(history) != len(plays):
         raise ValueError("history and plays must have equal length")
-    if not history:
+    if not len(history):
         return 0.0, 0.0
-    d, H = history[0].d, history[0].H
+    G, d = _memory_rewards(history, H)
+    try:
+        Z = np.asarray(plays, dtype=float)
+    except (TypeError, ValueError):
+        Z = None
+    if Z is None or Z.shape != (len(G), d):
+        raise ValueError(f"plays must be {len(G)} vectors of dimension {d}")
     audit = OtrState(d, D, seed=0)
-    for t in range(H - 1, len(history)):
-        mq = history[t]
-        if mq.d != d or mq.H != H:
-            raise ValueError("history entries must share (d, H)")
-        audit.observe(collapse(mq), mq.value(plays[t - H + 1 : t + 1]))
+    for t in range(H - 1, len(G)):
+        z, Gt = Z[t - H + 1 : t + 1].ravel(), G[t]
+        audit.observe(collapse(Gt, H), float(z @ Gt[:-1, :-1] @ z + (2.0 * Gt[:-1, -1]) @ z + Gt[-1, -1]))
     return audit.hindsight()

@@ -34,19 +34,15 @@ def drift_report():
 @pytest.fixture(scope="session")
 def dynamic_openblas():
     """Skips the test unless OPENBLAS_CORETYPE can swap numpy's BLAS
-    kernel: numpy's BLAS must be an OpenBLAS with DYNAMIC_ARCH on x86-64."""
+    kernel (tools/bench_snapshot.py's kernel_swap_unavailable)."""
+    sys.path.insert(0, TOOLS)
     try:
-        config = np.show_config(mode="dicts")
-    except TypeError:
-        pytest.skip("numpy cannot report its build configuration")
-    blas = config.get("Build Dependencies", {}).get("blas", {})
-    cpu = config.get("Machine Information", {}).get("host", {}).get("cpu")
-    if "openblas" not in str(blas.get("name", "")).lower():
-        pytest.skip(f"numpy's BLAS is {blas.get('name')!r}, not OpenBLAS")
-    if "DYNAMIC_ARCH" not in str(blas.get("openblas configuration", "")).split():
-        pytest.skip("numpy's OpenBLAS is built without DYNAMIC_ARCH")
-    if cpu != "x86_64":
-        pytest.skip(f"the CPU is {cpu!r}, not x86_64")
+        from bench_snapshot import kernel_swap_unavailable
+    finally:
+        sys.path.remove(TOOLS)
+    reason = kernel_swap_unavailable()
+    if reason is not None:
+        pytest.skip(reason)
 
 
 @pytest.fixture

@@ -5,8 +5,6 @@ reward given by its coefficients."""
 
 import numpy as np
 
-from motrbench.online import MemoryQuadratic
-
 
 def policy_sum(blocks, past):
     """sum_i blocks[i] @ past[i]: the disturbance of the (H, d_w, d_u)
@@ -24,12 +22,12 @@ def gram_cost(G, v):
     return float(v @ (G[:-1, :-1] @ v + 2.0 * G[:-1, -1]) + G[-1, -1])
 
 
-def memory_quadratic(P, p, const, d, H):
-    """The MemoryQuadratic of the reward z'Pz + p'z + const over the stacked
-    plays z: the Gram matrix [[P, p/2], [p'/2, const]]."""
-    n = d * H
+def memory_quadratic(P, p, const):
+    """The memory reward z'Pz + p'z + const over the stacked plays z as
+    online takes it: the Gram matrix [[P, p/2], [p'/2, const]]."""
+    n = len(P)
     G = np.empty((n + 1, n + 1))
     G[:-1, :-1] = P
     G[:-1, -1] = G[-1, :-1] = 0.5 * np.asarray(p, dtype=float)
     G[-1, -1] = const
-    return MemoryQuadratic(G, d, H)
+    return G

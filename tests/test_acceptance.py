@@ -276,12 +276,12 @@ def test_criterion_6_otr_regret():
         for s in range(10):
             rng = np.random.default_rng(1000 + s)
             hist = [
-                memory_quadratic(rng.uniform(-R, R, (n, n)), rng.uniform(-R, R, n), 0.0, d, H)
+                memory_quadratic(rng.uniform(-R, R, (n, n)), rng.uniform(-R, R, n), 0.0)
                 for _ in range(T)
             ]
             eta = default_perturbation_rate(R, d, D, H, T)
-            plays = play_sequence(hist, D, eta, seed=7000 + s)
-            hind, ach = regret_audit(hist, plays, D)
+            plays = play_sequence(hist, H, D, eta, seed=7000 + s)
+            hind, ach = regret_audit(hist, plays, H, D)
             regs.append(hind - ach)
         means.append(float(np.mean(regs)))
     slope = float(np.polyfit(np.log(grid), np.log(means), 1)[0])
@@ -369,11 +369,11 @@ def test_criterion_9_determinism(benchmark_results, tmp_path):
     def one_otr():
         r = np.random.default_rng(2024)
         hist = [
-            memory_quadratic(r.uniform(-1, 1, (12, 12)), r.uniform(-1, 1, 12), 0.0, 4, 3)
+            memory_quadratic(r.uniform(-1, 1, (12, 12)), r.uniform(-1, 1, 12), 0.0)
             for _ in range(250)
         ]
-        plays = play_sequence(hist, 1.0, 0.01, seed=9)
-        return regret_audit(hist, plays, 1.0)
+        plays = play_sequence(hist, 3, 1.0, 0.01, seed=9)
+        return regret_audit(hist, plays, 3, 1.0)
 
     otr_ok = one_otr() == one_otr()
     ok = grid_ok and solver_ok and otr_ok

@@ -144,3 +144,49 @@ def test_openblas_corename_names_the_kernel_that_runs(dynamic_openblas):
     child = subprocess.run([sys.executable, "-c", "import bench_snapshot; print(bench_snapshot.openblas_corename())"],
                            env=env, stdout=subprocess.PIPE, text=True, check=True)
     assert child.stdout == "Nehalem\n"
+
+
+def _runs_file(path, records):
+    path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    return str(path)
+
+
+def _record(controller, generator, seed_index, cost, stages):
+    return {"system_index": 0, "seed_index": seed_index, "controller": controller, "generator": generator,
+            "cumulative_average_cost": cost, "stage_costs": stages}
+
+
+def test_kernel_drift_block_of_two_runs_files(snapshot, tmp_path):
+    # lqr-motr moves in one of its two records; lqr-hinf does not move.
+    default = _runs_file(tmp_path / "default.jsonl", [
+        _record("lqr", "motr", 0, 2.0, [1.0, 3.0]),
+        _record("lqr", "motr", 1, 4.0, [2.0, 6.0]),
+        _record("lqr", "hinf", 0, 1.0, [0.5, 1.5]),
+    ])
+    swapped = _runs_file(tmp_path / "swapped.jsonl", [
+        _record("lqr", "hinf", 0, 1.0, [0.5, 1.5]),
+        _record("lqr", "motr", 1, 4.2, [2.0, 4.5]),
+        _record("lqr", "motr", 0, 2.0, [1.0, 3.0]),
+    ])
+    block = snapshot.kernel_drift_block(["SkylakeX", "Nehalem"], default, swapped)
+    assert block == {
+        "workload": "grid",
+        "base_seed": 0,
+        "openblas_coretype": "Nehalem",
+        "openblas_corename": {"default": "SkylakeX", "Nehalem": "Nehalem"},
+        "records_in_one_file_only": 0,
+        "pairs": {
+            "lqr-hinf": {"identical": 1, "records": 1, "cumulative_average_cost": 0.0, "stage_costs": 0.0},
+            "lqr-motr": {"identical": 1, "records": 2, "cumulative_average_cost": pytest.approx(0.05),
+                         "stage_costs": pytest.approx(0.25)},
+        },
+    }
+    json.dumps(block)  # the block goes into the BENCH file as it is
+
+
+def test_kernel_drift_is_null_without_a_swappable_kernel(snapshot, monkeypatch):
+    # Checked before any child runs: commands stays empty.
+    monkeypatch.setattr(snapshot, "kernel_swap_unavailable", lambda: "numpy's BLAS is 'accelerate', not OpenBLAS")
+    commands = []
+    assert snapshot.kernel_drift(os.path.dirname(TOOLS), commands) is None
+    assert commands == []

@@ -26,9 +26,6 @@ from motrbench.bench import CONTROLLERS, GENERATORS
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PYTHONPATH = os.pathsep.join(os.path.join(ROOT, d) for d in ("src", "tools"))
-# Prints the kernel that runs; CHILD then runs the motrbench command line.
-CORENAME = "import bench_snapshot; print(bench_snapshot.openblas_corename())"
-CHILD = CORENAME + "; import sys; from motrbench.cli import main; sys.exit(main(sys.argv[1:]))"
 KERNELS = ("Nehalem", "Prescott")
 # Fixed before the first run, from a full-grid probe under four kernels in
 # which these pairs agreed to 1.1e-14 and 1.9e-12.
@@ -50,6 +47,7 @@ def kernel_children(dynamic_openblas, perfbench, drift_report, tmp_path_factory)
     """(kernel that ran, the grid workload's records as drift_report.load
     gives them) under each KERNELS setting; the two runs go side by side in
     child processes, and a third child names the default kernel."""
+    from bench_snapshot import CORENAME_CHILD, KERNEL_CHILD
     from workloads import WORKLOADS
 
     tmp = tmp_path_factory.mktemp("kernels")
@@ -58,7 +56,7 @@ def kernel_children(dynamic_openblas, perfbench, drift_report, tmp_path_factory)
     children = []
     for kernel in KERNELS:
         env = dict(os.environ, PYTHONPATH=PYTHONPATH, OPENBLAS_CORETYPE=kernel, OPENBLAS_NUM_THREADS="1")
-        cmd = [sys.executable, "-c", CHILD, "run", "--config", str(config), "--out", str(tmp / kernel)]
+        cmd = [sys.executable, "-c", KERNEL_CHILD, "run", "--config", str(config), "--out", str(tmp / kernel)]
         children.append(subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True))
     runs = []
     for kernel, child in zip(KERNELS, children):
@@ -67,7 +65,8 @@ def kernel_children(dynamic_openblas, perfbench, drift_report, tmp_path_factory)
         runs.append((out.splitlines()[0], drift_report.load(str(tmp / kernel / "runs.jsonl"))))
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
     env["PYTHONPATH"] = PYTHONPATH
-    default = subprocess.run([sys.executable, "-c", CORENAME], env=env, stdout=subprocess.PIPE, text=True, check=True)
+    default = subprocess.run([sys.executable, "-c", CORENAME_CHILD], env=env, stdout=subprocess.PIPE, text=True,
+                             check=True)
     return default.stdout.strip(), runs
 
 

@@ -22,6 +22,7 @@ from motrbench.generators import (
     transform_residual,
 )
 from motrbench.lds import CostWeights, LinearSystem, analyze_stability, random_system, step
+from motrbench.online import OtrState
 from motrbench.trust_region import TrustRegionProblem, objective, solve as tr_solve
 from policy_oracle import gram_cost, policy_sum
 
@@ -99,25 +100,44 @@ def test_hinf_generator_direction_and_budget():
     assert cos == pytest.approx(1.0)
 
 
+def budget_builders(W_max, D_M=0.3):
+    """Builders of the five generators (motr and oga the adaptive one) with
+    budget W_max and learner radius D_M."""
+    sys, cw, hinf = make_setup()
+    return [
+        lambda: HinfGenerator(hinf, W_max),
+        lambda: GaussianGenerator(2, W_max, seed=0),
+        lambda: RandomDirectionGenerator(2, W_max, seed=0),
+        lambda: sinusoid_generator(sys, cw, W_max, T=10),
+    ] + [
+        lambda update=update: AdaptiveCdgGenerator(
+            sys, cw, hinf, update=update, T=10, H=2, D_M=D_M, W_max=W_max, seed=0
+        )
+        for update in ("motr", "oga")
+    ]
+
+
 def test_every_generator_checks_its_budget_when_built():
     # A budget that is not positive fails at construction, not at the
     # first emit.
-    sys, cw, hinf = make_setup()
     for W_max in (0.0, -1.0, float("nan")):
-        builders = [
-            lambda: HinfGenerator(hinf, W_max),
-            lambda: GaussianGenerator(2, W_max, seed=0),
-            lambda: RandomDirectionGenerator(2, W_max, seed=0),
-            lambda: sinusoid_generator(sys, cw, W_max, T=10),
-        ] + [
-            lambda update=update: AdaptiveCdgGenerator(
-                sys, cw, hinf, update=update, T=10, H=2, D_M=0.3, W_max=W_max, seed=0
-            )
-            for update in ("motr", "oga")
-        ]
-        for build in builders:
-            with pytest.raises(ValueError, match="W_max must be positive"):
+        for build in budget_builders(W_max):
+            with pytest.raises(ValueError, match="W_max must be a positive number"):
                 build()
+
+
+def test_a_budget_or_a_learner_radius_must_be_finite():
+    # An infinite budget would emit [inf, -inf] and an infinite radius
+    # would make the learner's first play infinite; the config refuses
+    # both values, and so does each component.
+    for build in budget_builders(math.inf):
+        with pytest.raises(ValueError, match="W_max must be a positive number, got inf"):
+            build()
+    for build in budget_builders(0.5, D_M=math.inf)[4:]:
+        with pytest.raises(ValueError, match="D must be a positive number, got inf"):
+            build()
+    with pytest.raises(ValueError, match="D must be a positive number, got inf"):
+        OtrState(3, math.inf, 0)
 
 
 def test_gaussian_generator_norm_statistics():
@@ -261,22 +281,6 @@ def test_sinusoid_scores_match_open_loop_simulation():
         # = pi, whose drive sin(pi t + pi) is rounding noise of size 1e-16 t
         # in both computations (scores near 1e-25 of the largest).
         np.testing.assert_allclose(J, ref, rtol=1e-12, atol=1e-12 * ref.max())
-
-
-def test_sinusoid_tie_between_phase_and_phase_plus_pi_takes_first(monkeypatch):
-    # phase and phase + pi negate the whole open-loop trajectory, so their
-    # scores tie in exact arithmetic.  On this plant the best pair is
-    # (pi / 2, 3 pi / 2) at omega = 0.6 pi, and the tie must go to pi / 2.
-    # SINE_PHASES holds no twins, so the test sets the full circle.
-    sys = random_system(4, 2, 2, seed=0)
-    cw = CostWeights(np.eye(4), np.eye(2))
-    monkeypatch.setattr(generators, "SINE_PHASES", 2.0 * np.pi * np.arange(8) / 8.0)
-    gen = sinusoid_generator(sys, cw, W_max=1.0, T=200)
-    assert gen.omega == pytest.approx(0.6 * np.pi)
-    assert gen.phase == pytest.approx(0.5 * np.pi)
-    dirs = gen.direction[None, :]
-    J = gram_scores(sys, cw, 1.0, 200, dirs, np.array([gen.omega]), np.array([0.5, 1.5]) * np.pi)
-    assert J[0, 0, 1] == pytest.approx(J[0, 0, 0], rel=1e-13)
 
 
 def sampled_sine_directions(d_w, seed):

@@ -21,14 +21,27 @@ def gram(P, q, c):
 
 def random_memory_quadratic(rng, d, H, R=1.0, const=0.0):
     n = d * H
-    return memory_quadratic(rng.uniform(-R, R, (n, n)), rng.uniform(-R, R, n), const, d, H)
+    return memory_quadratic(rng.uniform(-R, R, (n, n)), rng.uniform(-R, R, n), const)
+
+
+def window_value(G, window):
+    """[z; 1]' G [z; 1] on the stacked window z of plays, oldest first."""
+    z = np.concatenate(window)
+    return float(z @ G[:-1, :-1] @ z + (2.0 * G[:-1, -1]) @ z + G[-1, -1])
+
+
+def otr_state(d, D, seed, eta):
+    """An OtrState with its eta set, as the MOTR generator sets it."""
+    state = OtrState(d, D, seed)
+    state.eta = eta
+    return state
 
 
 def test_collapse_single_slot_is_identity():
     rng = np.random.default_rng(0)
     mq = random_memory_quadratic(rng, 3, 1, const=2.5)
-    G = collapse(mq)
-    assert np.array_equal(G, mq.G)
+    G = collapse(mq, 1)
+    assert np.array_equal(G, mq)
     assert G[-1, -1] == 2.5
 
 
@@ -36,8 +49,8 @@ def test_collapse_equal_blocks():
     B0 = np.array([[1.0, 2.0], [3.0, 4.0]])
     P = np.block([[B0, B0], [B0, B0]])
     p = np.concatenate([np.array([1.0, -1.0])] * 2)
-    mq = memory_quadratic(P, p, 0.0, 2, 2)
-    G = collapse(mq)
+    mq = memory_quadratic(P, p, 0.0)
+    G = collapse(mq, 2)
     assert np.allclose(G[:-1, :-1], 4.0 * B0)
     assert np.allclose(2.0 * G[:-1, -1], [2.0, -2.0])
 
@@ -48,9 +61,9 @@ def test_collapse_matches_repeated_evaluation():
         d = rng.integers(1, 4)
         H = rng.integers(1, 5)
         mq = random_memory_quadratic(rng, d, H, const=float(rng.standard_normal()))
-        G = collapse(mq)
+        G = collapse(mq, H)
         z = rng.standard_normal(d)
-        direct = mq.value([z] * H)
+        direct = window_value(mq, [z] * H)
         z1 = np.append(z, 1.0)
         assert z1 @ G @ z1 == pytest.approx(direct, rel=1e-10, abs=1e-10)
 
@@ -79,7 +92,7 @@ def test_default_perturbation_rate():
 
 
 def test_observe_accumulates_and_cancels():
-    state = OtrState(d=3, D=1.0, eta=1.0, seed=0)
+    state = otr_state(d=3, D=1.0, seed=0, eta=1.0)
     state.observe(np.zeros((4, 4)), 0.0)
     assert np.all(state.G == 0.0)
     rng = np.random.default_rng(5)
@@ -96,7 +109,7 @@ def test_observe_matches_batch_sum():
     # terms p = 2q and constants: doubling is exact, so the learner's
     # 2 G[:-1, -1] is the sum of the rounds' 2q.
     rng = np.random.default_rng(6)
-    state = OtrState(d=4, D=1.0, eta=1.0, seed=0)
+    state = otr_state(d=4, D=1.0, seed=0, eta=1.0)
     quads = [
         (rng.standard_normal((4, 4)), rng.standard_normal(4), float(rng.standard_normal()))
         for _ in range(17)
@@ -114,14 +127,14 @@ def test_observe_matches_batch_sum():
 
 
 def test_update_linear_leader_with_tiny_perturbation():
-    state = OtrState(d=3, D=2.0, eta=1e9, seed=1)
+    state = otr_state(d=3, D=2.0, seed=1, eta=1e9)
     state.observe(gram(np.zeros((3, 3)), np.array([2.5, 0.0, 0.0]), 0.0))
     z = state.update()
     assert np.allclose(z, [2.0, 0.0, 0.0], atol=1e-6)
 
 
 def test_update_degenerate_objective():
-    state = OtrState(d=3, D=1.0, eta=1e9, seed=2)
+    state = otr_state(d=3, D=1.0, seed=2, eta=1e9)
     state.observe(np.zeros((4, 4)))
     z = state.update()
     assert np.linalg.norm(z) <= 1.0 + 1e-9
@@ -131,7 +144,7 @@ def test_update_degenerate_objective():
 def test_update_with_forced_perturbation_matches_direct_solve(monkeypatch):
     # The leader's quadratic part is twice the summed one (OtrState.update).
     rng = np.random.default_rng(3)
-    state = OtrState(d=4, D=1.5, eta=1.0, seed=3)
+    state = otr_state(d=4, D=1.5, seed=3, eta=1.0)
     for _ in range(5):
         state.observe(gram(rng.standard_normal((4, 4)), rng.standard_normal(4), 0.0))
     sigma = np.abs(rng.standard_normal(4))
@@ -147,7 +160,7 @@ def test_update_reuses_the_eigendecomposition_until_a_nonzero_round(monkeypatch)
     # decomposed again only after a round that changed it.
     rng = np.random.default_rng(5)
     d, D = 5, 0.7
-    state = OtrState(d=d, D=D, seed=5, eta=1.0)
+    state = otr_state(d=d, D=D, seed=5, eta=1.0)
     P_sum, q_sum = np.zeros((d, d)), np.zeros(d)
     calls = []
     real_eigh = np.linalg.eigh
@@ -171,7 +184,7 @@ def factored_plays(d, k, factored, rounds=12, seed=9):
     """The plays of an OtrState fed rounds P = F'F for random (k, d)
     factors F, handed the factors or not, and its eigh count."""
     rng = np.random.default_rng(seed)
-    state = OtrState(d=d, D=1.0, seed=seed, eta=1.0)
+    state = otr_state(d=d, D=1.0, seed=seed, eta=1.0)
     plays, calls = [], []
     real_eigh = np.linalg.eigh
     np.linalg.eigh = lambda S: calls.append(1) or real_eigh(S)
@@ -218,8 +231,8 @@ def test_update_needs_eta():
 def test_plays_bounded_and_deterministic():
     rng = np.random.default_rng(4)
     hist = [random_memory_quadratic(rng, 3, 2) for _ in range(40)]
-    plays_a = play_sequence(hist, D=0.7, eta=0.5, seed=11)
-    plays_b = play_sequence(hist, D=0.7, eta=0.5, seed=11)
+    plays_a = play_sequence(hist, H=2, D=0.7, eta=0.5, seed=11)
+    plays_b = play_sequence(hist, H=2, D=0.7, eta=0.5, seed=11)
     for za, zb in zip(plays_a, plays_b):
         assert np.array_equal(za, zb)
         assert np.linalg.norm(za) <= 0.7 * (1.0 + 1e-9)
@@ -227,11 +240,11 @@ def test_plays_bounded_and_deterministic():
 
 def test_regret_audit_single_round_linear():
     p = np.array([3.0, 4.0])
-    mq = memory_quadratic(np.zeros((2, 2)), p, 0.0, 2, 1)
+    mq = memory_quadratic(np.zeros((2, 2)), p, 0.0)
     play = np.array([0.1, 0.0])
-    hind, ach = regret_audit([mq], [play], D=2.0)
+    hind, ach = regret_audit([mq], [play], H=1, D=2.0)
     assert hind == pytest.approx(2.0 * 5.0)
-    assert ach == pytest.approx(mq.value([play]))
+    assert ach == pytest.approx(window_value(mq, [play]))
 
 
 def test_regret_audit_fixed_point():
@@ -241,10 +254,10 @@ def test_regret_audit_fixed_point():
     mq = random_memory_quadratic(rng, 3, 2)
     T = 50
     hist = [mq] * T
-    G = collapse(mq)
+    G = collapse(mq, 2)
     star = tr_solve(TrustRegionProblem(G[:-1, :-1], 2.0 * G[:-1, -1], 1.0)).z
     plays = [star] * T
-    hind, ach = regret_audit(hist, plays, D=1.0)
+    hind, ach = regret_audit(hist, plays, H=2, D=1.0)
     assert hind - ach <= 1e-6 * T
 
 
@@ -252,7 +265,47 @@ def test_regret_audit_length_mismatch():
     rng = np.random.default_rng(13)
     mq = random_memory_quadratic(rng, 2, 1)
     with pytest.raises(ValueError):
-        regret_audit([mq, mq], [np.zeros(2)], D=1.0)
+        regret_audit([mq, mq], [np.zeros(2)], H=1, D=1.0)
+
+
+def test_an_empty_history_plays_nothing():
+    assert play_sequence([], H=2, D=1.0, eta=1.0, seed=0) == []
+    assert regret_audit([], [], H=2, D=1.0) == (0.0, 0.0)
+
+
+def _entry_case(case):
+    """(history, plays, H) of a sequence of d = 2, H = 2 memory rewards
+    with the named defect."""
+    rng = np.random.default_rng(15)
+    hist = [random_memory_quadratic(rng, 2, 2) for _ in range(4)]
+    plays, H = [np.zeros(2)] * 4, 2
+    if case == "ragged history":
+        hist[2] = random_memory_quadratic(rng, 2, 1)
+    elif case == "non-finite coefficient":
+        hist[3][1, 2] = np.inf
+    elif case == "size not divided by H":
+        H = 3
+    elif case == "H = 0":
+        H = 0
+    else:
+        plays[1] = np.zeros(3)
+    return hist, plays, H
+
+
+@pytest.mark.parametrize("case, message", [
+    ("ragged history", "must stack"),
+    ("non-finite coefficient", "finite"),
+    ("size not divided by H", "multiple of H"),
+    ("H = 0", "H must be"),
+    ("play of the wrong dimension", "plays must be"),
+])
+def test_sequences_are_checked_on_entry(case, message):
+    hist, plays, H = _entry_case(case)
+    with pytest.raises(ValueError, match=message):
+        regret_audit(hist, plays, H=H, D=1.0)
+    if case != "play of the wrong dimension":  # plays are the audit's input only
+        with pytest.raises(ValueError, match=message):
+            play_sequence(hist, H=H, D=1.0, eta=1.0, seed=0)
 
 
 def test_empirical_regret_sublinear():
@@ -267,12 +320,12 @@ def test_empirical_regret_sublinear():
             rng = np.random.default_rng(1000 + s)
             n = d * H
             hist = [
-                memory_quadratic(rng.uniform(-R, R, (n, n)), rng.uniform(-R, R, n), 0.0, d, H)
+                memory_quadratic(rng.uniform(-R, R, (n, n)), rng.uniform(-R, R, n), 0.0)
                 for _ in range(T)
             ]
             eta = default_perturbation_rate(R, d, D, H, T)
-            plays = play_sequence(hist, D, eta, seed=7000 + s)
-            hind, ach = regret_audit(hist, plays, D)
+            plays = play_sequence(hist, H, D, eta, seed=7000 + s)
+            hind, ach = regret_audit(hist, plays, H, D)
             regs.append(hind - ach)
         means.append(np.mean(regs))
     slope = np.polyfit(np.log(grid), np.log(means), 1)[0]
@@ -291,6 +344,6 @@ def test_gradient_sup_norm_bound():
         z = rng.standard_normal(n)
         z *= D / max(1.0, np.linalg.norm(z) / 1.0)
         z = z / np.linalg.norm(z) * D * rng.random()
-        P, p = mq.G[:-1, :-1], 2.0 * mq.G[:-1, -1]
+        P, p = mq[:-1, :-1], 2.0 * mq[:-1, -1]
         grad = (P + P.T) @ z + p
         assert np.max(np.abs(grad)) <= 2.0 * n * R * D + R + 1e-9

@@ -20,10 +20,14 @@ PYTHONDONTWRITEBYTECODE was set, in which case every benchmark process
 compiles src/ from source, its set-up and warm-up passes included, and
 the BLAS kernel settings and the kernel that ran, since runs.jsonl's
 hash holds for one kernel only; and every command that produced these
-figures, in the order they ran.  Schema 2 is schema 1 (BENCH_1 to
-BENCH_5) plus settable_values; schema 3 adds machine.dont_write_bytecode,
-schema 4 machine.blas, schema 5 machine.blas.openblas_corename, and
-schema 6 each workload's untraced_wall_s.
+figures, in the order they ran.  kernel_drift holds how far the `grid`
+workload's records (perfbench/workloads.py, base seed 0) move from
+OpenBLAS's default kernel to KERNEL_DRIFT_CORETYPE, per (controller,
+generator); it is null unless numpy's BLAS can swap its kernel
+(kernel_swap_unavailable).  Schema 2 is schema 1 (BENCH_1 to BENCH_5)
+plus settable_values; schema 3 adds machine.dont_write_bytecode, schema 4
+machine.blas, schema 5 machine.blas.openblas_corename, schema 6 each
+workload's untraced_wall_s, and schema 7 kernel_drift.
 
 A pass's wall_s moves by a few percent from pass to pass on a shared
 machine, so two files, one median per workload each, do not resolve a
@@ -39,6 +43,8 @@ import json
 import os
 import platform
 import re
+import runpy
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -46,7 +52,9 @@ import time
 
 import numpy
 
-SCHEMA = 6
+import drift_report
+
+SCHEMA = 7
 HERE = os.path.dirname(os.path.abspath(__file__))
 # The benchmark and the grid run with one BLAS thread, as perfbench/run.py
 # runs its workers.
@@ -59,12 +67,20 @@ SETTABLE_VALUES = (
     " + sum(len(spec) for table in ('CONTROLLER_DEFAULTS', 'GENERATOR_DEFAULTS')"
     " for spec in getattr(b, table, {}).values()))"
 )
+# The kernel kernel_drift compares with the default one: every x86-64 CPU
+# can run it, and this OpenBLAS runs the kernel it names.
+KERNEL_DRIFT_CORETYPE = "Nehalem"
+# Child code, run with this directory on the path: CORENAME_CHILD prints
+# the kernel that runs, and KERNEL_CHILD then runs the motrbench command
+# line on its arguments.
+CORENAME_CHILD = "import bench_snapshot; print(bench_snapshot.openblas_corename())"
+KERNEL_CHILD = CORENAME_CHILD + "; import sys; from motrbench.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
 def _run(cmd, root, commands, env=None, out_dir=None):
     """Run cmd in root; record it as a reader would type it, with python3
     for this interpreter and OUT for the temporary output directory."""
-    shown = " ".join("python3" if arg == sys.executable else arg for arg in cmd)
+    shown = shlex.join("python3" if arg == sys.executable else arg for arg in cmd)
     commands.append(shown.replace(out_dir, "OUT") if out_dir else shown)
     proc = subprocess.run(cmd, cwd=root, env=env, stdout=subprocess.PIPE, text=True)
     if proc.returncode != 0:
@@ -122,6 +138,67 @@ def openblas_corename():
                 corename.argtypes, corename.restype = [], ctypes.c_char_p
                 return corename().decode()
     return None
+
+
+def kernel_swap_unavailable():
+    """Why OPENBLAS_CORETYPE cannot swap numpy's BLAS kernel, or None when
+    it can: numpy's BLAS must be an OpenBLAS with DYNAMIC_ARCH on x86-64."""
+    try:
+        config = numpy.show_config(mode="dicts")
+    except TypeError:
+        return "numpy cannot report its build configuration"
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    cpu = config.get("Machine Information", {}).get("host", {}).get("cpu")
+    if "openblas" not in str(blas.get("name", "")).lower():
+        return f"numpy's BLAS is {blas.get('name')!r}, not OpenBLAS"
+    if "DYNAMIC_ARCH" not in str(blas.get("openblas configuration", "")).split():
+        return "numpy's OpenBLAS is built without DYNAMIC_ARCH"
+    if cpu != "x86_64":
+        return f"the CPU is {cpu!r}, not x86_64"
+    return None
+
+
+def kernel_drift_block(corenames, runs_default, runs_swapped):
+    """The kernel_drift block of two runs.jsonl paths, the default kernel's
+    and KERNEL_DRIFT_CORETYPE's, run by the kernels corenames names: per
+    "controller-generator" pair, drift_report.drift's identical and record
+    counts and its worst relative changes in cumulative_average_cost and in
+    any stage cost."""
+    pairs, unmatched = drift_report.drift(drift_report.load(runs_default), drift_report.load(runs_swapped))
+    return {
+        "workload": "grid",
+        "base_seed": 0,
+        "openblas_coretype": KERNEL_DRIFT_CORETYPE,
+        "openblas_corename": dict(zip(("default", KERNEL_DRIFT_CORETYPE), corenames)),
+        "records_in_one_file_only": unmatched,
+        "pairs": {
+            f"{ctrl}-{gen}": {k: row[k] for k in ("identical", "records", "cumulative_average_cost", "stage_costs")}
+            for (ctrl, gen), row in sorted(pairs.items())
+        },
+    }
+
+
+def kernel_drift(root, commands):
+    """Run the `grid` workload's config of the checkout at root (base seed
+    0) through `motrbench run` in two one-BLAS-thread children, on the
+    default kernel and under OPENBLAS_CORETYPE=KERNEL_DRIFT_CORETYPE, and
+    return their kernel_drift_block; None when kernel_swap_unavailable."""
+    if kernel_swap_unavailable() is not None:
+        return None
+    grid = runpy.run_path(os.path.join(root, "perfbench", "workloads.py"))["WORKLOADS"]["grid"]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((os.path.join(root, "src"), HERE)), **BLAS_ENV)
+    with tempfile.TemporaryDirectory() as tmp:
+        config = os.path.join(tmp, "grid.json")
+        with open(config, "w") as fh:
+            json.dump(dict(grid, base_seed=0), fh)
+        corenames, runs = [], []
+        for kernel in ("default", KERNEL_DRIFT_CORETYPE):
+            coretype = ["-u", "OPENBLAS_CORETYPE"] if kernel == "default" else [f"OPENBLAS_CORETYPE={kernel}"]
+            out_dir = os.path.join(tmp, kernel)
+            cmd = ["env", *coretype, sys.executable, "-c", KERNEL_CHILD, "run", "--config", config, "--out", out_dir]
+            corenames.append(_run(cmd, root, commands, env, tmp).splitlines()[0])
+            runs.append(os.path.join(out_dir, "runs.jsonl"))
+        return kernel_drift_block(corenames, *runs)
 
 
 def machine():
@@ -231,6 +308,7 @@ def main(argv=None):
             "files": [line.strip() for line in wc.splitlines()[:-1]],
         },
         "settable_values": settable,
+        "kernel_drift": kernel_drift(root, commands),
         "commands": commands,
     }
     with open(args.out, "w") as fh:
