@@ -301,12 +301,10 @@ class AdaptiveCdgGenerator(DisturbanceGenerator):
     lr = OGA_LR_GAIN D_M; MOTR calibrates its perturbation rate eta on the
     coefficient scale of the first _warmup_rounds + 1 quadratics and only
     then starts to play.  A residual plant A - B K that is not strictly
-    stable raises InstabilityError (cdg.unroll_map).  At policy dimensions
-    n >= online.LOW_RANK_MIN_DIM, where the learner runs in low-rank mode,
-    MOTR also asks the rollout for the factor L'T of each round's P = T'QT
-    (Q = L L') and hands it to OtrState.observe, so the leader is solved on
-    its kept eigendecomposition; below that dimension, and for OGA, which
-    plays no leader, no factor is made.
+    stable raises InstabilityError (cdg.unroll_map).  Every round of both
+    rules hands OtrState.observe the factor L'T of its P = T'QT (Q = L L',
+    Q's zero eigenvalues dropped, L' built once per episode), and the
+    learner alone decides whether to use it (OtrState's low-rank mode).
 
     The policy is the learner's vector vec(M), so the round reads, updates
     and projects it without conversions.  A round rebinds the vector and
@@ -344,11 +342,9 @@ class AdaptiveCdgGenerator(DisturbanceGenerator):
         # The episode's one running sum of the round Gram matrices: MOTR's
         # leader and the regret audit of both update rules.
         self._state = OtrState(self.n, D_M, seed + 1)
-        self._q_root = None
-        if update == "motr" and self._state.low_rank:
-            lam, U = np.linalg.eigh(cw.Q)
-            keep = lam > 0.0
-            self._q_root = np.sqrt(lam[keep])[:, None] * U[:, keep].T
+        lam, U = np.linalg.eigh(cw.Q)
+        keep = lam > 0.0
+        self._q_root = np.sqrt(lam[keep])[:, None] * U[:, keep].T
         self._coeff_max = 0.0
         self._warmup_rounds = min(2 * H + 1, max(1, T - 1))
         self._v = ball_point(self.rng, self.n, D_M)
@@ -378,10 +374,7 @@ class AdaptiveCdgGenerator(DisturbanceGenerator):
         r = self.K.dot(x) + u
         v = self._v
         try:
-            if self._q_root is None:
-                G, F = rollout_cost_quadratic(self._unroll, self.cw, self._h, r), None
-            else:
-                G, F = rollout_cost_quadratic(self._unroll, self.cw, self._h, r, self._q_root)
+            G, F = rollout_cost_quadratic(self._unroll, self.cw, self._h, r, self._q_root)
             P, q = G[:-1, :-1], G[:-1, -1]
             Pv = P.dot(v)
             self._state.observe(G, float(v.dot(Pv + 2.0 * q) + G[-1, -1]), F)

@@ -90,19 +90,19 @@ class OtrState:
     it is calibrated; only update draws a perturbation.  current_z is the
     uniform ball point drawn from rng at construction.
 
-    The leader's quadratic part 2P and its last eigendecomposition
-    S0 = V diag(lam) V' are kept.  A round that adds a nonzero P drops the
-    quadratic part and, unless it comes with a factor, the decomposition:
-    against a controller that leaves the adaptive generator's rewards at
-    zero, one decomposition serves every play.  In low-rank mode
-    (low_rank, which holds for d >= LOW_RANK_MIN_DIM), a round's factor F,
-    with its P = F'F, adds the rows sqrt(2) F V to W, so that the leader's
-    2P is V (diag(lam) + W'W) V', and update hands W to the trust-region
-    solve (its low_rank) instead of decomposing 2P again.  Once W would
-    pass d // 2 rows, the round drops the decomposition, and the next
-    update decomposes 2P afresh and starts an empty W.  Below
-    LOW_RANK_MIN_DIM factors are ignored and the plays are those of an
-    unfactored state, bit for bit.
+    The leader's last eigendecomposition S0 = V diag(lam) V' of 2P is
+    kept (update forms 2P afresh).  A round that adds a nonzero P drops it
+    unless the round's factor is used: against a controller that leaves
+    the adaptive generator's rewards at zero, one decomposition serves
+    every play.  The state alone decides on a factor: it uses one in
+    low-rank mode (low_rank, d >= LOW_RANK_MIN_DIM) while it keeps a
+    decomposition.  There F, with P = F'F, adds the rows sqrt(2) F V to
+    W, so that the leader's 2P is V (diag(lam) + W'W) V', and update hands
+    W to the trust-region solve (its low_rank) instead of decomposing 2P
+    again.  Once W would pass d // 2 rows, the round drops the
+    decomposition, and the next update decomposes 2P afresh and starts an
+    empty W.  Otherwise a factor is ignored, bit for bit (a state that
+    never plays, as OGA's, keeps no decomposition).
     """
 
     def __init__(self, d: int, D: float, seed: int):
@@ -119,7 +119,6 @@ class OtrState:
         self.rounds = 0
         self.current_z = ball_point(self.rng, d, self.D)
         self.low_rank = d >= LOW_RANK_MIN_DIM
-        self._P2 = None  # the leader's 2P, or None once P has changed
         self._eig = None  # (lam, V) of the last decomposed 2P, or None
         self._W = np.empty((d // 2, d)) if self.low_rank else None
         self._rank = 0  # rows of _W in use
@@ -128,9 +127,8 @@ class OtrState:
         """Add one round's (d+1, d+1) Gram matrix and the value the plays
         got in that round (left at 0 where nothing audits the plays).
         factor, an (r, d) matrix F with G[:-1, :-1] = F'F up to rounding,
-        lets a low-rank state keep its decomposition."""
+        may be handed every round; the state decides whether to use it."""
         if self._eig is not None and G[:-1, :-1].any():
-            self._P2 = None
             r = 0 if factor is None or not self.low_rank else len(factor)
             if 0 < r <= len(self._W) - self._rank:
                 rows = self._W[self._rank : self._rank + r]
@@ -154,19 +152,19 @@ class OtrState:
         # numbers are made with this factor; the decision on it belongs to
         # ROADMAP item 1.
         G = self.G
-        if self._P2 is None:
-            self._P2 = 2.0 * G[:-1, :-1]
+        P2 = 2.0 * G[:-1, :-1]
         if self._eig is None:
-            self._eig = symmetric_eig(self._P2)
+            self._eig = symmetric_eig(P2)
             self._rank = 0
-        prob = TrustRegionProblem._unchecked(self._P2, 2.0 * G[:-1, -1] - sigma, self.D)
+        prob = TrustRegionProblem._unchecked(P2, 2.0 * G[:-1, -1] - sigma, self.D)
         W = self._W[: self._rank] if self._rank else None
         return tr_solve(prob, eig=self._eig, low_rank=W).z
 
     def hindsight(self):
-        """(best fixed play's value on the sum, value achieved by the plays)."""
+        """(best fixed play's value on the sum, value achieved by the plays).
+        The sums are the learner's own, checked where their rounds are made."""
         G = self.G
-        prob = TrustRegionProblem(G[:-1, :-1], 2.0 * G[:-1, -1], self.D)
+        prob = TrustRegionProblem._unchecked(G[:-1, :-1], 2.0 * G[:-1, -1], self.D)
         return objective(prob, tr_solve(prob).z) + float(G[-1, -1]), float(self.achieved)
 
 

@@ -105,10 +105,10 @@ def objective(prob: TrustRegionProblem, z: np.ndarray) -> float:
 
 def _make_solution(prob, z, multiplier, hard_case):
     norm = math.sqrt(z.dot(z))
-    if not math.isfinite(norm):
-        # A non-finite P or p gets here (the learner's per-round problems
-        # are not checked on construction), and so do finite entries whose
-        # products overflow.
+    if not (math.isfinite(norm) and math.isfinite(multiplier)):
+        # A non-finite P or p gets here (the learner's problems are not
+        # checked on construction), and so do finite entries whose products
+        # overflow; an infinite p can leave z finite, but not nu.
         raise TrustRegionError("non-finite solution: P or p is not finite, or the solve overflowed")
     D = prob.D
     # Snap near-boundary iterates exactly onto the sphere; keeps ||z|| <= D.

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -539,8 +540,9 @@ def test_motr_plays_the_doubled_leader_of_the_audited_sums(monkeypatch):
     real_quadratic = generators.rollout_cost_quadratic
 
     def recording(*args):
-        seen.append(real_quadratic(*args))
-        return seen[-1]
+        G, F = real_quadratic(*args)
+        seen.append(G)
+        return G, F
 
     monkeypatch.setattr(generators, "rollout_cost_quadratic", recording)
     sys, cw, hinf = make_setup(seed=4)
@@ -571,3 +573,50 @@ def test_motr_plays_the_doubled_leader_of_the_audited_sums(monkeypatch):
     assert hind == pytest.approx(best + sum(G[-1, -1] for G in seen), rel=1e-12)
     assert ach == pytest.approx(achieved, rel=1e-12)
 
+
+
+@functools.lru_cache(maxsize=None)
+def _factor_setup(dims, Q_kind):
+    """(sys, cw, hinf) of a seeded plant with dims (d_x, d_u, d_w) and the
+    named Q: the identity, diag(1, 0, ...) or a rank-one v v', whose
+    eigh gives rounding-negative eigenvalues where the exact ones are 0."""
+    d_x = dims[0]
+    if Q_kind == "identity":
+        Q = np.eye(d_x)
+    elif Q_kind == "diag(1, 0, ...)":
+        Q = np.diag([1.0] + [0.0] * (d_x - 1))
+    else:
+        v = np.random.default_rng(3).standard_normal(d_x)
+        Q = np.outer(v, v)
+    sys = random_system(*dims, seed=1, target_radius=0.9)
+    cw = CostWeights(Q, np.eye(dims[1]))
+    return sys, cw, hinf_bisection(sys, cw)
+
+
+@pytest.mark.parametrize("Q_kind", ["identity", "diag(1, 0, ...)", "rank-one"])
+@pytest.mark.parametrize("dims, H", [((4, 2, 2), 3), ((8, 4, 4), 4)], ids=["n12", "n64"])
+@pytest.mark.parametrize("update", ["motr", "oga"])
+def test_every_round_hands_the_learner_a_factor_of_its_quadratic(monkeypatch, update, dims, H, Q_kind):
+    # At the default sizes (n = 12) and adversary-n64's (n = 64), for both
+    # update rules, every round hands OtrState.observe a finite factor F of
+    # its P = G[:-1, :-1]: F'F = P to 1e-12 relative.  With a singular Q
+    # only Q's positive eigenvalues enter L', so F stays finite.
+    rounds = []
+    real_observe = OtrState.observe
+
+    def recording(self, G, achieved=0.0, factor=None):
+        rounds.append((G.copy(), factor))
+        return real_observe(self, G, achieved, factor)
+
+    monkeypatch.setattr(OtrState, "observe", recording)
+    sys, cw, hinf = _factor_setup(dims, Q_kind)
+    gen = AdaptiveCdgGenerator(sys, cw, hinf, update=update, T=30, H=H, D_M=0.3, W_max=1.0, seed=5)
+    assert gen.n == H * dims[1] * dims[2]
+    ctrl = lqr_controller(sys, cw)
+    rng = np.random.default_rng(6)
+    drive(sys, gen, lambda x: ctrl.act(x) + 0.1 * rng.standard_normal(dims[1]), 30, rng.standard_normal(dims[0]))
+    assert len(rounds) == 30
+    for t, (G, F) in enumerate(rounds):
+        P = G[:-1, :-1]
+        assert F is not None and F.shape[1] == gen.n and np.all(np.isfinite(F)), f"round {t}"
+        assert np.max(np.abs(F.T @ F - P)) <= 1e-12 * np.max(np.abs(P)), f"round {t}"

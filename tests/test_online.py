@@ -10,7 +10,7 @@ from motrbench.online import (
     regret_audit,
     sample_perturbation,
 )
-from motrbench.trust_region import TrustRegionProblem, solve as tr_solve
+from motrbench.trust_region import TrustRegionError, TrustRegionProblem, solve as tr_solve
 from policy_oracle import memory_quadratic
 
 
@@ -217,6 +217,38 @@ def test_factored_rounds_below_the_crossover_are_bit_identical():
     factored, _ = factored_plays(12, 4, factored=True)
     for t, (a, b) in enumerate(zip(plain, factored)):
         assert np.array_equal(a, b), f"round {t}"
+
+
+def test_factors_handed_to_a_state_that_never_plays_change_nothing():
+    # OGA's state gets a factor every round but never plays, so it keeps no
+    # decomposition: its sum, achieved value and hindsight are those of a
+    # state handed no factors, bit for bit, at n = 64 too.
+    rng = np.random.default_rng(11)
+    plain, factored = OtrState(64, 1.0, 3), OtrState(64, 1.0, 3)
+    assert factored.low_rank
+    for _ in range(20):
+        F = rng.standard_normal((8, 64)) / 8.0
+        G = gram(F.T @ F, rng.standard_normal(64), rng.standard_normal())
+        achieved = float(rng.standard_normal())
+        plain.observe(G, achieved)
+        factored.observe(G, achieved, F)
+    assert np.array_equal(plain.G, factored.G) and plain.achieved == factored.achieved
+    assert plain.hindsight() == factored.hindsight()
+
+
+@pytest.mark.parametrize("P, q", [
+    (np.eye(2), np.array([1e308, 0.0])),
+    (1e308 * np.eye(2), np.zeros(2)),
+])
+def test_hindsight_of_an_overflowed_sum_raises(P, q):
+    # Two finite rounds whose sum overflows: hindsight solves the learner's
+    # own sums unchecked, and the solver refuses the non-finite solution.
+    state = OtrState(2, 1.0, 0)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        state.observe(gram(P, q, 0.0))
+        state.observe(gram(P, q, 0.0))
+        with pytest.raises(TrustRegionError, match="^non-finite solution"):
+            state.hindsight()
 
 
 def test_update_needs_eta():

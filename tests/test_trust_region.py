@@ -232,6 +232,12 @@ def test_non_finite_coefficients_raise_instead_of_returning_nan():
         P[0, 1] = bad
         with pytest.raises(tr.TrustRegionError):
             solve(TrustRegionProblem._unchecked(P, np.ones(3), 1.0))
+        # A non-finite p: an infinite one can leave the hard-case finish's
+        # z finite, but not its multiplier.
+        for P in (np.eye(3), -np.eye(3)):
+            with np.errstate(invalid="ignore", divide="ignore"):
+                with pytest.raises(tr.TrustRegionError, match="^non-finite solution"):
+                    solve(TrustRegionProblem._unchecked(P, np.array([bad, 0.0, 0.0]), 1.0))
 
 
 def same_solution(a, b):
