@@ -2,18 +2,15 @@
 
 Subcommands: run (execute a config grid), table (aggregate runs.jsonl into
 the normalized score tables), regret (regret curve for the adaptive
-generator), solve-tr (trust-region debug solve), synth (print LQR and
-H-infinity gains for a system).  Exit codes: 0 success, 1 partial run or
-aggregation failure, 2 malformed config or input, input a solver
-rejects, or an output directory that cannot be made.
+generator).  Exit codes: 0 success, 1 partial run or aggregation failure,
+2 malformed config or input, a system that cannot be generated or
+synthesized for the regret curve, or an output directory that cannot be
+made.
 """
 
 import argparse
-import json
 import os
 import sys as _sys
-
-import numpy as np
 
 from .bench import (
     AggregationError,
@@ -26,9 +23,8 @@ from .bench import (
     run_grid,
     write_outputs,
 )
-from .controllers import SynthesisError, hinf_bisection, solve_dare
-from .lds import CostWeights, LinearSystem
-from .trust_region import TrustRegionError, TrustRegionProblem, objective, solve as tr_solve
+from .controllers import SynthesisError
+from .lds import GenerationError
 
 
 def _fail(what: str, detail, code: int = 2) -> int:
@@ -102,6 +98,8 @@ def _cmd_regret(args) -> int:
         rows, slope = regret_curve(config, args.system_index, args.controller, args.T_grid, args.seeds)
     except ConfigError as exc:
         return _fail("config error", exc)
+    except GenerationError as exc:
+        return _fail("generation error", exc)
     except SynthesisError as exc:
         return _fail("synthesis error", exc)
     path = os.path.join(out_dir, "regret.csv")
@@ -112,83 +110,6 @@ def _cmd_regret(args) -> int:
             print(f"T={T:6d}  regret={reg:12.4f}  regret/T={per:.6f}")
     print(f"fitted log-log slope: {slope:.3f}")
     print(f"wrote {path}")
-    return 0
-
-
-def _json_numbers(value) -> bool:
-    """Whether a value parsed from JSON is a number or nested lists of them."""
-    return type(value) in (int, float) or (type(value) is list and all(map(_json_numbers, value)))
-
-
-def _read_json_arg(path: str) -> dict:
-    """The JSON object at path (- for stdin); ValueError if it is not one
-    or if a field holds anything but numbers (no bool, no string)."""
-    if path == "-":
-        obj = json.load(_sys.stdin)
-    else:
-        with open(path) as fh:
-            obj = json.load(fh)
-    if not isinstance(obj, dict):
-        raise ValueError(f"{path}: expected a JSON object, got {type(obj).__name__}")
-    for name, value in obj.items():
-        if not _json_numbers(value):
-            raise ValueError(f"{name} must hold JSON numbers only")
-    return obj
-
-
-def _cmd_solve_tr(args) -> int:
-    try:
-        obj = _read_json_arg(args.problem)
-        unknown = sorted(set(obj) - {"P", "p", "D"})
-        if unknown:
-            raise ValueError(f"unknown fields {unknown}; expected P, p and D")
-        prob = TrustRegionProblem(
-            np.array(obj["P"], dtype=float), np.array(obj["p"], dtype=float), float(obj["D"])
-        )
-        # An overflow ends in the solver's one-line error below, not in
-        # numpy's warnings.
-        with np.errstate(over="ignore", invalid="ignore"):
-            sol = tr_solve(prob)
-    except (OSError, KeyError, TypeError, ValueError) as exc:
-        return _fail("bad problem input", exc)
-    except TrustRegionError as exc:
-        return _fail("solver error", exc)
-    print(json.dumps({
-        "z": sol.z.tolist(),
-        "value": objective(prob, sol.z),
-        "multiplier": sol.multiplier,
-        "on_boundary": sol.on_boundary,
-        "hard_case": sol.hard_case,
-    }))
-    return 0
-
-
-def _cmd_synth(args) -> int:
-    try:
-        system = LinearSystem.from_json(_read_json_arg(args.system))
-        if args.cost:
-            cw = CostWeights.from_json(_read_json_arg(args.cost))
-            if (cw.d_x, cw.d_u) != (system.d_x, system.d_u):
-                raise ValueError(f"the cost's (d_x, d_u) {(cw.d_x, cw.d_u)} are not the system's "
-                                 f"{(system.d_x, system.d_u)}")
-        else:
-            cw = CostWeights(np.eye(system.d_x), np.eye(system.d_u))
-    except (OSError, KeyError, TypeError, ValueError) as exc:
-        return _fail("bad system input", exc)
-    try:
-        # An overflow ends in the solvers' one-line error below, not in
-        # numpy's warnings.
-        with np.errstate(over="ignore", invalid="ignore"):
-            P, K = solve_dare(system, cw)
-            hinf = hinf_bisection(system, cw)
-    except ValueError as exc:  # input the solvers reject, say a singular R
-        return _fail("bad system input", exc)
-    except SynthesisError as exc:
-        return _fail("synthesis error", exc)
-    print(json.dumps({
-        "lqr": {"P": P.tolist(), "K": K.tolist()},
-        "hinf": hinf.to_json(),
-    }))
     return 0
 
 
@@ -218,15 +139,6 @@ def main(argv=None) -> int:
     p_regret.add_argument("--seeds", type=int, default=3)
     p_regret.add_argument("--out", help="output directory")
     p_regret.set_defaults(func=_cmd_regret)
-
-    p_tr = sub.add_parser("solve-tr", help="solve a trust-region problem from JSON")
-    p_tr.add_argument("--problem", required=True, help="JSON path or - for stdin")
-    p_tr.set_defaults(func=_cmd_solve_tr)
-
-    p_synth = sub.add_parser("synth", help="print LQR and H-infinity gains for a system JSON")
-    p_synth.add_argument("--system", required=True, help="system JSON path or - for stdin")
-    p_synth.add_argument("--cost", help="cost-weight JSON path (identity weights if omitted)")
-    p_synth.set_defaults(func=_cmd_synth)
 
     args = parser.parse_args(argv)
     return args.func(args)

@@ -115,14 +115,6 @@ class HinfSolution:
     W: np.ndarray
     gamma_star: float
 
-    def to_json(self) -> dict:
-        return {
-            "P": self.P.tolist(),
-            "K": self.K.tolist(),
-            "W": self.W.tolist(),
-            "gamma_star": self.gamma_star,
-        }
-
 
 def solve_hinf_game(sys: LinearSystem, cw: CostWeights, gamma: float) -> Optional[HinfSolution]:
     """Value iteration for the disturbance game at attenuation level gamma.
@@ -176,6 +168,8 @@ def solve_hinf_game(sys: LinearSystem, cw: CostWeights, gamma: float) -> Optiona
         sol = np.linalg.solve(G, rhs)
     except np.linalg.LinAlgError as exc:
         raise SynthesisError(f"saddle system is singular: {exc}") from exc
+    if not np.all(np.isfinite(sol)):
+        raise SynthesisError("saddle gains are not finite")
     K, W = sol[: sys.d_u], -sol[sys.d_u :]
     if spectral_radius(A - B @ K + C @ W) >= 1.0:
         raise SynthesisError("game closed loop is not stable at the computed gains")

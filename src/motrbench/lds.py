@@ -42,12 +42,6 @@ class GenerationError(RuntimeError):
     controllability check."""
 
 
-def _check_declared(obj: dict, sizes: dict) -> None:
-    for name, size in sizes.items():
-        if type(obj[name]) is not int or obj[name] != size:
-            raise ValueError(f"declared sizes: {name} is {obj[name]!r}, not the integer {size}")
-
-
 @dataclass(frozen=True)
 class LinearSystem:
     """Plant matrices (A, B, C) for x_{t+1} = A x + B u + C w."""
@@ -87,24 +81,6 @@ class LinearSystem:
     @property
     def d_w(self) -> int:
         return self.C.shape[1]
-
-    def to_json(self) -> dict:
-        return {
-            "d_x": self.d_x,
-            "d_u": self.d_u,
-            "d_w": self.d_w,
-            "A": self.A.tolist(),
-            "B": self.B.tolist(),
-            "C": self.C.tolist(),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "LinearSystem":
-        """The system of a to_json object: the constructor checks the
-        matrices, and the declared d_x, d_u and d_w must be their sizes, as ints."""
-        sys = cls(obj["A"], obj["B"], obj["C"])
-        _check_declared(obj, {"d_x": sys.d_x, "d_u": sys.d_u, "d_w": sys.d_w})
-        return sys
 
 
 @dataclass(frozen=True)
@@ -146,22 +122,6 @@ class CostWeights:
     @property
     def d_u(self) -> int:
         return self.R.shape[0]
-
-    def to_json(self) -> dict:
-        return {
-            "d_x": self.d_x,
-            "d_u": self.d_u,
-            "Q": self.Q.tolist(),
-            "R": self.R.tolist(),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "CostWeights":
-        """The weights of a to_json object, checked as LinearSystem.from_json
-        checks a system."""
-        cw = cls(obj["Q"], obj["R"])
-        _check_declared(obj, {"d_x": cw.d_x, "d_u": cw.d_u})
-        return cw
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,6 @@ import json
 import os
 import pkgutil
 import re
-import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ import pytest
 import motrbench
 from motrbench.bench import CONTROLLERS, GENERATORS, ExperimentConfig, RunRecord
 from motrbench.cli import main
-from motrbench.lds import random_system
 
 
 def write_json(path, obj):
@@ -284,114 +282,16 @@ def test_run_and_regret_on_a_system_whose_synthesis_fails(tmp_path, capsys, fail
     assert main([*argv, "--system-index", "2"]) == 0
 
 
-def test_solve_tr_subcommand(tmp_path, capsys):
-    prob = write_json(
-        tmp_path / "prob.json",
-        {"P": [[0.0, 0.0], [0.0, 0.0]], "p": [1.0, 0.0], "D": 2.0},
-    )
-    assert main(["solve-tr", "--problem", prob]) == 0
-    out = json.loads(capsys.readouterr().out)
-    assert out["value"] == pytest.approx(2.0)
-    assert np.allclose(out["z"], [2.0, 0.0], atol=1e-9)
-    assert out["on_boundary"] is True
-
-    bad = write_json(tmp_path / "bad.json", {"P": [[1.0]]})
-    assert main(["solve-tr", "--problem", bad]) == 2
-    capsys.readouterr()
-    negative_eps = write_json(tmp_path / "eps.json", {"P": [[1.0]], "p": [1.0], "D": 1.0, "eps": -1})
-    any_eps = write_json(tmp_path / "eps2.json", {"P": [[1.0]], "p": [1.0], "D": 1.0, "eps": 1e-9})
-    array = write_json(tmp_path / "array.json", [[1.0]])
-    for path in (negative_eps, any_eps, array):
-        assert main(["solve-tr", "--problem", path]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("bad problem input:") and err.count("\n") == 1
-
-
-def test_solve_tr_reports_a_solver_failure(tmp_path, capsys):
-    # Finite entries whose products overflow: the solver finds no finite
-    # solution and says so in one line, without numpy's overflow warnings.
-    prob = write_json(tmp_path / "prob.json", {"P": [[1e308, 0.0], [0.0, 1e308]], "p": [1e308, 0.0], "D": 1e300})
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(["solve-tr", "--problem", prob]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("solver error:") and captured.err.count("\n") == 1
-
-
-def test_synth_subcommand(tmp_path, capsys):
-    sys = random_system(3, 2, 2, seed=4, target_radius=0.9)
-    sys_path = write_json(tmp_path / "sys.json", sys.to_json())
-    assert main(["synth", "--system", sys_path]) == 0
-    out = json.loads(capsys.readouterr().out)
-    K = np.array(out["lqr"]["K"])
-    assert K.shape == (2, 3)
-    assert np.max(np.abs(np.linalg.eigvals(sys.A - sys.B @ K))) < 1.0
-    gains = out["hinf"]
-    assert np.array(gains["W"]).shape == (2, 3)
-    assert gains["gamma_star"] > 0
-
-    array = write_json(tmp_path / "array.json", [[1.0]])
-    for argv in (["--system", array], ["--system", sys_path, "--cost", array]):
-        assert main(["synth", *argv]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("bad system input:") and err.count("\n") == 1
-
-    # The unstable mode 1.5 is uncontrollable: the solver rejects (A, B).
-    unstabilizable = {
-        "d_x": 2, "d_u": 1, "d_w": 1, "A": [[1.5, 0.0], [0.0, 0.5]], "B": [[0.0], [1.0]], "C": [[1.0], [0.0]],
-    }
-    assert main(["synth", "--system", write_json(tmp_path / "bad.json", unstabilizable)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("synthesis error:") and captured.err.count("\n") == 1
-
-
-def synth_exit(argv, capsys):
-    """(exit code, stdout, stderr) of one synth call."""
-    code = main(["synth", *argv])
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
-def test_synth_rejects_a_cost_of_other_sizes(tmp_path, capsys):
-    sys_path = write_json(tmp_path / "sys.json", random_system(3, 2, 2, seed=4).to_json())
-    cost = {"d_x": 2, "d_u": 2, "Q": np.eye(2).tolist(), "R": np.eye(2).tolist()}
-    code, out, err = synth_exit(["--system", sys_path, "--cost", write_json(tmp_path / "cost.json", cost)], capsys)
-    assert code == 2 and out == ""
-    assert err == "bad system input: the cost's (d_x, d_u) (2, 2) are not the system's (3, 2)\n" and err.count("\n") == 1
-
-
-def test_synth_rejects_an_empty_matrix(tmp_path, capsys):
-    # d_u = 0 or d_w = 0: one line naming the empty matrix, not numpy's
-    # message from deep inside a solver.
-    one = {"d_x": 1, "d_u": 1, "d_w": 1, "A": [[0.5]], "B": [[1.0]], "C": [[1.0]]}
-    for name, size in (("B", "d_u"), ("C", "d_w")):
-        path = write_json(tmp_path / f"empty_{name}.json", {**one, size: 0, name: [[]]})
-        code, out, err = synth_exit(["--system", path], capsys)
-        assert code == 2 and out == ""
-        assert err == f"bad system input: {name} must have 1 rows and at least one column, got shape (1, 0)\n"
-
-
-def test_synth_stops_on_the_first_non_finite_riccati_iterate(tmp_path, capsys):
-    # Finite entries whose products overflow: the Riccati iteration stops at
-    # once and says so in one line, without numpy's overflow warnings.
-    path = write_json(tmp_path / "sys.json", {"d_x": 1, "d_u": 1, "d_w": 1, "A": [[1e200]], "B": [[1e200]], "C": [[1.0]]})
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, out, err = synth_exit(["--system", path], capsys)
-    assert code == 2 and out == ""
-    assert err == "synthesis error: Riccati iteration produced non-finite values\n"
-
-
-def test_synth_rejects_a_singular_R(tmp_path, capsys):
-    # R = [[0]] is PSD, so CostWeights takes it; the Riccati solver needs it
-    # positive definite.
-    sys_path = write_json(tmp_path / "sys.json", random_system(1, 1, 1, seed=0).to_json())
-    cost = {"d_x": 1, "d_u": 1, "Q": [[1.0]], "R": [[0.0]]}
-    code, out, err = synth_exit(["--system", sys_path, "--cost", write_json(tmp_path / "cost.json", cost)], capsys)
-    assert code == 2 and out == ""
-    assert err == "bad system input: R must be positive definite\n"
+def test_regret_on_a_system_that_cannot_be_generated(tmp_path, capsys):
+    # A target radius so large that no draw passes the controllability
+    # check: one line, exit 2, as for a synthesis failure.
+    for radius in (1e15, 1e20):
+        cfg_path = write_json(tmp_path / "cfg.json", {"target_radius": radius, "n_systems": 1, "n_seeds": 1, "T": 20})
+        assert main(["regret", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("generation error: no controllable system after 100 attempts")
+        assert captured.err.count("\n") == 1
 
 
 def test_regret_subcommand(tmp_path, capsys):
@@ -504,37 +404,24 @@ def test_readme_quickstart_runs(capsys):
     assert np.isfinite(float(lines[1].split()[0]))
 
 
-def test_json_input_takes_json_numbers_only(tmp_path, capsys):
-    # A size given as a float, a string or a bool, and a matrix entry or
-    # radius given as a bool or a string, end in one line that names the
-    # field: numpy's float conversion would otherwise read them as numbers.
-    one = {"d_x": 1, "d_u": 1, "d_w": 1, "A": [[0.5]], "B": [[1.0]], "C": [[1.0]]}
-    cost = {"d_x": 1, "d_u": 1, "Q": [[1.0]], "R": [[1.0]]}
-    sys_path = write_json(tmp_path / "one.json", one)
-    assert synth_exit(["--system", sys_path], capsys)[0] == 0
-    for value, message in (
-        (1.7, "declared sizes: d_x is 1.7, not the integer 1"),
-        (1.0, "declared sizes: d_x is 1.0, not the integer 1"),
-        ("1", "d_x must hold JSON numbers only"),
-        (True, "d_x must hold JSON numbers only"),
-    ):
-        code, out, err = synth_exit(["--system", write_json(tmp_path / "sys.json", {**one, "d_x": value})], capsys)
-        assert (code, out, err) == (2, "", f"bad system input: {message}\n")
-    for field, value in (("A", [[True]]), ("C", [["1"]]), ("d_w", None)):
-        code, out, err = synth_exit(["--system", write_json(tmp_path / "sys.json", {**one, field: value})], capsys)
-        assert (code, out, err) == (2, "", f"bad system input: {field} must hold JSON numbers only\n")
-    for field, value, message in (
-        ("Q", [[True]], "Q must hold JSON numbers only"),
-        ("R", [["1"]], "R must hold JSON numbers only"),
-        ("d_u", 1.0, "declared sizes: d_u is 1.0, not the integer 1"),
-    ):
-        argv = ["--system", sys_path, "--cost", write_json(tmp_path / "cost.json", {**cost, field: value})]
-        assert synth_exit(argv, capsys) == (2, "", f"bad system input: {message}\n")
+def test_documented_subcommands_are_the_registered_ones(capsys):
+    # The cli docstring and README's CLI block name exactly the subcommands
+    # that main registers, so a command that is removed or added cannot
+    # leave the documentation behind.
+    from motrbench import cli
 
-    prob = {"P": [[1.0]], "p": [1.0], "D": 1.0}
-    assert main(["solve-tr", "--problem", write_json(tmp_path / "prob.json", prob)]) == 0
-    capsys.readouterr()
-    for field, value in (("P", [[True]]), ("p", ["1"]), ("D", True), ("D", "1")):
-        assert main(["solve-tr", "--problem", write_json(tmp_path / "prob.json", {**prob, field: value})]) == 2
-        captured = capsys.readouterr()
-        assert (captured.out, captured.err) == ("", f"bad problem input: {field} must hold JSON numbers only\n")
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    registered = re.search(r"\{([\w,-]+)\}", capsys.readouterr().out)[1].split(",")
+    assert registered == ["run", "table", "regret"]
+    listed = cli.__doc__.split("Subcommands:", 1)[1].split("Exit codes", 1)[0]
+    assert re.findall(r"([\w-]+) \(", listed) == registered
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+        block = fh.read().split("## CLI", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    assert [line.split()[1] for line in block.splitlines()] == registered
+    # A name main does not register is argparse's usage error.
+    for name in ("solve-tr", "synth"):
+        with pytest.raises(SystemExit) as exit_info:
+            main([name])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err

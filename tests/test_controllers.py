@@ -8,9 +8,11 @@ from motrbench import controllers
 from motrbench.cdg import CdgPolicy, affine_state_map, unroll_map
 from motrbench.controllers import (
     DARE_TOL,
+    GAMMA_HI,
     BracketingError,
     GpcController,
     LinearFeedback,
+    SynthesisError,
     hinf_bisection,
     lqr_controller,
     solve_dare,
@@ -75,12 +77,31 @@ def test_dare_stabilizable_but_uncontrollable():
     assert uncontrollable(A, B, 0.5)
     _, K = solve_dare(LinearSystem(A, B, np.eye(2)), CostWeights(np.eye(2), np.eye(1)))
     assert np.max(np.abs(np.linalg.eigvals(A - B @ K))) < 1.0
+    # With B = (0, 1)' the unstable mode is the uncontrollable one.
+    with pytest.raises(SynthesisError, match="not stabilizable: eigenvalue 1.5"):
+        solve_dare(LinearSystem(A, B[::-1], np.eye(2)), CostWeights(np.eye(2), np.eye(1)))
 
 
 def test_dare_rejects_singular_r():
     sys = scalar_system(0.5)
     with pytest.raises(ValueError):
         solve_dare(sys, CostWeights(np.eye(1), np.zeros((1, 1))))
+
+
+def test_synthesis_of_an_overflowing_plant_raises():
+    # Finite entries whose products overflow.  The Riccati iteration stops
+    # at its first non-finite iterate.  The game's value iteration stays
+    # finite, but its saddle gains do not: SynthesisError, not numpy's
+    # LinAlgError from the stability check, through both entry points.
+    sys = scalar_system(1e200, b=1e200)
+    cw = CostWeights(np.eye(1), np.eye(1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SynthesisError, match="^Riccati iteration produced non-finite values$"):
+            solve_dare(sys, cw)
+        with pytest.raises(SynthesisError, match="^saddle gains are not finite$"):
+            solve_hinf_game(sys, cw, GAMMA_HI)
+        with pytest.raises(SynthesisError, match="^saddle gains are not finite$"):
+            hinf_bisection(sys, cw)
 
 
 def test_hinf_game_lqr_limit():

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -177,25 +175,3 @@ def test_truncation_horizon_values():
         truncation_horizon(2.0, 0.0, 1.0, 100)
     with pytest.raises(ValueError):
         truncation_horizon(2.0, 1.5, 1.0, 100)
-
-
-def test_system_json_round_trip():
-    sys = random_system(4, 2, 2, seed=13)
-    back = LinearSystem.from_json(json.loads(json.dumps(sys.to_json())))
-    assert np.array_equal(back.A, sys.A)
-    assert np.array_equal(back.B, sys.B)
-    assert np.array_equal(back.C, sys.C)
-    cw = CostWeights(np.diag([1.0, 2.0, 3.0, 4.0]), np.eye(2))
-    back_cw = CostWeights.from_json(cw.to_json())
-    assert np.array_equal(back_cw.Q, cw.Q)
-    assert back_cw.xi == cw.xi
-    # The declared sizes must be the matrices' sizes.
-    with pytest.raises(ValueError, match="declared sizes"):
-        LinearSystem.from_json({**sys.to_json(), "d_u": 3})
-    with pytest.raises(ValueError, match="declared sizes"):
-        CostWeights.from_json({**cw.to_json(), "d_x": 2})
-    # int() would read 2.0 as 2, and True as 1.
-    with pytest.raises(ValueError, match="declared sizes: d_u is 2.0, not the integer 2"):
-        LinearSystem.from_json({**sys.to_json(), "d_u": 2.0})
-    with pytest.raises(ValueError, match="declared sizes: d_u is True, not the integer 1"):
-        CostWeights.from_json({**CostWeights(np.eye(1), np.eye(1)).to_json(), "d_u": True})

@@ -238,6 +238,11 @@ def test_non_finite_coefficients_raise_instead_of_returning_nan():
             with np.errstate(invalid="ignore", divide="ignore"):
                 with pytest.raises(tr.TrustRegionError, match="^non-finite solution"):
                     solve(TrustRegionProblem._unchecked(P, np.array([bad, 0.0, 0.0]), 1.0))
+    # Finite entries whose products overflow.
+    prob = TrustRegionProblem(1e308 * np.eye(2), np.array([1e308, 0.0]), 1e300)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(tr.TrustRegionError, match="^non-finite solution"):
+            solve(prob)
 
 
 def same_solution(a, b):
