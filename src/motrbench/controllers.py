@@ -23,6 +23,7 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import _lapack
 from .cdg import InstabilityError, plant_powers, project_frobenius
 from .lds import CostWeights, LinearSystem, spectral_radius, uncontrollable
 
@@ -88,7 +89,7 @@ def solve_dare(sys: LinearSystem, cw: CostWeights):
     P = Q.copy()
     for _ in range(DARE_MAX_ITER):
         G = R + B.T.dot(P).dot(B)
-        K = np.linalg.solve(G, B.T.dot(P).dot(A))
+        K = _lapack.solve(G, B.T.dot(P).dot(A))
         Pn = Q + A.T.dot(P).dot(A) - A.T.dot(P).dot(B).dot(K)
         Pn = 0.5 * (Pn + Pn.T)
         delta = float(np.abs(Pn - P).max())
@@ -138,14 +139,14 @@ def solve_hinf_game(sys: LinearSystem, cw: CostWeights, gamma: float) -> Optiona
     P = Q.copy()
     converged = False
     for k in range(GAME_MAX_ITER + 1):
-        if np.linalg.eigvalsh(g2I - Ct.dot(P).dot(C)).min() <= 0.0:
+        if _lapack.eigvalsh(g2I - Ct.dot(P).dot(C)).min() <= 0.0:
             return None
         if converged:
             break
         if k == GAME_MAX_ITER:
             return None
         try:
-            Z = np.linalg.solve(I + Mg.dot(P), A)
+            Z = _lapack.solve(I + Mg.dot(P), A)
         except np.linalg.LinAlgError:
             return None
         Pn = Q + At.dot(P).dot(Z)

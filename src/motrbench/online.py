@@ -127,8 +127,10 @@ class OtrState:
         """Add one round's (d+1, d+1) Gram matrix and the value the plays
         got in that round (left at 0 where nothing audits the plays).
         factor, an (r, d) matrix F with G[:-1, :-1] = F'F up to rounding,
-        may be handed every round; the state decides whether to use it."""
-        if self._eig is not None and G[:-1, :-1].any():
+        may be handed every round; the state decides whether to use it.
+        Whether the round adds a nonzero P is read from F where it is
+        handed (F'F = 0 iff F = 0), and from G's P block otherwise."""
+        if self._eig is not None and (G[:-1, :-1] if factor is None else factor).any():
             r = 0 if factor is None or not self.low_rank else len(factor)
             if 0 < r <= len(self._W) - self._rank:
                 rows = self._W[self._rank : self._rank + r]

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _lapack
+
 __all__ = [
     "TrustRegionProblem",
     "TrustRegionSolution",
@@ -127,7 +129,7 @@ def symmetric_eig(P: np.ndarray):
     """(lam, V) = eigh((P + P')/2), eigenvalues ascending: the decomposition
     solve works in, for a caller that solves several problems with one P."""
     try:
-        return np.linalg.eigh(0.5 * (P + P.T))
+        return _lapack.eigh(0.5 * (P + P.T))
     except np.linalg.LinAlgError as exc:
         raise TrustRegionError(f"eigendecomposition failed: {exc}") from exc
 
@@ -215,24 +217,28 @@ def solve(prob: TrustRegionProblem, *, eig=None, low_rank=None) -> TrustRegionSo
             eye = np.eye(W.shape[0])
 
             def woodbury(nu):
-                g = 1.0 / (nu - lam)
-                Wg = W * g
+                # (nu I - S)^-1 = G + G W' C^-1 W G for G = (nu I - diag(lam))^-1:
+                # w = G (half_q + W' C^-1 W G half_q), and with b = W G w,
+                # w'(nu I - S)^-1 w = w'G w + b'C^-1 b.
                 try:
-                    # C(nu) is positive definite iff nu > lambda_max(S).
-                    L = np.linalg.cholesky(eye - Wg.dot(W.T))
+                    g = 1.0 / (nu - lam)
+                    Wg = W * g
+                    C = eye - Wg.dot(W.T)
+                    # C(nu) is positive definite iff nu > lambda_max(S); in
+                    # the block around the iteration, a failed factorization
+                    # (or a NaN made from non-NaN operands) raises.
+                    _lapack.cholesky_lo(C)
+                    w = g * (half_q + W.T.dot(_lapack.solve1(C, Wg.dot(half_q))))
+                    b = Wg.dot(w)
+                    return w, float(w.dot(g * w) + b.dot(_lapack.solve1(C, b)))
                 except np.linalg.LinAlgError:
                     return None
-                # (nu I - S)^-1 = G + G W' C^-1 W G = G + B'B for
-                # G = (nu I - diag(lam))^-1, C = L L' and B = L^-1 W G.
-                B = np.linalg.inv(L).dot(Wg)
-                w = half_q * g + B.dot(half_q).dot(B)
-                e = B.dot(w)
-                return w, float(w.dot(g * w) + e.dot(e))
 
             # ||W||_F^2 bounds lambda_max(W'W), so at hi ||z|| <= D.
             bound = lam_max + float(np.einsum("ij,ij->", W, W))
             hi = bound + p_norm / (2.0 * D) + 1e-12 * max(1.0, -float(lam[0]), bound)
-            status, nu, w = _secular(woodbury, lam_max, hi, D)
+            with _lapack.not_positive_definite():
+                status, nu, w = _secular(woodbury, lam_max, hi, D)
             if status == "converged":
                 return _make_solution(prob, V.dot(w), nu, hard_case=False)
         eig = None

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from motrbench import generators
+from motrbench import _lapack, generators
 from motrbench.bench import ExperimentConfig, stable_seed
 from motrbench.cdg import CdgPolicy, InstabilityError
 from motrbench.controllers import hinf_bisection, lqr_controller
@@ -501,8 +501,8 @@ def test_motr_against_the_equilibrium_controller_decomposes_once(monkeypatch):
         sys, cw, hinf, update="motr", T=40, H=3, D_M=0.3, W_max=1.0, seed=7
     )
     calls = []
-    real_eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda S: calls.append(S.shape) or real_eigh(S))
+    real_eigh = _lapack.eigh
+    monkeypatch.setattr(_lapack, "eigh", lambda S: calls.append(S.shape) or real_eigh(S))
     x = np.random.default_rng(0).standard_normal(4)
     for _ in range(40):
         u = -hinf.K @ x

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from motrbench import online
+from motrbench import _lapack, online
 from motrbench.online import (
     OtrState,
     collapse,
@@ -157,27 +157,35 @@ def test_update_with_forced_perturbation_matches_direct_solve(monkeypatch):
 def test_update_reuses_the_eigendecomposition_until_a_nonzero_round(monkeypatch):
     # Interleaved zero and nonzero rounds: every play is exactly the direct
     # solve of the doubled leader, and the leader's quadratic part is
-    # decomposed again only after a round that changed it.
+    # decomposed again only after a round that changed it.  The last two
+    # rounds hand the factor F of their P = F'F, from which the state reads
+    # whether P is nonzero: a zero F, then a nonzero one.
     rng = np.random.default_rng(5)
     d, D = 5, 0.7
     state = otr_state(d=d, D=D, seed=5, eta=1.0)
     P_sum, q_sum = np.zeros((d, d)), np.zeros(d)
     calls = []
-    real_eigh = np.linalg.eigh
-    for t, nonzero in enumerate([False, False, True, False, False, True, True, False]):
-        P = rng.standard_normal((d, d)) if nonzero else np.zeros((d, d))
+    real_eigh = _lapack.eigh
+    rounds = [(nonzero, False) for nonzero in [False, False, True, False, False, True, True, False]]
+    for t, (nonzero, factored) in enumerate(rounds + [(False, True), (True, True)]):
+        F = None
+        if factored:
+            F = rng.standard_normal((2, d)) if nonzero else np.zeros((2, d))
+            P = F.T @ F
+        else:
+            P = rng.standard_normal((d, d)) if nonzero else np.zeros((d, d))
         q = rng.standard_normal(d)
-        state.observe(gram(P, q, 0.0))
+        state.observe(gram(P, q, 0.0), 0.0, F)
         P_sum += P
         q_sum += q
         sigma = np.abs(rng.standard_normal(d))
         monkeypatch.setattr(online, "sample_perturbation", lambda eta, d, rng: sigma)
-        monkeypatch.setattr(np.linalg, "eigh", lambda S: calls.append(t) or real_eigh(S))
+        monkeypatch.setattr(_lapack, "eigh", lambda S: calls.append(t) or real_eigh(S))
         z = state.update()
-        monkeypatch.setattr(np.linalg, "eigh", real_eigh)
+        monkeypatch.setattr(_lapack, "eigh", real_eigh)
         direct = tr_solve(TrustRegionProblem(2.0 * P_sum, 2.0 * q_sum - sigma, D)).z
         assert np.array_equal(z, direct), f"round {t}"
-    assert calls == [0, 2, 5, 6]
+    assert calls == [0, 2, 5, 6, 9]
 
 
 def factored_plays(d, k, factored, rounds=12, seed=9):
@@ -186,15 +194,15 @@ def factored_plays(d, k, factored, rounds=12, seed=9):
     rng = np.random.default_rng(seed)
     state = otr_state(d=d, D=1.0, seed=seed, eta=1.0)
     plays, calls = [], []
-    real_eigh = np.linalg.eigh
-    np.linalg.eigh = lambda S: calls.append(1) or real_eigh(S)
+    real_eigh = _lapack.eigh
+    _lapack.eigh = lambda S: calls.append(1) or real_eigh(S)
     try:
         for _ in range(rounds):
             F = rng.standard_normal((k, d)) / np.sqrt(d)
             state.observe(gram(F.T @ F, rng.standard_normal(d), 0.0), 0.0, F if factored else None)
             plays.append(state.update().copy())
     finally:
-        np.linalg.eigh = real_eigh
+        _lapack.eigh = real_eigh
     return plays, len(calls)
 
 

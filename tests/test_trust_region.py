@@ -342,8 +342,10 @@ def test_low_rank_solve_falls_back_in_the_hard_case(monkeypatch):
 def counting_choleskys(monkeypatch):
     """A list that gets True or False per Cholesky factorization inside
     solve: whether it certified its nu."""
+    from motrbench import _lapack
+
     outcomes = []
-    real = np.linalg.cholesky
+    real = _lapack.cholesky_lo
 
     def cholesky(C):
         try:
@@ -354,7 +356,7 @@ def counting_choleskys(monkeypatch):
         outcomes.append(True)
         return L
 
-    monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+    monkeypatch.setattr(_lapack, "cholesky_lo", cholesky)
     return outcomes
 
 
